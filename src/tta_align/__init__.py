@@ -12,8 +12,6 @@ from .losses import (
     PseudoLabelCE,
     SupervisedCE,
     distance_report,
-    inter_distance,
-    intra_distance,
     loss_cafa,
     loss_entropy,
     loss_global_fa,

@@ -2,6 +2,8 @@
 
 Just enough ops for dense layers, batch normalization with batch
 statistics, and the alignment/entropy losses. Scalar-output backward only.
+Each backward closure is handed its output node instead of capturing it, so
+a graph holds no reference cycle and is freed as soon as the loss is dropped.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -38,7 +40,7 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data + other.data, (self, other))
 
-        def bw():
+        def bw(out):
             self.grad += _unbroadcast(out.grad, self.data.shape)
             other.grad += _unbroadcast(out.grad, other.data.shape)
 
@@ -50,7 +52,7 @@ class Tensor:
     def __neg__(self):
         out = Tensor(-self.data, (self,))
 
-        def bw():
+        def bw(out):
             self.grad -= out.grad
 
         out._backward = bw
@@ -66,7 +68,7 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data * other.data, (self, other))
 
-        def bw():
+        def bw(out):
             self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
             other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
 
@@ -79,7 +81,7 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data / other.data, (self, other))
 
-        def bw():
+        def bw(out):
             self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
             other.grad += _unbroadcast(
                 -out.grad * self.data / (other.data * other.data),
@@ -93,7 +95,7 @@ class Tensor:
         assert isinstance(exponent, (int, float))
         out = Tensor(self.data**exponent, (self,))
 
-        def bw():
+        def bw(out):
             self.grad += out.grad * exponent * self.data ** (exponent - 1)
 
         out._backward = bw
@@ -103,9 +105,14 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data @ other.data, (self, other))
 
-        def bw():
-            self.grad += out.grad @ other.data.T
-            other.grad += self.data.T @ out.grad
+        def bw(out):
+            # swapaxes, not .T: operands may be stacks of matrices
+            self.grad += _unbroadcast(
+                out.grad @ np.swapaxes(other.data, -1, -2), self.data.shape
+            )
+            other.grad += _unbroadcast(
+                np.swapaxes(self.data, -1, -2) @ out.grad, other.data.shape
+            )
 
         out._backward = bw
         return out
@@ -114,7 +121,7 @@ class Tensor:
     def T(self):
         out = Tensor(self.data.T, (self,))
 
-        def bw():
+        def bw(out):
             self.grad += out.grad.T
 
         out._backward = bw
@@ -125,7 +132,7 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def bw():
+        def bw(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -143,7 +150,7 @@ class Tensor:
     def relu(self):
         out = Tensor(np.maximum(self.data, 0.0), (self,))
 
-        def bw():
+        def bw(out):
             self.grad += out.grad * (self.data > 0.0)
 
         out._backward = bw
@@ -152,7 +159,7 @@ class Tensor:
     def exp(self):
         out = Tensor(np.exp(self.data), (self,))
 
-        def bw():
+        def bw(out):
             self.grad += out.grad * out.data
 
         out._backward = bw
@@ -161,7 +168,7 @@ class Tensor:
     def log(self):
         out = Tensor(np.log(self.data), (self,))
 
-        def bw():
+        def bw(out):
             self.grad += out.grad / self.data
 
         out._backward = bw
@@ -170,7 +177,7 @@ class Tensor:
     def sqrt(self):
         out = Tensor(np.sqrt(self.data), (self,))
 
-        def bw():
+        def bw(out):
             self.grad += out.grad * 0.5 / out.data
 
         out._backward = bw
@@ -180,7 +187,7 @@ class Tensor:
         """max(x, floor); zero gradient where the floor is active."""
         out = Tensor(np.maximum(self.data, floor), (self,))
 
-        def bw():
+        def bw(out):
             self.grad += out.grad * (self.data > floor)
 
         out._backward = bw
@@ -212,7 +219,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None:
-                t._backward()
+                t._backward(t)
 
 
 def _wrap(x) -> Tensor:

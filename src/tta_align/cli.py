@@ -51,6 +51,8 @@ def cmd_pretrain(args) -> int:
     print(f"checkpoint: {ckpt_path}")
     print(f"stats: {stats_path}")
     print(f"source holdout accuracy: {result.holdout_accuracy:.4f}")
+    for w in result.stats.warnings:
+        print(f"warning: {w}")
     return EXIT_OK
 
 

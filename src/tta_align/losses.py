@@ -1,8 +1,8 @@
 """Alignment distances and all adaptation/baseline losses.
 
-Mahalanobis distances use the cached regularized precision matrices of the
-source statistics, so the plain-number operations and the differentiable
-graph path agree to the last bit.
+One batched kernel scores every sample against every class Gaussian with the
+cached regularized precisions; the losses and the distance report both read
+it. `mahalanobis` is the per-vector reference form.
 """
 
 from __future__ import annotations
@@ -77,46 +77,22 @@ def mahalanobis(x_feat: np.ndarray, g: ClassGaussian) -> float:
     return float(delta @ g.precision @ delta)
 
 
-def _check_label(label: int, stats: SourceStats) -> int:
-    label = int(label)
-    if not 0 <= label < stats.n_classes:
-        raise UnknownClass(f"label {label} outside 0..{stats.n_classes - 1}")
-    return label
-
-
-def intra_distance(x_feat, label: int, stats: SourceStats) -> float:
-    return mahalanobis(x_feat, stats.classes[_check_label(label, stats)])
-
-
-def inter_distance(x_feat, label: int, stats: SourceStats) -> float:
-    if stats.n_classes < 2:
-        raise SingleClass("inter-class distance needs at least 2 classes")
-    label = _check_label(label, stats)
-    total = 0.0
-    for c, g in enumerate(stats.classes):
-        if c != label:
-            total += mahalanobis(x_feat, g)
-    return total / (stats.n_classes - 1)
-
-
-def class_distance_matrix(batch_feats: np.ndarray, stats: SourceStats) -> np.ndarray:
-    """Mahalanobis distance of every sample to every class Gaussian, N x C."""
-    feats = np.asarray(batch_feats, dtype=np.float64)
-    cols = []
-    for g in stats.classes:
-        diff = feats - g.mu
-        cols.append(np.einsum("ij,jk,ik->i", diff, g.precision, diff))
-    return np.stack(cols, axis=1)
-
-
 def distance_report(batch_feats, true_labels, stats: SourceStats) -> DistanceReport:
     """Batch-mean intra/inter distances under ground-truth labels.
 
-    Instrumentation only; no loss ever consumes ground-truth labels.
+    Instrumentation only; no loss ever consumes ground-truth labels. Reads
+    the same class kernel as the CAFA loss, so the two cannot drift apart.
     """
+    if stats.n_classes < 2:
+        raise SingleClass("inter-class distance needs at least 2 classes")
+    feats = np.asarray(batch_feats, dtype=np.float64)
     y = np.asarray(true_labels, dtype=np.int64)
-    intra = [intra_distance(x, c, stats) for x, c in zip(batch_feats, y)]
-    inter = [inter_distance(x, c, stats) for x, c in zip(batch_feats, y)]
+    if feats.ndim != 2 or y.shape != feats.shape[:1]:
+        raise DimensionMismatch(f"features {feats.shape} vs labels {y.shape}")
+    quads = _class_quadratics(Tensor(feats), stats).data
+    onehot = _one_hot(y, stats.n_classes).T
+    intra = (quads * onehot).sum(axis=0)
+    inter = (quads * (1.0 - onehot)).sum(axis=0) / (stats.n_classes - 1)
     return DistanceReport(
         mean_intra=float(np.mean(intra)), mean_inter=float(np.mean(inter))
     )
@@ -140,22 +116,19 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return eye[labels]
 
 
-def _class_quadratics(feats: Tensor, stats: SourceStats) -> list[Tensor]:
-    """Per-class Mahalanobis quadratic forms, each an N-vector tensor."""
-    out = []
-    for g in stats.classes:
-        diff = feats - Tensor(g.mu)
-        out.append(((diff @ Tensor(g.precision)) * diff).sum(axis=1))
-    return out
+def _class_quadratics(feats: Tensor, stats: SourceStats) -> Tensor:
+    """Mahalanobis quadratic form of every sample to every class, C x N."""
+    mus = np.stack([g.mu for g in stats.classes])
+    if feats.shape[-1] != mus.shape[1]:
+        raise DimensionMismatch(f"feature dim {feats.shape[-1]} vs {mus.shape[1]}")
+    precs = np.stack([g.precision for g in stats.classes])
+    diff = feats - mus[:, None, :]
+    return ((diff @ precs) * diff).sum(axis=2)
 
 
-def _intra_terms(feats: Tensor, labels: np.ndarray, stats: SourceStats) -> Tensor:
-    quads = _class_quadratics(feats, stats)
-    onehot = _one_hot(labels, stats.n_classes)
-    intra = quads[0] * onehot[:, 0]
-    for c in range(1, stats.n_classes):
-        intra = intra + quads[c] * onehot[:, c]
-    return intra, quads
+def _intra_terms(quads: Tensor, labels: np.ndarray) -> Tensor:
+    """Each sample's quadratic form to its labelled class, an N-vector."""
+    return (quads * _one_hot(labels, quads.shape[0]).T).sum(axis=0)
 
 
 def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -187,15 +160,14 @@ def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None) -> Tens
 
     if isinstance(spec, IntraOnly):
         labels = _labels_for(spec, logits, pseudo_labels)
-        intra, _ = _intra_terms(feats, labels, spec.stats)
-        return intra.mean()
+        quads = _class_quadratics(feats, spec.stats)
+        return _intra_terms(quads, labels).mean()
 
     if isinstance(spec, Cafa):
         labels = _labels_for(spec, logits, pseudo_labels)
-        intra, quads = _intra_terms(feats, labels, spec.stats)
-        denom = quads[0]
-        for q in quads[1:]:
-            denom = denom + q
+        quads = _class_quadratics(feats, spec.stats)
+        intra = _intra_terms(quads, labels)
+        denom = quads.sum(axis=0)
         ratio_log = intra.clip_min(RATIO_FLOOR).log() - denom.clip_min(
             RATIO_FLOOR
         ).log()

@@ -321,9 +321,12 @@ def load_checkpoint(path) -> AdaptiveModel:
         raise FormatVersionMismatch(
             f"checkpoint version {header.get('format_version')} != {CHECKPOINT_VERSION}"
         )
-    blocks = []
-    for i in range(header["n_blocks"]):
-        blocks.append(
+    try:
+        for entry in header["layout"]:
+            shape = arrays[entry["name"]].shape
+            if shape != tuple(entry["shape"]):
+                raise ValueError(f"{entry['name']}: shape {shape} vs layout {entry['shape']}")
+        blocks = [
             Block(
                 dense=DenseLayer(
                     weight=arrays[f"block{i}.dense.weight"],
@@ -337,8 +340,11 @@ def load_checkpoint(path) -> AdaptiveModel:
                     momentum=float(arrays[f"block{i}.bn.momentum"]),
                 ),
             )
+            for i in range(header["n_blocks"])
+        ]
+        classifier = DenseLayer(
+            weight=arrays["classifier.weight"], bias=arrays["classifier.bias"]
         )
-    classifier = DenseLayer(
-        weight=arrays["classifier.weight"], bias=arrays["classifier.bias"]
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StatsIoError(f"malformed checkpoint {path}: {exc!r}") from exc
     return AdaptiveModel(blocks=blocks, classifier=classifier)

@@ -166,7 +166,8 @@ def test_criterion_3_statistics_oracles(capsys):
 
 
 def test_criterion_4_degeneracy(capsys):
-    """C=1 makes the ratio loss exactly 0; inter distance raises SingleClass."""
+    """C=1 makes the ratio loss exactly 0; the distance report raises
+    SingleClass."""
     rng = np.random.default_rng(3)
     stats = random_stats(rng, 1, 4)
     zeros = all(
@@ -174,7 +175,7 @@ def test_criterion_4_degeneracy(capsys):
         for _ in range(5)
     )
     try:
-        losses.inter_distance(np.zeros(4), 0, stats)
+        losses.distance_report(np.zeros((1, 4)), np.zeros(1, dtype=int), stats)
         raised = False
     except SingleClass:
         raised = True

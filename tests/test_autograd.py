@@ -85,6 +85,21 @@ class TestGradients:
         w = rng.normal(size=(3, 4))
         check_grad(lambda t: ((t @ w) ** 2).sum(), rng.normal(size=(5, 3)))
 
+    def test_matmul_stack_by_matrix(self):
+        # a stack of matrices times one matrix, as in the class kernel
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(2, 5, 3))
+        w = rng.normal(size=(3, 4))
+        check_grad(lambda t: ((t @ w) ** 2).sum(), a.copy())
+        check_grad(lambda t: ((Tensor(a) @ t) ** 2).sum(), w.copy())
+
+    def test_matmul_stack_by_stack(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(2, 5, 3))
+        b = rng.normal(size=(2, 3, 4))
+        check_grad(lambda t: ((t @ b) ** 2).sum(), a.copy())
+        check_grad(lambda t: ((Tensor(a) @ t) ** 2).sum(), b.copy())
+
     def test_transpose(self):
         rng = np.random.default_rng(4)
         w = rng.normal(size=(3, 2))

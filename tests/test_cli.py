@@ -57,6 +57,14 @@ class TestPretrainCommand:
         captured = capsys.readouterr()
         assert "source holdout accuracy" in captured.out
 
+    def test_prints_stats_warnings(self, tmp_path, capsys):
+        # 40 training samples per class against 64 features: rank-deficient
+        config = tiny_config(tmp_path, model={"hidden_dims": [64]})
+        assert cli.main(["pretrain", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "warning: class 0:" in out
+        assert "rank-deficient" in out
+
 
 class TestStatsCommand:
     def test_recomputes_stats(self, pretrained):
@@ -134,6 +142,33 @@ class TestAdaptCommand:
                 str(config),
                 "--checkpoint",
                 str(out / "checkpoint.npz"),
+                "--stats",
+                str(out / "stats.bin"),
+                "--method",
+                "cafa",
+            ]
+        )
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing_key", "wrong_shape"])
+    def test_malformed_checkpoint_is_io_error(self, pretrained, capsys, damage):
+        config, out = pretrained
+        path = out / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        if damage == "missing_key":
+            del arrays["classifier.bias"]
+        else:
+            arrays["classifier.weight"] = arrays["classifier.weight"][:, :-1]
+        np.savez(path, **arrays)
+        code = cli.main(
+            [
+                "adapt",
+                "--config",
+                str(config),
+                "--checkpoint",
+                str(path),
                 "--stats",
                 str(out / "stats.bin"),
                 "--method",

@@ -11,13 +11,11 @@ from helpers import (
     stats_from_gaussians,
 )
 from tta_align import losses
+from tta_align.autograd import Tensor
 from tta_align.errors import BatchTooSmall, DimensionMismatch, SingleClass, UnknownClass
 from tta_align.losses import (
     RATIO_FLOOR,
-    class_distance_matrix,
     distance_report,
-    inter_distance,
-    intra_distance,
     loss_cafa,
     loss_entropy,
     loss_global_fa,
@@ -25,6 +23,15 @@ from tta_align.losses import (
     loss_pseudo_label,
     mahalanobis,
 )
+
+
+def class_quadratics(batch, stats) -> np.ndarray:
+    """The batched class kernel as plain numbers, C x N."""
+    return losses._class_quadratics(Tensor(np.atleast_2d(batch)), stats).data
+
+
+def report_one(x, label, stats):
+    return distance_report(np.atleast_2d(x), np.array([label]), stats)
 
 
 class TestMahalanobis:
@@ -76,6 +83,8 @@ class TestMahalanobis:
 
 
 class TestIntraInter:
+    """The class kernel and the report's per-sample intra/inter terms."""
+
     @staticmethod
     def _symmetric_two_class():
         sigma = np.eye(2)
@@ -88,21 +97,29 @@ class TestIntraInter:
 
     def test_intra_at_mean(self):
         stats = self._symmetric_two_class()
-        assert intra_distance(np.array([-1.0, 0.0]), 0, stats) == pytest.approx(0.0)
-        assert intra_distance(np.array([1.0, 0.0]), 1, stats) == pytest.approx(0.0)
-        assert intra_distance(np.array([1.0, 0.0]), 0, stats) > 0.0
+        quads = class_quadratics(np.array([[-1.0, 0.0], [1.0, 0.0]]), stats)
+        assert quads[0, 0] == pytest.approx(0.0)
+        assert quads[1, 1] == pytest.approx(0.0)
+        assert quads[0, 1] > 0.0
 
     def test_intra_is_definitional(self):
+        # the report's intra term is the kernel entry of the labelled class
         rng = np.random.default_rng(4)
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=4)
+        quads = class_quadratics(x, stats)
         for c in range(3):
-            assert intra_distance(x, c, stats) == mahalanobis(x, stats.classes[c])
+            assert report_one(x, c, stats).mean_intra == quads[c, 0]
+            ref = mahalanobis(x, stats.classes[c])
+            assert quads[c, 0] == pytest.approx(ref, rel=1e-12)
 
     def test_inter_two_class(self):
         stats = self._symmetric_two_class()
         x = np.array([1.0, 0.0])
-        assert inter_distance(x, 1, stats) == mahalanobis(x, stats.classes[0])
+        assert report_one(x, 1, stats).mean_inter == class_quadratics(x, stats)[0, 0]
+        assert report_one(x, 1, stats).mean_inter == pytest.approx(
+            mahalanobis(x, stats.classes[0]), rel=1e-12
+        )
 
     def test_inter_equidistant_average(self):
         # three unit-variance classes at distance 2 from the origin
@@ -111,8 +128,7 @@ class TestIntraInter:
             for c, mu in enumerate([(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)])
         ]
         stats = stats_from_gaussians(gaussians)
-        x = np.zeros(2)
-        assert inter_distance(x, 0, stats) == pytest.approx(4.0)
+        assert report_one(np.zeros(2), 0, stats).mean_inter == pytest.approx(4.0)
 
     def test_inter_brute_force(self):
         rng = np.random.default_rng(5)
@@ -122,31 +138,33 @@ class TestIntraInter:
             ref = sum(
                 mahalanobis(x, stats.classes[c]) for c in range(4) if c != label
             ) / 3.0
-            assert inter_distance(x, label, stats) == pytest.approx(ref, rel=1e-12)
+            got = report_one(x, label, stats).mean_inter
+            assert got == pytest.approx(ref, rel=1e-12)
 
     def test_single_class_raises(self):
         rng = np.random.default_rng(6)
         stats = random_stats(rng, 1, 3)
         with pytest.raises(SingleClass):
-            inter_distance(np.zeros(3), 0, stats)
+            report_one(np.zeros(3), 0, stats)
 
     def test_unknown_class(self):
         rng = np.random.default_rng(7)
         stats = random_stats(rng, 3, 3)
         with pytest.raises(UnknownClass):
-            intra_distance(np.zeros(3), 3, stats)
+            report_one(np.zeros(3), 3, stats)
         with pytest.raises(UnknownClass):
-            inter_distance(np.zeros(3), -1, stats)
+            report_one(np.zeros(3), -1, stats)
 
     def test_class_distance_matrix(self):
         rng = np.random.default_rng(8)
         stats = random_stats(rng, 3, 4)
         batch = rng.normal(size=(6, 4))
-        mat = class_distance_matrix(batch, stats)
+        mat = class_quadratics(batch, stats)
+        assert mat.shape == (3, 6)
         for i in range(6):
             for c in range(3):
                 ref = mahalanobis(batch[i], stats.classes[c])
-                assert mat[i, c] == pytest.approx(ref, rel=1e-12)
+                assert mat[c, i] == pytest.approx(ref, rel=1e-12)
 
 
 class TestGlobalFaLoss:
@@ -190,7 +208,7 @@ class TestIntraLoss:
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=4)
         assert loss_intra(x[None, :], np.array([2]), stats) == pytest.approx(
-            intra_distance(x, 2, stats), rel=1e-12
+            mahalanobis(x, stats.classes[2]), rel=1e-12
         )
 
     def test_brute_force(self):
@@ -198,7 +216,7 @@ class TestIntraLoss:
         stats = random_stats(rng, 3, 4)
         batch = rng.normal(size=(8, 4))
         labels = rng.integers(0, 3, size=8)
-        ref = np.mean([intra_distance(x, c, stats) for x, c in zip(batch, labels)])
+        ref = np.mean([mahalanobis(x, stats.classes[c]) for x, c in zip(batch, labels)])
         assert loss_intra(batch, labels, stats) == pytest.approx(ref, rel=1e-12)
 
     def test_unknown_label(self):
@@ -247,7 +265,7 @@ class TestCafaLoss:
         for _ in range(20):
             x = rng.normal(size=(1, 4))
             label = rng.integers(0, 3, size=1)
-            if intra_distance(x[0], int(label[0]), stats) > 0:
+            if mahalanobis(x[0], stats.classes[int(label[0])]) > 0:
                 assert loss_cafa(x, label, stats) < 0.0
 
 
@@ -305,10 +323,14 @@ class TestDistanceReport:
         labels = rng.integers(0, 3, size=7)
         report = distance_report(batch, labels, stats)
         ref_intra = np.mean(
-            [intra_distance(x, c, stats) for x, c in zip(batch, labels)]
+            [mahalanobis(x, stats.classes[c]) for x, c in zip(batch, labels)]
         )
         ref_inter = np.mean(
-            [inter_distance(x, c, stats) for x, c in zip(batch, labels)]
+            [
+                sum(mahalanobis(x, g) for k, g in enumerate(stats.classes) if k != c)
+                / 2.0
+                for x, c in zip(batch, labels)
+            ]
         )
         assert report.mean_intra == pytest.approx(float(ref_intra), rel=1e-12)
         assert report.mean_inter == pytest.approx(float(ref_inter), rel=1e-12)
@@ -322,6 +344,21 @@ class TestDistanceReport:
         b = distance_report(batch.copy(), labels.copy(), stats)
         assert a.mean_intra == b.mean_intra
         assert a.mean_inter == b.mean_inter
+
+    def test_label_count_mismatch(self):
+        # five feature rows with three labels must not be truncated silently
+        rng = np.random.default_rng(24)
+        stats = random_stats(rng, 3, 4)
+        with pytest.raises(DimensionMismatch):
+            distance_report(rng.normal(size=(5, 4)), np.array([0, 1, 2]), stats)
+
+    def test_feature_dim_mismatch(self):
+        rng = np.random.default_rng(25)
+        stats = random_stats(rng, 3, 4)
+        with pytest.raises(DimensionMismatch):
+            distance_report(np.zeros((3, 5)), np.arange(3), stats)
+        with pytest.raises(DimensionMismatch):
+            loss_cafa(np.zeros((3, 5)), np.arange(3), stats)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,5 +376,5 @@ def test_intra_mean_identity_property(seed, n):
     stats = random_stats(rng, 3, 3)
     batch = rng.normal(size=(n, 3))
     labels = rng.integers(0, 3, size=n)
-    ref = np.mean([intra_distance(x, k, stats) for x, k in zip(batch, labels)])
+    ref = np.mean([mahalanobis(x, stats.classes[k]) for x, k in zip(batch, labels)])
     assert loss_intra(batch, labels, stats) == pytest.approx(float(ref), rel=1e-10)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from helpers import (
     states_equal,
 )
 from tta_align import losses, network
+from tta_align.autograd import Tensor
 from tta_align.errors import (
     BatchTooSmall,
     DimensionMismatch,
@@ -237,6 +241,35 @@ class TestGradients:
         assert set(g_bn) < set(g_full)
         assert not any(name.startswith("classifier") for name in g_full)
 
+    def test_graph_freed_without_cycle_collector(self, monkeypatch):
+        # no graph node may sit in a reference cycle: with the cyclic
+        # collector off, every node dies when loss_and_grad_named returns
+        rng = np.random.default_rng(24)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        nodes = {}  # id -> weakref, one per graph node
+        backward = Tensor.backward
+
+        def spy(loss):
+            stack = [loss]
+            while stack:
+                node = stack.pop()
+                nodes[id(node)] = weakref.ref(node)
+                stack.extend(p for p in node._parents if id(p) not in nodes)
+            backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        names = model.group_param_names(ParamGroup.BN_ONLY)
+        gc.disable()
+        try:
+            x = rng.normal(size=(8, 6))
+            spec = losses.Cafa(stats)
+            network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, names)
+            alive = sum(ref() is not None for ref in nodes.values())
+        finally:
+            gc.enable()
+        assert nodes and alive == 0
+
     def test_constant_loss_zero_grads(self):
         # single-class ratio loss is identically zero, so all gradients vanish
         rng = np.random.default_rng(16)
@@ -333,6 +366,31 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StatsIoError):
             network.load_checkpoint(tmp_path / "absent.npz")
+
+    @staticmethod
+    def _rewrite(path, edit):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+
+    def test_missing_key(self, tmp_path):
+        path = tmp_path / "model.npz"
+        network.save_checkpoint(small_model(np.random.default_rng(24)), path)
+        self._rewrite(path, lambda arrays: arrays.pop("block1.bn.gamma"))
+        with pytest.raises(StatsIoError):
+            network.load_checkpoint(path)
+
+    def test_shape_disagrees_with_layout(self, tmp_path):
+        path = tmp_path / "model.npz"
+        network.save_checkpoint(small_model(np.random.default_rng(25)), path)
+
+        def grow(arrays):
+            arrays["block0.bn.beta"] = np.append(arrays["block0.bn.beta"], 0.0)
+
+        self._rewrite(path, grow)
+        with pytest.raises(StatsIoError):
+            network.load_checkpoint(path)
 
     def test_copy_is_independent(self):
         rng = np.random.default_rng(23)
