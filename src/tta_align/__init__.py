@@ -12,11 +12,6 @@ from .losses import (
     PseudoLabelCE,
     SupervisedCE,
     distance_report,
-    loss_cafa,
-    loss_entropy,
-    loss_global_fa,
-    loss_intra,
-    loss_pseudo_label,
     mahalanobis,
 )
 from .network import (
@@ -27,7 +22,6 @@ from .network import (
     StatMode,
     forward_features,
     forward_logits,
-    grad,
     init_model,
     load_checkpoint,
     predict,

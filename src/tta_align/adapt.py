@@ -21,7 +21,6 @@ from .stats import SourceStats
 
 METHODS = ("source", "bn", "pl", "entropy", "global_fa", "intra", "cafa")
 NO_LOSS_METHODS = ("source", "bn")
-STATS_METHODS = ("global_fa", "intra", "cafa")
 
 
 @dataclass
@@ -35,7 +34,6 @@ class TtaConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    seed: int = 0
 
     @property
     def run_name(self) -> str:

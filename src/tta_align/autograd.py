@@ -225,7 +225,3 @@ class Tensor:
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
-
-def constant(x) -> Tensor:
-    """A leaf tensor; gradients accumulate into it but are never read."""
-    return Tensor(x)

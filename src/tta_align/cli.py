@@ -87,13 +87,18 @@ def cmd_adapt(args) -> int:
     stats = stats_mod.load_stats(args.stats)
     shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
     batches = data.batch_stream(shifted.target_x, shifted.target_y, mcfg.batch_size)
-    _, record = adapt_mod.adapt_stream(model, stats, batches, mcfg)
     out_dir = args.out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"run_{mcfg.run_name}.csv")
-    adapt_mod.write_run_record(
-        record, csv_path, os.path.join(out_dir, f"run_{mcfg.run_name}.json")
-    )
+    json_path = os.path.join(out_dir, f"run_{mcfg.run_name}.json")
+    try:
+        _, record = adapt_mod.adapt_stream(model, stats, batches, mcfg)
+    except NonFiniteLoss as exc:
+        # keep the batches that finished before the loss went non-finite
+        adapt_mod.write_run_record(exc.record, csv_path, json_path)
+        print(f"partial run record: {csv_path}", file=sys.stderr)
+        raise
+    adapt_mod.write_run_record(record, csv_path, json_path)
     acc = record.accuracies()
     print(f"run record: {csv_path}")
     print(f"mean accuracy: {np.mean(acc):.4f}")
@@ -112,10 +117,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    summaries = experiment.rebuild_report(args.run_dir)
+    experiment.rebuild_report(args.run_dir)
     with open(os.path.join(args.run_dir, "summary.txt")) as fh:
         print(fh.read(), end="")
-    return EXIT_OK if summaries else EXIT_CONFIG
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

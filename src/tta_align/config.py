@@ -1,12 +1,14 @@
 """Experiment configuration: nested dataclasses with strict JSON parsing.
 
-Unknown keys anywhere in the document are rejected.
+Unknown keys anywhere in the document are rejected. The dataclass fields are
+the schema: parsing and writing both read them.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +24,19 @@ def _strict_kwargs(cls, d: dict, section: str) -> dict:
     if unknown:
         raise ConfigInvalid(f"unknown keys in section {section!r}: {sorted(unknown)}")
     return d
+
+
+def _plain(value):
+    """JSON-ready copy: arrays and tuples become lists, enums their value."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 @dataclass
@@ -91,94 +106,32 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        top_known = {"synthetic", "shift", "model", "pretrain", "methods", "output_dir"}
-        unknown = set(doc) - top_known
-        if unknown:
-            raise ConfigInvalid(f"unknown top-level keys: {sorted(unknown)}")
-
-        cfg = ExperimentConfig()
-        if "synthetic" in doc:
-            cfg.synthetic = SyntheticSpec(
-                **_strict_kwargs(SyntheticSpec, doc["synthetic"], "synthetic")
-            )
+        doc = dict(_strict_kwargs(ExperimentConfig, doc, "top-level"))
+        for key, cls in (
+            ("synthetic", SyntheticSpec),
+            ("model", ModelConfig),
+            ("pretrain", PretrainConfig),
+        ):
+            if key in doc:
+                doc[key] = cls(**_strict_kwargs(cls, doc[key], key))
         if doc.get("shift") is not None:
-            sd = dict(doc["shift"])
-            unknown = set(sd) - {"transforms", "severity"}
-            if unknown:
-                raise ConfigInvalid(f"unknown keys in section 'shift': {sorted(unknown)}")
+            sd = dict(_strict_kwargs(ShiftSpec, doc["shift"], "shift"))
             transforms = []
             for td in sd.get("transforms", []):
-                td = _strict_kwargs(ShiftTransform, dict(td), "shift.transforms[]")
+                td = dict(_strict_kwargs(ShiftTransform, td, "shift.transforms[]"))
                 if "plane" in td:
                     td["plane"] = tuple(td["plane"])
                 transforms.append(ShiftTransform(**td))
-            cfg.shift = ShiftSpec(transforms=transforms, severity=sd.get("severity", 5))
-        if "model" in doc:
-            cfg.model = ModelConfig(**_strict_kwargs(ModelConfig, doc["model"], "model"))
-        if "pretrain" in doc:
-            cfg.pretrain = PretrainConfig(
-                **_strict_kwargs(PretrainConfig, doc["pretrain"], "pretrain")
-            )
+            sd["transforms"] = transforms
+            doc["shift"] = ShiftSpec(**sd)
         if "methods" in doc:
-            cfg.methods = [TtaConfig.from_dict(m) for m in doc["methods"]]
-        if "output_dir" in doc:
-            cfg.output_dir = doc["output_dir"]
+            doc["methods"] = [TtaConfig.from_dict(m) for m in doc["methods"]]
+        cfg = ExperimentConfig(**doc)
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        synthetic = {
-            "n_classes": self.synthetic.n_classes,
-            "input_dim": self.synthetic.input_dim,
-            "mean_scale": self.synthetic.mean_scale,
-            "n_train_per_class": self.synthetic.n_train_per_class,
-            "n_test_per_class": self.synthetic.n_test_per_class,
-            "seed": self.synthetic.seed,
-            "geometry_seed": self.synthetic.geometry_seed,
-        }
-        if self.synthetic.cov_scales is not None:
-            synthetic["cov_scales"] = list(self.synthetic.cov_scales)
-        if self.synthetic.class_means is not None:
-            synthetic["class_means"] = np.asarray(self.synthetic.class_means).tolist()
-        if self.synthetic.class_covs is not None:
-            synthetic["class_covs"] = np.asarray(self.synthetic.class_covs).tolist()
-        shift = None
-        if self.shift is not None:
-            shift = {
-                "severity": self.shift.severity,
-                "transforms": [
-                    {
-                        k: v
-                        for k, v in (
-                            ("kind", t.kind),
-                            ("direction", t.direction),
-                            ("plane", list(t.plane)),
-                        )
-                        if not (k == "direction" and v is None)
-                    }
-                    for t in self.shift.transforms
-                ],
-            }
-        return {
-            "synthetic": synthetic,
-            "shift": shift,
-            "model": {
-                "hidden_dims": list(self.model.hidden_dims),
-                "bn_momentum": self.model.bn_momentum,
-                "seed": self.model.seed,
-            },
-            "pretrain": {
-                "epochs": self.pretrain.epochs,
-                "batch_size": self.pretrain.batch_size,
-                "learning_rate": self.pretrain.learning_rate,
-                "seed": self.pretrain.seed,
-                "eps_scale": self.pretrain.eps_scale,
-                "covariance_mode": self.pretrain.covariance_mode,
-            },
-            "methods": [m.to_dict() for m in self.methods],
-            "output_dir": self.output_dir,
-        }
+        return _plain(asdict(self))
 
     @staticmethod
     def default(seed: int = 0, output_dir: str = "runs") -> "ExperimentConfig":

@@ -29,6 +29,10 @@ class NonFiniteLoss(TtaError):
         self.record = record
 
 
+class NonFiniteInput(TtaError, ValueError):
+    """An input array holds NaN or infinite entries."""
+
+
 class MissingClass(TtaError):
     pass
 

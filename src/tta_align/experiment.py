@@ -16,7 +16,7 @@ import numpy as np
 from . import adapt, data, losses, network, stats as stats_mod
 from .adapt import RunRecord, TtaConfig, adapt_stream
 from .config import ExperimentConfig
-from .errors import ConfigInvalid, NonFiniteLoss, TrainingDiverged
+from .errors import ConfigInvalid, NonFiniteLoss, StatsIoError, TrainingDiverged
 from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
 
@@ -202,7 +202,7 @@ def write_summary_files(summaries: list[MethodSummary], out_dir: str) -> None:
                     repr(s.final_mean_inter),
                 ]
             )
-    widths = [12, 15, 22, 18, 18]
+    widths = [12, 15, 24, 18, 18]  # each wider than its header
     lines = ["".join(f"{h:<{w}}" for h, w in zip(SUMMARY_FIELDS, widths))]
     for s in summaries:
         cells = [
@@ -245,10 +245,19 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
             manifest = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read {manifest_path}: {exc}") from exc
+    except ValueError as exc:
+        raise StatsIoError(f"{manifest_path} is not valid JSON: {exc}") from exc
     records: dict[str, RunRecord] = {}
-    for name in manifest["methods"]:
-        rows = adapt.read_run_record_rows(os.path.join(run_dir, f"run_{name}.csv"))
-        records[name] = RunRecord(config=TtaConfig(method="cafa"), rows=rows)
+    try:
+        for name in manifest["methods"]:
+            rows = adapt.read_run_record_rows(os.path.join(run_dir, f"run_{name}.csv"))
+            if not rows:
+                raise StatsIoError(f"run_{name}.csv in {run_dir} holds no batch rows")
+            records[name] = RunRecord(config=TtaConfig(method="cafa"), rows=rows)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
+    if not records:
+        raise StatsIoError(f"the manifest in {run_dir} lists no methods")
     summaries = [summarize_record(n, r) for n, r in records.items()]
     write_summary_files(summaries, run_dir)
     write_trajectory_files(records, run_dir)

@@ -1,4 +1,4 @@
-"""Dense linear algebra: SPD factorization/solves and covariance accumulation.
+"""Dense linear algebra: SPD factorization/inverse and covariance accumulation.
 
 All carriers are float64 numpy arrays. Reductions keep numpy's fixed
 summation order, so repeated runs on identical inputs are bit-identical.
@@ -11,18 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, EmptyInput, NotPositiveDefinite
+from .errors import DimensionMismatch, EmptyInput, NonFiniteInput, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-10
-
-
-def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
-    return v
 
 
 def as_matrix(x) -> np.ndarray:
@@ -30,7 +21,7 @@ def as_matrix(x) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFiniteInput("matrix contains non-finite entries")
     return m
 
 
@@ -64,15 +55,6 @@ def spd_factor(m) -> SpdFactor:
     if np.any(np.diag(lower) <= 0.0):
         raise NotPositiveDefinite("non-positive pivot in Cholesky factor")
     return SpdFactor(lower=lower)
-
-
-def spd_solve(f: SpdFactor, b) -> np.ndarray:
-    """Solve (L L^T) x = b via two triangular solves."""
-    rhs = np.asarray(b, dtype=np.float64)
-    if rhs.shape[0] != f.dim:
-        raise DimensionMismatch(f"factor dim {f.dim} vs rhs dim {rhs.shape[0]}")
-    y = solve_triangular(f.lower, rhs, lower=True)
-    return solve_triangular(f.lower.T, y, lower=False)
 
 
 def spd_inverse(f: SpdFactor) -> np.ndarray:

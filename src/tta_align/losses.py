@@ -131,13 +131,11 @@ def _intra_terms(quads: Tensor, labels: np.ndarray) -> Tensor:
     return (quads * _one_hot(labels, quads.shape[0]).T).sum(axis=0)
 
 
-def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    onehot = _one_hot(labels, logits.shape[1])
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))  # detached stabilizer
+def _log_sum_exp(logits: Tensor) -> Tensor:
+    """Row-wise log-sum-exp, N x 1, stabilized by the detached row maximum."""
+    shift = Tensor(logits.data.max(axis=1, keepdims=True))
     z = logits - shift
-    lse = z.exp().sum(axis=1, keepdims=True).log() + shift
-    picked = (logits * onehot).sum(axis=1, keepdims=True)
-    return (lse - picked).mean()
+    return z.exp().sum(axis=1, keepdims=True).log() + shift
 
 
 def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None) -> Tensor:
@@ -174,52 +172,15 @@ def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None) -> Tens
         return ratio_log.mean()
 
     if isinstance(spec, Entropy):
-        shift = Tensor(logits.data.max(axis=1, keepdims=True))  # detached
-        z = logits - shift
-        lse = z.exp().sum(axis=1, keepdims=True).log() + shift
-        neg_logp = lse - logits
+        neg_logp = _log_sum_exp(logits) - logits
         p = (-neg_logp).exp()
         return (p * neg_logp).sum(axis=1).mean()
 
-    if isinstance(spec, PseudoLabelCE):
+    if isinstance(spec, (PseudoLabelCE, SupervisedCE)):
         labels = _labels_for(spec, logits, pseudo_labels)
-        return _cross_entropy(logits, labels)
-
-    if isinstance(spec, SupervisedCE):
-        labels = _labels_for(spec, logits, pseudo_labels)
-        return _cross_entropy(logits, labels)
+        onehot = _one_hot(labels, logits.shape[1])
+        picked = (logits * onehot).sum(axis=1, keepdims=True)
+        return (_log_sum_exp(logits) - picked).mean()
 
     raise TypeError(f"unknown loss spec: {spec!r}")
 
-
-# -- plain-number loss wrappers ------------------------------------------------
-
-
-def loss_global_fa(batch_feats, stats: SourceStats) -> float:
-    return float(loss_tensor(GlobalFA(stats), Tensor(batch_feats), None).data)
-
-
-def loss_intra(batch_feats, pseudo_labels, stats: SourceStats) -> float:
-    spec = IntraOnly(stats)
-    return float(
-        loss_tensor(spec, Tensor(batch_feats), None, pseudo_labels=pseudo_labels).data
-    )
-
-
-def loss_cafa(batch_feats, pseudo_labels, stats: SourceStats) -> float:
-    spec = Cafa(stats)
-    return float(
-        loss_tensor(spec, Tensor(batch_feats), None, pseudo_labels=pseudo_labels).data
-    )
-
-
-def loss_entropy(logits) -> float:
-    return float(loss_tensor(Entropy(), None, Tensor(logits)).data)
-
-
-def loss_pseudo_label(logits, pseudo_labels) -> float:
-    return float(
-        loss_tensor(
-            PseudoLabelCE(), None, Tensor(logits), pseudo_labels=pseudo_labels
-        ).data
-    )

@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteLoss,
     StatsIoError,
 )
+from .linalg import as_matrix
 
 BN_VAR_EPS = 1e-5
 CHECKPOINT_VERSION = 1
@@ -167,9 +168,7 @@ def _forward_graph(model: AdaptiveModel, batch: np.ndarray, mode: StatMode):
     so gradients flow through those statistics. TRAIN_UPDATE additionally
     refreshes the running stats in place (numeric side effect only).
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionMismatch(f"batch must be 2-D, got shape {x.shape}")
+    x = as_matrix(batch)
     if x.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"batch dim {x.shape[1]} vs model input dim {model.input_dim}"
@@ -243,7 +242,8 @@ def _loss_graph(model, batch, mode, loss_spec, pseudo_labels=None):
 
 
 def evaluate_loss(model, batch, mode, loss_spec, pseudo_labels=None) -> float:
-    """Scalar loss value for the given spec; used by grads and FD checks."""
+    """Scalar loss value for the given spec: the forward that finite-difference
+    gradient checks evaluate."""
     loss, _ = _loss_graph(model, batch, mode, loss_spec, pseudo_labels)
     return float(loss.data)
 
@@ -262,28 +262,6 @@ def loss_and_grad_named(
         raise NonFiniteLoss(f"loss evaluated to {float(loss.data)}")
     loss.backward()
     return float(loss.data), {name: params[name].grad.copy() for name in names}
-
-
-def grad_named(
-    model: AdaptiveModel,
-    batch,
-    mode: StatMode,
-    loss_spec,
-    names: list[str],
-    pseudo_labels=None,
-) -> dict[str, np.ndarray]:
-    return loss_and_grad_named(model, batch, mode, loss_spec, names, pseudo_labels)[1]
-
-
-def grad(
-    model: AdaptiveModel,
-    batch,
-    mode: StatMode,
-    loss_spec,
-    group: ParamGroup,
-) -> dict[str, np.ndarray]:
-    """Gradients restricted to a parameter group; classifier never included."""
-    return grad_named(model, batch, mode, loss_spec, model.group_param_names(group))
 
 
 # -- checkpoint i/o -----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Pre-stage source statistics: class-conditional and global Gaussians.
 
 Per-class mean/covariance use the biased 1/N_c estimator. Precisions are
-Cholesky factors of the trace-regularized covariance (sigma + eps*I with
-eps = eps_scale * trace(sigma)/d), cached both as factors and as dense
-inverse matrices for the differentiable loss paths.
+dense inverses, through a Cholesky factor, of the trace-regularized
+covariance (sigma + eps*I with eps = eps_scale * trace(sigma)/d), cached for
+the differentiable loss paths.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     MissingClass,
     StatsIoError,
 )
-from .linalg import SpdFactor, mean_and_cov, spd_factor, spd_inverse
+from .linalg import mean_and_cov, spd_factor, spd_inverse
 
 STATS_MAGIC = b"TTASTATS"
 STATS_VERSION = 1
@@ -40,7 +40,6 @@ class ClassGaussian:
     class_id: int
     mu: np.ndarray
     sigma: np.ndarray
-    precision_factor: SpdFactor
     precision: np.ndarray  # dense inverse of the regularized sigma
     n_samples: int
 
@@ -60,8 +59,9 @@ class SourceStats:
         return len(self.classes)
 
 
-def regularize_and_factor(sigma: np.ndarray, eps_scale: float):
-    """Factor sigma + eps*I with trace-relative eps; returns (factor, inverse).
+def regularized_precision(sigma: np.ndarray, eps_scale: float) -> np.ndarray:
+    """Inverse of sigma + eps*I with trace-relative eps, through its Cholesky
+    factor (raises NotPositiveDefinite if that factor does not exist).
 
     A zero covariance would give eps = 0, so the floor falls back to
     eps_scale itself to keep the regularized matrix positive definite.
@@ -69,8 +69,7 @@ def regularize_and_factor(sigma: np.ndarray, eps_scale: float):
     d = sigma.shape[0]
     trace = float(np.trace(sigma))
     eps = eps_scale * (trace / d if trace > 0.0 else 1.0)
-    factor = spd_factor(sigma + eps * np.eye(d))
-    return factor, spd_inverse(factor)
+    return spd_inverse(spd_factor(sigma + eps * np.eye(d)))
 
 
 def fit_source_stats(
@@ -107,13 +106,13 @@ def fit_source_stats(
             tied += n_c * sigma_c
         tied /= n
         tied = 0.5 * (tied + tied.T)
-        factor, precision = regularize_and_factor(tied, eps_scale)
+        precision = regularized_precision(tied, eps_scale)
         for c, (mu_c, _, n_c) in enumerate(per_class):
-            classes.append(ClassGaussian(c, mu_c, tied, factor, precision, n_c))
+            classes.append(ClassGaussian(c, mu_c, tied, precision, n_c))
     else:
         for c, (mu_c, sigma_c, n_c) in enumerate(per_class):
-            factor, precision = regularize_and_factor(sigma_c, eps_scale)
-            classes.append(ClassGaussian(c, mu_c, sigma_c, factor, precision, n_c))
+            precision = regularized_precision(sigma_c, eps_scale)
+            classes.append(ClassGaussian(c, mu_c, sigma_c, precision, n_c))
 
     global_mu, global_sigma = mean_and_cov(feats)
     return SourceStats(
@@ -221,10 +220,8 @@ def load_stats(path) -> SourceStats:
     for c in range(n_classes):
         mu = take(d)
         sigma = take(d * d).reshape(d, d)
-        factor, precision = regularize_and_factor(sigma, eps_scale)
-        classes.append(
-            ClassGaussian(c, mu, sigma, factor, precision, header["n_samples"][c])
-        )
+        precision = regularized_precision(sigma, eps_scale)
+        classes.append(ClassGaussian(c, mu, sigma, precision, header["n_samples"][c]))
     global_mu = take(d)
     global_sigma = take(d * d).reshape(d, d)
     return SourceStats(

@@ -45,8 +45,7 @@ def exact_gaussian(class_id: int, mu, sigma, n_samples: int = 10) -> ClassGaussi
     """
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    factor = spd_factor(sigma)
-    return ClassGaussian(class_id, mu, sigma, factor, spd_inverse(factor), n_samples)
+    return ClassGaussian(class_id, mu, sigma, spd_inverse(spd_factor(sigma)), n_samples)
 
 
 def stats_from_gaussians(gaussians, global_mu=None, global_sigma=None) -> SourceStats:

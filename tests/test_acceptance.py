@@ -22,6 +22,7 @@ from helpers import (
 )
 from tta_align import cli, data, losses, network
 from tta_align.adapt import TtaConfig, adapt_stream, write_run_record
+from tta_align.autograd import Tensor
 from tta_align.config import ExperimentConfig
 from tta_align.errors import SingleClass
 from tta_align.experiment import final_quarter_mean, pretrain_source, run_experiment
@@ -170,8 +171,12 @@ def test_criterion_4_degeneracy(capsys):
     SingleClass."""
     rng = np.random.default_rng(3)
     stats = random_stats(rng, 1, 4)
+    labels = np.zeros(8, dtype=int)
     zeros = all(
-        losses.loss_cafa(rng.normal(size=(8, 4)), np.zeros(8, dtype=int), stats) == 0.0
+        losses.loss_tensor(
+            losses.Cafa(stats), Tensor(rng.normal(size=(8, 4))), None, labels
+        ).data
+        == 0.0
         for _ in range(5)
     )
     try:

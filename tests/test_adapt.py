@@ -12,7 +12,12 @@ from tta_align.adapt import (
     write_run_record,
 )
 from tta_align.config import ExperimentConfig
-from tta_align.errors import ConfigInvalid, DimensionMismatch, NonFiniteLoss
+from tta_align.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    NonFiniteInput,
+    NonFiniteLoss,
+)
 from tta_align.experiment import pretrain_source
 from tta_align.network import ParamGroup, StatMode
 
@@ -97,6 +102,9 @@ class TestTtaConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigInvalid):
             TtaConfig.from_dict({"method": "cafa", "momentum": 0.9})
+        # the loop draws no random numbers, so a seed would select nothing
+        with pytest.raises(ConfigInvalid):
+            TtaConfig.from_dict({"method": "cafa", "seed": 0})
 
 
 class TestBaselineRuns:
@@ -254,6 +262,19 @@ class TestOnlineProtocol:
                 adapt_stream(model, stats, make_batches(rng), cfg)
         assert excinfo.value.record is not None
         assert len(excinfo.value.record.rows) >= 1
+
+    def test_non_finite_input_rejected(self):
+        # one NaN row poisons the batch statistics: every logit turns NaN,
+        # argmax answers class 0 and an all-zero-label batch would score 1.0
+        rng = np.random.default_rng(11)
+        model = small_model(rng)
+        x = rng.normal(size=(16, 6))
+        x[3, 2] = np.nan
+        cfg = TtaConfig(method="bn", steps_per_batch=0, batch_size=16)
+        with pytest.raises(NonFiniteInput):
+            adapt_stream(model, None, [(x, np.zeros(16, dtype=np.int64))], cfg)
+        with pytest.raises(NonFiniteInput):
+            network.predict(model, x, StatMode.BATCH_ONLY)
 
 
 class TestRunRecordIo:

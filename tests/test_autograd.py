@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tta_align.autograd import Tensor, constant
+from tta_align.autograd import Tensor
 
 
 def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -150,7 +150,7 @@ class TestGradients:
         check_grad(lambda t: (1.0 - (-t)).sum(), rng.normal(size=4))
 
     def test_constant_leaf_receives_grad_but_detaches_nothing(self):
-        c = constant(np.array([2.0]))
+        c = Tensor(np.array([2.0]))
         t = Tensor(np.array([3.0]))
         out = (c * t).sum()
         out.backward()

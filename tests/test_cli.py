@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tta_align import cli
+from tta_align.adapt import read_run_record_rows
 from tta_align.stats import load_stats
 
 
@@ -178,6 +179,34 @@ class TestAdaptCommand:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
+    def test_non_finite_loss_keeps_partial_record(self, pretrained, capsys):
+        config, out = pretrained
+        doc = json.loads(config.read_text())
+        doc["methods"][1]["learning_rate"] = 1e150  # global_fa
+        config.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(
+                [
+                    "adapt",
+                    "--config",
+                    str(config),
+                    "--checkpoint",
+                    str(out / "checkpoint.npz"),
+                    "--stats",
+                    str(out / "stats.bin"),
+                    "--method",
+                    "global_fa",
+                    "--out-dir",
+                    str(out),
+                ]
+            )
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+        rows = read_run_record_rows(out / "run_global_fa.csv")
+        assert 1 <= len(rows) < 12  # 192 target samples in batches of 16
+        header = json.loads((out / "run_global_fa.json").read_text())
+        assert header["config"]["learning_rate"] == 1e150
+
 
 class TestCompareCommand:
     def test_writes_full_report(self, tmp_path, capsys):
@@ -221,6 +250,28 @@ class TestReportCommand:
     def test_missing_run_dir(self, tmp_path, capsys):
         code = cli.main(["report", "--run-dir", str(tmp_path / "nowhere")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["manifest_not_json", "no_methods", "empty_methods", "text_cell", "no_rows"],
+    )
+    def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
+        header = "batch_index,accuracy,loss,mean_intra,mean_inter\n"
+        run_csv = header + "0,0.5,0.1,2.0,3.0\n"
+        (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
+        (tmp_path / "run_cafa.csv").write_text(run_csv)
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
+        damaged = {
+            "manifest_not_json": ("manifest.json", "{broken"),
+            "no_methods": ("manifest.json", json.dumps({"runs": ["cafa"]})),
+            "empty_methods": ("manifest.json", json.dumps({"methods": []})),
+            "text_cell": ("run_cafa.csv", run_csv.replace("0.5", "high")),
+            "no_rows": ("run_cafa.csv", header),
+        }
+        name, text = damaged[damage]
+        (tmp_path / name).write_text(text)
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+        assert "i/o error" in capsys.readouterr().err
 
 
 class TestErrorExitCodes:

@@ -6,10 +6,13 @@ from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
 from tta_align.data import SyntheticSpec
 from tta_align.errors import ConfigInvalid, TrainingDiverged
 from tta_align.experiment import (
+    SUMMARY_FIELDS,
+    MethodSummary,
     final_quarter_mean,
     pretrain_source,
     rebuild_report,
     run_experiment,
+    write_summary_files,
 )
 
 
@@ -140,6 +143,11 @@ class TestReportFiles:
         rebuild_report(str(out))
         for name in expected:
             assert (out / name).read_bytes() == before[name]
+
+    def test_summary_header_splits_into_fields(self, tmp_path):
+        write_summary_files([MethodSummary("cafa", 0.5, 0.5, 1.0, 2.0)], str(tmp_path))
+        header = (tmp_path / "summary.txt").read_text().splitlines()[0]
+        assert header.split() == list(SUMMARY_FIELDS)
 
     def test_rebuild_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigInvalid):

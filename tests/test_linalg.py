@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import gauss_jordan_inverse, random_spd
 from tta_align.errors import DimensionMismatch, EmptyInput, NotPositiveDefinite
-from tta_align.linalg import (
-    as_matrix,
-    as_vector,
-    mean_and_cov,
-    spd_factor,
-    spd_inverse,
-    spd_solve,
-)
+from tta_align.linalg import as_matrix, mean_and_cov, spd_factor, spd_inverse
 
 
 class TestSpdFactor:
@@ -50,35 +43,32 @@ class TestSpdFactor:
 
 
 class TestSpdSolve:
+    """Solving A x = b with the factored inverse, as the Mahalanobis forms do."""
+
     def test_identity(self):
-        f = spd_factor(np.eye(3))
-        assert np.array_equal(spd_solve(f, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+        inv = spd_inverse(spd_factor(np.eye(3)))
+        assert np.array_equal(inv @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_diagonal_division(self):
-        f = spd_factor(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(spd_solve(f, np.array([4.0, 9.0])), [1.0, 1.0])
+        inv = spd_inverse(spd_factor(np.diag([4.0, 9.0])))
+        np.testing.assert_allclose(inv @ np.array([4.0, 9.0]), [1.0, 1.0])
 
     def test_against_gauss_jordan(self):
         rng = np.random.default_rng(5)
         a = random_spd(rng, 6)
         b = rng.normal(size=6)
-        x = spd_solve(spd_factor(a), b)
+        x = spd_inverse(spd_factor(a)) @ b
         expected = gauss_jordan_inverse(a) @ b
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-8 * np.abs(expected).max())
 
     def test_solve_inverts_multiply(self):
         rng = np.random.default_rng(17)
         a = random_spd(rng, 5)
-        f = spd_factor(a)
+        inv = spd_inverse(spd_factor(a))
         for _ in range(100):
             x = rng.normal(size=5)
-            back = spd_solve(f, a @ x)
+            back = inv @ (a @ x)
             assert np.max(np.abs(back - x)) < 1e-8 * max(1.0, np.max(np.abs(x)))
-
-    def test_dimension_mismatch(self):
-        f = spd_factor(np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            spd_solve(f, np.ones(4))
 
 
 class TestSpdInverse:
@@ -158,12 +148,6 @@ class TestMeanAndCov:
 
 
 class TestValidators:
-    def test_as_vector(self):
-        with pytest.raises(DimensionMismatch):
-            as_vector(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            as_vector([1.0, np.nan])
-
     def test_as_matrix(self):
         with pytest.raises(DimensionMismatch):
             as_matrix(np.zeros(3))
@@ -178,7 +162,7 @@ def test_factor_solve_property(seed, d):
     a = random_spd(rng, d)
     f = spd_factor(a)
     x = rng.normal(size=d)
-    back = spd_solve(f, a @ x)
+    back = spd_inverse(f) @ (a @ x)
     assert np.max(np.abs(back - x)) < 1e-8 * max(1.0, np.max(np.abs(x)))
 
 

@@ -15,14 +15,22 @@ from tta_align.autograd import Tensor
 from tta_align.errors import BatchTooSmall, DimensionMismatch, SingleClass, UnknownClass
 from tta_align.losses import (
     RATIO_FLOOR,
+    Cafa,
+    Entropy,
+    GlobalFA,
+    IntraOnly,
+    PseudoLabelCE,
     distance_report,
-    loss_cafa,
-    loss_entropy,
-    loss_global_fa,
-    loss_intra,
-    loss_pseudo_label,
+    loss_tensor,
     mahalanobis,
 )
+
+
+def loss_value(spec, feats=None, logits=None, labels=None) -> float:
+    """A loss as a plain number, built by the one entry point `loss_tensor`."""
+    feats = None if feats is None else Tensor(feats)
+    logits = None if logits is None else Tensor(logits)
+    return float(loss_tensor(spec, feats, logits, pseudo_labels=labels).data)
 
 
 def class_quadratics(batch, stats) -> np.ndarray:
@@ -174,7 +182,8 @@ class TestGlobalFaLoss:
             global_mu=np.zeros(1),
             global_sigma=np.ones((1, 1)),
         )
-        assert loss_global_fa(np.array([[-1.0], [1.0]]), stats) == pytest.approx(0.0)
+        value = loss_value(GlobalFA(stats), np.array([[-1.0], [1.0]]))
+        assert value == pytest.approx(0.0)
 
     def test_naive_oracle(self):
         rng = np.random.default_rng(9)
@@ -187,13 +196,13 @@ class TestGlobalFaLoss:
             np.sum((stats.global_mu - mu_t) ** 2)
             + np.sum((stats.global_sigma - sigma_t) ** 2)
         )
-        assert loss_global_fa(batch, stats) == pytest.approx(ref, rel=1e-12)
+        assert loss_value(GlobalFA(stats), batch) == pytest.approx(ref, rel=1e-12)
 
     def test_batch_too_small(self):
         rng = np.random.default_rng(10)
         stats = random_stats(rng, 2, 3)
         with pytest.raises(BatchTooSmall):
-            loss_global_fa(np.zeros((1, 3)), stats)
+            loss_value(GlobalFA(stats), np.zeros((1, 3)))
 
 
 class TestIntraLoss:
@@ -201,15 +210,15 @@ class TestIntraLoss:
         rng = np.random.default_rng(11)
         stats = random_stats(rng, 3, 4)
         batch = np.stack([stats.classes[c].mu for c in (0, 1, 2, 1)])
-        assert loss_intra(batch, np.array([0, 1, 2, 1]), stats) == pytest.approx(0.0)
+        value = loss_value(IntraOnly(stats), batch, labels=np.array([0, 1, 2, 1]))
+        assert value == pytest.approx(0.0)
 
     def test_single_sample(self):
         rng = np.random.default_rng(12)
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=4)
-        assert loss_intra(x[None, :], np.array([2]), stats) == pytest.approx(
-            mahalanobis(x, stats.classes[2]), rel=1e-12
-        )
+        value = loss_value(IntraOnly(stats), x[None, :], labels=np.array([2]))
+        assert value == pytest.approx(mahalanobis(x, stats.classes[2]), rel=1e-12)
 
     def test_brute_force(self):
         rng = np.random.default_rng(13)
@@ -217,13 +226,14 @@ class TestIntraLoss:
         batch = rng.normal(size=(8, 4))
         labels = rng.integers(0, 3, size=8)
         ref = np.mean([mahalanobis(x, stats.classes[c]) for x, c in zip(batch, labels)])
-        assert loss_intra(batch, labels, stats) == pytest.approx(ref, rel=1e-12)
+        value = loss_value(IntraOnly(stats), batch, labels=labels)
+        assert value == pytest.approx(ref, rel=1e-12)
 
     def test_unknown_label(self):
         rng = np.random.default_rng(14)
         stats = random_stats(rng, 3, 4)
         with pytest.raises(UnknownClass):
-            loss_intra(np.zeros((2, 4)), np.array([0, 5]), stats)
+            loss_value(IntraOnly(stats), np.zeros((2, 4)), labels=np.array([0, 5]))
 
 
 class TestCafaLoss:
@@ -231,7 +241,7 @@ class TestCafaLoss:
         rng = np.random.default_rng(15)
         stats = random_stats(rng, 1, 4)
         batch = rng.normal(size=(8, 4))
-        assert loss_cafa(batch, np.zeros(8, dtype=int), stats) == 0.0
+        assert loss_value(Cafa(stats), batch, labels=np.zeros(8, dtype=int)) == 0.0
 
     def test_clamp_at_class_mean(self):
         # sample exactly at its class mean: numerator clamps at the floor
@@ -240,7 +250,7 @@ class TestCafaLoss:
         x = stats.classes[0].mu
         v = mahalanobis(x, stats.classes[1])
         expected = np.log(RATIO_FLOOR) - np.log(v)  # denominator = 0 + v
-        got = loss_cafa(x[None, :], np.array([0]), stats)
+        got = loss_value(Cafa(stats), x[None, :], labels=np.array([0]))
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_brute_force(self):
@@ -255,7 +265,7 @@ class TestCafaLoss:
                 sum(mahalanobis(x, g) for g in stats.classes), RATIO_FLOOR
             )
             terms.append(np.log(num / den))
-        assert loss_cafa(batch, labels, stats) == pytest.approx(
+        assert loss_value(Cafa(stats), batch, labels=labels) == pytest.approx(
             float(np.mean(terms)), rel=1e-10
         )
 
@@ -266,32 +276,33 @@ class TestCafaLoss:
             x = rng.normal(size=(1, 4))
             label = rng.integers(0, 3, size=1)
             if mahalanobis(x[0], stats.classes[int(label[0])]) > 0:
-                assert loss_cafa(x, label, stats) < 0.0
+                assert loss_value(Cafa(stats), x, labels=label) < 0.0
 
 
 class TestBaselineLosses:
     def test_entropy_point_mass(self):
         logits = np.array([[1e6, 0.0, 0.0]])
-        assert loss_entropy(logits) == pytest.approx(0.0, abs=1e-9)
+        assert loss_value(Entropy(), logits=logits) == pytest.approx(0.0, abs=1e-9)
 
     def test_entropy_uniform(self):
-        assert loss_entropy(np.zeros((3, 4))) == pytest.approx(np.log(4.0), rel=1e-12)
+        value = loss_value(Entropy(), logits=np.zeros((3, 4)))
+        assert value == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_entropy_direct_formula(self):
         rng = np.random.default_rng(19)
         logits = rng.normal(size=(10, 5)) * 2.0
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         ref = float(np.mean(-(p * np.log(p)).sum(axis=1)))
-        assert loss_entropy(logits) == pytest.approx(ref, rel=1e-10)
+        assert loss_value(Entropy(), logits=logits) == pytest.approx(ref, rel=1e-10)
 
     def test_pseudo_label_one_hot(self):
         logits = np.array([[50.0, 0.0], [0.0, 50.0]])
-        assert loss_pseudo_label(logits, np.array([0, 1])) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        value = loss_value(PseudoLabelCE(), logits=logits, labels=np.array([0, 1]))
+        assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_pseudo_label_uniform(self):
-        got = loss_pseudo_label(np.zeros((3, 4)), np.array([0, 1, 3]))
+        labels = np.array([0, 1, 3])
+        got = loss_value(PseudoLabelCE(), logits=np.zeros((3, 4)), labels=labels)
         assert got == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_pseudo_label_direct_formula(self):
@@ -300,11 +311,14 @@ class TestBaselineLosses:
         labels = rng.integers(0, 4, size=10)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         ref = float(np.mean(-np.log(p[np.arange(10), labels])))
-        assert loss_pseudo_label(logits, labels) == pytest.approx(ref, rel=1e-10)
+        value = loss_value(PseudoLabelCE(), logits=logits, labels=labels)
+        assert value == pytest.approx(ref, rel=1e-10)
 
     def test_pseudo_label_unknown_class(self):
         with pytest.raises(UnknownClass):
-            loss_pseudo_label(np.zeros((2, 3)), np.array([0, 3]))
+            loss_value(
+                PseudoLabelCE(), logits=np.zeros((2, 3)), labels=np.array([0, 3])
+            )
 
 
 class TestDistanceReport:
@@ -358,14 +372,14 @@ class TestDistanceReport:
         with pytest.raises(DimensionMismatch):
             distance_report(np.zeros((3, 5)), np.arange(3), stats)
         with pytest.raises(DimensionMismatch):
-            loss_cafa(np.zeros((3, 5)), np.arange(3), stats)
+            loss_value(Cafa(stats), np.zeros((3, 5)), labels=np.arange(3))
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), c=st.integers(2, 5))
 def test_entropy_bounds_property(seed, n, c):
     rng = np.random.default_rng(seed)
-    value = loss_entropy(rng.normal(size=(n, c)) * 3.0)
+    value = loss_value(Entropy(), logits=rng.normal(size=(n, c)) * 3.0)
     assert -1e-12 <= value <= np.log(c) + 1e-12
 
 
@@ -377,4 +391,5 @@ def test_intra_mean_identity_property(seed, n):
     batch = rng.normal(size=(n, 3))
     labels = rng.integers(0, 3, size=n)
     ref = np.mean([mahalanobis(x, stats.classes[k]) for x, k in zip(batch, labels)])
-    assert loss_intra(batch, labels, stats) == pytest.approx(float(ref), rel=1e-10)
+    value = loss_value(IntraOnly(stats), batch, labels=labels)
+    assert value == pytest.approx(float(ref), rel=1e-10)

@@ -226,17 +226,18 @@ class TestGradients:
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
-        g_bn = network.grad(
-            model, x, StatMode.BATCH_ONLY, losses.Cafa(stats), ParamGroup.BN_ONLY
-        )
+        spec = losses.Cafa(stats)
+        bn_only = model.group_param_names(ParamGroup.BN_ONLY)
+        _, g_bn = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, bn_only)
         assert set(g_bn) == {
             "block0.bn.gamma",
             "block0.bn.beta",
             "block1.bn.gamma",
             "block1.bn.beta",
         }
-        g_full = network.grad(
-            model, x, StatMode.BATCH_ONLY, losses.Cafa(stats), ParamGroup.FEATURE_FULL
+        full = model.group_param_names(ParamGroup.FEATURE_FULL)
+        _, g_full = network.loss_and_grad_named(
+            model, x, StatMode.BATCH_ONLY, spec, full
         )
         assert set(g_bn) < set(g_full)
         assert not any(name.startswith("classifier") for name in g_full)
@@ -275,12 +276,12 @@ class TestGradients:
         rng = np.random.default_rng(16)
         model = small_model(rng, n_classes=1)
         stats = random_stats(rng, 1, 5)
-        grads = network.grad(
+        _, grads = network.loss_and_grad_named(
             model,
             rng.normal(size=(8, 6)),
             StatMode.BATCH_ONLY,
             losses.Cafa(stats),
-            ParamGroup.FEATURE_FULL,
+            model.group_param_names(ParamGroup.FEATURE_FULL),
         )
         for g in grads.values():
             assert np.array_equal(g, np.zeros_like(g))

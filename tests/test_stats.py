@@ -17,7 +17,7 @@ from tta_align.stats import (
     estimate_source_stats,
     fit_source_stats,
     load_stats,
-    regularize_and_factor,
+    regularized_precision,
     save_stats,
 )
 
@@ -140,24 +140,24 @@ class TestFitSourceStats:
 class TestRegularization:
     def test_trace_relative_eps(self):
         sigma = np.diag([2.0, 4.0])
-        factor, precision = regularize_and_factor(sigma, eps_scale=0.5)
+        precision = regularized_precision(sigma, eps_scale=0.5)
         eps = 0.5 * (6.0 / 2.0)  # trace/d scaled
         np.testing.assert_allclose(
             precision, np.diag([1.0 / (2.0 + eps), 1.0 / (4.0 + eps)])
         )
-        assert factor.dim == 2
+        assert precision.shape == (2, 2)
 
     def test_zero_trace_fallback(self):
-        factor, precision = regularize_and_factor(np.zeros((3, 3)), eps_scale=1e-3)
+        precision = regularized_precision(np.zeros((3, 3)), eps_scale=1e-3)
         np.testing.assert_allclose(precision, np.eye(3) / 1e-3)
-        assert np.all(np.diag(factor.lower) > 0)
+        assert np.all(np.linalg.eigvalsh(precision) > 0)
 
     def test_psd_input_always_factors(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=4)
         rank_one = np.outer(v, v)  # PSD, singular
-        factor, _ = regularize_and_factor(rank_one, eps_scale=1e-6)
-        assert np.all(np.diag(factor.lower) > 0)
+        precision = regularized_precision(rank_one, eps_scale=1e-6)
+        assert np.all(np.linalg.eigvalsh(precision) > 0)
 
 
 class TestSerialization:
