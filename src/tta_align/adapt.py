@@ -62,6 +62,10 @@ class TtaConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TtaConfig":
+        if not isinstance(d, dict):
+            raise ConfigInvalid(
+                f"section 'methods[]' must be a JSON object, got {type(d).__name__}"
+            )
         d = dict(d)
         known = set(TtaConfig().to_dict())
         unknown = set(d) - known
@@ -193,6 +197,16 @@ def read_run_record_rows(csv_path) -> list[BatchRow]:
 # -- the adaptation loop ----------------------------------------------------------
 
 
+def _observe(model: AdaptiveModel, feats: np.ndarray, y: np.ndarray, stats):
+    """Accuracy and report distances of one batch's pre-update features."""
+    preds = network.argmax_rows(network.forward_logits(model, feats))
+    accuracy = float(np.mean(preds == y))
+    if stats is None or stats.n_classes < 2:
+        return accuracy, float("nan"), float("nan")
+    report = losses.distance_report(feats, y, stats)
+    return accuracy, report.mean_intra, report.mean_inter
+
+
 def adapt_stream(
     model: AdaptiveModel,
     stats: SourceStats | None,
@@ -216,40 +230,33 @@ def adapt_stream(
     for batch_index, (x, y) in enumerate(batches):
         t0 = time.perf_counter()
         y = np.asarray(y, dtype=np.int64)
-        feats = network.forward_features(model, x, mode)
-        logits = network.forward_logits(model, feats)
-        preds = network.argmax_rows(logits)
-        accuracy = float(np.mean(preds == y))
-
-        mean_intra = float("nan")
-        mean_inter = float("nan")
-        if stats is not None and stats.n_classes >= 2:
-            report = losses.distance_report(feats, y, stats)
-            mean_intra = report.mean_intra
-            mean_inter = report.mean_inter
-
         loss_value = float("nan")
-        if spec is not None:
-            for _ in range(config.steps_per_batch):
-                # recomputed forward: pseudo-labels track current parameters
-                try:
-                    step_loss, grads = network.loss_and_grad_named(
-                        model, x, mode, spec, group_names
-                    )
-                except NonFiniteLoss as exc:
-                    exc.record = record
-                    raise
-                if np.isnan(loss_value):
-                    loss_value = step_loss
-                adam_step(
-                    params,
-                    grads,
-                    adam,
-                    config.learning_rate,
-                    config.adam_beta1,
-                    config.adam_beta2,
-                    config.adam_eps,
+        if spec is None:
+            observed = _observe(model, network.forward_features(model, x, mode), y, stats)
+        for step in range(config.steps_per_batch):  # none for loss-free methods
+            # recomputed forward: pseudo-labels track current parameters
+            try:
+                step_loss, grads, feats = network.loss_and_grad_named(
+                    model, x, mode, spec, group_names
                 )
+            except NonFiniteLoss as exc:
+                exc.record = record
+                raise
+            if step == 0:
+                # step 1 runs on this batch's pre-update parameters in the
+                # stat mode a prediction uses: its features are the prediction's
+                loss_value = step_loss
+                observed = _observe(model, feats, y, stats)
+            adam_step(
+                params,
+                grads,
+                adam,
+                config.learning_rate,
+                config.adam_beta1,
+                config.adam_beta2,
+                config.adam_eps,
+            )
+        accuracy, mean_intra, mean_inter = observed
 
         record.rows.append(
             BatchRow(

@@ -2,8 +2,13 @@
 
 Just enough ops for dense layers, batch normalization with batch
 statistics, and the alignment/entropy losses. Scalar-output backward only.
-Each backward closure is handed its output node instead of capturing it, so
-a graph holds no reference cycle and is freed as soon as the loss is dropped.
+
+Gradient need flows from the leaves: a leaf asks for a gradient with
+`requires_grad=True`, and an op's output requires one only if a parent
+does. An output that needs none records no parents and no closure, so a
+forward that names no gradient leaf builds no graph at all. Each backward
+closure is handed its output node instead of capturing it, so a graph holds
+no reference cycle and is freed as soon as the loss is dropped.
 """
 
 from __future__ import annotations
@@ -22,41 +27,48 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, *, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        parents = [p for p in parents if p.requires_grad]
+        self.requires_grad = requires_grad or bool(parents)
         self._parents = parents
-        self._backward = backward
+        self._backward = backward if parents else None
 
     @property
     def shape(self):
         return self.data.shape
 
+    def _accumulate(self, g) -> None:
+        """Add one gradient contribution; the first one allocates `grad`."""
+        if self.grad is None:
+            # a fresh array holding what a sum onto zeros holds (-0.0 -> +0.0)
+            self.grad = g + 0.0
+        else:
+            self.grad += g
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data + other.data, (self, other))
 
         def bw(out):
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad += _unbroadcast(out.grad, other.data.shape)
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(out.grad, other.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), backward=bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
-
         def bw(out):
-            self.grad -= out.grad
+            self._accumulate(-out.grad)
 
-        out._backward = bw
-        return out
+        return Tensor(-self.data, parents=(self,), backward=bw)
 
     def __sub__(self, other):
         return self + (-_wrap(other))
@@ -66,80 +78,80 @@ class Tensor:
 
     def __mul__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data * other.data, (self, other))
 
         def bw(out):
-            self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
-            other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), backward=bw)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data / other.data, (self, other))
 
         def bw(out):
-            self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
-            other.grad += _unbroadcast(
-                -out.grad * self.data / (other.data * other.data),
-                other.data.shape,
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(
+                        -out.grad * self.data / (other.data * other.data),
+                        other.data.shape,
+                    )
+                )
 
-        out._backward = bw
-        return out
+        return Tensor(self.data / other.data, parents=(self, other), backward=bw)
 
     def __pow__(self, exponent):
         assert isinstance(exponent, (int, float))
-        out = Tensor(self.data**exponent, (self,))
 
         def bw(out):
-            self.grad += out.grad * exponent * self.data ** (exponent - 1)
+            self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data**exponent, parents=(self,), backward=bw)
 
     def __matmul__(self, other):
         other = _wrap(other)
-        out = Tensor(self.data @ other.data, (self, other))
 
         def bw(out):
             # swapaxes, not .T: operands may be stacks of matrices
-            self.grad += _unbroadcast(
-                out.grad @ np.swapaxes(other.data, -1, -2), self.data.shape
-            )
-            other.grad += _unbroadcast(
-                np.swapaxes(self.data, -1, -2) @ out.grad, other.data.shape
-            )
+            if self.requires_grad:
+                self._accumulate(
+                    _unbroadcast(
+                        out.grad @ np.swapaxes(other.data, -1, -2), self.data.shape
+                    )
+                )
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(
+                        np.swapaxes(self.data, -1, -2) @ out.grad, other.data.shape
+                    )
+                )
 
-        out._backward = bw
-        return out
+        return Tensor(self.data @ other.data, parents=(self, other), backward=bw)
 
     @property
     def T(self):
-        out = Tensor(self.data.T, (self,))
-
         def bw(out):
-            self.grad += out.grad.T
+            self._accumulate(out.grad.T)
 
-        out._backward = bw
-        return out
+        return Tensor(self.data.T, parents=(self,), backward=bw)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def bw(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.data.shape)
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(
+            self.data.sum(axis=axis, keepdims=keepdims), parents=(self,), backward=bw
+        )
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -148,54 +160,46 @@ class Tensor:
     # -- elementwise nonlinear ----------------------------------------------
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
-
         def bw(out):
-            self.grad += out.grad * (self.data > 0.0)
+            self._accumulate(out.grad * (self.data > 0.0))
 
-        out._backward = bw
-        return out
+        return Tensor(np.maximum(self.data, 0.0), parents=(self,), backward=bw)
 
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-
         def bw(out):
-            self.grad += out.grad * out.data
+            self._accumulate(out.grad * out.data)
 
-        out._backward = bw
-        return out
+        return Tensor(np.exp(self.data), parents=(self,), backward=bw)
 
     def log(self):
-        out = Tensor(np.log(self.data), (self,))
-
         def bw(out):
-            self.grad += out.grad / self.data
+            self._accumulate(out.grad / self.data)
 
-        out._backward = bw
-        return out
+        return Tensor(np.log(self.data), parents=(self,), backward=bw)
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.data), (self,))
-
         def bw(out):
-            self.grad += out.grad * 0.5 / out.data
+            self._accumulate(out.grad * 0.5 / out.data)
 
-        out._backward = bw
-        return out
+        return Tensor(np.sqrt(self.data), parents=(self,), backward=bw)
 
     def clip_min(self, floor: float):
         """max(x, floor); zero gradient where the floor is active."""
-        out = Tensor(np.maximum(self.data, floor), (self,))
 
         def bw(out):
-            self.grad += out.grad * (self.data > floor)
+            self._accumulate(out.grad * (self.data > floor))
 
-        out._backward = bw
-        return out
+        return Tensor(np.maximum(self.data, floor), parents=(self,), backward=bw)
 
     # -- backward -----------------------------------------------------------
 
     def backward(self):
+        """Gradients of this scalar w.r.t. every node that requires one.
+
+        Only such nodes are walked: no other node records parents. Each
+        node's contributions are summed in reverse topological order of its
+        consumers; a leaf the scalar does not reach keeps `grad` None.
+        """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
         topo: list[Tensor] = []
@@ -215,7 +219,7 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
         for t in topo:
-            t.grad = np.zeros_like(t.data)
+            t.grad = None
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None:
@@ -224,4 +228,3 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-

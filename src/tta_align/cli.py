@@ -109,7 +109,11 @@ def cmd_adapt(args) -> int:
 def cmd_compare(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     out_dir = args.out_dir or cfg.output_dir
-    result = experiment.run_experiment(cfg, out_dir=out_dir)
+    try:
+        experiment.run_experiment(cfg, out_dir=out_dir)
+    except NonFiniteLoss:
+        print(f"partial run records: {out_dir}", file=sys.stderr)
+        raise
     print(f"outputs: {out_dir}")
     with open(os.path.join(out_dir, "summary.txt")) as fh:
         print(fh.read(), end="")

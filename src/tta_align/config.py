@@ -19,6 +19,10 @@ from .stats import DEFAULT_EPS_SCALE, CovarianceMode
 
 
 def _strict_kwargs(cls, d: dict, section: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigInvalid(
+            f"section {section!r} must be a JSON object, got {type(d).__name__}"
+        )
     known = {f.name for f in fields(cls)}
     unknown = set(d) - known
     if unknown:

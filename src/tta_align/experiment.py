@@ -67,7 +67,7 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
             yb = dataset.train_y[idx]
             spec = losses.SupervisedCE(labels=yb)
             try:
-                loss_value, grads = network.loss_and_grad_named(
+                loss_value, grads, _ = network.loss_and_grad_named(
                     model, xb, StatMode.TRAIN_UPDATE, spec, all_names
                 )
             except NonFiniteLoss as exc:
@@ -138,7 +138,13 @@ def run_experiment(
     for mcfg in cfg.methods:
         batches = data.batch_stream(shifted.target_x, shifted.target_y, mcfg.batch_size)
         model = pretrained.model.copy()
-        _, record = adapt_stream(model, pretrained.stats, batches, mcfg)
+        try:
+            _, record = adapt_stream(model, pretrained.stats, batches, mcfg)
+        except NonFiniteLoss as exc:
+            if out_dir is not None:
+                # keep the finished methods and the batches this one finished
+                write_run_records({**records, mcfg.run_name: exc.record}, out_dir)
+            raise
         records[mcfg.run_name] = record
         summaries.append(summarize_record(mcfg.run_name, record))
 
@@ -155,15 +161,20 @@ def run_experiment(
 # -- report files ----------------------------------------------------------------
 
 
-def write_experiment_outputs(result: ExperimentResult, out_dir: str) -> None:
+def write_run_records(records: dict[str, RunRecord], out_dir: str) -> None:
+    """`run_<name>.csv` and `run_<name>.json` for every record."""
     os.makedirs(out_dir, exist_ok=True)
-    names = list(result.records)
-    for name, record in result.records.items():
+    for name, record in records.items():
         adapt.write_run_record(
             record,
             os.path.join(out_dir, f"run_{name}.csv"),
             os.path.join(out_dir, f"run_{name}.json"),
         )
+
+
+def write_experiment_outputs(result: ExperimentResult, out_dir: str) -> None:
+    names = list(result.records)
+    write_run_records(result.records, out_dir)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(
             {

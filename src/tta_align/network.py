@@ -161,12 +161,16 @@ def init_model(
 # -- forward graph -----------------------------------------------------------
 
 
-def _forward_graph(model: AdaptiveModel, batch: np.ndarray, mode: StatMode):
-    """Build the autodiff graph; returns (features, logits, param tensors).
+def _forward_graph(
+    model: AdaptiveModel, batch: np.ndarray, mode: StatMode, grad_names=()
+):
+    """Build the forward graph; returns (features, logits, param tensors).
 
-    In batch-statistic modes the normalization uses the batch mean/variance,
-    so gradients flow through those statistics. TRAIN_UPDATE additionally
-    refreshes the running stats in place (numeric side effect only).
+    Only the parameters in `grad_names` are gradient leaves, so with none
+    named the forward records no graph. In batch-statistic modes the
+    normalization uses the batch mean/variance, so gradients flow through
+    those statistics. TRAIN_UPDATE additionally refreshes the running stats
+    in place (numeric side effect only).
     """
     x = as_matrix(batch)
     if x.shape[1] != model.input_dim:
@@ -177,7 +181,11 @@ def _forward_graph(model: AdaptiveModel, batch: np.ndarray, mode: StatMode):
     if uses_batch_stats and x.shape[0] < 2:
         raise BatchTooSmall("batch-statistics modes need at least 2 samples")
 
-    params = {name: Tensor(arr) for name, arr in model.named_parameters().items()}
+    grad_names = set(grad_names)
+    params = {
+        name: Tensor(arr, requires_grad=name in grad_names)
+        for name, arr in model.named_parameters().items()
+    }
     h = Tensor(x)
     for i, blk in enumerate(model.blocks):
         w = params[f"block{i}.dense.weight"]
@@ -232,19 +240,19 @@ def argmax_rows(logits: np.ndarray) -> np.ndarray:
 # -- gradients ---------------------------------------------------------------
 
 
-def _loss_graph(model, batch, mode, loss_spec, pseudo_labels=None):
+def _loss_graph(model, batch, mode, loss_spec, pseudo_labels=None, grad_names=()):
     # imported here to keep network <-> losses import acyclic
     from .losses import loss_tensor
 
-    feats, logits, params = _forward_graph(model, batch, mode)
+    feats, logits, params = _forward_graph(model, batch, mode, grad_names)
     loss = loss_tensor(loss_spec, feats, logits, pseudo_labels=pseudo_labels)
-    return loss, params
+    return loss, feats, params
 
 
 def evaluate_loss(model, batch, mode, loss_spec, pseudo_labels=None) -> float:
     """Scalar loss value for the given spec: the forward that finite-difference
     gradient checks evaluate."""
-    loss, _ = _loss_graph(model, batch, mode, loss_spec, pseudo_labels)
+    loss, _, _ = _loss_graph(model, batch, mode, loss_spec, pseudo_labels)
     return float(loss.data)
 
 
@@ -255,13 +263,23 @@ def loss_and_grad_named(
     loss_spec,
     names: list[str],
     pseudo_labels=None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value plus gradients w.r.t. the named parameters only."""
-    loss, params = _loss_graph(model, batch, mode, loss_spec, pseudo_labels)
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Loss value, gradients w.r.t. the named parameters only, and the
+    features of the forward the loss was built on.
+
+    A named parameter the loss does not reach gets a zero gradient.
+    """
+    loss, feats, params = _loss_graph(
+        model, batch, mode, loss_spec, pseudo_labels, names
+    )
     if not np.isfinite(loss.data):
         raise NonFiniteLoss(f"loss evaluated to {float(loss.data)}")
     loss.backward()
-    return float(loss.data), {name: params[name].grad.copy() for name in names}
+    grads = {}
+    for name in names:
+        p = params[name]
+        grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
+    return float(loss.data), grads, feats.data
 
 
 # -- checkpoint i/o -----------------------------------------------------------

@@ -69,7 +69,7 @@ def test_criterion_1_gradient_correctness(capsys):
             losses.SupervisedCE(labels=rng.integers(0, 4, size=16)),
         ]
         for spec in specs:
-            _, analytic = network.loss_and_grad_named(
+            _, analytic, _ = network.loss_and_grad_named(
                 model, x, StatMode.BATCH_ONLY, spec, names, pseudo_labels=frozen
             )
             fd = fd_grad_named(

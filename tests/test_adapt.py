@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import model_state, random_stats, small_model, states_equal
-from tta_align import data, network
+from tta_align import data, losses, network
 from tta_align.adapt import (
     AdamState,
     TtaConfig,
@@ -194,13 +194,18 @@ class TestOnlineProtocol:
         batches = make_batches(rng)
         cfg = TtaConfig(method="cafa", steps_per_batch=2, batch_size=16)
         _, record = adapt_stream(model.copy(), stats, batches, cfg)
-        # batch i's recorded accuracy must come from the model adapted on < i
+        # batch i's recorded accuracy and distance report must come from the
+        # model adapted on < i
         for i in range(len(batches)):
             prefix_model = model.copy()
             adapt_stream(prefix_model, stats, batches[:i], cfg)
             x, y = batches[i]
             preds = network.predict(prefix_model, x, StatMode.BATCH_ONLY)
             assert record.rows[i].accuracy == float(np.mean(preds == y))
+            feats = network.forward_features(prefix_model, x, StatMode.BATCH_ONLY)
+            report = losses.distance_report(feats, y, stats)
+            assert record.rows[i].mean_intra == report.mean_intra
+            assert record.rows[i].mean_inter == report.mean_inter
 
     def test_each_step_executes_once(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -221,6 +226,31 @@ class TestOnlineProtocol:
             TtaConfig(method="entropy", steps_per_batch=3, batch_size=16),
         )
         assert len(calls) == 4 * 3
+
+    @pytest.mark.parametrize(
+        "method, steps", [("source", 0), ("bn", 0), ("entropy", 1), ("cafa", 2), ("pl", 3)]
+    )
+    def test_one_forward_graph_per_step(self, monkeypatch, method, steps):
+        # an optimizing batch reads its prediction from the step-1 graph;
+        # a loss-free batch builds its single forward
+        rng = np.random.default_rng(9)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        calls = []
+        original = network._forward_graph
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(network, "_forward_graph", counting)
+        adapt_stream(
+            model,
+            stats,
+            make_batches(rng, n_batches=4),
+            TtaConfig(method=method, steps_per_batch=steps, batch_size=16),
+        )
+        assert len(calls) == 4 * max(steps, 1)
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(6)

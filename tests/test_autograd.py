@@ -22,7 +22,7 @@ def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def check_grad(build, x: np.ndarray, atol: float = 1e-6):
-    t = Tensor(x.copy())
+    t = Tensor(x.copy(), requires_grad=True)
     out = build(t)
     out.backward()
     fd = numeric_grad(lambda arr: float(build(Tensor(arr)).data), x.copy())
@@ -133,14 +133,14 @@ class TestGradients:
         check_grad(lambda t: (t.relu() * t.relu()).sum(), x)
 
     def test_clip_min_zero_grad_at_floor(self):
-        t = Tensor(np.array([-1.0, 2.0]))
+        t = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         out = t.clip_min(0.0).sum()
         out.backward()
         assert np.array_equal(t.grad, [0.0, 1.0])
 
     def test_diamond_graph_accumulates(self):
         # y = x*x + x reuses the same leaf twice
-        t = Tensor(np.array([3.0]))
+        t = Tensor(np.array([3.0]), requires_grad=True)
         out = (t * t + t).sum()
         out.backward()
         assert np.array_equal(t.grad, [7.0])
@@ -151,11 +151,42 @@ class TestGradients:
 
     def test_constant_leaf_receives_grad_but_detaches_nothing(self):
         c = Tensor(np.array([2.0]))
-        t = Tensor(np.array([3.0]))
+        t = Tensor(np.array([3.0]), requires_grad=True)
         out = (c * t).sum()
         out.backward()
         assert np.array_equal(t.grad, [2.0])
-        assert np.array_equal(c.grad, [3.0])
+        assert c.grad is None
+
+
+
+class TestTape:
+    def test_forward_without_grad_leaf_records_no_parents(self):
+        a = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]))
+        b = Tensor(np.array([[0.5], [2.0]]))
+        out = (((a @ b).relu() - 1.0) * a.T.sum(axis=1, keepdims=True)).exp().sum()
+        assert not out.requires_grad
+        assert not out._parents and out._backward is None
+
+    def test_output_requires_grad_if_any_parent_does(self):
+        c = Tensor(np.array([2.0]))
+        t = Tensor(np.array([3.0]), requires_grad=True)
+        out = c * t
+        assert out.requires_grad
+        assert out._parents == [t]  # the constant parent is not recorded
+
+    def test_backward_skips_constants(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(4, 3))
+        w = rng.normal(size=(3, 2))
+        c = Tensor(a)
+        t = Tensor(w.copy(), requires_grad=True)
+        unused = Tensor(np.ones(2), requires_grad=True)
+        h = c @ t
+        out = (h * h).sum() + (c * 3.0).sum()
+        out.backward()
+        assert c.grad is None
+        assert unused.grad is None
+        np.testing.assert_allclose(t.grad, 2.0 * a.T @ (a @ w), rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,7 +201,7 @@ def test_normalization_chain_property(seed, n, d):
         var = ((t - mu) ** 2).mean(axis=0)
         return (((t - mu) / (var + 1e-5).sqrt()) ** 3).sum()
 
-    t = Tensor(x.copy())
+    t = Tensor(x.copy(), requires_grad=True)
     out = build(t)
     out.backward()
     fd = numeric_grad(lambda arr: float(build(Tensor(arr)).data), x.copy())

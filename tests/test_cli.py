@@ -225,6 +225,27 @@ class TestCompareCommand:
             assert (out / name).exists()
         assert "cafa" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("steps, partial_rows", [(1, range(1, 12)), (2, [0])])
+    def test_non_finite_loss_keeps_partial_records(self, tmp_path, capsys, steps, partial_rows):
+        config = tiny_config(tmp_path)
+        doc = json.loads(config.read_text())
+        # global_fa diverges: at steps 1 on a later batch, at steps 2 on the
+        # second step of the first batch, which leaves it no finished row
+        doc["methods"][1].update(learning_rate=1e150, steps_per_batch=steps)
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["compare", "--config", str(config), "--out-dir", str(out)])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert len(read_run_record_rows(out / "run_source.csv")) == 12
+        assert len(read_run_record_rows(out / "run_global_fa.csv")) in partial_rows
+        header = json.loads((out / "run_global_fa.json").read_text())
+        assert header["config"]["learning_rate"] == 1e150
+        # the method after the failing one never ran, and no summary claims a result
+        assert not (out / "run_cafa.csv").exists()
+        assert not (out / "summary.csv").exists()
+
     def test_two_runs_bitwise_identical(self, tmp_path):
         config = tiny_config(tmp_path)
         out_a = tmp_path / "a"

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from tta_align import cli
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
 from tta_align.errors import ConfigInvalid
@@ -59,6 +61,25 @@ class TestStrictParsing:
         doc["methods"][0]["momentum"] = 0.9
         with pytest.raises(ConfigInvalid, match="TtaConfig"):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, damage",
+        [
+            ("model", lambda doc: doc.update(model=5)),
+            ("shift", lambda doc: doc.update(shift=[1])),
+            ("shift.transforms[]", lambda doc: doc["shift"]["transforms"].append(5)),
+            ("methods[]", lambda doc: doc["methods"].append("cafa")),
+        ],
+        ids=["model", "shift", "shift.transforms[]", "methods[]"],
+    )
+    def test_section_not_an_object(self, tmp_path, capsys, section, damage):
+        doc = ExperimentConfig.default().to_dict()
+        damage(doc)
+        message = f"section '{section}' must be a JSON object"
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            ExperimentConfig.from_dict(doc)
+        assert cli.main(["pretrain", "--config", str(write_json(tmp_path, doc))]) == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="cannot read"):

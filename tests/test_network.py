@@ -228,7 +228,7 @@ class TestGradients:
         x = rng.normal(size=(8, 6))
         spec = losses.Cafa(stats)
         bn_only = model.group_param_names(ParamGroup.BN_ONLY)
-        _, g_bn = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, bn_only)
+        _, g_bn, _ = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, bn_only)
         assert set(g_bn) == {
             "block0.bn.gamma",
             "block0.bn.beta",
@@ -236,7 +236,7 @@ class TestGradients:
             "block1.bn.beta",
         }
         full = model.group_param_names(ParamGroup.FEATURE_FULL)
-        _, g_full = network.loss_and_grad_named(
+        _, g_full, _ = network.loss_and_grad_named(
             model, x, StatMode.BATCH_ONLY, spec, full
         )
         assert set(g_bn) < set(g_full)
@@ -271,12 +271,53 @@ class TestGradients:
             gc.enable()
         assert nodes and alive == 0
 
+    def test_forward_without_names_records_no_graph(self):
+        rng = np.random.default_rng(25)
+        model = small_model(rng)
+        x = rng.normal(size=(8, 6))
+        feats, logits, params = network._forward_graph(model, x, StatMode.BATCH_ONLY)
+        for t in (feats, logits, *params.values()):
+            assert not t.requires_grad and not t._parents
+        names = model.group_param_names(ParamGroup.BN_ONLY)
+        feats, logits, params = network._forward_graph(
+            model, x, StatMode.BATCH_ONLY, names
+        )
+        assert feats.requires_grad and logits.requires_grad
+        assert {n for n, t in params.items() if t.requires_grad} == set(names)
+
+    def test_unreached_named_parameter_gets_zero_grad(self):
+        # the alignment loss reads features only, never the classifier
+        rng = np.random.default_rng(26)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        names = ["block1.bn.gamma", "classifier.weight", "classifier.bias"]
+        _, grads, _ = network.loss_and_grad_named(
+            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, losses.GlobalFA(stats), names
+        )
+        assert set(grads) == set(names)
+        assert np.any(grads["block1.bn.gamma"] != 0.0)
+        for name in ("classifier.weight", "classifier.bias"):
+            assert np.array_equal(grads[name], np.zeros_like(model.named_parameters()[name]))
+
+    def test_returns_the_features_of_its_forward(self):
+        rng = np.random.default_rng(27)
+        model = small_model(rng)
+        x = rng.normal(size=(8, 6))
+        _, _, feats = network.loss_and_grad_named(
+            model,
+            x,
+            StatMode.BATCH_ONLY,
+            losses.Entropy(),
+            model.group_param_names(ParamGroup.BN_ONLY),
+        )
+        assert np.array_equal(feats, network.forward_features(model, x, StatMode.BATCH_ONLY))
+
     def test_constant_loss_zero_grads(self):
         # single-class ratio loss is identically zero, so all gradients vanish
         rng = np.random.default_rng(16)
         model = small_model(rng, n_classes=1)
         stats = random_stats(rng, 1, 5)
-        _, grads = network.loss_and_grad_named(
+        _, grads, _ = network.loss_and_grad_named(
             model,
             rng.normal(size=(8, 6)),
             StatMode.BATCH_ONLY,
@@ -291,7 +332,7 @@ class TestGradients:
         rng = np.random.default_rng(17)
         model = small_model(rng, n_classes=1)
         x = rng.normal(size=(6, 6))
-        value, grads = network.loss_and_grad_named(
+        value, grads, _ = network.loss_and_grad_named(
             model,
             x,
             StatMode.BATCH_ONLY,
@@ -309,7 +350,7 @@ class TestGradients:
         y = rng.integers(0, 3, size=12)
         spec = losses.SupervisedCE(labels=y)
         names = model.group_param_names(ParamGroup.FEATURE_FULL)
-        _, analytic = network.loss_and_grad_named(
+        _, analytic, _ = network.loss_and_grad_named(
             model, x, StatMode.BATCH_ONLY, spec, names
         )
         fd = fd_grad_named(model, x, StatMode.BATCH_ONLY, spec, names)
@@ -322,7 +363,7 @@ class TestGradients:
         spec = losses.GlobalFA(stats)
         names = model.group_param_names(ParamGroup.BN_ONLY)
         x = rng.normal(size=(10, 6))
-        _, analytic = network.loss_and_grad_named(
+        _, analytic, _ = network.loss_and_grad_named(
             model, x, StatMode.BATCH_ONLY, spec, names
         )
         fd = fd_grad_named(model, x, StatMode.BATCH_ONLY, spec, names)
