@@ -105,8 +105,12 @@ def method_stat_mode(method: str) -> StatMode:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Moments as flat vectors over the named gradients, laid end to end in
+    the order of the first step's names."""
+
+    names: tuple[str, ...] = ()
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     t: int = 0
 
 
@@ -119,23 +123,37 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias correction."""
-    state.t += 1
-    t = state.t
+    """One in-place Adam update with bias correction.
+
+    The update is elementwise, so it runs once over all gradients laid end
+    to end; each parameter then subtracts its own slice.
+    """
+    names = tuple(grads)
     for name, g in grads.items():
         p = params[name]
         if g.shape != p.shape:
             raise DimensionMismatch(f"{name}: grad {g.shape} vs param {p.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m[:] = beta1 * m + (1 - beta1) * g
-        v[:] = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = np.concatenate([grads[name].ravel() for name in names])
+    if state.t == 0:
+        state.names = names
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
+    elif names != state.names:
+        raise DimensionMismatch(
+            f"Adam state holds {list(state.names)}, the step names {list(names)}"
+        )
+    state.t += 1
+    t = state.t
+    state.m = beta1 * state.m + (1 - beta1) * g
+    state.v = beta2 * state.v + (1 - beta2) * g * g
+    m_hat = state.m / (1 - beta1**t)
+    v_hat = state.v / (1 - beta2**t)
+    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    start = 0
+    for name in names:
+        p = params[name]
+        p -= update[start : start + p.size].reshape(p.shape)
+        start += p.size
 
 
 # -- run records -----------------------------------------------------------------

@@ -27,6 +27,15 @@ def _strict_kwargs(cls, d: dict, section: str) -> dict:
     unknown = set(d) - known
     if unknown:
         raise ConfigInvalid(f"unknown keys in section {section!r}: {sorted(unknown)}")
+    for f in fields(cls):
+        # annotations are strings here (postponed evaluation)
+        value = d.get(f.name)
+        is_list_field = f.type.startswith(("list[", "tuple["))
+        if is_list_field and value is not None and not isinstance(value, (list, tuple)):
+            raise ConfigInvalid(
+                f"field {f.name!r} in section {section!r} must be a JSON list, "
+                f"got {type(value).__name__}"
+            )
     return d
 
 

@@ -264,8 +264,10 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
             rows = adapt.read_run_record_rows(os.path.join(run_dir, f"run_{name}.csv"))
             if not rows:
                 raise StatsIoError(f"run_{name}.csv in {run_dir} holds no batch rows")
-            records[name] = RunRecord(config=TtaConfig(method="cafa"), rows=rows)
-    except (KeyError, TypeError, ValueError) as exc:
+            with open(os.path.join(run_dir, f"run_{name}.json")) as fh:
+                config = TtaConfig.from_dict(json.load(fh)["config"])
+            records[name] = RunRecord(config=config, rows=rows)
+    except (OSError, KeyError, TypeError, ValueError, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
     if not records:
         raise StatsIoError(f"the manifest in {run_dir} lists no methods")

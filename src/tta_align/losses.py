@@ -1,8 +1,9 @@
 """Alignment distances and all adaptation/baseline losses.
 
-One batched kernel scores every sample against every class Gaussian with the
-cached regularized precisions; the losses and the distance report both read
-it. `mahalanobis` is the per-vector reference form.
+One batched kernel, a single tape node with an analytic gradient, scores
+every sample against every class Gaussian with the stacked regularized
+precisions; the losses and the distance report both read it. `mahalanobis`
+is the per-vector reference form.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ def distance_report(batch_feats, true_labels, stats: SourceStats) -> DistanceRep
     y = np.asarray(true_labels, dtype=np.int64)
     if feats.ndim != 2 or y.shape != feats.shape[:1]:
         raise DimensionMismatch(f"features {feats.shape} vs labels {y.shape}")
+    _check_labels(y, stats.n_classes)  # a gather would wrap a label of -1
     quads = _class_quadratics(Tensor(feats), stats).data
-    onehot = _one_hot(y, stats.n_classes).T
-    intra = (quads * onehot).sum(axis=0)
-    inter = (quads * (1.0 - onehot)).sum(axis=0) / (stats.n_classes - 1)
+    intra = quads[y, np.arange(y.size)]
+    inter = (quads.sum(axis=0) - intra) / (stats.n_classes - 1)
     return DistanceReport(
         mean_intra=float(np.mean(intra)), mean_inter=float(np.mean(inter))
     )
@@ -109,21 +110,36 @@ def _labels_for(spec, logits: Tensor, pseudo_labels):
     return argmax_rows(logits.data)
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise UnknownClass(f"labels outside 0..{n_classes - 1}")
+
+
+def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    _check_labels(labels, n_classes)
     eye = np.eye(n_classes)
     return eye[labels]
 
 
 def _class_quadratics(feats: Tensor, stats: SourceStats) -> Tensor:
-    """Mahalanobis quadratic form of every sample to every class, C x N."""
-    mus = np.stack([g.mu for g in stats.classes])
+    """Mahalanobis quadratic form of every sample to every class, C x N.
+
+    One tape node whose only parent is `feats`. Its gradient is the
+    analytic d/dx (x - mu)^T P (x - mu) = 2 P (x - mu), which holds because
+    every class precision P is exactly symmetric (`spd_inverse` returns
+    0.5 * (p + p^T), and `load_stats` rebuilds precisions the same way).
+    """
+    mus = stats.class_mus
     if feats.shape[-1] != mus.shape[1]:
         raise DimensionMismatch(f"feature dim {feats.shape[-1]} vs {mus.shape[1]}")
-    precs = np.stack([g.precision for g in stats.classes])
-    diff = feats - mus[:, None, :]
-    return ((diff @ precs) * diff).sum(axis=2)
+    diff = feats.data - mus[:, None, :]
+    pd = diff @ stats.class_precisions
+    quads = (pd * diff).sum(axis=2)
+
+    def bw(out):
+        feats._accumulate(2.0 * np.einsum("cn,cnd->nd", out.grad, pd))
+
+    return Tensor(quads, parents=(feats,), backward=bw)
 
 
 def _intra_terms(quads: Tensor, labels: np.ndarray) -> Tensor:

@@ -3,7 +3,8 @@
 Per-class mean/covariance use the biased 1/N_c estimator. Precisions are
 dense inverses, through a Cholesky factor, of the trace-regularized
 covariance (sigma + eps*I with eps = eps_scale * trace(sigma)/d), cached for
-the differentiable loss paths.
+the differentiable loss paths. Each precision is exactly symmetric, which the
+class kernel's analytic gradient relies on.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ class SourceStats:
     feature_dim: int
     eps_scale: float
     warnings: list[str] = field(default_factory=list)
+    # the class means (C x d) and precisions (C x d x d), stacked once here
+    # for the class kernel
+    class_mus: np.ndarray = field(init=False, repr=False)
+    class_precisions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        d = self.feature_dim
+        self.class_mus = np.array([g.mu for g in self.classes]).reshape(-1, d)
+        self.class_precisions = np.array(
+            [g.precision for g in self.classes]
+        ).reshape(-1, d, d)
+        # each class reads its rows of the stacks, so the arrays exist once
+        for g, mu, precision in zip(self.classes, self.class_mus, self.class_precisions):
+            g.mu, g.precision = mu, precision
 
     @property
     def n_classes(self) -> int:

@@ -70,6 +70,39 @@ class TestAdam:
         with pytest.raises(DimensionMismatch):
             adam_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, AdamState(), 0.1)
 
+    def test_flat_update_matches_per_array_update(self):
+        # reference: one Adam update per array, each op on that array alone
+        def per_array_step(params, grads, m, v, t, lr, beta1, beta2, eps):
+            for name, g in grads.items():
+                m[name] = beta1 * m[name] + (1 - beta1) * g
+                v[name] = beta2 * v[name] + (1 - beta2) * g * g
+                m_hat = m[name] / (1 - beta1**t)
+                v_hat = v[name] / (1 - beta2**t)
+                params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        rng = np.random.default_rng(3)
+        shapes = {"w": (4, 3), "gamma": (3,), "beta": (1, 3)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        state = AdamState()
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            adam_step(params, grads, state, 0.05, 0.9, 0.999, 1e-8)
+            per_array_step(ref, grads, m, v, t, 0.05, 0.9, 0.999, 1e-8)
+            for k in shapes:
+                assert params[k].tobytes() == ref[k].tobytes()
+
+    def test_names_differ_from_state(self):
+        state = AdamState()
+        adam_step({"a": np.zeros(2)}, {"a": np.ones(2)}, state, 0.1)
+        params = {"a": np.zeros(2), "b": np.zeros(2)}
+        with pytest.raises(DimensionMismatch):
+            adam_step(params, {"b": np.ones(2)}, state, 0.1)
+        with pytest.raises(DimensionMismatch):
+            adam_step(params, {"a": np.ones(2), "b": np.ones(2)}, state, 0.1)
+
 
 class TestTtaConfig:
     def test_baselines_require_zero_steps(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tta_align import cli
-from tta_align.adapt import read_run_record_rows
+from tta_align.adapt import TtaConfig, read_run_record_rows
 from tta_align.stats import load_stats
 
 
@@ -274,13 +274,25 @@ class TestReportCommand:
 
     @pytest.mark.parametrize(
         "damage",
-        ["manifest_not_json", "no_methods", "empty_methods", "text_cell", "no_rows"],
+        [
+            "manifest_not_json",
+            "no_methods",
+            "empty_methods",
+            "text_cell",
+            "no_rows",
+            "no_header",
+            "header_not_json",
+            "header_without_config",
+            "header_unknown_key",
+        ],
     )
     def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
         header = "batch_index,accuracy,loss,mean_intra,mean_inter\n"
         run_csv = header + "0,0.5,0.1,2.0,3.0\n"
+        run_header = {"config": TtaConfig(method="cafa").to_dict()}
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
         (tmp_path / "run_cafa.csv").write_text(run_csv)
+        (tmp_path / "run_cafa.json").write_text(json.dumps(run_header))
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
         damaged = {
             "manifest_not_json": ("manifest.json", "{broken"),
@@ -288,9 +300,19 @@ class TestReportCommand:
             "empty_methods": ("manifest.json", json.dumps({"methods": []})),
             "text_cell": ("run_cafa.csv", run_csv.replace("0.5", "high")),
             "no_rows": ("run_cafa.csv", header),
+            "no_header": ("run_cafa.json", None),
+            "header_not_json": ("run_cafa.json", "{broken"),
+            "header_without_config": ("run_cafa.json", json.dumps({"cfg": {}})),
+            "header_unknown_key": (
+                "run_cafa.json",
+                json.dumps({"config": {"method": "cafa", "speed": 2}}),
+            ),
         }
         name, text = damaged[damage]
-        (tmp_path / name).write_text(text)
+        if text is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_text(text)
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
         assert "i/o error" in capsys.readouterr().err
 

@@ -81,6 +81,24 @@ class TestStrictParsing:
         assert cli.main(["pretrain", "--config", str(write_json(tmp_path, doc))]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, name, damage",
+        [
+            ("top-level", "methods", lambda doc: doc.update(methods=5)),
+            ("model", "hidden_dims", lambda doc: doc["model"].update(hidden_dims=5)),
+            ("shift", "transforms", lambda doc: doc["shift"].update(transforms=5)),
+        ],
+        ids=["methods", "model.hidden_dims", "shift.transforms"],
+    )
+    def test_list_field_not_a_list(self, tmp_path, capsys, section, name, damage):
+        doc = ExperimentConfig.default().to_dict()
+        damage(doc)
+        message = f"field '{name}' in section '{section}' must be a JSON list"
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            ExperimentConfig.from_dict(doc)
+        assert cli.main(["pretrain", "--config", str(write_json(tmp_path, doc))]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="cannot read"):
             ExperimentConfig.from_json_file(tmp_path / "absent.json")

@@ -175,6 +175,58 @@ class TestIntraInter:
                 assert mat[c, i] == pytest.approx(ref, rel=1e-12)
 
 
+class TestClassKernel:
+    """The kernel as one tape node with the analytic gradient 2 P (x - mu)."""
+
+    @staticmethod
+    def _setup(seed):
+        rng = np.random.default_rng(seed)
+        stats = random_stats(rng, 4, 5)
+        return stats, rng.normal(size=(7, 5)), rng.normal(size=(4, 7))
+
+    @staticmethod
+    def _grad(build, x, weights):
+        t = Tensor(x, requires_grad=True)
+        (build(t) * Tensor(weights)).sum().backward()
+        return t.grad
+
+    def test_gradient_matches_finite_differences(self):
+        stats, x, w = self._setup(30)
+        grad = self._grad(lambda t: losses._class_quadratics(t, stats), x, w)
+
+        def value(arr):
+            return float(np.sum(class_quadratics(arr, stats) * w))
+
+        fd = np.zeros_like(x)
+        for idx in np.ndindex(*x.shape):
+            step = np.zeros_like(x)
+            step[idx] = 1e-6
+            fd[idx] = (value(x + step) - value(x - step)) / 2e-6
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+    def test_gradient_matches_composed_tape(self):
+        def composed(t):
+            # the kernel built from generic tape ops, each with its own backward
+            mus = np.stack([g.mu for g in stats.classes])
+            precs = np.stack([g.precision for g in stats.classes])
+            diff = t - Tensor(mus[:, None, :])
+            return ((diff @ Tensor(precs)) * diff).sum(axis=2)
+
+        stats, x, w = self._setup(31)
+        grad = self._grad(lambda t: losses._class_quadratics(t, stats), x, w)
+        ref = self._grad(composed, x, w)
+        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(
+            losses._class_quadratics(Tensor(x), stats).data, composed(Tensor(x)).data
+        )
+
+    def test_no_graph_without_grad_leaf(self):
+        stats, x, _ = self._setup(32)
+        quads = losses._class_quadratics(Tensor(x), stats)
+        assert not quads.requires_grad
+        assert quads._parents == [] and quads._backward is None
+
+
 class TestGlobalFaLoss:
     def test_constructed_match_is_zero(self):
         stats = stats_from_gaussians(

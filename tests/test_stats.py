@@ -185,6 +185,19 @@ class TestSerialization:
             assert np.array_equal(a.sigma, b.sigma)
             assert np.array_equal(a.precision, b.precision)
 
+    @pytest.mark.parametrize("mode", list(CovarianceMode), ids=lambda m: m.value)
+    def test_class_stacks_match_classes(self, tmp_path, mode):
+        stats = self._stats(mode=mode)
+        path = tmp_path / "stats.bin"
+        save_stats(stats, path)
+        for s in (stats, load_stats(path)):
+            assert np.array_equal(s.class_mus, np.stack([g.mu for g in s.classes]))
+            assert np.array_equal(
+                s.class_precisions, np.stack([g.precision for g in s.classes])
+            )
+            # the class kernel's analytic gradient assumes exact symmetry
+            assert np.array_equal(s.class_precisions, s.class_precisions.mT)
+
     def test_tied_round_trip(self, tmp_path):
         stats = self._stats(mode=CovarianceMode.TIED)
         path = tmp_path / "stats.bin"
