@@ -1,7 +1,9 @@
 """Tiny reverse-mode autodiff over float64 numpy arrays.
 
-Just enough ops for dense layers, batch normalization with batch
-statistics, and the alignment/entropy losses. Scalar-output backward only.
+Just enough ops for the classifier head and the alignment/entropy losses;
+the dense -> BN -> relu blocks and the class-distance kernel are single
+nodes with hand-written backwards (`network._block`,
+`losses._class_quadratics`). Scalar-output backward only.
 
 Gradient need flows from the leaves: a leaf asks for a gradient with
 `requires_grad=True`, and an op's output requires one only if a parent
@@ -73,9 +75,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_wrap(other))
 
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
     def __mul__(self, other):
         other = _wrap(other)
 
@@ -88,22 +87,6 @@ class Tensor:
         return Tensor(self.data * other.data, parents=(self, other), backward=bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _wrap(other)
-
-        def bw(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(
-                        -out.grad * self.data / (other.data * other.data),
-                        other.data.shape,
-                    )
-                )
-
-        return Tensor(self.data / other.data, parents=(self, other), backward=bw)
 
     def __pow__(self, exponent):
         assert isinstance(exponent, (int, float))
@@ -159,12 +142,6 @@ class Tensor:
 
     # -- elementwise nonlinear ----------------------------------------------
 
-    def relu(self):
-        def bw(out):
-            self._accumulate(out.grad * (self.data > 0.0))
-
-        return Tensor(np.maximum(self.data, 0.0), parents=(self,), backward=bw)
-
     def exp(self):
         def bw(out):
             self._accumulate(out.grad * out.data)
@@ -176,12 +153,6 @@ class Tensor:
             self._accumulate(out.grad / self.data)
 
         return Tensor(np.log(self.data), parents=(self,), backward=bw)
-
-    def sqrt(self):
-        def bw(out):
-            self._accumulate(out.grad * 0.5 / out.data)
-
-        return Tensor(np.sqrt(self.data), parents=(self,), backward=bw)
 
     def clip_min(self, floor: float):
         """max(x, floor); zero gradient where the floor is active."""

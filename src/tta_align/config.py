@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, field, fields
+import numbers
+import reprlib
+import types
+import typing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,23 +22,80 @@ from .errors import ConfigInvalid
 from .stats import DEFAULT_EPS_SCALE, CovarianceMode
 
 
+_SCALARS = {  # JSON scalar type -> (what to expect, test)
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: (
+        "an integer",
+        lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    ),
+    float: (
+        "a number",
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    ),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _number_nest(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(map(_number_nest, value))
+    return _SCALARS[float][1](value)
+
+
+def _mismatch(value, tp) -> str | None:
+    """What a field annotated `tp` expects, or None when `value` fits it.
+
+    A nested dataclass always fits here: its own section is checked when it
+    is parsed.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        wants = [_mismatch(value, a) for a in args]
+        return None if None in wants else " or ".join(wants)
+    if tp is type(None):
+        return None if value is None else "null"
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            return "a JSON list"
+        if origin is tuple and len(value) != len(args):
+            return f"a JSON list of {len(args)} entries"
+        for v in value:
+            want = _mismatch(v, args[0])
+            if want is not None:
+                return f"a JSON list with each entry {want}"
+        return None
+    if tp is np.ndarray:
+        ok = isinstance(value, list) and _number_nest(value)
+        return None if ok else "a JSON list of numbers"
+    if tp in _SCALARS:
+        want, fits = _SCALARS[tp]
+        return None if fits(value) else want
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        values = [m.value for m in tp]
+        return None if value in values else f"one of {values}"
+    return None
+
+
 def _strict_kwargs(cls, d: dict, section: str) -> dict:
+    """Check one section against the fields of dataclass `cls`: no unknown
+    keys, and every value of the type its annotation names. An int is
+    accepted for a float, a bool is not accepted for an int."""
     if not isinstance(d, dict):
         raise ConfigInvalid(
             f"section {section!r} must be a JSON object, got {type(d).__name__}"
         )
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
+    hints = typing.get_type_hints(cls)
+    unknown = set(d) - set(hints)
     if unknown:
-        raise ConfigInvalid(f"unknown keys in section {section!r}: {sorted(unknown)}")
-    for f in fields(cls):
-        # annotations are strings here (postponed evaluation)
-        value = d.get(f.name)
-        is_list_field = f.type.startswith(("list[", "tuple["))
-        if is_list_field and value is not None and not isinstance(value, (list, tuple)):
+        raise ConfigInvalid(
+            f"unknown keys in section {section!r} ({cls.__name__}): {sorted(unknown)}"
+        )
+    for name, value in d.items():
+        want = _mismatch(value, hints[name])
+        if want is not None:
             raise ConfigInvalid(
-                f"field {f.name!r} in section {section!r} must be a JSON list, "
-                f"got {type(value).__name__}"
+                f"field {name!r} in section {section!r} must be {want}, "
+                f"got {reprlib.repr(value)}"
             )
     return d
 
@@ -138,7 +199,10 @@ class ExperimentConfig:
             sd["transforms"] = transforms
             doc["shift"] = ShiftSpec(**sd)
         if "methods" in doc:
-            doc["methods"] = [TtaConfig.from_dict(m) for m in doc["methods"]]
+            doc["methods"] = [
+                TtaConfig.from_dict(_strict_kwargs(TtaConfig, m, "methods[]"))
+                for m in doc["methods"]
+            ]
         cfg = ExperimentConfig(**doc)
         cfg.validate()
         return cfg

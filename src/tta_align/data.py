@@ -73,6 +73,17 @@ class SyntheticSpec:
             raise ConfigInvalid("need at least 2 samples per class")
         if self.cov_scales is not None and len(self.cov_scales) != self.n_classes:
             raise ConfigInvalid("cov_scales must list one std per class")
+        c, d = self.n_classes, self.input_dim
+        for name, value, shape in (
+            ("class_means", self.class_means, (c, d)),
+            ("class_covs", self.class_covs, (c, d, d)),
+        ):
+            try:
+                fits = value is None or np.shape(value) == shape
+            except ValueError:  # a ragged nest of lists
+                fits = False
+            if not fits:
+                raise ConfigInvalid(f"{name} must have shape {shape}")
 
     def resolved_means(self) -> np.ndarray:
         if self.class_means is not None:

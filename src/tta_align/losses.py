@@ -58,9 +58,6 @@ class SupervisedCE:
     labels: np.ndarray
 
 
-LOSS_SPECS = (GlobalFA, IntraOnly, Cafa, Entropy, PseudoLabelCE, SupervisedCE)
-
-
 @dataclass
 class DistanceReport:
     mean_intra: float

@@ -99,6 +99,71 @@ class TestStrictParsing:
         assert cli.main(["pretrain", "--config", str(write_json(tmp_path, doc))]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda doc: doc["pretrain"].update(epochs="3"),
+                "field 'epochs' in section 'pretrain' must be an integer, got '3'",
+            ),
+            (
+                lambda doc: doc["model"].update(hidden_dims=["a"]),
+                "field 'hidden_dims' in section 'model' must be a JSON list "
+                "with each entry an integer",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(class_means=5),
+                "field 'class_means' in section 'synthetic' must be "
+                "a JSON list of numbers or null",
+            ),
+            (
+                lambda doc: doc["pretrain"].update(epochs=True),
+                "field 'epochs' in section 'pretrain' must be an integer",
+            ),
+            (
+                lambda doc: doc["methods"][0].update(steps_per_batch="0"),
+                "field 'steps_per_batch' in section 'methods[]' must be an integer",
+            ),
+            (
+                lambda doc: doc["methods"][0].update(param_group="all"),
+                "field 'param_group' in section 'methods[]' must be one of",
+            ),
+            (
+                lambda doc: doc["shift"]["transforms"][0].update(plane=[0, 1, 2]),
+                "field 'plane' in section 'shift.transforms[]' must be "
+                "a JSON list of 2 entries",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(class_means=[[0.0, 1.0]]),
+                "class_means must have shape (3, 8)",
+            ),
+        ],
+        ids=[
+            "string_for_int",
+            "string_list_entry",
+            "scalar_for_array",
+            "bool_for_int",
+            "method_field",
+            "enum_value",
+            "tuple_length",
+            "array_shape",
+        ],
+    )
+    def test_scalar_type_mismatch(self, tmp_path, capsys, damage, message):
+        doc = ExperimentConfig.default().to_dict()
+        damage(doc)
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            ExperimentConfig.from_dict(doc)
+        assert cli.main(["pretrain", "--config", str(write_json(tmp_path, doc))]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_int_accepted_for_float(self):
+        doc = ExperimentConfig.default().to_dict()
+        doc["pretrain"]["learning_rate"] = 1
+        doc["synthetic"]["mean_scale"] = 3
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.pretrain.learning_rate == 1 and cfg.synthetic.mean_scale == 3
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid, match="cannot read"):
             ExperimentConfig.from_json_file(tmp_path / "absent.json")

@@ -1,13 +1,17 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     fd_grad_named,
     max_rel_error,
     model_state,
+    numeric_grad,
     random_stats,
     small_model,
     states_equal,
@@ -77,6 +81,25 @@ def loop_forward(model, x, mode):
                 post[i][j] = max(a, 0.0)
         h = post
     return np.array(h)
+
+
+def tape_order_block(h, blk, mode):
+    """One block in the op order of the generic tape it replaced, as plain
+    NumPy: `a - b` was `a + (-b)`, a mean was `sum * (1 / n)`."""
+    bn = blk.bn
+    z = h @ blk.dense.weight.T + blk.dense.bias
+    if mode is StatMode.RUNNING_EVAL:
+        xhat = (z + (-bn.running_mean)) / np.sqrt(bn.running_var + BN_VAR_EPS)
+    else:
+        n = z.shape[0]
+        mu = z.sum(axis=0) * (1.0 / n)
+        var = ((z + (-mu)) ** 2).sum(axis=0) * (1.0 / n)
+        if mode is StatMode.TRAIN_UPDATE:
+            m = bn.momentum
+            bn.running_mean[:] = (1 - m) * bn.running_mean + m * mu
+            bn.running_var[:] = (1 - m) * bn.running_var + m * var
+        xhat = (z + (-mu)) / np.sqrt(var + BN_VAR_EPS)
+    return np.maximum(xhat * bn.gamma + bn.beta, 0.0)
 
 
 class TestForwardFeatures:
@@ -157,6 +180,80 @@ class TestForwardFeatures:
             network.forward_features(model, np.zeros((4, 9)), StatMode.BATCH_ONLY)
         with pytest.raises(DimensionMismatch):
             network.forward_features(model, np.zeros(6), StatMode.BATCH_ONLY)
+
+
+class TestBlockNode:
+    @pytest.mark.parametrize("mode", list(StatMode))
+    def test_forward_bitwise_matches_tape_order(self, mode):
+        rng = np.random.default_rng(28)
+        model = small_model(rng, input_dim=5, hidden_dims=(7, 4))
+        for blk in model.blocks:
+            blk.bn.gamma[:] = 1.0 + 0.5 * rng.normal(size=blk.bn.dim)
+            blk.bn.beta[:] = 0.5 * rng.normal(size=blk.bn.dim)
+            blk.bn.running_mean[:] = rng.normal(size=blk.bn.dim)
+            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
+        before = model_state(model)
+        oracle = model.copy()
+        x = rng.normal(size=(9, 5))
+        h = x
+        for blk in oracle.blocks:
+            h = tape_order_block(h, blk, mode)
+        feats = network.forward_features(model, x, mode)
+        assert feats.tobytes() == h.tobytes()
+        for got, want in zip(model.blocks, oracle.blocks):
+            assert got.bn.running_mean.tobytes() == want.bn.running_mean.tobytes()
+            assert got.bn.running_var.tobytes() == want.bn.running_var.tobytes()
+        refreshed = not states_equal(before, model_state(model))
+        assert refreshed == (mode is StatMode.TRAIN_UPDATE)
+
+    @pytest.mark.parametrize("mode", list(StatMode))
+    def test_forward_peak_memory(self, mode):
+        # the block works in place, so a no-grad forward never holds more
+        # than two full-width arrays at once
+        rng = np.random.default_rng(29)
+        model = network.init_model(16, [128, 64], 10, rng)
+        x = rng.normal(size=(12_800, 16))
+        tracemalloc.start()
+        try:
+            network.forward_features(model, x, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (12_800 * 128 * 8) + 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 6),
+    d=st.integers(1, 4),
+    mode=st.sampled_from(list(StatMode)),
+)
+def test_normalization_chain_property(seed, n, d, mode):
+    # the block node's analytic backward checked by differences w.r.t. its
+    # input, W, b, gamma and beta; relu(y)**3 is smooth across the kink
+    rng = np.random.default_rng(seed)
+    arrays = [
+        rng.normal(size=(n, 3)),  # block input
+        rng.normal(size=(d, 3)),  # dense weight
+        rng.normal(size=d),  # dense bias
+        1.0 + 0.5 * rng.normal(size=d),  # gamma
+        0.5 * rng.normal(size=d),  # beta
+    ]
+    bn = BnLayer(arrays[3], arrays[4], rng.normal(size=d), 0.5 + rng.random(d))
+
+    def build(leaves):
+        return (network._block(*leaves, bn, mode) ** 3).sum()
+
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    build(leaves).backward()
+    for i, leaf in enumerate(leaves):
+
+        def value(arr, i=i):
+            return float(build([Tensor(arr if j == i else a) for j, a in enumerate(arrays)]).data)
+
+        fd = numeric_grad(value, arrays[i].copy())
+        np.testing.assert_allclose(leaf.grad, fd, atol=5e-5)
 
 
 class TestLogitsAndPredict:
