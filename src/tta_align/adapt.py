@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -59,21 +58,6 @@ class TtaConfig:
         d = asdict(self)
         d["param_group"] = self.param_group.value
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "TtaConfig":
-        if not isinstance(d, dict):
-            raise ConfigInvalid(
-                f"section 'methods[]' must be a JSON object, got {type(d).__name__}"
-            )
-        d = dict(d)
-        known = set(TtaConfig().to_dict())
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigInvalid(f"unknown TtaConfig keys: {sorted(unknown)}")
-        if "param_group" in d:
-            d["param_group"] = ParamGroup(d["param_group"])
-        return TtaConfig(**d)
 
 
 def method_loss_spec(method: str, stats: SourceStats | None):
@@ -166,7 +150,6 @@ class BatchRow:
     loss: float
     mean_intra: float
     mean_inter: float
-    wall_time: float
 
 
 @dataclass
@@ -206,7 +189,6 @@ def read_run_record_rows(csv_path) -> list[BatchRow]:
                     loss=float(rec["loss"]),
                     mean_intra=float(rec["mean_intra"]),
                     mean_inter=float(rec["mean_inter"]),
-                    wall_time=0.0,
                 )
             )
     return rows
@@ -246,7 +228,6 @@ def adapt_stream(
     group_names = model.group_param_names(config.param_group)
 
     for batch_index, (x, y) in enumerate(batches):
-        t0 = time.perf_counter()
         y = np.asarray(y, dtype=np.int64)
         loss_value = float("nan")
         if spec is None:
@@ -283,7 +264,6 @@ def adapt_stream(
                 loss=loss_value,
                 mean_intra=mean_intra,
                 mean_inter=mean_inter,
-                wall_time=time.perf_counter() - t0,
             )
         )
     return model, record

@@ -19,6 +19,7 @@ import numpy as np
 from .adapt import TtaConfig
 from .data import ShiftSpec, ShiftTransform, SyntheticSpec
 from .errors import ConfigInvalid
+from .network import ParamGroup
 from .stats import DEFAULT_EPS_SCALE, CovarianceMode
 
 
@@ -98,6 +99,15 @@ def _strict_kwargs(cls, d: dict, section: str) -> dict:
                 f"got {reprlib.repr(value)}"
             )
     return d
+
+
+def tta_config_from_dict(d, section: str = "methods[]") -> TtaConfig:
+    """One method's configuration: a `methods[]` entry, or the `config` of
+    a run header."""
+    d = dict(_strict_kwargs(TtaConfig, d, section))
+    if "param_group" in d:
+        d["param_group"] = ParamGroup(d["param_group"])
+    return TtaConfig(**d)
 
 
 def _plain(value):
@@ -199,10 +209,7 @@ class ExperimentConfig:
             sd["transforms"] = transforms
             doc["shift"] = ShiftSpec(**sd)
         if "methods" in doc:
-            doc["methods"] = [
-                TtaConfig.from_dict(_strict_kwargs(TtaConfig, m, "methods[]"))
-                for m in doc["methods"]
-            ]
+            doc["methods"] = [tta_config_from_dict(m) for m in doc["methods"]]
         cfg = ExperimentConfig(**doc)
         cfg.validate()
         return cfg

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adapt, data, losses, network, stats as stats_mod
-from .adapt import RunRecord, TtaConfig, adapt_stream
-from .config import ExperimentConfig
+from .adapt import RunRecord, adapt_stream
+from .config import ExperimentConfig, tta_config_from_dict
 from .errors import ConfigInvalid, NonFiniteLoss, StatsIoError, TrainingDiverged
 from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
@@ -249,15 +249,19 @@ def write_trajectory_files(records: dict[str, RunRecord], out_dir: str) -> None:
 
 
 def rebuild_report(run_dir: str) -> list[MethodSummary]:
-    """Regenerate summary files from the RunRecord CSVs in a run directory."""
+    """Regenerate summary files from the RunRecord CSVs in a run directory.
+
+    A `run_dir` that is not a directory is a usage error (ConfigInvalid); a
+    run directory with a missing or malformed file is an I/O error.
+    """
+    if not os.path.isdir(run_dir):
+        raise ConfigInvalid(f"run directory {run_dir} does not exist")
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read {manifest_path}: {exc}") from exc
-    except ValueError as exc:
-        raise StatsIoError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        raise StatsIoError(f"cannot read {manifest_path}: {exc}") from exc
     records: dict[str, RunRecord] = {}
     try:
         for name in manifest["methods"]:
@@ -265,7 +269,9 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
             if not rows:
                 raise StatsIoError(f"run_{name}.csv in {run_dir} holds no batch rows")
             with open(os.path.join(run_dir, f"run_{name}.json")) as fh:
-                config = TtaConfig.from_dict(json.load(fh)["config"])
+                header = json.load(fh)["config"]
+            config = tta_config_from_dict(header, f"run_{name}.json config")
+            config.validate()
             records[name] = RunRecord(config=config, rows=rows)
     except (OSError, KeyError, TypeError, ValueError, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc

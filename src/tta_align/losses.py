@@ -1,9 +1,9 @@
 """Alignment distances and all adaptation/baseline losses.
 
-One batched kernel, a single tape node with an analytic gradient, scores
-every sample against every class Gaussian with the stacked regularized
-precisions; the losses and the distance report both read it. `mahalanobis`
-is the per-vector reference form.
+One batched kernel scores every sample against every class Gaussian with
+the stacked regularized precisions; the losses and the distance report both
+read it. `mahalanobis` is the per-vector reference form. Each loss is one
+tape node with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def distance_report(batch_feats, true_labels, stats: SourceStats) -> DistanceRep
     if feats.ndim != 2 or y.shape != feats.shape[:1]:
         raise DimensionMismatch(f"features {feats.shape} vs labels {y.shape}")
     _check_labels(y, stats.n_classes)  # a gather would wrap a label of -1
-    quads = _class_quadratics(Tensor(feats), stats).data
+    quads, _ = _class_quadratics(feats, stats)
     intra = quads[y, np.arange(y.size)]
     inter = (quads.sum(axis=0) - intra) / (stats.n_classes - 1)
     return DistanceReport(
@@ -96,7 +96,7 @@ def distance_report(batch_feats, true_labels, stats: SourceStats) -> DistanceRep
     )
 
 
-# -- differentiable loss graph -------------------------------------------------
+# -- loss nodes ---------------------------------------------------------------
 
 
 def _labels_for(spec, logits: Tensor, pseudo_labels):
@@ -112,88 +112,134 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise UnknownClass(f"labels outside 0..{n_classes - 1}")
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    _check_labels(labels, n_classes)
-    eye = np.eye(n_classes)
-    return eye[labels]
+def _class_quadratics(x: np.ndarray, stats: SourceStats):
+    """Mahalanobis quadratic form of every sample to every class, C x N,
+    and the C x N x d products P (x - mu) it is built from.
 
-
-def _class_quadratics(feats: Tensor, stats: SourceStats) -> Tensor:
-    """Mahalanobis quadratic form of every sample to every class, C x N.
-
-    One tape node whose only parent is `feats`. Its gradient is the
-    analytic d/dx (x - mu)^T P (x - mu) = 2 P (x - mu), which holds because
-    every class precision P is exactly symmetric (`spd_inverse` returns
-    0.5 * (p + p^T), and `load_stats` rebuilds precisions the same way).
+    A loss that weights the forms by w = d loss / d quads has the feature
+    gradient 2 sum_c w_cn P_c (x_n - mu_c), since d/dx (x - mu)^T P (x - mu)
+    = 2 P (x - mu). That holds because every class precision P is exactly
+    symmetric (`spd_inverse` returns 0.5 * (p + p^T), and `load_stats`
+    rebuilds precisions the same way).
     """
     mus = stats.class_mus
-    if feats.shape[-1] != mus.shape[1]:
-        raise DimensionMismatch(f"feature dim {feats.shape[-1]} vs {mus.shape[1]}")
-    diff = feats.data - mus[:, None, :]
+    if x.shape[-1] != mus.shape[1]:
+        raise DimensionMismatch(f"feature dim {x.shape[-1]} vs {mus.shape[1]}")
+    diff = x - mus[:, None, :]
     pd = diff @ stats.class_precisions
-    quads = (pd * diff).sum(axis=2)
-
-    def bw(out):
-        feats._accumulate(2.0 * np.einsum("cn,cnd->nd", out.grad, pd))
-
-    return Tensor(quads, parents=(feats,), backward=bw)
+    return (pd * diff).sum(axis=2), pd
 
 
-def _intra_terms(quads: Tensor, labels: np.ndarray) -> Tensor:
-    """Each sample's quadratic form to its labelled class, an N-vector."""
-    return (quads * _one_hot(labels, quads.shape[0]).T).sum(axis=0)
+# Each builder returns (loss value, grad), where grad(s) is the gradient of
+# the loss w.r.t. its input for an upstream gradient of s * N: every loss is
+# a mean over the batch, so its backward carries 1/N.
 
 
-def _log_sum_exp(logits: Tensor) -> Tensor:
-    """Row-wise log-sum-exp, N x 1, stabilized by the detached row maximum."""
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    z = logits - shift
-    return z.exp().sum(axis=1, keepdims=True).log() + shift
+def _global_fa(x: np.ndarray, stats: SourceStats):
+    n = x.shape[0]
+    if n < 2:
+        raise BatchTooSmall("batch covariance needs at least 2 samples")
+    inv_n = 1.0 / n
+    mu_t = x.sum(axis=0) * inv_n
+    centered = x - mu_t
+    sigma_t = (centered.T @ centered) * inv_n
+    mean_gap = stats.global_mu - mu_t
+    cov_gap = stats.global_sigma - sigma_t
+    value = (mean_gap**2).sum() + (cov_gap**2).sum()
+
+    def grad(s):
+        # the gaps' gradients -2 * gap, pushed through sigma_t =
+        # centered^T centered / n and through the centering x - mu_t
+        g = centered @ (cov_gap + cov_gap.T) * (-2.0 * s)
+        return g + (mean_gap * (-2.0 * s) - g.sum(axis=0) * inv_n)
+
+    return value, grad
+
+
+def _class_kernel_loss(spec, x: np.ndarray, labels: np.ndarray):
+    """IntraOnly: the mean intra form. Cafa: the mean log-ratio of the intra
+    form over the summed forms, each clamped at RATIO_FLOOR."""
+    quads, pd = _class_quadratics(x, spec.stats)
+    _check_labels(labels, quads.shape[0])
+    cols = np.arange(x.shape[0])
+    intra = quads[labels, cols]
+    if isinstance(spec, IntraOnly):
+        value = intra.sum() * (1.0 / x.shape[0])
+        w = np.zeros_like(quads)
+        w[labels, cols] = 1.0
+    else:
+        denom = quads.sum(axis=0)
+        num_c = np.maximum(intra, RATIO_FLOOR)
+        den_c = np.maximum(denom, RATIO_FLOOR)
+        value = (np.log(num_c) - np.log(den_c)).sum() * (1.0 / x.shape[0])
+        # 1/intra at the labelled class minus 1/denom at every class, each
+        # zero wherever its clamp is active
+        w = np.tile(-((denom > RATIO_FLOOR) / den_c), (quads.shape[0], 1))
+        w[labels, cols] += (intra > RATIO_FLOOR) / num_c
+
+    def grad(s):
+        return 2.0 * np.einsum("cn,cnd->nd", w * s, pd)
+
+    return value, grad
+
+
+def _log_sum_exp(z: np.ndarray):
+    """Row-wise log-sum-exp (N x 1), stabilized by the row maximum, with the
+    shifted exponentials and their row sums."""
+    shift = z.max(axis=1, keepdims=True)
+    e = np.exp(z - shift)
+    total = e.sum(axis=1, keepdims=True)
+    return np.log(total) + shift, e, total
+
+
+def _entropy(z: np.ndarray):
+    neg_logp = _log_sum_exp(z)[0] - z
+    p = np.exp(-neg_logp)
+    h = (p * neg_logp).sum(axis=1)
+    value = h.sum() * (1.0 / z.shape[0])
+    return value, lambda s: p * (neg_logp - h[:, None]) * s
+
+
+def _cross_entropy(z: np.ndarray, labels: np.ndarray):
+    _check_labels(labels, z.shape[1])
+    lse, e, total = _log_sum_exp(z)
+    rows = np.arange(z.shape[0])
+    value = (lse - z[rows, labels][:, None]).sum() * (1.0 / z.shape[0])
+
+    def grad(s):  # softmax - one-hot
+        g = e * (s / total)
+        g[rows, labels] -= s
+        return g
+
+    return value, grad
 
 
 def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None) -> Tensor:
-    """Build the scalar loss node for any LossSpec.
+    """The scalar loss of any LossSpec as one tape node.
 
-    pseudo_labels, when given, overrides the argmax labels (used to freeze
-    labels across finite-difference evaluations).
+    Its one parent is what the loss reads: the features (GlobalFA,
+    IntraOnly, Cafa) or the logits (Entropy and the cross-entropies). Its
+    backward is the loss's closed-form gradient. Forwards take a mean as
+    sum * (1/N), the order the recorded `loss` columns were computed in;
+    tests pin every value bit for bit. pseudo_labels, when given,
+    overrides the argmax labels (used to freeze labels across
+    finite-difference evaluations).
     """
     if isinstance(spec, GlobalFA):
-        n = feats.shape[0]
-        if n < 2:
-            raise BatchTooSmall("batch covariance needs at least 2 samples")
-        stats = spec.stats
-        mu_t = feats.mean(axis=0)
-        centered = feats - mu_t
-        sigma_t = (centered.T @ centered) * (1.0 / n)
-        mean_gap = ((Tensor(stats.global_mu) - mu_t) ** 2).sum()
-        cov_gap = ((Tensor(stats.global_sigma) - sigma_t) ** 2).sum()
-        return mean_gap + cov_gap
-
-    if isinstance(spec, IntraOnly):
+        src, (value, grad) = feats, _global_fa(feats.data, spec.stats)
+    elif isinstance(spec, (IntraOnly, Cafa)):
         labels = _labels_for(spec, logits, pseudo_labels)
-        quads = _class_quadratics(feats, spec.stats)
-        return _intra_terms(quads, labels).mean()
-
-    if isinstance(spec, Cafa):
+        src, (value, grad) = feats, _class_kernel_loss(spec, feats.data, labels)
+    elif isinstance(spec, Entropy):
+        src, (value, grad) = logits, _entropy(logits.data)
+    elif isinstance(spec, (PseudoLabelCE, SupervisedCE)):
         labels = _labels_for(spec, logits, pseudo_labels)
-        quads = _class_quadratics(feats, spec.stats)
-        intra = _intra_terms(quads, labels)
-        denom = quads.sum(axis=0)
-        ratio_log = intra.clip_min(RATIO_FLOOR).log() - denom.clip_min(
-            RATIO_FLOOR
-        ).log()
-        return ratio_log.mean()
+        src, (value, grad) = logits, _cross_entropy(logits.data, labels)
+    else:
+        raise TypeError(f"unknown loss spec: {spec!r}")
+    inv_n = 1.0 / src.data.shape[0]
 
-    if isinstance(spec, Entropy):
-        neg_logp = _log_sum_exp(logits) - logits
-        p = (-neg_logp).exp()
-        return (p * neg_logp).sum(axis=1).mean()
+    def bw(out):
+        src._accumulate(grad(out.grad * inv_n))
 
-    if isinstance(spec, (PseudoLabelCE, SupervisedCE)):
-        labels = _labels_for(spec, logits, pseudo_labels)
-        onehot = _one_hot(labels, logits.shape[1])
-        picked = (logits * onehot).sum(axis=1, keepdims=True)
-        return (_log_sum_exp(logits) - picked).mean()
-
-    raise TypeError(f"unknown loss spec: {spec!r}")
-
+    return Tensor(value, parents=(src,), backward=bw)

@@ -2,8 +2,8 @@
 
 Feature extractor = ordered (dense -> BN -> relu) blocks; a frozen linear
 classifier sits on top. Forward passes run in one of three BN statistic
-modes. Each block is one tape node with a hand-written backward; the head
-and the losses use the generic reverse-mode ops. Gradients are restricted
+modes. Each block and the head is one tape node with a hand-written
+backward, and so is each loss (`losses.loss_tensor`). Gradients are restricted
 to a parameter group (BN affine parameters only, or the whole feature
 extractor). The classifier is never part of any adaptation parameter group.
 """
@@ -226,6 +226,25 @@ def _block(
     return Tensor(y, parents=(h, w, b, gamma, beta), backward=bw)
 
 
+def _head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The linear classifier, logits = h W^T + b, as one tape node.
+
+    Its backward is dW = g^T h, db = sum(g) and dh = g W, each computed only
+    if that parent requires a gradient.
+    """
+
+    def bw(out):
+        g = out.grad
+        if w.requires_grad:
+            w._accumulate(g.T @ h.data)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+        if h.requires_grad:
+            h._accumulate(g @ w.data)
+
+    return Tensor(h.data @ w.data.T + b.data, parents=(h, w, b), backward=bw)
+
+
 def _forward_graph(
     model: AdaptiveModel, batch: np.ndarray, mode: StatMode, grad_names=()
 ):
@@ -262,9 +281,8 @@ def _forward_graph(
             blk.bn,
             mode,
         )
-    feats = h
-    logits = feats @ params["classifier.weight"].T + params["classifier.bias"]
-    return feats, logits, params
+    logits = _head(h, params["classifier.weight"], params["classifier.bias"])
+    return h, logits, params
 
 
 def forward_features(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from tta_align import network
+from tta_align import losses, network
+from tta_align.autograd import Tensor
 from tta_align.linalg import spd_factor, spd_inverse
 from tta_align.stats import ClassGaussian, CovarianceMode, SourceStats
 
@@ -95,6 +96,32 @@ def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (up - down) / (2 * h)
     return g
+
+
+def cube_sum(t: Tensor) -> Tensor:
+    """sum(t**3) as a hand-built tape node: a smooth scalar to difference a
+    node's output through, even where a relu has its kink."""
+
+    def bw(out):
+        t._accumulate(out.grad * 3.0 * t.data**2)
+
+    return Tensor((t.data**3).sum(), parents=(t,), backward=bw)
+
+
+def loss_over(spec, leaf: Tensor, labels=None) -> Tensor:
+    """The loss node of `spec` with `leaf` as the one input it reads: the
+    features (GlobalFA, IntraOnly, Cafa) or the logits (the others)."""
+    if isinstance(spec, (losses.GlobalFA, losses.IntraOnly, losses.Cafa)):
+        return losses.loss_tensor(spec, leaf, None, pseudo_labels=labels)
+    return losses.loss_tensor(spec, None, leaf, pseudo_labels=labels)
+
+
+def loss_grad(spec, x: np.ndarray, labels=None) -> tuple[float, np.ndarray]:
+    """A loss over `x` and its gradient w.r.t. `x`."""
+    leaf = Tensor(x.copy(), requires_grad=True)
+    loss = loss_over(spec, leaf, labels)
+    loss.backward()
+    return float(loss.data), leaf.grad
 
 
 def evaluate_loss(model, batch, mode, spec, pseudo_labels=None) -> float:

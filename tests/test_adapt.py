@@ -11,7 +11,7 @@ from tta_align.adapt import (
     read_run_record_rows,
     write_run_record,
 )
-from tta_align.config import ExperimentConfig
+from tta_align.config import ExperimentConfig, tta_config_from_dict
 from tta_align.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -128,16 +128,16 @@ class TestTtaConfig:
             steps_per_batch=3,
             learning_rate=5e-4,
         )
-        again = TtaConfig.from_dict(cfg.to_dict())
+        again = tta_config_from_dict(cfg.to_dict())
         assert again == cfg
         assert again.run_name == "cafa_fast"
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigInvalid):
-            TtaConfig.from_dict({"method": "cafa", "momentum": 0.9})
+            tta_config_from_dict({"method": "cafa", "momentum": 0.9})
         # the loop draws no random numbers, so a seed would select nothing
         with pytest.raises(ConfigInvalid):
-            TtaConfig.from_dict({"method": "cafa", "seed": 0})
+            tta_config_from_dict({"method": "cafa", "seed": 0})
 
 
 class TestBaselineRuns:

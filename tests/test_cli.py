@@ -284,6 +284,9 @@ class TestReportCommand:
             "header_not_json",
             "header_without_config",
             "header_unknown_key",
+            "header_mistyped",
+            "header_invalid",
+            "no_manifest",
         ],
     )
     def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
@@ -307,6 +310,17 @@ class TestReportCommand:
                 "run_cafa.json",
                 json.dumps({"config": {"method": "cafa", "speed": 2}}),
             ),
+            "header_mistyped": (
+                "run_cafa.json",
+                json.dumps(
+                    {"config": {"method": "cafa", "steps_per_batch": "2", "learning_rate": "fast"}}
+                ),
+            ),
+            "header_invalid": (
+                "run_cafa.json",
+                json.dumps({"config": {"method": "tent", "learning_rate": -1.0}}),
+            ),
+            "no_manifest": ("manifest.json", None),
         }
         name, text = damaged[damage]
         if text is None:

@@ -4,7 +4,7 @@ import pytest
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
 from tta_align.data import SyntheticSpec
-from tta_align.errors import ConfigInvalid, TrainingDiverged
+from tta_align.errors import ConfigInvalid, StatsIoError, TrainingDiverged
 from tta_align.experiment import (
     SUMMARY_FIELDS,
     MethodSummary,
@@ -150,5 +150,9 @@ class TestReportFiles:
         assert header.split() == list(SUMMARY_FIELDS)
 
     def test_rebuild_missing_manifest(self, tmp_path):
-        with pytest.raises(ConfigInvalid):
+        # a run directory without its manifest is malformed (exit 3); a
+        # run directory that does not exist is a usage error (exit 1)
+        with pytest.raises(StatsIoError):
             rebuild_report(str(tmp_path))
+        with pytest.raises(ConfigInvalid):
+            rebuild_report(str(tmp_path / "nowhere"))

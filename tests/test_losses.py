@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from helpers import (
     exact_gaussian,
     gauss_jordan_inverse,
+    loss_grad,
+    loss_over,
+    numeric_grad,
     random_spd,
     random_stats,
+    small_model,
     stats_from_gaussians,
 )
-from tta_align import losses
+from tta_align import losses, network
 from tta_align.autograd import Tensor
 from tta_align.errors import BatchTooSmall, DimensionMismatch, SingleClass, UnknownClass
 from tta_align.losses import (
@@ -20,10 +24,21 @@ from tta_align.losses import (
     GlobalFA,
     IntraOnly,
     PseudoLabelCE,
+    SupervisedCE,
     distance_report,
     loss_tensor,
     mahalanobis,
 )
+from tta_align.network import ParamGroup, StatMode
+
+SPECS = {  # name -> spec from (stats, labels)
+    "global_fa": lambda stats, y: GlobalFA(stats),
+    "intra": lambda stats, y: IntraOnly(stats),
+    "cafa": lambda stats, y: Cafa(stats),
+    "entropy": lambda stats, y: Entropy(),
+    "pseudo_label": lambda stats, y: PseudoLabelCE(),
+    "supervised": lambda stats, y: SupervisedCE(y),
+}
 
 
 def loss_value(spec, feats=None, logits=None, labels=None) -> float:
@@ -35,7 +50,7 @@ def loss_value(spec, feats=None, logits=None, labels=None) -> float:
 
 def class_quadratics(batch, stats) -> np.ndarray:
     """The batched class kernel as plain numbers, C x N."""
-    return losses._class_quadratics(Tensor(np.atleast_2d(batch)), stats).data
+    return losses._class_quadratics(np.atleast_2d(batch), stats)[0]
 
 
 def report_one(x, label, stats):
@@ -176,7 +191,8 @@ class TestIntraInter:
 
 
 class TestClassKernel:
-    """The kernel as one tape node with the analytic gradient 2 P (x - mu)."""
+    """The kernel's forms and the products P (x - mu) that give its gradient
+    2 sum_c w_cn P_c (x_n - mu_c) for weights w = d loss / d quads."""
 
     @staticmethod
     def _setup(seed):
@@ -185,46 +201,34 @@ class TestClassKernel:
         return stats, rng.normal(size=(7, 5)), rng.normal(size=(4, 7))
 
     @staticmethod
-    def _grad(build, x, weights):
-        t = Tensor(x, requires_grad=True)
-        (build(t) * Tensor(weights)).sum().backward()
-        return t.grad
+    def _grad(x, stats, weights):
+        _, pd = losses._class_quadratics(x, stats)
+        return 2.0 * np.einsum("cn,cnd->nd", weights, pd)
 
     def test_gradient_matches_finite_differences(self):
         stats, x, w = self._setup(30)
-        grad = self._grad(lambda t: losses._class_quadratics(t, stats), x, w)
 
         def value(arr):
             return float(np.sum(class_quadratics(arr, stats) * w))
 
-        fd = np.zeros_like(x)
-        for idx in np.ndindex(*x.shape):
-            step = np.zeros_like(x)
-            step[idx] = 1e-6
-            fd[idx] = (value(x + step) - value(x - step)) / 2e-6
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+        fd = numeric_grad(value, x.copy())
+        np.testing.assert_allclose(self._grad(x, stats, w), fd, rtol=1e-6, atol=1e-6)
 
     def test_gradient_matches_composed_tape(self):
-        def composed(t):
-            # the kernel built from generic tape ops, each with its own backward
-            mus = np.stack([g.mu for g in stats.classes])
-            precs = np.stack([g.precision for g in stats.classes])
-            diff = t - Tensor(mus[:, None, :])
-            return ((diff @ Tensor(precs)) * diff).sum(axis=2)
-
+        # a plain loop over the general form (P + P^T)(x - mu), which needs
+        # no symmetry of P
         stats, x, w = self._setup(31)
-        grad = self._grad(lambda t: losses._class_quadratics(t, stats), x, w)
-        ref = self._grad(composed, x, w)
-        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0.0)
-        assert np.array_equal(
-            losses._class_quadratics(Tensor(x), stats).data, composed(Tensor(x)).data
-        )
+        ref = np.zeros_like(x)
+        for n in range(x.shape[0]):
+            for c, g in enumerate(stats.classes):
+                ref[n] += w[c, n] * (g.precision + g.precision.T) @ (x[n] - g.mu)
+        np.testing.assert_allclose(self._grad(x, stats, w), ref, rtol=1e-12, atol=0.0)
 
     def test_no_graph_without_grad_leaf(self):
         stats, x, _ = self._setup(32)
-        quads = losses._class_quadratics(Tensor(x), stats)
-        assert not quads.requires_grad
-        assert quads._parents == [] and quads._backward is None
+        loss = loss_tensor(Cafa(stats), Tensor(x), None, pseudo_labels=np.arange(7) % 4)
+        assert not loss.requires_grad
+        assert loss._parents == [] and loss._backward is None
 
 
 class TestGlobalFaLoss:
@@ -371,6 +375,85 @@ class TestBaselineLosses:
             loss_value(
                 PseudoLabelCE(), logits=np.zeros((2, 3)), labels=np.array([0, 3])
             )
+
+
+def generic_order_loss(spec, feats, logits, labels):
+    """A loss in the operation order of a generic op-by-op tape: a - b as
+    a + (-b), a mean as sum * (1/n), a label's entry as a one-hot product
+    sum. `loss_tensor` must give these values bit for bit."""
+    if isinstance(spec, GlobalFA):
+        inv_n = 1.0 / feats.shape[0]
+        mu = feats.sum(axis=0) * inv_n
+        centered = feats + (-mu)
+        sigma = (centered.T @ centered) * inv_n
+        mean_gap = ((spec.stats.global_mu + (-mu)) ** 2).sum()
+        return mean_gap + ((spec.stats.global_sigma + (-sigma)) ** 2).sum()
+    if isinstance(spec, (IntraOnly, Cafa)):
+        quads = class_quadratics(feats, spec.stats)
+        intra = (quads * np.eye(quads.shape[0])[labels].T).sum(axis=0)
+        if isinstance(spec, IntraOnly):
+            return intra.sum() * (1.0 / intra.size)
+        floored = np.maximum(quads.sum(axis=0), RATIO_FLOOR)
+        terms = np.log(np.maximum(intra, RATIO_FLOOR)) + (-np.log(floored))
+        return terms.sum() * (1.0 / terms.size)
+    shift = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits + (-shift)).sum(axis=1, keepdims=True)) + shift
+    if isinstance(spec, Entropy):
+        neg_logp = lse + (-logits)
+        h = (np.exp(-neg_logp) * neg_logp).sum(axis=1)
+        return h.sum() * (1.0 / h.size)
+    picked = (logits * np.eye(logits.shape[1])[labels]).sum(axis=1, keepdims=True)
+    terms = lse + (-picked)
+    return terms.sum() * (1.0 / terms.size)
+
+
+class TestLossGradients:
+    """Each loss node's closed-form backward w.r.t. the input it reads."""
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_matches_central_differences(self, name):
+        rng = np.random.default_rng(40)
+        stats = random_stats(rng, 4, 4)  # 4 classes: labels index logits too
+        x = 1.5 * rng.normal(size=(6, 4))
+        y = rng.integers(0, 4, size=6)
+        spec = SPECS[name](stats, y)
+        _, g = loss_grad(spec, x, y)
+        fd = numeric_grad(lambda a: float(loss_over(spec, Tensor(a), y).data), x.copy())
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
+
+    def test_cafa_floored_term_has_zero_gradient(self):
+        # sample 2 sits within 1e-9 of its class mean, so its intra form is
+        # clamped at RATIO_FLOOR, and stays clamped under steps of 1e-7: its
+        # log-ratio term is flat there, and the backward must agree
+        rng = np.random.default_rng(41)
+        stats = random_stats(rng, 3, 4)
+        x = rng.normal(size=(5, 4))
+        x[2] = stats.classes[1].mu + 1e-9 * rng.normal(size=4)
+        y = np.array([0, 2, 1, 1, 0])
+        assert class_quadratics(x, stats)[1, 2] < RATIO_FLOOR
+        _, g = loss_grad(Cafa(stats), x, y)
+        fd = numeric_grad(lambda a: float(loss_over(Cafa(stats), Tensor(a), y).data), x.copy(), h=1e-7)
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6)
+
+    def test_values_keep_the_generic_order_bit_for_bit(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            model = small_model(rng)
+            stats = random_stats(rng, 3, 5)
+            # 12 rows: a 1/N that is a power of two would hide sum / N
+            x = rng.normal(size=(12, 6))
+            y = rng.integers(0, 3, size=12)
+            for mode in StatMode:
+                for group in ParamGroup:
+                    for make in SPECS.values():
+                        spec = make(stats, y)
+                        m = model.copy()
+                        names = m.group_param_names(group)
+                        loss, _, feats = network.loss_and_grad_named(m, x, mode, spec, names)
+                        logits = network.forward_logits(m, feats)
+                        labels = y if isinstance(spec, SupervisedCE) else logits.argmax(axis=1)
+                        ref = generic_order_loss(spec, feats, logits, labels)
+                        assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
 
 
 class TestDistanceReport:

@@ -1,9 +1,12 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from tta_align.config import ExperimentConfig
 from tta_align.data import SyntheticSpec
@@ -27,3 +30,23 @@ def test_write_default_config_round_trips(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["synthetic"]) == {f.name for f in fields(SyntheticSpec)}
     assert doc["synthetic"]["class_means"] is None
+
+
+def test_sweep_steps_writes_one_summary_row_per_run(tmp_path):
+    script = REPO / "scripts" / "sweep_steps.py"
+    subprocess.run(
+        [sys.executable, str(script), "--steps", "1", "--out-dir", str(tmp_path)],
+        check=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        timeout=300,
+    )
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == ["source", "cafa_steps_1"]
+    for row in rows:
+        with open(tmp_path / f"run_{row['method']}.csv", newline="") as fh:
+            accuracies = [float(r["accuracy"]) for r in csv.DictReader(fh)]
+        assert len(accuracies) == 60  # the default stream
+        assert float(row["mean_accuracy"]) == float(np.mean(accuracies))
+        assert 0.0 < float(row["final_quarter_accuracy"]) <= 1.0
