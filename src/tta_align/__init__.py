@@ -18,10 +18,10 @@ from .network import (
     AdaptiveModel,
     BnLayer,
     DenseLayer,
+    Forward,
     ParamGroup,
     StatMode,
     forward_features,
-    forward_logits,
     init_model,
     load_checkpoint,
     predict,

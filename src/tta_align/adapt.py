@@ -197,13 +197,13 @@ def read_run_record_rows(csv_path) -> list[BatchRow]:
 # -- the adaptation loop ----------------------------------------------------------
 
 
-def _observe(model: AdaptiveModel, feats: np.ndarray, y: np.ndarray, stats):
-    """Accuracy and report distances of one batch's pre-update features."""
-    preds = network.argmax_rows(network.forward_logits(model, feats))
-    accuracy = float(np.mean(preds == y))
+def _observe(forward: network.Forward, y: np.ndarray, stats):
+    """Accuracy and report distances of one batch's pre-update forward; the
+    report reads the forward's class kernel when its loss built one."""
+    accuracy = float(np.mean(network.argmax_rows(forward.logits) == y))
     if stats is None or stats.n_classes < 2:
         return accuracy, float("nan"), float("nan")
-    report = losses.distance_report(feats, y, stats)
+    report = losses.distance_report(forward.feats, y, stats, forward.quads)
     return accuracy, report.mean_intra, report.mean_inter
 
 
@@ -231,11 +231,11 @@ def adapt_stream(
         y = np.asarray(y, dtype=np.int64)
         loss_value = float("nan")
         if spec is None:
-            observed = _observe(model, network.forward_features(model, x, mode), y, stats)
+            observed = _observe(network.forward_features(model, x, mode), y, stats)
         for step in range(config.steps_per_batch):  # none for loss-free methods
             # recomputed forward: pseudo-labels track current parameters
             try:
-                step_loss, grads, feats = network.loss_and_grad_named(
+                step_loss, grads, forward = network.loss_and_grad_named(
                     model, x, mode, spec, group_names
                 )
             except NonFiniteLoss as exc:
@@ -243,9 +243,9 @@ def adapt_stream(
                 raise
             if step == 0:
                 # step 1 runs on this batch's pre-update parameters in the
-                # stat mode a prediction uses: its features are the prediction's
+                # stat mode a prediction uses: its forward is the prediction's
                 loss_value = step_loss
-                observed = _observe(model, feats, y, stats)
+                observed = _observe(forward, y, stats)
             adam_step(
                 params,
                 grads,

@@ -75,11 +75,16 @@ def mahalanobis(x_feat: np.ndarray, g: ClassGaussian) -> float:
     return float(delta @ g.precision @ delta)
 
 
-def distance_report(batch_feats, true_labels, stats: SourceStats) -> DistanceReport:
+def distance_report(
+    batch_feats, true_labels, stats: SourceStats, quads=None
+) -> DistanceReport:
     """Batch-mean intra/inter distances under ground-truth labels.
 
     Instrumentation only; no loss ever consumes ground-truth labels. Reads
     the same class kernel as the CAFA loss, so the two cannot drift apart.
+    `quads`, when given, is that C x N kernel already computed on
+    `batch_feats` (the one an IntraOnly or Cafa loss read); otherwise the
+    report computes it.
     """
     if stats.n_classes < 2:
         raise SingleClass("inter-class distance needs at least 2 classes")
@@ -88,7 +93,12 @@ def distance_report(batch_feats, true_labels, stats: SourceStats) -> DistanceRep
     if feats.ndim != 2 or y.shape != feats.shape[:1]:
         raise DimensionMismatch(f"features {feats.shape} vs labels {y.shape}")
     _check_labels(y, stats.n_classes)  # a gather would wrap a label of -1
-    quads, _ = _class_quadratics(feats, stats)
+    if quads is None:
+        quads, _ = _class_quadratics(feats, stats)
+    elif quads.shape != (stats.n_classes, y.size):
+        raise DimensionMismatch(
+            f"class kernel {quads.shape} vs {stats.n_classes} classes x {y.size} samples"
+        )
     intra = quads[y, np.arange(y.size)]
     inter = (quads.sum(axis=0) - intra) / (stats.n_classes - 1)
     return DistanceReport(
@@ -127,7 +137,7 @@ def _class_quadratics(x: np.ndarray, stats: SourceStats):
         raise DimensionMismatch(f"feature dim {x.shape[-1]} vs {mus.shape[1]}")
     diff = x - mus[:, None, :]
     pd = diff @ stats.class_precisions
-    return (pd * diff).sum(axis=2), pd
+    return np.einsum("cnd,cnd->cn", pd, diff), pd
 
 
 # Each builder returns (loss value, grad), where grad(s) is the gradient of
@@ -156,22 +166,23 @@ def _global_fa(x: np.ndarray, stats: SourceStats):
     return value, grad
 
 
-def _class_kernel_loss(spec, x: np.ndarray, labels: np.ndarray):
+def _class_kernel_loss(spec, quads: np.ndarray, pd: np.ndarray, labels: np.ndarray):
     """IntraOnly: the mean intra form. Cafa: the mean log-ratio of the intra
-    form over the summed forms, each clamped at RATIO_FLOOR."""
-    quads, pd = _class_quadratics(x, spec.stats)
+    form over the summed forms, each clamped at RATIO_FLOOR. Reads the
+    kernel `_class_quadratics` returned."""
     _check_labels(labels, quads.shape[0])
-    cols = np.arange(x.shape[0])
+    n = quads.shape[1]
+    cols = np.arange(n)
     intra = quads[labels, cols]
     if isinstance(spec, IntraOnly):
-        value = intra.sum() * (1.0 / x.shape[0])
+        value = intra.sum() * (1.0 / n)
         w = np.zeros_like(quads)
         w[labels, cols] = 1.0
     else:
         denom = quads.sum(axis=0)
         num_c = np.maximum(intra, RATIO_FLOOR)
         den_c = np.maximum(denom, RATIO_FLOOR)
-        value = (np.log(num_c) - np.log(den_c)).sum() * (1.0 / x.shape[0])
+        value = (np.log(num_c) - np.log(den_c)).sum() * (1.0 / n)
         # 1/intra at the labelled class minus 1/denom at every class, each
         # zero wherever its clamp is active
         w = np.tile(-((denom > RATIO_FLOOR) / den_c), (quads.shape[0], 1))
@@ -214,10 +225,11 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray):
     return value, grad
 
 
-def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None) -> Tensor:
-    """The scalar loss of any LossSpec as one tape node.
+def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None):
+    """The scalar loss of any LossSpec as one tape node, and the C x N class
+    kernel it read (IntraOnly, Cafa) or None.
 
-    Its one parent is what the loss reads: the features (GlobalFA,
+    The node's one parent is what the loss reads: the features (GlobalFA,
     IntraOnly, Cafa) or the logits (Entropy and the cross-entropies). Its
     backward is the loss's closed-form gradient. Forwards take a mean as
     sum * (1/N), the order the recorded `loss` columns were computed in;
@@ -225,11 +237,13 @@ def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None) -> Tens
     overrides the argmax labels (used to freeze labels across
     finite-difference evaluations).
     """
+    quads = None
     if isinstance(spec, GlobalFA):
         src, (value, grad) = feats, _global_fa(feats.data, spec.stats)
     elif isinstance(spec, (IntraOnly, Cafa)):
         labels = _labels_for(spec, logits, pseudo_labels)
-        src, (value, grad) = feats, _class_kernel_loss(spec, feats.data, labels)
+        quads, pd = _class_quadratics(feats.data, spec.stats)
+        src, (value, grad) = feats, _class_kernel_loss(spec, quads, pd, labels)
     elif isinstance(spec, Entropy):
         src, (value, grad) = logits, _entropy(logits.data)
     elif isinstance(spec, (PseudoLabelCE, SupervisedCE)):
@@ -242,4 +256,4 @@ def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None) -> Tens
     def bw(out):
         src._accumulate(grad(out.grad * inv_n))
 
-    return Tensor(value, parents=(src,), backward=bw)
+    return Tensor(value, parents=(src,), backward=bw), quads

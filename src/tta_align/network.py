@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import json
+import zipfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,25 +287,24 @@ def _forward_graph(
     return h, logits, params
 
 
-def forward_features(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:
-    feats, _, _ = _forward_graph(model, batch, mode)
-    return feats.data
+class Forward(NamedTuple):
+    """What one forward pass computed: the features, the logits the head
+    built from them and, when a loss read it, the C x N class kernel of the
+    features (`losses._class_quadratics`)."""
+
+    feats: np.ndarray
+    logits: np.ndarray
+    quads: np.ndarray | None = None
 
 
-def forward_logits(model: AdaptiveModel, features) -> np.ndarray:
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != model.classifier.weight.shape[1]:
-        raise DimensionMismatch(
-            f"features shape {f.shape} vs classifier input "
-            f"{model.classifier.weight.shape[1]}"
-        )
-    return f @ model.classifier.weight.T + model.classifier.bias
+def forward_features(model: AdaptiveModel, batch, mode: StatMode) -> Forward:
+    """One forward with no graph: the features and their logits."""
+    feats, logits, _ = _forward_graph(model, batch, mode)
+    return Forward(feats.data, logits.data)
 
 
 def predict(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:
-    feats = forward_features(model, batch, mode)
-    logits = forward_logits(model, feats)
-    return argmax_rows(logits)
+    return argmax_rows(forward_features(model, batch, mode).logits)
 
 
 def argmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -319,8 +320,8 @@ def _loss_graph(model, batch, mode, loss_spec, pseudo_labels=None, grad_names=()
     from .losses import loss_tensor
 
     feats, logits, params = _forward_graph(model, batch, mode, grad_names)
-    loss = loss_tensor(loss_spec, feats, logits, pseudo_labels=pseudo_labels)
-    return loss, feats, params
+    loss, quads = loss_tensor(loss_spec, feats, logits, pseudo_labels=pseudo_labels)
+    return loss, Forward(feats.data, logits.data, quads), params
 
 
 def loss_and_grad_named(
@@ -330,13 +331,14 @@ def loss_and_grad_named(
     loss_spec,
     names: list[str],
     pseudo_labels=None,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[float, dict[str, np.ndarray], Forward]:
     """Loss value, gradients w.r.t. the named parameters only, and the
-    features of the forward the loss was built on.
+    forward the loss was built on (with the class kernel, if the loss read
+    one).
 
     A named parameter the loss does not reach gets a zero gradient.
     """
-    loss, feats, params = _loss_graph(
+    loss, forward, params = _loss_graph(
         model, batch, mode, loss_spec, pseudo_labels, names
     )
     if not np.isfinite(loss.data):
@@ -346,7 +348,7 @@ def loss_and_grad_named(
     for name in names:
         p = params[name]
         grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
-    return float(loss.data), grads, feats.data
+    return float(loss.data), grads, forward
 
 
 # -- checkpoint i/o -----------------------------------------------------------
@@ -372,9 +374,13 @@ def save_checkpoint(model: AdaptiveModel, path) -> None:
 
 def load_checkpoint(path) -> AdaptiveModel:
     try:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise StatsIoError(f"{path} is not a checkpoint archive")
+        with data:
             arrays = {k: data[k] for k in data.files}
-    except OSError as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        # garbage bytes are refused as a pickle, a cut archive as a zip
         raise StatsIoError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         header = json.loads(bytes(arrays.pop("__header__")).decode())

@@ -149,7 +149,7 @@ def estimate_source_stats(
     eps_scale: float = DEFAULT_EPS_SCALE,
 ) -> SourceStats:
     """Extract features with stored running statistics, then fit Gaussians."""
-    feats = network.forward_features(model, inputs, network.StatMode.RUNNING_EVAL)
+    feats = network.forward_features(model, inputs, network.StatMode.RUNNING_EVAL).feats
     return fit_source_stats(feats, labels, mode=mode, eps_scale=eps_scale)
 
 
@@ -210,14 +210,24 @@ def load_stats(path) -> SourceStats:
         raise CorruptChecksum(f"{path} is truncated")
     if hashlib.sha256(body).digest() != digest:
         raise CorruptChecksum(f"checksum mismatch in {path}")
-    header = json.loads(body[:header_len].decode())
     payload = body[header_len:]
-
-    d = header["feature_dim"]
-    n_classes = header["n_classes"]
-    mode = CovarianceMode(header["covariance_mode"])
-    eps_scale = header["eps_scale"]
-    expected = (n_classes + 1) * (d + d * d) * 8
+    try:
+        header = json.loads(body[:header_len].decode())
+        d = header["feature_dim"]
+        n_classes = header["n_classes"]
+        mode = CovarianceMode(header["covariance_mode"])
+        eps_scale = header["eps_scale"]
+        n_samples = header["n_samples"]
+        warnings = list(header["warnings"])
+        if not all(type(v) is int for v in (d, n_classes, *n_samples)):
+            raise ValueError("feature_dim, n_classes and n_samples must be integers")
+        if len(n_samples) != n_classes:
+            raise ValueError(f"{len(n_samples)} sample counts for {n_classes} classes")
+        if type(eps_scale) not in (int, float) or not all(isinstance(w, str) for w in warnings):
+            raise ValueError("eps_scale must be a number and warnings a list of strings")
+        expected = (n_classes + 1) * (d + d * d) * 8
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StatsIoError(f"malformed stats header in {path}: {exc!r}") from exc
     if len(payload) != expected:
         raise CorruptChecksum(f"payload size {len(payload)} != expected {expected}")
 
@@ -236,7 +246,7 @@ def load_stats(path) -> SourceStats:
         mu = take(d)
         sigma = take(d * d).reshape(d, d)
         precision = regularized_precision(sigma, eps_scale)
-        classes.append(ClassGaussian(c, mu, sigma, precision, header["n_samples"][c]))
+        classes.append(ClassGaussian(c, mu, sigma, precision, n_samples[c]))
     global_mu = take(d)
     global_sigma = take(d * d).reshape(d, d)
     return SourceStats(
@@ -246,5 +256,5 @@ def load_stats(path) -> SourceStats:
         covariance_mode=mode,
         feature_dim=d,
         eps_scale=eps_scale,
-        warnings=list(header["warnings"]),
+        warnings=warnings,
     )

@@ -112,8 +112,8 @@ def loss_over(spec, leaf: Tensor, labels=None) -> Tensor:
     """The loss node of `spec` with `leaf` as the one input it reads: the
     features (GlobalFA, IntraOnly, Cafa) or the logits (the others)."""
     if isinstance(spec, (losses.GlobalFA, losses.IntraOnly, losses.Cafa)):
-        return losses.loss_tensor(spec, leaf, None, pseudo_labels=labels)
-    return losses.loss_tensor(spec, None, leaf, pseudo_labels=labels)
+        return losses.loss_tensor(spec, leaf, None, pseudo_labels=labels)[0]
+    return losses.loss_tensor(spec, None, leaf, pseudo_labels=labels)[0]
 
 
 def loss_grad(spec, x: np.ndarray, labels=None) -> tuple[float, np.ndarray]:

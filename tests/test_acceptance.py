@@ -56,9 +56,7 @@ def test_criterion_1_gradient_correctness(capsys):
         stats = random_stats(rng, 4, 5)
         x = rng.normal(size=(16, 6))
         names = model.group_param_names(ParamGroup.BN_ONLY)
-        logits = network.forward_logits(
-            model, network.forward_features(model, x, StatMode.BATCH_ONLY)
-        )
+        logits = network.forward_features(model, x, StatMode.BATCH_ONLY).logits
         frozen = network.argmax_rows(logits)
         specs = [
             losses.GlobalFA(stats),
@@ -175,7 +173,7 @@ def test_criterion_4_degeneracy(capsys):
     zeros = all(
         losses.loss_tensor(
             losses.Cafa(stats), Tensor(rng.normal(size=(8, 4))), None, labels
-        ).data
+        )[0].data
         == 0.0
         for _ in range(5)
     )

@@ -221,24 +221,62 @@ class TestOnlineProtocol:
         )
 
     def test_prediction_before_update_by_replay(self):
+        # cafa and intra report from their step-1 loss's class kernel,
+        # entropy computes its own: each must equal a standalone report
         rng = np.random.default_rng(4)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         batches = make_batches(rng)
-        cfg = TtaConfig(method="cafa", steps_per_batch=2, batch_size=16)
-        _, record = adapt_stream(model.copy(), stats, batches, cfg)
-        # batch i's recorded accuracy and distance report must come from the
-        # model adapted on < i
-        for i in range(len(batches)):
-            prefix_model = model.copy()
-            adapt_stream(prefix_model, stats, batches[:i], cfg)
-            x, y = batches[i]
-            preds = network.predict(prefix_model, x, StatMode.BATCH_ONLY)
-            assert record.rows[i].accuracy == float(np.mean(preds == y))
-            feats = network.forward_features(prefix_model, x, StatMode.BATCH_ONLY)
-            report = losses.distance_report(feats, y, stats)
-            assert record.rows[i].mean_intra == report.mean_intra
-            assert record.rows[i].mean_inter == report.mean_inter
+        for method in ("cafa", "intra", "entropy"):
+            cfg = TtaConfig(method=method, steps_per_batch=2, batch_size=16)
+            _, record = adapt_stream(model.copy(), stats, batches, cfg)
+            # batch i's recorded accuracy and distance report must come from
+            # the model adapted on < i
+            for i in range(len(batches)):
+                prefix_model = model.copy()
+                adapt_stream(prefix_model, stats, batches[:i], cfg)
+                x, y = batches[i]
+                preds = network.predict(prefix_model, x, StatMode.BATCH_ONLY)
+                assert record.rows[i].accuracy == float(np.mean(preds == y))
+                feats = network.forward_features(prefix_model, x, StatMode.BATCH_ONLY).feats
+                report = losses.distance_report(feats, y, stats)
+                assert record.rows[i].mean_intra == report.mean_intra
+                assert record.rows[i].mean_inter == report.mean_inter
+
+    @pytest.mark.parametrize(
+        "method, steps, kernels_per_batch",
+        [
+            ("cafa", 1, 1),
+            ("cafa", 3, 3),
+            ("intra", 2, 2),
+            ("pl", 2, 1),
+            ("entropy", 1, 1),
+            ("global_fa", 2, 1),
+            ("source", 0, 1),
+            ("bn", 0, 1),
+        ],
+    )
+    def test_one_class_kernel_per_step(self, monkeypatch, method, steps, kernels_per_batch):
+        # a kernel loss builds one kernel per step and the report reads the
+        # step-1 one; any other batch builds the report's kernel alone
+        rng = np.random.default_rng(10)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        calls = []
+        original = losses._class_quadratics
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "_class_quadratics", counting)
+        adapt_stream(
+            model,
+            stats,
+            make_batches(rng, n_batches=4),
+            TtaConfig(method=method, steps_per_batch=steps, batch_size=16),
+        )
+        assert len(calls) == 4 * kernels_per_batch
 
     def test_each_step_executes_once(self, monkeypatch):
         rng = np.random.default_rng(5)

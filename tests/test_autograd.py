@@ -71,15 +71,17 @@ def check_head_grad(arrays, i):
 
 class TestForwardValues:
     def test_matmul_and_transpose(self):
-        # the head node's logits are h W^T + b, bit for bit what prediction
-        # computes from the same features
+        # the head node's logits are h W^T + b, bit for bit what a
+        # graph-free forward (and so prediction) reads
         rng = np.random.default_rng(0)
         model = small_model(rng)
         x = rng.normal(size=(7, 6))
         feats, logits, _ = network._forward_graph(model, x, StatMode.BATCH_ONLY)
         clf = model.classifier
         assert np.array_equal(logits.data, feats.data @ clf.weight.T + clf.bias)
-        assert np.array_equal(logits.data, network.forward_logits(model, feats.data))
+        assert np.array_equal(
+            logits.data, network.forward_features(model, x, StatMode.BATCH_ONLY).logits
+        )
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):

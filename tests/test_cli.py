@@ -152,7 +152,7 @@ class TestAdaptCommand:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["missing_key", "wrong_shape"])
+    @pytest.mark.parametrize("damage", ["missing_key", "wrong_shape", "garbage_bytes"])
     def test_malformed_checkpoint_is_io_error(self, pretrained, capsys, damage):
         config, out = pretrained
         path = out / "checkpoint.npz"
@@ -160,9 +160,11 @@ class TestAdaptCommand:
             arrays = {k: data[k] for k in data.files}
         if damage == "missing_key":
             del arrays["classifier.bias"]
-        else:
+        elif damage == "wrong_shape":
             arrays["classifier.weight"] = arrays["classifier.weight"][:, :-1]
         np.savez(path, **arrays)
+        if damage == "garbage_bytes":  # not an archive at all
+            path.write_bytes(b"\x00garbage" * 16)
         code = cli.main(
             [
                 "adapt",

@@ -45,7 +45,7 @@ def loss_value(spec, feats=None, logits=None, labels=None) -> float:
     """A loss as a plain number, built by the one entry point `loss_tensor`."""
     feats = None if feats is None else Tensor(feats)
     logits = None if logits is None else Tensor(logits)
-    return float(loss_tensor(spec, feats, logits, pseudo_labels=labels).data)
+    return float(loss_tensor(spec, feats, logits, pseudo_labels=labels)[0].data)
 
 
 def class_quadratics(batch, stats) -> np.ndarray:
@@ -226,7 +226,7 @@ class TestClassKernel:
 
     def test_no_graph_without_grad_leaf(self):
         stats, x, _ = self._setup(32)
-        loss = loss_tensor(Cafa(stats), Tensor(x), None, pseudo_labels=np.arange(7) % 4)
+        loss, _ = loss_tensor(Cafa(stats), Tensor(x), None, pseudo_labels=np.arange(7) % 4)
         assert not loss.requires_grad
         assert loss._parents == [] and loss._backward is None
 
@@ -449,8 +449,9 @@ class TestLossGradients:
                         spec = make(stats, y)
                         m = model.copy()
                         names = m.group_param_names(group)
-                        loss, _, feats = network.loss_and_grad_named(m, x, mode, spec, names)
-                        logits = network.forward_logits(m, feats)
+                        loss, _, (feats, logits, _) = network.loss_and_grad_named(
+                            m, x, mode, spec, names
+                        )
                         labels = y if isinstance(spec, SupervisedCE) else logits.argmax(axis=1)
                         ref = generic_order_loss(spec, feats, logits, labels)
                         assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
@@ -508,6 +509,19 @@ class TestDistanceReport:
             distance_report(np.zeros((3, 5)), np.arange(3), stats)
         with pytest.raises(DimensionMismatch):
             loss_value(Cafa(stats), np.zeros((3, 5)), labels=np.arange(3))
+
+    def test_given_kernel(self):
+        # a kernel handed in is read as is; one of the wrong shape is refused
+        rng = np.random.default_rng(26)
+        stats = random_stats(rng, 3, 4)
+        batch = rng.normal(size=(5, 4))
+        labels = rng.integers(0, 3, size=5)
+        quads = class_quadratics(batch, stats)
+        assert distance_report(batch, labels, stats, quads) == distance_report(
+            batch, labels, stats
+        )
+        with pytest.raises(DimensionMismatch):
+            distance_report(batch, labels, stats, quads[:, :4])
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,6 +18,7 @@ from helpers import (
     states_equal,
 )
 from tta_align import losses, network
+from tta_align.adapt import TtaConfig, adapt_stream
 from tta_align.autograd import Tensor
 from tta_align.errors import (
     BatchTooSmall,
@@ -108,7 +109,7 @@ class TestForwardFeatures:
         model = scalar_block(gamma=2.0, beta=3.0)
         feats = network.forward_features(
             model, np.array([[-1.0], [1.0]]), StatMode.BATCH_ONLY
-        )
+        ).feats
         np.testing.assert_allclose(feats, [[1.0], [5.0]], atol=1e-4)
 
     def test_standardized_batch_passthrough(self):
@@ -116,7 +117,7 @@ class TestForwardFeatures:
         model = scalar_block(gamma=1.0, beta=3.0)  # +3 keeps relu inactive
         feats = network.forward_features(
             model, np.array([[-1.0], [1.0]]), StatMode.BATCH_ONLY
-        )
+        ).feats
         np.testing.assert_allclose(feats, [[2.0], [4.0]], atol=1e-4)
 
     @pytest.mark.parametrize(
@@ -131,7 +132,7 @@ class TestForwardFeatures:
             blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
         x = rng.normal(size=(8, 5))
         oracle = loop_forward(model, x, mode)
-        feats = network.forward_features(model.copy(), x, mode)
+        feats = network.forward_features(model.copy(), x, mode).feats
         assert np.max(np.abs(feats - oracle)) < 1e-10
 
     def test_train_update_refreshes_running_stats(self):
@@ -161,8 +162,8 @@ class TestForwardFeatures:
         rng = np.random.default_rng(6)
         model = small_model(rng)
         x = rng.normal(size=(10, 6))
-        a = network.forward_features(model, x, StatMode.BATCH_ONLY)
-        b = network.forward_features(model, x + 7.25, StatMode.BATCH_ONLY)
+        a = network.forward_features(model, x, StatMode.BATCH_ONLY).feats
+        b = network.forward_features(model, x + 7.25, StatMode.BATCH_ONLY).feats
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_batch_too_small(self):
@@ -172,7 +173,7 @@ class TestForwardFeatures:
             network.forward_features(model, np.zeros((1, 6)), StatMode.BATCH_ONLY)
         # running-stat mode accepts single samples
         out = network.forward_features(model, np.zeros((1, 6)), StatMode.RUNNING_EVAL)
-        assert out.shape == (1, 5)
+        assert out.feats.shape == (1, 5)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(8)
@@ -199,7 +200,7 @@ class TestBlockNode:
         h = x
         for blk in oracle.blocks:
             h = tape_order_block(h, blk, mode)
-        feats = network.forward_features(model, x, mode)
+        feats = network.forward_features(model, x, mode).feats
         assert feats.tobytes() == h.tobytes()
         for got, want in zip(model.blocks, oracle.blocks):
             assert got.bn.running_mean.tobytes() == want.bn.running_mean.tobytes()
@@ -262,32 +263,52 @@ class TestLogitsAndPredict:
         rng = np.random.default_rng(9)
         model = small_model(rng, hidden_dims=(4,), n_classes=4)
         model.classifier = DenseLayer(weight=np.eye(4), bias=np.zeros(4))
-        feats = rng.normal(size=(5, 4))
-        assert np.array_equal(network.forward_logits(model, feats), feats)
+        out = network.forward_features(model, rng.normal(size=(5, 6)), StatMode.BATCH_ONLY)
+        assert np.array_equal(out.logits, out.feats)
 
     def test_zero_features_give_bias(self):
         rng = np.random.default_rng(10)
         model = small_model(rng)
+        model.blocks[-1].bn.gamma[:] = 0.0  # relu(0 * x_hat + 0) = 0
         model.classifier.bias[:] = [0.5, -1.0, 2.0]
-        logits = network.forward_logits(model, np.zeros((3, 5)))
-        assert np.array_equal(logits, np.tile([0.5, -1.0, 2.0], (3, 1)))
+        out = network.forward_features(model, rng.normal(size=(3, 6)), StatMode.BATCH_ONLY)
+        assert np.array_equal(out.feats, np.zeros((3, 5)))
+        assert np.array_equal(out.logits, np.tile([0.5, -1.0, 2.0], (3, 1)))
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(11)
         model = small_model(rng)
-        feats = rng.normal(size=(6, 5))
-        logits = network.forward_logits(model, feats)
+        out = network.forward_features(model, rng.normal(size=(6, 6)), StatMode.BATCH_ONLY)
+        feats, logits = out.feats, out.logits
         w, b = model.classifier.weight, model.classifier.bias
         for i in range(6):
             for c in range(3):
                 ref = sum(feats[i, k] * w[c, k] for k in range(5)) + b[c]
                 assert abs(logits[i, c] - ref) < 1e-12
 
-    def test_feature_dim_mismatch(self):
+    @pytest.mark.parametrize("method", ["predict", "source", "bn"])
+    def test_one_head_per_forward(self, monkeypatch, method):
+        # prediction and a loss-free batch read the logits of the forward
+        # that ran: one head node, no second h W^T + b
         rng = np.random.default_rng(12)
         model = small_model(rng)
-        with pytest.raises(DimensionMismatch):
-            network.forward_logits(model, np.zeros((3, 7)))
+        stats = random_stats(rng, 3, 5)
+        x = rng.normal(size=(16, 6))
+        heads = []
+        original = network._head
+
+        def counting(h, w, b):
+            heads.append(h.data.shape[0])
+            return original(h, w, b)
+
+        monkeypatch.setattr(network, "_head", counting)
+        if method == "predict":
+            network.predict(model, x, StatMode.BATCH_ONLY)
+        else:
+            cfg = TtaConfig(method=method, steps_per_batch=0, batch_size=16)
+            adapt_stream(model, stats, [(x, rng.integers(0, 3, size=16))], cfg)
+        assert heads == [16]
+        assert not hasattr(network, "forward_logits")
 
     def test_argmax_unique_max(self):
         assert network.argmax_rows(np.array([[0.1, 0.9, 0.2]]))[0] == 1
@@ -401,14 +422,33 @@ class TestGradients:
         rng = np.random.default_rng(27)
         model = small_model(rng)
         x = rng.normal(size=(8, 6))
-        _, _, feats = network.loss_and_grad_named(
+        _, _, forward = network.loss_and_grad_named(
             model,
             x,
             StatMode.BATCH_ONLY,
             losses.Entropy(),
             model.group_param_names(ParamGroup.BN_ONLY),
         )
-        assert np.array_equal(feats, network.forward_features(model, x, StatMode.BATCH_ONLY))
+        plain = network.forward_features(model, x, StatMode.BATCH_ONLY)
+        assert np.array_equal(forward.feats, plain.feats)
+        assert np.array_equal(forward.logits, plain.logits)
+        assert forward.quads is None and plain.quads is None  # entropy reads no kernel
+
+    @pytest.mark.parametrize("spec_type", [losses.IntraOnly, losses.Cafa])
+    def test_returns_the_class_kernel_its_loss_read(self, spec_type):
+        rng = np.random.default_rng(28)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        x = rng.normal(size=(8, 6))
+        _, _, forward = network.loss_and_grad_named(
+            model,
+            x,
+            StatMode.BATCH_ONLY,
+            spec_type(stats),
+            model.group_param_names(ParamGroup.BN_ONLY),
+        )
+        quads, _ = losses._class_quadratics(forward.feats, stats)
+        assert np.array_equal(forward.quads, quads)
 
     def test_constant_loss_zero_grads(self):
         # single-class ratio loss is identically zero, so all gradients vanish
@@ -518,6 +558,20 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         network.save_checkpoint(small_model(np.random.default_rng(24)), path)
         self._rewrite(path, lambda arrays: arrays.pop("block1.bn.gamma"))
+        with pytest.raises(StatsIoError):
+            network.load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["garbage_bytes", "truncated", "bare_npy"])
+    def test_not_an_archive(self, tmp_path, damage):
+        path = tmp_path / "model.npz"
+        network.save_checkpoint(small_model(np.random.default_rng(26)), path)
+        if damage == "garbage_bytes":
+            path.write_bytes(b"\x00garbage" * 16)
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            np.save(path, np.zeros(3))  # an .npy file under a checkpoint name
+            (tmp_path / "model.npz.npy").rename(path)
         with pytest.raises(StatsIoError):
             network.load_checkpoint(path)
 

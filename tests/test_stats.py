@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,7 +134,7 @@ class TestFitSourceStats:
         x = rng.normal(size=(60, 6))
         y = rng.integers(0, 3, size=60)
         via_model = estimate_source_stats(model, x, y)
-        feats = network.forward_features(model, x, network.StatMode.RUNNING_EVAL)
+        feats = network.forward_features(model, x, network.StatMode.RUNNING_EVAL).feats
         direct = fit_source_stats(feats, y)
         for a, b in zip(via_model.classes, direct.classes):
             assert np.array_equal(a.mu, b.mu)
@@ -233,6 +237,57 @@ class TestSerialization:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "stats.bin"
         path.write_bytes(b"NOTSTATS" + b"\x00" * 64)
+        with pytest.raises(StatsIoError):
+            load_stats(path)
+
+    @staticmethod
+    def _with_header(path, edit):
+        """Rewrite the saved file's JSON header with `edit` applied and a
+        checksum that matches, so only the header is wrong."""
+        blob = path.read_bytes()
+        off = len(STATS_MAGIC) + 1
+        (header_len,) = struct.unpack_from("<I", blob, off)
+        header = blob[off + 4 : off + 4 + header_len]
+        payload = blob[off + 4 + header_len : -32]
+        header = edit(header)
+        path.write_bytes(
+            blob[:off]
+            + struct.pack("<I", len(header))
+            + header
+            + payload
+            + hashlib.sha256(header + payload).digest()
+        )
+
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "stats.bin"
+        save_stats(self._stats(), path)
+        self._with_header(path, lambda h: b"{not json" + h)
+        with pytest.raises(StatsIoError):
+            load_stats(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_samples", None),  # None drops the field
+            ("n_samples", [5]),
+            ("n_samples", ["a", "b", "c"]),
+            ("feature_dim", 4.0),
+            ("eps_scale", "x"),
+            ("warnings", 5),
+        ],
+    )
+    def test_header_field_malformed(self, tmp_path, field, value):
+        def edit(h):
+            header = json.loads(h)
+            if value is None:
+                del header[field]
+            else:
+                header[field] = value
+            return json.dumps(header).encode()
+
+        path = tmp_path / "stats.bin"
+        save_stats(self._stats(), path)
+        self._with_header(path, edit)
         with pytest.raises(StatsIoError):
             load_stats(path)
 
