@@ -1,7 +1,7 @@
 """Class-aware feature alignment for test-time adaptation, at desk scale."""
 
-from .adapt import AdamState, RunRecord, TtaConfig, adam_step, adapt_stream
-from .config import ExperimentConfig, ModelConfig, PretrainConfig
+from .adapt import AdamState, RunRecord, adam_step, adapt_stream
+from .config import ExperimentConfig, ModelConfig, PretrainConfig, TtaConfig
 from .data import Dataset, ShiftSpec, ShiftTransform, SyntheticSpec, generate_dataset
 from .losses import (
     Cafa,

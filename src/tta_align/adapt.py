@@ -9,55 +9,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses, network
+from .config import NO_LOSS_METHODS, TtaConfig
 from .errors import ConfigInvalid, DimensionMismatch, NonFiniteLoss
-from .network import AdaptiveModel, ParamGroup, StatMode
+from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
-
-METHODS = ("source", "bn", "pl", "entropy", "global_fa", "intra", "cafa")
-NO_LOSS_METHODS = ("source", "bn")
-
-
-@dataclass
-class TtaConfig:
-    method: str = "cafa"
-    name: str = ""  # run label; defaults to the method name
-    param_group: ParamGroup = ParamGroup.BN_ONLY
-    steps_per_batch: int = 1
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    @property
-    def run_name(self) -> str:
-        return self.name or self.method
-
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigInvalid(f"unknown method {self.method!r}; one of {METHODS}")
-        if self.method in NO_LOSS_METHODS:
-            if self.steps_per_batch != 0:
-                raise ConfigInvalid(
-                    f"method {self.method!r} performs no optimization; "
-                    "steps_per_batch must be 0"
-                )
-        elif self.steps_per_batch < 1:
-            raise ConfigInvalid("steps_per_batch must be >= 1 for optimizing methods")
-        if self.learning_rate <= 0:
-            raise ConfigInvalid("learning_rate must be > 0")
-        if self.batch_size < 2:
-            raise ConfigInvalid("batch_size must be >= 2")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["param_group"] = self.param_group.value
-        return d
 
 
 def method_loss_spec(method: str, stats: SourceStats | None):
@@ -179,19 +139,11 @@ def write_run_record(record: RunRecord, csv_path, header_path=None) -> None:
 
 
 def read_run_record_rows(csv_path) -> list[BatchRow]:
-    rows = []
     with open(csv_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                BatchRow(
-                    batch_index=int(rec["batch_index"]),
-                    accuracy=float(rec["accuracy"]),
-                    loss=float(rec["loss"]),
-                    mean_intra=float(rec["mean_intra"]),
-                    mean_inter=float(rec["mean_inter"]),
-                )
-            )
-    return rows
+        return [
+            BatchRow(int(rec["batch_index"]), *(float(rec[k]) for k in CSV_FIELDS[1:]))
+            for rec in csv.DictReader(fh)
+        ]
 
 
 # -- the adaptation loop ----------------------------------------------------------
@@ -256,14 +208,7 @@ def adapt_stream(
                 config.adam_eps,
             )
         accuracy, mean_intra, mean_inter = observed
-
         record.rows.append(
-            BatchRow(
-                batch_index=batch_index,
-                accuracy=accuracy,
-                loss=loss_value,
-                mean_intra=mean_intra,
-                mean_inter=mean_inter,
-            )
+            BatchRow(batch_index, accuracy, loss_value, mean_intra, mean_inter)
         )
     return model, record

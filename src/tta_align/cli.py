@@ -64,7 +64,7 @@ def cmd_stats(args) -> int:
         model,
         dataset.train_x,
         dataset.train_y,
-        mode=cfg.pretrain.cov_mode,
+        mode=cfg.pretrain.covariance_mode,
         eps_scale=cfg.pretrain.eps_scale,
     )
     stats_mod.save_stats(stats, args.out)

@@ -1,119 +1,146 @@
 """Experiment configuration: nested dataclasses with strict JSON parsing.
 
-Unknown keys anywhere in the document are rejected. The dataclass fields are
-the schema: parsing and writing both read them.
+The dataclass annotations are the schema. One walk over them (`_read`)
+checks every value of a config document and builds the dataclasses in the
+same pass; unknown keys anywhere are rejected. `_plain` writes the document
+back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import numbers
 import reprlib
+import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapt import TtaConfig
 from .data import ShiftSpec, ShiftTransform, SyntheticSpec
 from .errors import ConfigInvalid
 from .network import ParamGroup
 from .stats import DEFAULT_EPS_SCALE, CovarianceMode
 
+METHODS = ("source", "bn", "pl", "entropy", "global_fa", "intra", "cafa")
+NO_LOSS_METHODS = ("source", "bn")
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
 
 _SCALARS = {  # JSON scalar type -> (what to expect, test)
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: (
-        "an integer",
-        lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    ),
-    float: (
-        "a number",
-        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    ),
+    int: ("an integer", lambda v: _real(v) and isinstance(v, numbers.Integral)),
+    # not NaN or +-inf, and no integer past the float range
+    float: ("a finite number", lambda v: _real(v) and abs(v) <= sys.float_info.max),
     str: ("a string", lambda v: isinstance(v, str)),
 }
 
 
 def _number_nest(value) -> bool:
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return all(map(_number_nest, value))
     return _SCALARS[float][1](value)
 
 
-def _mismatch(value, tp) -> str | None:
-    """What a field annotated `tp` expects, or None when `value` fits it.
+class _Mismatch(Exception):
+    """A value does not fit its annotation; the message says what would."""
 
-    A nested dataclass always fits here: its own section is checked when it
-    is parsed.
-    """
+
+def _value(tp, value, section: str):
+    """`value` checked against annotation `tp` and built: a nested dataclass
+    section, a list or tuple of entries, an enum member, an array's nest of
+    finite numbers (kept as lists) or a scalar (kept as it is). An int is
+    accepted for a float, a bool is not accepted for an int."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
-        wants = [_mismatch(value, a) for a in args]
-        return None if None in wants else " or ".join(wants)
+        if value is None and type(None) in args:
+            return None
+        wants = []
+        for arm in args:
+            try:
+                return _value(arm, value, section)
+            except _Mismatch as exc:
+                wants.append(str(exc))
+        raise _Mismatch(" or ".join(wants))
     if tp is type(None):
-        return None if value is None else "null"
+        raise _Mismatch("null")
     if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            return "a JSON list"
+        if not isinstance(value, list):
+            raise _Mismatch("a JSON list")
         if origin is tuple and len(value) != len(args):
-            return f"a JSON list of {len(args)} entries"
-        for v in value:
-            want = _mismatch(v, args[0])
-            if want is not None:
-                return f"a JSON list with each entry {want}"
-        return None
+            raise _Mismatch(f"a JSON list of {len(args)} entries")
+        entry_types = args if origin is tuple else args * len(value)
+        try:
+            built = [_value(t, v, f"{section}[]") for t, v in zip(entry_types, value)]
+        except _Mismatch as exc:
+            raise _Mismatch(f"a JSON list with each entry {exc}") from None
+        return origin(built)
     if tp is np.ndarray:
-        ok = isinstance(value, list) and _number_nest(value)
-        return None if ok else "a JSON list of numbers"
+        if isinstance(value, list) and _number_nest(value):
+            return value
+        raise _Mismatch("a JSON list of numbers")
     if tp in _SCALARS:
         want, fits = _SCALARS[tp]
-        return None if fits(value) else want
+        if fits(value):
+            return value
+        raise _Mismatch(want)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         values = [m.value for m in tp]
-        return None if value in values else f"one of {values}"
-    return None
+        if value in values:
+            return tp(value)
+        raise _Mismatch(f"one of {values}")
+    return _read(tp, value, section)
 
 
-def _strict_kwargs(cls, d: dict, section: str) -> dict:
-    """Check one section against the fields of dataclass `cls`: no unknown
-    keys, and every value of the type its annotation names. An int is
-    accepted for a float, a bool is not accepted for an int."""
-    if not isinstance(d, dict):
+def _read(cls, doc, section: str):
+    """Dataclass `cls` built from the JSON object `doc`, every key of which
+    must name a field; a nested section is named for its field's path."""
+    if not isinstance(doc, dict):
         raise ConfigInvalid(
-            f"section {section!r} must be a JSON object, got {type(d).__name__}"
+            f"section {section!r} must be a JSON object, got {type(doc).__name__}"
         )
     hints = typing.get_type_hints(cls)
-    unknown = set(d) - set(hints)
+    unknown = set(doc) - set(hints)
     if unknown:
         raise ConfigInvalid(
             f"unknown keys in section {section!r} ({cls.__name__}): {sorted(unknown)}"
         )
-    for name, value in d.items():
-        want = _mismatch(value, hints[name])
-        if want is not None:
+    no_default = dataclasses.MISSING
+    missing = [
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.name not in doc
+        and f.default is no_default
+        and f.default_factory is no_default
+    ]
+    if missing:
+        raise ConfigInvalid(
+            f"section {section!r} ({cls.__name__}) lacks required keys {missing}"
+        )
+    kwargs = {}
+    for name, value in doc.items():
+        where = name if section == "top-level" else f"{section}.{name}"
+        try:
+            kwargs[name] = _value(hints[name], value, where)
+        except _Mismatch as exc:
             raise ConfigInvalid(
-                f"field {name!r} in section {section!r} must be {want}, "
+                f"field {name!r} in section {section!r} must be {exc}, "
                 f"got {reprlib.repr(value)}"
-            )
-    return d
-
-
-def tta_config_from_dict(d, section: str = "methods[]") -> TtaConfig:
-    """One method's configuration: a `methods[]` entry, or the `config` of
-    a run header."""
-    d = dict(_strict_kwargs(TtaConfig, d, section))
-    if "param_group" in d:
-        d["param_group"] = ParamGroup(d["param_group"])
-    return TtaConfig(**d)
+            ) from None
+    return cls(**kwargs)
 
 
 def _plain(value):
-    """JSON-ready copy: arrays and tuples become lists, enums their value."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+    """JSON-ready copy of a config value: a dataclass becomes an object of
+    its fields, arrays and tuples lists, enums their value."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -121,6 +148,59 @@ def _plain(value):
     if isinstance(value, enum.Enum):
         return value.value
     return value
+
+
+def _check_enum(name: str, value, cls) -> None:
+    if not isinstance(value, cls):
+        raise ConfigInvalid(
+            f"{name} must be one of {[m.value for m in cls]}, got {value!r}"
+        )
+
+
+@dataclass
+class TtaConfig:
+    method: str = "cafa"
+    name: str = ""  # run label; defaults to the method name
+    param_group: ParamGroup = ParamGroup.BN_ONLY
+    steps_per_batch: int = 1
+    learning_rate: float = 1e-3
+    batch_size: int = 64
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+
+    to_dict = _plain
+
+    @property
+    def run_name(self) -> str:
+        return self.name or self.method
+
+    def validate(self) -> None:
+        if self.method not in METHODS:
+            raise ConfigInvalid(f"unknown method {self.method!r}; one of {METHODS}")
+        _check_enum("param_group", self.param_group, ParamGroup)
+        if self.method in NO_LOSS_METHODS:
+            if self.steps_per_batch != 0:
+                raise ConfigInvalid(
+                    f"method {self.method!r} performs no optimization; "
+                    "steps_per_batch must be 0"
+                )
+        elif self.steps_per_batch < 1:
+            raise ConfigInvalid("steps_per_batch must be >= 1 for optimizing methods")
+        if self.learning_rate <= 0:
+            raise ConfigInvalid("learning_rate must be > 0")
+        if self.batch_size < 2:
+            raise ConfigInvalid("batch_size must be >= 2")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ConfigInvalid("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ConfigInvalid("adam_eps must be > 0")
+
+
+def tta_config_from_dict(d, section: str = "methods[]") -> TtaConfig:
+    """One method's configuration: a `methods[]` entry, or the `config` of
+    a run header."""
+    return _read(TtaConfig, d, section)
 
 
 @dataclass
@@ -145,24 +225,14 @@ class PretrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     eps_scale: float = DEFAULT_EPS_SCALE
-    covariance_mode: str = "class_wise"
+    covariance_mode: CovarianceMode = CovarianceMode.CLASS_WISE
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 2:
             raise ConfigInvalid("pretrain needs epochs >= 1 and batch_size >= 2")
         if self.learning_rate <= 0 or self.eps_scale <= 0:
             raise ConfigInvalid("learning_rate and eps_scale must be > 0")
-        try:
-            CovarianceMode(self.covariance_mode)
-        except ValueError:
-            raise ConfigInvalid(
-                f"covariance_mode must be one of "
-                f"{[m.value for m in CovarianceMode]}, got {self.covariance_mode!r}"
-            ) from None
-
-    @property
-    def cov_mode(self) -> CovarianceMode:
-        return CovarianceMode(self.covariance_mode)
+        _check_enum("covariance_mode", self.covariance_mode, CovarianceMode)
 
 
 @dataclass
@@ -173,6 +243,8 @@ class ExperimentConfig:
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     methods: list[TtaConfig] = field(default_factory=list)
     output_dir: str = "runs"
+
+    to_dict = _plain
 
     def validate(self) -> None:
         self.synthetic.validate()
@@ -189,33 +261,10 @@ class ExperimentConfig:
             m.validate()
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
-        doc = dict(_strict_kwargs(ExperimentConfig, doc, "top-level"))
-        for key, cls in (
-            ("synthetic", SyntheticSpec),
-            ("model", ModelConfig),
-            ("pretrain", PretrainConfig),
-        ):
-            if key in doc:
-                doc[key] = cls(**_strict_kwargs(cls, doc[key], key))
-        if doc.get("shift") is not None:
-            sd = dict(_strict_kwargs(ShiftSpec, doc["shift"], "shift"))
-            transforms = []
-            for td in sd.get("transforms", []):
-                td = dict(_strict_kwargs(ShiftTransform, td, "shift.transforms[]"))
-                if "plane" in td:
-                    td["plane"] = tuple(td["plane"])
-                transforms.append(ShiftTransform(**td))
-            sd["transforms"] = transforms
-            doc["shift"] = ShiftSpec(**sd)
-        if "methods" in doc:
-            doc["methods"] = [tta_config_from_dict(m) for m in doc["methods"]]
-        cfg = ExperimentConfig(**doc)
+    def from_dict(doc) -> "ExperimentConfig":
+        cfg = _read(ExperimentConfig, doc, "top-level")
         cfg.validate()
         return cfg
-
-    def to_dict(self) -> dict:
-        return _plain(asdict(self))
 
     @staticmethod
     def default(seed: int = 0, output_dir: str = "runs") -> "ExperimentConfig":

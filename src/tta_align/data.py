@@ -6,7 +6,7 @@ the configured shift transforms; labels are untouched by every shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,8 @@ class ShiftTransform:
         if self.kind == "mean_shift":
             if self.direction is None or len(self.direction) != input_dim:
                 raise ConfigInvalid("mean_shift needs a direction of input_dim length")
+            if not 0 < np.linalg.norm(self.direction) < np.inf:
+                raise ConfigInvalid("mean_shift direction must be finite and nonzero")
         if self.kind == "rotation":
             i, j = self.plane
             if not (0 <= i < input_dim and 0 <= j < input_dim and i != j):
@@ -41,7 +43,7 @@ class ShiftTransform:
 
 @dataclass
 class ShiftSpec:
-    transforms: list[ShiftTransform]
+    transforms: list[ShiftTransform] = field(default_factory=list)
     severity: int = 5
 
     def validate(self, input_dim: int) -> None:
@@ -84,6 +86,16 @@ class SyntheticSpec:
                 fits = False
             if not fits:
                 raise ConfigInvalid(f"{name} must have shape {shape}")
+        if self.class_covs is not None:
+            covs = np.asarray(self.class_covs, dtype=np.float64)
+            # the sampler draws non-finite points from anything but symmetric
+            # PSD; a singular one may round to a slightly negative eigenvalue
+            psd = np.isfinite(covs).all() and np.allclose(covs, covs.transpose(0, 2, 1))
+            if psd:
+                eig = np.linalg.eigvalsh(covs)
+                psd = (eig[:, 0] >= -1e-10 * np.abs(eig).max(axis=1)).all()
+            if not psd:
+                raise ConfigInvalid("class_covs entries must be symmetric PSD")
 
     def resolved_means(self) -> np.ndarray:
         if self.class_means is not None:

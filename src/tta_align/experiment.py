@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class PretrainResult:
     stats: SourceStats
     dataset: data.Dataset
     holdout_accuracy: float
-    loss_history: list[float] = field(default_factory=list)
 
 
 def evaluate_accuracy(model: AdaptiveModel, x, y) -> float:
@@ -55,7 +54,6 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
     all_names = list(params)
     adam = adapt.AdamState()
     shuffle_rng = np.random.default_rng(cfg.pretrain.seed)
-    history: list[float] = []
 
     n = dataset.train_x.shape[0]
     bs = cfg.pretrain.batch_size
@@ -67,12 +65,11 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
             yb = dataset.train_y[idx]
             spec = losses.SupervisedCE(labels=yb)
             try:
-                loss_value, grads, _ = network.loss_and_grad_named(
+                _, grads, _ = network.loss_and_grad_named(
                     model, xb, StatMode.TRAIN_UPDATE, spec, all_names
                 )
             except NonFiniteLoss as exc:
                 raise TrainingDiverged(f"pretraining diverged: {exc}") from exc
-            history.append(loss_value)
             adapt.adam_step(params, grads, adam, cfg.pretrain.learning_rate)
 
     holdout = evaluate_accuracy(model, dataset.test_x, dataset.test_y)
@@ -80,10 +77,10 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
         model,
         dataset.train_x,
         dataset.train_y,
-        mode=cfg.pretrain.cov_mode,
+        mode=cfg.pretrain.covariance_mode,
         eps_scale=cfg.pretrain.eps_scale,
     )
-    return PretrainResult(model, source_stats, dataset, holdout, history)
+    return PretrainResult(model, source_stats, dataset, holdout)
 
 
 # -- comparison runs -----------------------------------------------------------

@@ -10,6 +10,7 @@ extractor). The classifier is never part of any adaptation parameter group.
 
 from __future__ import annotations
 
+import copy
 import enum
 import json
 import zipfile
@@ -47,12 +48,6 @@ class ParamGroup(enum.Enum):
 class DenseLayer:
     weight: np.ndarray  # out x in
     bias: np.ndarray  # out
-
-    def __post_init__(self):
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise DimensionMismatch(
-                f"weight rows {self.weight.shape[0]} vs bias {self.bias.shape[0]}"
-            )
 
 
 @dataclass
@@ -114,21 +109,7 @@ class AdaptiveModel:
         return names
 
     def copy(self) -> "AdaptiveModel":
-        blocks = [
-            Block(
-                dense=DenseLayer(blk.dense.weight.copy(), blk.dense.bias.copy()),
-                bn=BnLayer(
-                    blk.bn.gamma.copy(),
-                    blk.bn.beta.copy(),
-                    blk.bn.running_mean.copy(),
-                    blk.bn.running_var.copy(),
-                    blk.bn.momentum,
-                ),
-            )
-            for blk in self.blocks
-        ]
-        clf = DenseLayer(self.classifier.weight.copy(), self.classifier.bias.copy())
-        return AdaptiveModel(blocks=blocks, classifier=clf)
+        return copy.deepcopy(self)
 
 
 def init_model(
@@ -395,25 +376,39 @@ def load_checkpoint(path) -> AdaptiveModel:
             shape = arrays[entry["name"]].shape
             if shape != tuple(entry["shape"]):
                 raise ValueError(f"{entry['name']}: shape {shape} vs layout {entry['shape']}")
+        if not all(np.isfinite(a).all() for a in arrays.values()):
+            raise ValueError("non-finite entries")
+        bn_keys = ("gamma", "beta", "running_mean", "running_var")
         blocks = [
             Block(
-                dense=DenseLayer(
-                    weight=arrays[f"block{i}.dense.weight"],
-                    bias=arrays[f"block{i}.dense.bias"],
-                ),
-                bn=BnLayer(
-                    gamma=arrays[f"block{i}.bn.gamma"],
-                    beta=arrays[f"block{i}.bn.beta"],
-                    running_mean=arrays[f"block{i}.bn.running_mean"],
-                    running_var=arrays[f"block{i}.bn.running_var"],
+                DenseLayer(arrays[f"block{i}.dense.weight"], arrays[f"block{i}.dense.bias"]),
+                BnLayer(
+                    *(arrays[f"block{i}.bn.{k}"] for k in bn_keys),
                     momentum=float(arrays[f"block{i}.bn.momentum"]),
                 ),
             )
             for i in range(header["n_blocks"])
         ]
-        classifier = DenseLayer(
-            weight=arrays["classifier.weight"], bias=arrays["classifier.bias"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        classifier = DenseLayer(arrays["classifier.weight"], arrays["classifier.bias"])
+        model = AdaptiveModel(blocks=blocks, classifier=classifier)
+        _check_runnable(model)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise StatsIoError(f"malformed checkpoint {path}: {exc!r}") from exc
-    return AdaptiveModel(blocks=blocks, classifier=classifier)
+    return model
+
+
+def _check_runnable(model: AdaptiveModel) -> None:
+    """Raise ValueError unless a forward of `model` can run: widths chain from
+    block to block and into the head, every bias and BN vector has its
+    layer's width, running variances are >= 0 and each momentum is in (0, 1)."""
+    width = model.input_dim
+    layers = [(b.dense, b.bn) for b in model.blocks] + [(model.classifier, None)]
+    for i, (dense, bn) in enumerate(layers):
+        if dense.weight.ndim != 2 or dense.weight.shape[1] != width:
+            raise ValueError(f"layer {i}: weight {dense.weight.shape} after width {width}")
+        width = dense.weight.shape[0]
+        bn_vectors = [] if bn is None else [bn.gamma, bn.beta, bn.running_mean, bn.running_var]
+        if any(v.shape != (width,) for v in [dense.bias, *bn_vectors]):
+            raise ValueError(f"layer {i}: a bias or BN vector is not of width {width}")
+        if bn is not None and not (0 < bn.momentum < 1 and (bn.running_var >= 0).all()):
+            raise ValueError(f"layer {i}: BN momentum outside (0, 1) or running_var < 0")

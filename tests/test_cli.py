@@ -152,7 +152,9 @@ class TestAdaptCommand:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["missing_key", "wrong_shape", "garbage_bytes"])
+    @pytest.mark.parametrize(
+        "damage", ["missing_key", "wrong_shape", "garbage_bytes", "nan_weight"]
+    )
     def test_malformed_checkpoint_is_io_error(self, pretrained, capsys, damage):
         config, out = pretrained
         path = out / "checkpoint.npz"
@@ -162,6 +164,8 @@ class TestAdaptCommand:
             del arrays["classifier.bias"]
         elif damage == "wrong_shape":
             arrays["classifier.weight"] = arrays["classifier.weight"][:, :-1]
+        elif damage == "nan_weight":  # loads with a consistent layout
+            arrays["block0.dense.weight"][0, 0] = np.nan
         np.savez(path, **arrays)
         if damage == "garbage_bytes":  # not an archive at all
             path.write_bytes(b"\x00garbage" * 16)

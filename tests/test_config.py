@@ -1,12 +1,18 @@
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
 from tta_align import cli
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
 from tta_align.errors import ConfigInvalid
+from tta_align.network import ParamGroup
+from tta_align.stats import CovarianceMode
+
+NAN = float("nan")  # json.dumps writes NaN and Infinity, and json.load reads them
 
 
 def write_json(tmp_path, doc):
@@ -137,6 +143,58 @@ class TestStrictParsing:
                 lambda doc: doc["synthetic"].update(class_means=[[0.0, 1.0]]),
                 "class_means must have shape (3, 8)",
             ),
+            (
+                lambda doc: doc["methods"][2].update(learning_rate=NAN),
+                "field 'learning_rate' in section 'methods[]' must be "
+                "a finite number, got nan",
+            ),
+            (
+                lambda doc: doc["pretrain"].update(learning_rate=NAN),
+                "field 'learning_rate' in section 'pretrain' must be "
+                "a finite number, got nan",
+            ),
+            (
+                lambda doc: doc["pretrain"].update(eps_scale=NAN),
+                "field 'eps_scale' in section 'pretrain' must be a finite number",
+            ),
+            (
+                lambda doc: doc["pretrain"].update(eps_scale=math.inf),
+                "field 'eps_scale' in section 'pretrain' must be "
+                "a finite number, got inf",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(mean_scale=NAN),
+                "field 'mean_scale' in section 'synthetic' must be a finite number",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(mean_scale=-math.inf),
+                "field 'mean_scale' in section 'synthetic' must be a finite number",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(mean_scale=10**400),
+                "field 'mean_scale' in section 'synthetic' must be a finite number",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(cov_scales=[0.2, NAN, 1.5]),
+                "field 'cov_scales' in section 'synthetic' must be a JSON list "
+                "with each entry a finite number or null",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(
+                    class_means=[[0.0] * 8, [1.0] * 8, [NAN] * 8]
+                ),
+                "field 'class_means' in section 'synthetic' must be "
+                "a JSON list of numbers or null",
+            ),
+            (
+                lambda doc: doc["pretrain"].update(covariance_mode="diagonal"),
+                "field 'covariance_mode' in section 'pretrain' must be one of",
+            ),
+            (
+                lambda doc: doc["shift"]["transforms"][0].pop("kind"),
+                "section 'shift.transforms[]' (ShiftTransform) "
+                "lacks required keys ['kind']",
+            ),
         ],
         ids=[
             "string_for_int",
@@ -147,6 +205,17 @@ class TestStrictParsing:
             "enum_value",
             "tuple_length",
             "array_shape",
+            "nan_method_learning_rate",
+            "nan_pretrain_learning_rate",
+            "nan_eps_scale",
+            "inf_eps_scale",
+            "nan_mean_scale",
+            "minus_inf_mean_scale",
+            "int_past_float_range",
+            "nan_cov_scales_entry",
+            "nan_in_array",
+            "covariance_mode_value",
+            "missing_required_key",
         ],
     )
     def test_scalar_type_mismatch(self, tmp_path, capsys, damage, message):
@@ -203,6 +272,76 @@ class TestValidation:
         cfg = PretrainConfig(covariance_mode="diagonal")
         with pytest.raises(ConfigInvalid, match="covariance_mode"):
             cfg.validate()
+
+    def test_covariance_mode_is_an_enum(self):
+        doc = ExperimentConfig.default().to_dict()
+        doc["pretrain"]["covariance_mode"] = "tied"
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.pretrain.covariance_mode is CovarianceMode.TIED
+        assert cfg.to_dict()["pretrain"]["covariance_mode"] == "tied"
+
+    def test_bad_param_group(self):
+        # a string where the enum belongs would adapt the BN parameters only
+        cfg = TtaConfig(method="cafa", param_group="feature_full")
+        with pytest.raises(ConfigInvalid, match="param_group must be one of"):
+            cfg.validate()
+        TtaConfig(method="cafa", param_group=ParamGroup.FEATURE_FULL).validate()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda doc: doc["methods"][2].update(adam_beta1=1.5),
+                "adam_beta1 and adam_beta2 must lie in [0, 1)",
+            ),
+            (
+                lambda doc: doc["methods"][2].update(adam_beta2=1.0),
+                "adam_beta1 and adam_beta2 must lie in [0, 1)",
+            ),
+            (
+                lambda doc: doc["methods"][2].update(adam_eps=-1),
+                "adam_eps must be > 0",
+            ),
+            (
+                lambda doc: doc["shift"].update(
+                    transforms=[{"kind": "mean_shift", "direction": [0.0] * 8}]
+                ),
+                "mean_shift direction must be finite and nonzero",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(
+                    class_covs=[np.eye(8).tolist()] * 2 + [(-np.eye(8)).tolist()]
+                ),
+                "class_covs entries must be symmetric PSD",
+            ),
+            (
+                lambda doc: doc["synthetic"].update(
+                    class_covs=[(np.eye(8) + np.eye(8, k=1)).tolist()] * 3
+                ),
+                "class_covs entries must be symmetric PSD",
+            ),
+        ],
+        ids=[
+            "adam_beta1",
+            "adam_beta2",
+            "adam_eps",
+            "zero_shift_direction",
+            "class_covs_not_psd",
+            "class_covs_not_symmetric",
+        ],
+    )
+    def test_value_that_cannot_run(self, tmp_path, capsys, damage, message):
+        doc = ExperimentConfig.default().to_dict()
+        damage(doc)
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            ExperimentConfig.from_dict(doc)
+        assert cli.main(["pretrain", "--config", str(write_json(tmp_path, doc))]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_singular_class_covs_accepted(self):
+        cfg = ExperimentConfig.default()
+        cfg.synthetic.class_covs = np.stack([np.diag([1.0] * 7 + [0.0])] * 3)
+        cfg.validate()
 
     def test_model_config_bounds(self):
         with pytest.raises(ConfigInvalid):

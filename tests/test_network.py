@@ -575,6 +575,40 @@ class TestCheckpoint:
         with pytest.raises(StatsIoError):
             network.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "widths_do_not_chain",
+            "head_width",
+            "bn_vector_length",
+            "nan_weight",
+            "negative_running_var",
+            "momentum",
+        ],
+    )
+    def test_model_that_cannot_run(self, tmp_path, damage):
+        # each model saves with a layout that matches its arrays
+        model = small_model(np.random.default_rng(27))
+        blk0, blk1 = model.blocks[0], model.blocks[1]
+        if damage == "widths_do_not_chain":
+            w = blk1.dense.weight
+            blk1.dense.weight = np.zeros((w.shape[0], w.shape[1] + 1))
+        elif damage == "head_width":
+            w = model.classifier.weight
+            model.classifier.weight = np.zeros((w.shape[0], w.shape[1] - 1))
+        elif damage == "bn_vector_length":
+            blk0.bn.gamma = np.append(blk0.bn.gamma, 1.0)
+        elif damage == "nan_weight":
+            blk0.dense.weight[0, 0] = np.nan
+        elif damage == "negative_running_var":
+            blk1.bn.running_var[0] = -1.0
+        else:
+            blk0.bn.momentum = 1.5
+        path = tmp_path / "model.npz"
+        network.save_checkpoint(model, path)
+        with pytest.raises(StatsIoError, match="malformed checkpoint"):
+            network.load_checkpoint(path)
+
     def test_shape_disagrees_with_layout(self, tmp_path):
         path = tmp_path / "model.npz"
         network.save_checkpoint(small_model(np.random.default_rng(25)), path)
