@@ -5,12 +5,11 @@ from .config import ExperimentConfig, ModelConfig, PretrainConfig, TtaConfig
 from .data import Dataset, ShiftSpec, ShiftTransform, SyntheticSpec, generate_dataset
 from .losses import (
     Cafa,
+    CrossEntropy,
     DistanceReport,
     Entropy,
     GlobalFA,
     IntraOnly,
-    PseudoLabelCE,
-    SupervisedCE,
     distance_report,
     mahalanobis,
 )

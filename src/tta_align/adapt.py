@@ -24,7 +24,7 @@ def method_loss_spec(method: str, stats: SourceStats | None):
     if method in NO_LOSS_METHODS:
         return None
     if method == "pl":
-        return losses.PseudoLabelCE()
+        return losses.CrossEntropy()
     if method == "entropy":
         return losses.Entropy()
     if stats is None:
@@ -49,55 +49,45 @@ def method_stat_mode(method: str) -> StatMode:
 
 @dataclass
 class AdamState:
-    """Moments as flat vectors over the named gradients, laid end to end in
-    the order of the first step's names."""
+    """The moments of one flat parameter slice."""
 
-    names: tuple[str, ...] = ()
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     t: int = 0
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias correction.
-
-    The update is elementwise, so it runs once over all gradients laid end
-    to end; each parameter then subtracts its own slice.
-    """
-    names = tuple(grads)
-    for name, g in grads.items():
-        p = params[name]
-        if g.shape != p.shape:
-            raise DimensionMismatch(f"{name}: grad {g.shape} vs param {p.shape}")
-    g = np.concatenate([grads[name].ravel() for name in names])
+    """One in-place Adam update with bias correction of the flat slice
+    `params` (a prefix of `AdaptiveModel.flat`) by its gradient `grad`."""
+    if grad.shape != params.shape:
+        raise DimensionMismatch(f"grad {grad.shape} vs params {params.shape}")
     if state.t == 0:
-        state.names = names
-        state.m = np.zeros_like(g)
-        state.v = np.zeros_like(g)
-    elif names != state.names:
-        raise DimensionMismatch(
-            f"Adam state holds {list(state.names)}, the step names {list(names)}"
-        )
+        state.m = np.zeros_like(grad)
+        state.v = np.zeros_like(grad)
+    elif state.m.shape != grad.shape:
+        raise DimensionMismatch(f"Adam state holds {state.m.shape}, the step {grad.shape}")
     state.t += 1
-    t = state.t
-    state.m = beta1 * state.m + (1 - beta1) * g
-    state.v = beta2 * state.v + (1 - beta2) * g * g
-    m_hat = state.m / (1 - beta1**t)
-    v_hat = state.v / (1 - beta2**t)
-    update = lr * m_hat / (np.sqrt(v_hat) + eps)
-    start = 0
-    for name in names:
-        p = params[name]
-        p -= update[start : start + p.size].reshape(p.shape)
-        start += p.size
+    t, m, v = state.t, state.m, state.v
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * grad * grad
+    # lr * m_hat / (sqrt(v_hat) + eps), on two temporaries
+    update = m / (1 - beta1**t)
+    update *= lr
+    denom = v / (1 - beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    params -= update
 
 
 # -- run records -----------------------------------------------------------------
@@ -176,8 +166,7 @@ def adapt_stream(
     mode = method_stat_mode(config.method)
     record = RunRecord(config=config)
     adam = AdamState()
-    params = model.named_parameters()
-    group_names = model.group_param_names(config.param_group)
+    params = model.flat[: model.group_size(config.param_group)]
 
     for batch_index, (x, y) in enumerate(batches):
         y = np.asarray(y, dtype=np.int64)
@@ -187,8 +176,8 @@ def adapt_stream(
         for step in range(config.steps_per_batch):  # none for loss-free methods
             # recomputed forward: pseudo-labels track current parameters
             try:
-                step_loss, grads, forward = network.loss_and_grad_named(
-                    model, x, mode, spec, group_names
+                step_loss, grad, forward = network.loss_and_grad_named(
+                    model, x, mode, spec, config.param_group
                 )
             except NonFiniteLoss as exc:
                 exc.record = record
@@ -200,7 +189,7 @@ def adapt_stream(
                 observed = _observe(forward, y, stats)
             adam_step(
                 params,
-                grads,
+                grad,
                 adam,
                 config.learning_rate,
                 config.adam_beta1,

@@ -40,6 +40,26 @@ def _checkpoint_and_stats_paths(out_dir: str) -> tuple[str, str]:
     return os.path.join(out_dir, "checkpoint.npz"), os.path.join(out_dir, "stats.bin")
 
 
+def _check_fits(cfg: ExperimentConfig, model, stats=None) -> None:
+    """Refuse, before any data is generated, a checkpoint that does not fit
+    the config (ConfigInvalid) and stats not fitted on the checkpoint's
+    features (StatsIoError)."""
+    spec = cfg.synthetic
+    if (spec.input_dim, spec.n_classes) != (model.input_dim, model.n_classes):
+        raise ConfigInvalid(
+            f"config input_dim {spec.input_dim}, n_classes {spec.n_classes} vs checkpoint "
+            f"input_dim {model.input_dim}, n_classes {model.n_classes}"
+        )
+    if stats is not None and (stats.feature_dim, stats.n_classes) != (
+        model.feature_dim,
+        model.n_classes,
+    ):
+        raise StatsIoError(
+            f"stats feature_dim {stats.feature_dim}, n_classes {stats.n_classes} vs checkpoint "
+            f"feature_dim {model.feature_dim}, n_classes {model.n_classes}"
+        )
+
+
 def cmd_pretrain(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     out_dir = args.out_dir or cfg.output_dir
@@ -59,6 +79,7 @@ def cmd_pretrain(args) -> int:
 def cmd_stats(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     model = network.load_checkpoint(args.checkpoint)
+    _check_fits(cfg, model)
     dataset = data.generate_dataset(cfg.synthetic, shift=None)
     stats = stats_mod.estimate_source_stats(
         model,
@@ -85,6 +106,7 @@ def cmd_adapt(args) -> int:
     mcfg = matching[0]
     model = network.load_checkpoint(args.checkpoint)
     stats = stats_mod.load_stats(args.stats)
+    _check_fits(cfg, model, stats)
     shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
     batches = data.batch_stream(shifted.target_x, shifted.target_y, mcfg.batch_size)
     out_dir = args.out_dir or cfg.output_dir

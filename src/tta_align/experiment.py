@@ -50,8 +50,6 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
         rng,
         bn_momentum=cfg.model.bn_momentum,
     )
-    params = model.named_parameters()
-    all_names = list(params)
     adam = adapt.AdamState()
     shuffle_rng = np.random.default_rng(cfg.pretrain.seed)
 
@@ -63,14 +61,14 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
             idx = order[start : start + bs]
             xb = dataset.train_x[idx]
             yb = dataset.train_y[idx]
-            spec = losses.SupervisedCE(labels=yb)
+            spec = losses.CrossEntropy(labels=yb)
             try:
-                _, grads, _ = network.loss_and_grad_named(
-                    model, xb, StatMode.TRAIN_UPDATE, spec, all_names
+                _, grad, _ = network.loss_and_grad_named(
+                    model, xb, StatMode.TRAIN_UPDATE, spec, None
                 )
             except NonFiniteLoss as exc:
                 raise TrainingDiverged(f"pretraining diverged: {exc}") from exc
-            adapt.adam_step(params, grads, adam, cfg.pretrain.learning_rate)
+            adapt.adam_step(model.flat, grad, adam, cfg.pretrain.learning_rate)
 
     holdout = evaluate_accuracy(model, dataset.test_x, dataset.test_y)
     source_stats = stats_mod.estimate_source_stats(

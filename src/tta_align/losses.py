@@ -2,8 +2,9 @@
 
 One batched kernel scores every sample against every class Gaussian with
 the stacked regularized precisions; the losses and the distance report both
-read it. `mahalanobis` is the per-vector reference form. Each loss is one
-tape node with a closed-form backward.
+read it. `mahalanobis` is the per-vector reference form. Each loss returns
+its value and a closed-form gradient w.r.t. the one input it reads, which
+`network._backward` carries down the chain.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor
 from .errors import (
     BatchTooSmall,
     DimensionMismatch,
@@ -48,14 +48,12 @@ class Entropy:
     pass
 
 
-@dataclass(frozen=True)
-class PseudoLabelCE:
-    pass
-
-
 @dataclass(frozen=True, eq=False)
-class SupervisedCE:
-    labels: np.ndarray
+class CrossEntropy:
+    """Cross-entropy against `labels`, or against the argmax pseudo-labels
+    of the logits when None."""
+
+    labels: np.ndarray | None = None
 
 
 @dataclass
@@ -106,15 +104,13 @@ def distance_report(
     )
 
 
-# -- loss nodes ---------------------------------------------------------------
+# -- losses -------------------------------------------------------------------
 
 
-def _labels_for(spec, logits: Tensor, pseudo_labels):
-    if pseudo_labels is not None:
-        return np.asarray(pseudo_labels, dtype=np.int64)
-    if isinstance(spec, SupervisedCE):
+def _labels_for(spec, logits: np.ndarray) -> np.ndarray:
+    if isinstance(spec, CrossEntropy) and spec.labels is not None:
         return np.asarray(spec.labels, dtype=np.int64)
-    return argmax_rows(logits.data)
+    return argmax_rows(logits)
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
@@ -225,35 +221,27 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray):
     return value, grad
 
 
-def loss_tensor(spec, feats: Tensor, logits: Tensor, pseudo_labels=None):
-    """The scalar loss of any LossSpec as one tape node, and the C x N class
-    kernel it read (IntraOnly, Cafa) or None.
+def loss_tensor(spec, feats: np.ndarray, logits: np.ndarray):
+    """The scalar loss of any LossSpec: (value, grad, reads_logits, quads).
 
-    The node's one parent is what the loss reads: the features (GlobalFA,
-    IntraOnly, Cafa) or the logits (Entropy and the cross-entropies). Its
-    backward is the loss's closed-form gradient. Forwards take a mean as
-    sum * (1/N), the order the recorded `loss` columns were computed in;
-    tests pin every value bit for bit. pseudo_labels, when given,
-    overrides the argmax labels (used to freeze labels across
-    finite-difference evaluations).
+    grad(s) is the gradient w.r.t. what the loss reads, the logits
+    (`reads_logits`: Entropy, CrossEntropy) or the features (GlobalFA,
+    IntraOnly, Cafa). quads is the C x N class kernel an IntraOnly or Cafa
+    loss read, else None. Values take a mean as sum * (1/N), the order the
+    recorded `loss` columns were computed in; tests pin every value bit for
+    bit.
     """
     quads = None
     if isinstance(spec, GlobalFA):
-        src, (value, grad) = feats, _global_fa(feats.data, spec.stats)
+        value, grad = _global_fa(feats, spec.stats)
     elif isinstance(spec, (IntraOnly, Cafa)):
-        labels = _labels_for(spec, logits, pseudo_labels)
-        quads, pd = _class_quadratics(feats.data, spec.stats)
-        src, (value, grad) = feats, _class_kernel_loss(spec, quads, pd, labels)
+        labels = _labels_for(spec, logits)
+        quads, pd = _class_quadratics(feats, spec.stats)
+        value, grad = _class_kernel_loss(spec, quads, pd, labels)
     elif isinstance(spec, Entropy):
-        src, (value, grad) = logits, _entropy(logits.data)
-    elif isinstance(spec, (PseudoLabelCE, SupervisedCE)):
-        labels = _labels_for(spec, logits, pseudo_labels)
-        src, (value, grad) = logits, _cross_entropy(logits.data, labels)
+        value, grad = _entropy(logits)
+    elif isinstance(spec, CrossEntropy):
+        value, grad = _cross_entropy(logits, _labels_for(spec, logits))
     else:
         raise TypeError(f"unknown loss spec: {spec!r}")
-    inv_n = 1.0 / src.data.shape[0]
-
-    def bw(out):
-        src._accumulate(grad(out.grad * inv_n))
-
-    return Tensor(value, parents=(src,), backward=bw), quads
+    return value, grad, not isinstance(spec, (GlobalFA, IntraOnly, Cafa)), quads

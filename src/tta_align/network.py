@@ -2,10 +2,13 @@
 
 Feature extractor = ordered (dense -> BN -> relu) blocks; a frozen linear
 classifier sits on top. Forward passes run in one of three BN statistic
-modes. Each block and the head is one tape node with a hand-written
-backward, and so is each loss (`losses.loss_tensor`). Gradients are restricted
-to a parameter group (BN affine parameters only, or the whole feature
-extractor). The classifier is never part of any adaptation parameter group.
+modes. The graph of every optimizing step is the same chain, blocks -> head
+-> loss, so its backward is one hand-written walk of that chain
+(`_backward`). Every trainable array is a view into one flat buffer laid
+out as [each block's gamma, beta][each block's W, b][classifier W, b], so a
+parameter group is a prefix of it: the BN affine parameters, then the whole
+feature extractor. The classifier is never part of any adaptation parameter
+group; pretraining uses the whole buffer.
 """
 
 from __future__ import annotations
@@ -71,8 +74,37 @@ class Block:
 
 @dataclass
 class AdaptiveModel:
-    blocks: list[Block] = field(default_factory=list)
-    classifier: DenseLayer = None
+    """The blocks and the classifier. Constructing a model copies every
+    trainable array into `flat` and rebinds the layer's attribute to a view of
+    it, so update a parameter in place: an attribute bound to a new array no
+    longer belongs to the buffer that gradients and Adam address."""
+
+    blocks: list[Block]
+    classifier: DenseLayer
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _sizes: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the buffer layout: each block's BN gamma and beta, each block's
+        # dense weight and bias, the classifier's weight and bias
+        slots = (
+            [(b.bn, k) for b in self.blocks for k in ("gamma", "beta")]
+            + [(b.dense, k) for b in self.blocks for k in ("weight", "bias")]
+            + [(self.classifier, k) for k in ("weight", "bias")]
+        )
+        arrays = [np.asarray(getattr(layer, k), dtype=np.float64) for layer, k in slots]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        start = 0
+        for (layer, k), a in zip(slots, arrays):
+            setattr(layer, k, self.flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        sizes = [a.size for a in arrays]
+        n = 2 * len(self.blocks)
+        self._sizes = {
+            ParamGroup.BN_ONLY: sum(sizes[:n]),
+            ParamGroup.FEATURE_FULL: sum(sizes[: 2 * n]),
+            None: self.flat.size,
+        }
 
     @property
     def input_dim(self) -> int:
@@ -87,7 +119,7 @@ class AdaptiveModel:
         return self.classifier.weight.shape[0]
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        """All trainable arrays, keyed by stable names. Arrays are live views."""
+        """All trainable arrays, keyed by stable names: views into `flat`."""
         params: dict[str, np.ndarray] = {}
         for i, blk in enumerate(self.blocks):
             params[f"block{i}.dense.weight"] = blk.dense.weight
@@ -98,18 +130,15 @@ class AdaptiveModel:
         params["classifier.bias"] = self.classifier.bias
         return params
 
-    def group_param_names(self, group: ParamGroup) -> list[str]:
-        names = []
-        for i in range(len(self.blocks)):
-            if group is ParamGroup.FEATURE_FULL:
-                names.append(f"block{i}.dense.weight")
-                names.append(f"block{i}.dense.bias")
-            names.append(f"block{i}.bn.gamma")
-            names.append(f"block{i}.bn.beta")
-        return names
+    def group_size(self, group: ParamGroup | None) -> int:
+        """Length of the prefix of `flat` that holds `group`; None is the
+        whole buffer, classifier included."""
+        return self._sizes[group]
 
     def copy(self) -> "AdaptiveModel":
-        return copy.deepcopy(self)
+        """An independent model over a buffer of its own (a deep copy of the
+        layers alone would copy each view as a separate array)."""
+        return AdaptiveModel(copy.deepcopy(self.blocks), copy.deepcopy(self.classifier))
 
 
 def init_model(
@@ -142,130 +171,47 @@ def init_model(
     return AdaptiveModel(blocks=blocks, classifier=classifier)
 
 
-# -- forward graph -----------------------------------------------------------
+# -- the chain: forward --------------------------------------------------------
 
 
-def _block(
-    h: Tensor,
-    w: Tensor,
-    b: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    bn: BnLayer,
-    mode: StatMode,
-) -> Tensor:
-    """One dense -> BN -> relu block as a single tape node.
+def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np.ndarray:
+    """One dense -> BN -> relu block.
 
     The forward runs in place on one buffer: z = h W^T + b becomes
     x_hat = (z - mu) / std, then y = x_hat * gamma + beta is rectified in
-    place. The backward is the closed form (Ioffe & Szegedy 2015): with
-    batch statistics, gz = (gx - mean(gx) - x_hat * mean(gx * x_hat)) / std
-    for gx = d/dx_hat; with running statistics, gz = gx / std. Each parent's
-    gradient is computed only if that parent requires one.
+    place. With `caches`, the block appends (h, x_hat, std, y) for the
+    backward; without, x_hat is freed on return.
     """
-    z = h.data @ w.data.T
-    z += b.data
-    batch_stats = mode is not StatMode.RUNNING_EVAL
-    if batch_stats:
+    bn = blk.bn
+    z = h @ blk.dense.weight.T
+    z += blk.dense.bias
+    if mode is not StatMode.RUNNING_EVAL:
         inv_n = 1.0 / z.shape[0]
-        mu = z.sum(axis=0) * inv_n
+        mu = np.add.reduce(z, axis=0) * inv_n
         z -= mu
-        var = (z**2).sum(axis=0) * inv_n
+        var = np.add.reduce(z**2, axis=0) * inv_n
         if mode is StatMode.TRAIN_UPDATE:
             m = bn.momentum
-            bn.running_mean[:] = (1 - m) * bn.running_mean + m * mu
-            bn.running_var[:] = (1 - m) * bn.running_var + m * var
+            bn.running_mean *= 1 - m
+            bn.running_mean += m * mu
+            bn.running_var *= 1 - m
+            bn.running_var += m * var
     else:
         z -= bn.running_mean
         var = bn.running_var
     std = np.sqrt(var + BN_VAR_EPS)
     z /= std  # z now holds x_hat
-    y = z * gamma.data
-    y += beta.data
+    y = z * bn.gamma
+    y += bn.beta
     np.maximum(y, 0.0, out=y)
-
-    def bw(out):
-        gy = out.grad * (out.data > 0.0)
-        if gamma.requires_grad:
-            gamma._accumulate((gy * z).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(gy.sum(axis=0))
-        if not (h.requires_grad or w.requires_grad or b.requires_grad):
-            return
-        g = gy * gamma.data  # d/dx_hat, turned into d/dz in place
-        if batch_stats:
-            mean_g = g.mean(axis=0)
-            mean_g_xhat = (g * z).mean(axis=0)
-            g -= mean_g
-            g -= z * mean_g_xhat
-        g /= std
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-        if w.requires_grad:
-            w._accumulate(g.T @ h.data)
-        if h.requires_grad:
-            h._accumulate(g @ w.data)
-
-    return Tensor(y, parents=(h, w, b, gamma, beta), backward=bw)
+    if caches is not None:
+        caches.append((h, z, std, y))
+    return y
 
 
-def _head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """The linear classifier, logits = h W^T + b, as one tape node.
-
-    Its backward is dW = g^T h, db = sum(g) and dh = g W, each computed only
-    if that parent requires a gradient.
-    """
-
-    def bw(out):
-        g = out.grad
-        if w.requires_grad:
-            w._accumulate(g.T @ h.data)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-        if h.requires_grad:
-            h._accumulate(g @ w.data)
-
-    return Tensor(h.data @ w.data.T + b.data, parents=(h, w, b), backward=bw)
-
-
-def _forward_graph(
-    model: AdaptiveModel, batch: np.ndarray, mode: StatMode, grad_names=()
-):
-    """Build the forward graph; returns (features, logits, param tensors).
-
-    Only the parameters in `grad_names` are gradient leaves, so with none
-    named the forward records no graph. In batch-statistic modes the
-    normalization uses the batch mean/variance, so gradients flow through
-    those statistics. TRAIN_UPDATE additionally refreshes the running stats
-    in place (numeric side effect only).
-    """
-    x = as_matrix(batch)
-    if x.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"batch dim {x.shape[1]} vs model input dim {model.input_dim}"
-        )
-    uses_batch_stats = mode in (StatMode.TRAIN_UPDATE, StatMode.BATCH_ONLY)
-    if uses_batch_stats and x.shape[0] < 2:
-        raise BatchTooSmall("batch-statistics modes need at least 2 samples")
-
-    grad_names = set(grad_names)
-    params = {
-        name: Tensor(arr, requires_grad=name in grad_names)
-        for name, arr in model.named_parameters().items()
-    }
-    h = Tensor(x)
-    for i, blk in enumerate(model.blocks):
-        h = _block(
-            h,
-            params[f"block{i}.dense.weight"],
-            params[f"block{i}.dense.bias"],
-            params[f"block{i}.bn.gamma"],
-            params[f"block{i}.bn.beta"],
-            blk.bn,
-            mode,
-        )
-    logits = _head(h, params["classifier.weight"], params["classifier.bias"])
-    return h, logits, params
+def _head(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The linear classifier: logits = h W^T + b."""
+    return h @ w.T + b
 
 
 class Forward(NamedTuple):
@@ -278,10 +224,31 @@ class Forward(NamedTuple):
     quads: np.ndarray | None = None
 
 
+def _forward(model: AdaptiveModel, batch, mode: StatMode, caches: list | None = None) -> Forward:
+    """The features and logits of one forward; with `caches`, each block's
+    (input, x_hat, std, output) in block order, for `_backward`.
+
+    In batch-statistic modes the normalization uses the batch mean/variance.
+    TRAIN_UPDATE additionally refreshes the running stats in place.
+    """
+    x = as_matrix(batch)
+    if x.shape[1] != model.input_dim:
+        raise DimensionMismatch(
+            f"batch dim {x.shape[1]} vs model input dim {model.input_dim}"
+        )
+    uses_batch_stats = mode in (StatMode.TRAIN_UPDATE, StatMode.BATCH_ONLY)
+    if uses_batch_stats and x.shape[0] < 2:
+        raise BatchTooSmall("batch-statistics modes need at least 2 samples")
+    h = x
+    for blk in model.blocks:
+        h = _block(h, blk, mode, caches)
+    clf = model.classifier
+    return Forward(h, _head(h, clf.weight, clf.bias))
+
+
 def forward_features(model: AdaptiveModel, batch, mode: StatMode) -> Forward:
-    """One forward with no graph: the features and their logits."""
-    feats, logits, _ = _forward_graph(model, batch, mode)
-    return Forward(feats.data, logits.data)
+    """One forward that keeps no cache: the features and their logits."""
+    return _forward(model, batch, mode)
 
 
 def predict(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:
@@ -293,16 +260,73 @@ def argmax_rows(logits: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-# -- gradients ---------------------------------------------------------------
+# -- the chain: backward -------------------------------------------------------
 
 
-def _loss_graph(model, batch, mode, loss_spec, pseudo_labels=None, grad_names=()):
-    # imported here to keep network <-> losses import acyclic
-    from .losses import loss_tensor
+def _backward(
+    model: AdaptiveModel,
+    caches: list,
+    mode: StatMode,
+    g: np.ndarray,
+    at_logits: bool,
+    size: int,
+) -> np.ndarray:
+    """The gradient over the first `size` entries of the buffer, from the
+    loss gradient `g` w.r.t. the logits (`at_logits`) or the features.
 
-    feats, logits, params = _forward_graph(model, batch, mode, grad_names)
-    loss, quads = loss_tensor(loss_spec, feats, logits, pseudo_labels=pseudo_labels)
-    return loss, Forward(feats.data, logits.data, quads), params
+    Walks head -> blocks in reverse and writes each gradient into its slice
+    of one flat vector. The head gives dW = g^T h, db = sum(g) (only when
+    `size` covers the classifier; a loss that reads the features leaves them
+    zero) and dh = g W. Each block's BN backward is the closed form (Ioffe &
+    Szegedy 2015): with batch statistics, gz = (gx - mean(gx) - x_hat *
+    mean(gx * x_hat)) / std for gx = d/dx_hat; with running statistics,
+    gz = gx / std. A block's dW and db are computed only past the BN prefix,
+    and no gradient is computed for the input below block 0.
+    """
+    grad = np.empty(size)
+    bn_end = model.group_size(ParamGroup.BN_ONLY)
+    feature_end = model.group_size(ParamGroup.FEATURE_FULL)
+    clf = model.classifier
+    if size > feature_end:
+        if at_logits:
+            w_end = feature_end + clf.weight.size
+            np.matmul(g.T, caches[-1][3], out=grad[feature_end:w_end].reshape(clf.weight.shape))
+            np.add.reduce(g, axis=0, out=grad[w_end:])
+        else:
+            grad[feature_end:] = 0.0
+    if at_logits:
+        g = g @ clf.weight
+    full = size > bn_end
+    batch_stats = mode is not StatMode.RUNNING_EVAL
+    n = g.shape[0]
+    bn_at, dense_at = bn_end, feature_end
+    for i in reversed(range(len(model.blocks))):
+        blk = model.blocks[i]
+        h, x_hat, std, y = caches[i]
+        d = std.shape[0]
+        bn_at -= 2 * d
+        gy = g * (y > 0.0)
+        np.add.reduce(gy * x_hat, axis=0, out=grad[bn_at : bn_at + d])
+        np.add.reduce(gy, axis=0, out=grad[bn_at + d : bn_at + 2 * d])
+        if i == 0 and not full:
+            break
+        g = gy
+        g *= blk.bn.gamma  # d/dx_hat, turned into d/dz in place
+        if batch_stats:  # the means as numpy's mean takes them: sum / n
+            mean_g = np.add.reduce(g, axis=0) / n
+            mean_g_xhat = np.add.reduce(g * x_hat, axis=0) / n
+            g -= mean_g
+            g -= x_hat * mean_g_xhat
+        g /= std
+        w = blk.dense.weight
+        if full:
+            dense_at -= w.size + d
+            w_end = dense_at + w.size
+            np.matmul(g.T, h, out=grad[dense_at:w_end].reshape(w.shape))
+            np.add.reduce(g, axis=0, out=grad[w_end : w_end + d])
+        if i > 0:
+            g = g @ w
+    return grad
 
 
 def loss_and_grad_named(
@@ -310,26 +334,27 @@ def loss_and_grad_named(
     batch,
     mode: StatMode,
     loss_spec,
-    names: list[str],
-    pseudo_labels=None,
-) -> tuple[float, dict[str, np.ndarray], Forward]:
-    """Loss value, gradients w.r.t. the named parameters only, and the
-    forward the loss was built on (with the class kernel, if the loss read
-    one).
+    group: ParamGroup | None,
+) -> tuple[float, np.ndarray, Forward]:
+    """Loss value, its gradient over `group`'s prefix of the buffer (None:
+    the whole buffer), and the forward the loss was built on (with the class
+    kernel, if the loss read one).
 
-    A named parameter the loss does not reach gets a zero gradient.
+    A parameter of the group that the loss does not reach gets a zero
+    gradient.
     """
-    loss, forward, params = _loss_graph(
-        model, batch, mode, loss_spec, pseudo_labels, names
-    )
+    # imported here to keep network <-> losses import acyclic
+    from . import losses
+
+    caches: list = []
+    forward = _forward(model, batch, mode, caches)
+    value, grad, at_logits, quads = losses.loss_tensor(loss_spec, forward.feats, forward.logits)
+    inv_n = 1.0 / forward.feats.shape[0]
+    size = model.group_size(group)
+    loss = Tensor(value, lambda: _backward(model, caches, mode, grad(inv_n), at_logits, size))
     if not np.isfinite(loss.data):
         raise NonFiniteLoss(f"loss evaluated to {float(loss.data)}")
-    loss.backward()
-    grads = {}
-    for name in names:
-        p = params[name]
-        grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
-    return float(loss.data), grads, forward
+    return float(loss.data), loss.backward(), forward._replace(quads=quads)
 
 
 # -- checkpoint i/o -----------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from tta_align import losses, network
-from tta_align.autograd import Tensor
 from tta_align.linalg import spd_factor, spd_inverse
 from tta_align.stats import ClassGaussian, CovarianceMode, SourceStats
 
@@ -98,74 +97,70 @@ def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-def cube_sum(t: Tensor) -> Tensor:
-    """sum(t**3) as a hand-built tape node: a smooth scalar to difference a
-    node's output through, even where a relu has its kink."""
+def loss_fn(spec, labels=None):
+    """The loss of `spec` as a function of one forward: (value, grad,
+    reads_logits). `labels`, when given, replace the argmax pseudo-labels of
+    an IntraOnly, Cafa or label-free CrossEntropy loss (the first two through
+    their builder), so that finite differences never flip one."""
+    if labels is not None and isinstance(spec, losses.CrossEntropy) and spec.labels is None:
+        spec = losses.CrossEntropy(labels)
 
-    def bw(out):
-        t._accumulate(out.grad * 3.0 * t.data**2)
+    def fn(forward):
+        if labels is not None and isinstance(spec, (losses.IntraOnly, losses.Cafa)):
+            quads, pd = losses._class_quadratics(forward.feats, spec.stats)
+            return (*losses._class_kernel_loss(spec, quads, pd, labels), False)
+        return losses.loss_tensor(spec, forward.feats, forward.logits)[:3]
 
-    return Tensor((t.data**3).sum(), parents=(t,), backward=bw)
-
-
-def loss_over(spec, leaf: Tensor, labels=None) -> Tensor:
-    """The loss node of `spec` with `leaf` as the one input it reads: the
-    features (GlobalFA, IntraOnly, Cafa) or the logits (the others)."""
-    if isinstance(spec, (losses.GlobalFA, losses.IntraOnly, losses.Cafa)):
-        return losses.loss_tensor(spec, leaf, None, pseudo_labels=labels)[0]
-    return losses.loss_tensor(spec, None, leaf, pseudo_labels=labels)[0]
+    return fn
 
 
 def loss_grad(spec, x: np.ndarray, labels=None) -> tuple[float, np.ndarray]:
-    """A loss over `x` and its gradient w.r.t. `x`."""
-    leaf = Tensor(x.copy(), requires_grad=True)
-    loss = loss_over(spec, leaf, labels)
-    loss.backward()
-    return float(loss.data), leaf.grad
+    """A loss over `x` and its gradient w.r.t. `x`: `x` stands for the
+    features (GlobalFA, IntraOnly, Cafa) or the logits (the others)."""
+    value, grad, _ = loss_fn(spec, labels)(network.Forward(x, x))
+    return float(value), grad(1.0 / x.shape[0])
 
 
-def evaluate_loss(model, batch, mode, spec, pseudo_labels=None) -> float:
-    """Scalar loss of one no-grad forward: what finite differences evaluate."""
-    loss, _, _ = network._loss_graph(model, batch, mode, spec, pseudo_labels)
-    return float(loss.data)
+def chain_grad(model, batch, mode, fn, group) -> tuple[float, np.ndarray]:
+    """The value of `fn` (a function of one forward, as `loss_fn` returns)
+    and its gradient over `group`'s prefix of the buffer, by the chain."""
+    caches = []
+    forward = network._forward(model, batch, mode, caches)
+    value, grad, at_logits = fn(forward)
+    g = grad(1.0 / forward.feats.shape[0])
+    return value, network._backward(model, caches, mode, g, at_logits, model.group_size(group))
 
 
-def fd_grad_named(
-    model,
-    batch,
-    mode,
-    spec,
-    names,
-    pseudo_labels=None,
-    h: float = 1e-5,
-) -> dict[str, np.ndarray]:
-    """Central finite differences over the named parameter entries."""
-    params = model.named_parameters()
+def fd_grad(model, batch, mode, fn, group, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of `fn` over `group`'s prefix of the
+    buffer: every named parameter is a view into it."""
+    params = model.flat[: model.group_size(group)]
+    g = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        up = fn(network._forward(model, batch, mode))[0]
+        params[i] = orig - h
+        down = fn(network._forward(model, batch, mode))[0]
+        params[i] = orig
+        g[i] = (up - down) / (2.0 * h)
+    return g
+
+
+def named(model, vec) -> dict[str, np.ndarray]:
+    """A flat vector in the buffer's layout (a prefix of it, such as a
+    group's gradient), split into one view per parameter it covers."""
     out = {}
-    for name in names:
-        p = params[name]
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = evaluate_loss(model, batch, mode, spec, pseudo_labels)
-            flat[i] = orig - h
-            down = evaluate_loss(model, batch, mode, spec, pseudo_labels)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
-        out[name] = g
+    for name, p in model.named_parameters().items():
+        start = (p.__array_interface__["data"][0] - model.flat.__array_interface__["data"][0]) // 8
+        if start + p.size <= vec.size:
+            out[name] = vec[start : start + p.size].reshape(p.shape)
     return out
 
 
-def max_rel_error(analytic: dict, reference: dict, floor: float = 1e-4) -> float:
-    worst = 0.0
-    for name, a in analytic.items():
-        f = reference[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
-        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
-    return worst
+def max_rel_error(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e-4) -> float:
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(reference)), floor)
+    return float(np.max(np.abs(analytic - reference) / denom))
 
 
 def model_state(model) -> dict[str, np.ndarray]:

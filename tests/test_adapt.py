@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import model_state, random_stats, small_model, states_equal
+from helpers import model_state, named, random_stats, small_model, states_equal
 from tta_align import data, losses, network
 from tta_align.adapt import (
     AdamState,
@@ -35,13 +35,13 @@ class TestAdam:
     def test_zero_gradient_no_op(self):
         p = np.array([1.0, -2.0])
         state = AdamState()
-        adam_step({"p": p}, {"p": np.zeros(2)}, state, lr=0.1)
+        adam_step(p, np.zeros(2), state, lr=0.1)
         assert np.array_equal(p, [1.0, -2.0])
         assert state.t == 1
 
     def test_first_step_is_signed_lr(self):
         p = np.array([0.0])
-        adam_step({"p": p}, {"p": np.array([3.7])}, AdamState(), lr=0.01)
+        adam_step(p, np.array([3.7]), AdamState(), lr=0.01)
         # bias correction makes the first update -lr * g/|g| up to eps
         assert p[0] == pytest.approx(-0.01, rel=1e-6)
 
@@ -62,16 +62,17 @@ class TestAdam:
         p = np.array([1.0])
         state = AdamState()
         for t in range(5):
-            adam_step({"p": p}, {"p": 2.0 * p}, state, lr, b1, b2, eps)
+            adam_step(p, 2.0 * p, state, lr, b1, b2, eps)
             assert p[0] == pytest.approx(trace[t], rel=1e-12)
         assert state.t == 5
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            adam_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, AdamState(), 0.1)
+            adam_step(np.zeros(2), np.zeros(3), AdamState(), 0.1)
 
     def test_flat_update_matches_per_array_update(self):
-        # reference: one Adam update per array, each op on that array alone
+        # reference: one Adam update per parameter array, each op on that
+        # array alone, against one update of the buffer the arrays view
         def per_array_step(params, grads, m, v, t, lr, beta1, beta2, eps):
             for name, g in grads.items():
                 m[name] = beta1 * m[name] + (1 - beta1) * g
@@ -81,27 +82,29 @@ class TestAdam:
                 params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         rng = np.random.default_rng(3)
-        shapes = {"w": (4, 3), "gamma": (3,), "beta": (1, 3)}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        model = small_model(rng)
+        params = model.named_parameters()
         ref = {k: p.copy() for k, p in params.items()}
-        m = {k: np.zeros(s) for k, s in shapes.items()}
-        v = {k: np.zeros(s) for k, s in shapes.items()}
+        m = {k: np.zeros(p.shape) for k, p in params.items()}
+        v = {k: np.zeros(p.shape) for k, p in params.items()}
         state = AdamState()
         for t in range(1, 6):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-            adam_step(params, grads, state, 0.05, 0.9, 0.999, 1e-8)
+            grad = rng.normal(size=model.flat.size)
+            grads = {k: g.copy() for k, g in named(model, grad).items()}
+            adam_step(model.flat, grad, state, 0.05, 0.9, 0.999, 1e-8)
             per_array_step(ref, grads, m, v, t, 0.05, 0.9, 0.999, 1e-8)
-            for k in shapes:
+            for k in params:
                 assert params[k].tobytes() == ref[k].tobytes()
 
-    def test_names_differ_from_state(self):
+    def test_size_differs_from_state(self):
+        # the moments belong to one slice: a step on a slice of another size
+        # is refused, whichever way it differs
         state = AdamState()
-        adam_step({"a": np.zeros(2)}, {"a": np.ones(2)}, state, 0.1)
-        params = {"a": np.zeros(2), "b": np.zeros(2)}
+        adam_step(np.zeros(2), np.ones(2), state, 0.1)
         with pytest.raises(DimensionMismatch):
-            adam_step(params, {"b": np.ones(2)}, state, 0.1)
+            adam_step(np.zeros(3), np.ones(3), state, 0.1)
         with pytest.raises(DimensionMismatch):
-            adam_step(params, {"a": np.ones(2), "b": np.ones(2)}, state, 0.1)
+            adam_step(np.zeros(1), np.ones(1), state, 0.1)
 
 
 class TestTtaConfig:
@@ -302,19 +305,19 @@ class TestOnlineProtocol:
         "method, steps", [("source", 0), ("bn", 0), ("entropy", 1), ("cafa", 2), ("pl", 3)]
     )
     def test_one_forward_graph_per_step(self, monkeypatch, method, steps):
-        # an optimizing batch reads its prediction from the step-1 graph;
+        # an optimizing batch reads its prediction from the step-1 forward;
         # a loss-free batch builds its single forward
         rng = np.random.default_rng(9)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         calls = []
-        original = network._forward_graph
+        original = network._forward
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(network, "_forward_graph", counting)
+        monkeypatch.setattr(network, "_forward", counting)
         adapt_stream(
             model,
             stats,

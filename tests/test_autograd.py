@@ -1,102 +1,111 @@
-"""The tape over hand-built nodes, and the classifier head and loss nodes it
-chains."""
+"""The fixed chain's backward (blocks -> head -> loss), the loss builders'
+gradients it starts from, and the loss handle `Tensor`."""
 
 import numpy as np
 import pytest
 
-from helpers import cube_sum, loss_grad, numeric_grad, random_stats, small_model
+from helpers import (
+    chain_grad,
+    fd_grad,
+    loss_grad,
+    model_state,
+    named,
+    random_stats,
+    small_model,
+    states_equal,
+)
 from tta_align import losses, network
 from tta_align.autograd import Tensor
 from tta_align.losses import (
     RATIO_FLOOR,
     Cafa,
+    CrossEntropy,
     Entropy,
     GlobalFA,
     IntraOnly,
-    PseudoLabelCE,
-    SupervisedCE,
 )
-from tta_align.network import StatMode
+from tta_align.network import ParamGroup, StatMode
 
 
-def node(value_fn, grad_fn, *parents):
-    """A hand-built tape node: value_fn(*data) is its value, and
-    grad_fn(g, *data) gives one gradient per parent."""
-    data = [p.data for p in parents]
+def cube(at_logits):
+    """sum(out**3) of the logits (`at_logits`) or the features, as a
+    function of one forward: a smooth scalar to difference the chain through,
+    even where a relu has its kink. A sum, not a mean, so its gradient
+    ignores the 1/N the chain hands a loss."""
 
-    def bw(out):
-        for p, g in zip(parents, grad_fn(out.grad, *data)):
-            if p.requires_grad:
-                p._accumulate(g)
+    def fn(forward):
+        out = forward.logits if at_logits else forward.feats
+        return float((out**3).sum()), lambda s: 3.0 * out**2, at_logits
 
-    return Tensor(value_fn(*data), parents=parents, backward=bw)
-
-
-def add(a, b):
-    return node(np.add, lambda g, x, y: (g, g), a, b)
+    return fn
 
 
-def mul(a, b):
-    return node(np.multiply, lambda g, x, y: (g * y, g * x), a, b)
-
-
-def matmul(a, b):
-    return node(np.matmul, lambda g, x, y: (g @ y.T, x.T @ g), a, b)
-
-
-def total(a):
-    return node(np.sum, lambda g, x: (np.broadcast_to(g, x.shape),), a)
-
-
-def head_case(seed):
-    rng = np.random.default_rng(seed)
-    return [rng.normal(size=(6, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)]
-
-
-def check_head_grad(arrays, i):
-    """The head's gradient w.r.t. parent i against central differences of
-    sum(logits**3)."""
-    leaves = [Tensor(a.copy(), requires_grad=j == i) for j, a in enumerate(arrays)]
-    cube_sum(network._head(*leaves)).backward()
-
-    def value(arr):
-        args = [Tensor(arr if j == i else a) for j, a in enumerate(arrays)]
-        return float(cube_sum(network._head(*args)).data)
-
-    fd = numeric_grad(value, arrays[i].copy())
-    np.testing.assert_allclose(leaves[i].grad, fd, rtol=1e-6, atol=1e-6)
-    # only the parent that asks for a gradient gets one
-    assert all(leaf.grad is None for j, leaf in enumerate(leaves) if j != i)
+def check_cube_grad(seed, at_logits, group, modes=tuple(StatMode), name=None):
+    """The chain's gradient of `cube` against central differences over
+    `group`'s prefix of the buffer (or its parameter `name` alone), in every
+    mode of `modes`."""
+    for mode in modes:
+        rng = np.random.default_rng(seed)
+        model = small_model(rng, input_dim=4, hidden_dims=(5, 3), n_classes=3)
+        for blk in model.blocks:
+            blk.bn.running_mean[:] = rng.normal(size=blk.bn.dim)
+            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
+        x = rng.normal(size=(6, 4))
+        _, analytic = chain_grad(model, x, mode, cube(at_logits), group)
+        fd = fd_grad(model, x, mode, cube(at_logits), group, h=1e-6)
+        if name is not None:
+            analytic, fd = named(model, analytic)[name], named(model, fd)[name]
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-6)
 
 
 class TestForwardValues:
     def test_matmul_and_transpose(self):
-        # the head node's logits are h W^T + b, bit for bit what a
-        # graph-free forward (and so prediction) reads
+        # the head's logits are h W^T + b, bit for bit what a cache-free
+        # forward (and so prediction) reads
         rng = np.random.default_rng(0)
         model = small_model(rng)
         x = rng.normal(size=(7, 6))
-        feats, logits, _ = network._forward_graph(model, x, StatMode.BATCH_ONLY)
+        feats, logits, _ = network._forward(model, x, StatMode.BATCH_ONLY, [])
         clf = model.classifier
-        assert np.array_equal(logits.data, feats.data @ clf.weight.T + clf.bias)
+        assert np.array_equal(logits, feats @ clf.weight.T + clf.bias)
         assert np.array_equal(
-            logits.data, network.forward_features(model, x, StatMode.BATCH_ONLY).logits
+            logits, network.forward_features(model, x, StatMode.BATCH_ONLY).logits
         )
 
-    def test_backward_requires_scalar(self):
-        with pytest.raises(ValueError):
-            Tensor([1.0, 2.0]).backward()
+    def test_backward_requires_scalar(self, monkeypatch):
+        # one step builds one handle: its data is the scalar loss, and its
+        # backward returns the flat gradient of the step's group
+        rng = np.random.default_rng(1)
+        model = small_model(rng)
+        handles = []
+        init = Tensor.__init__
+
+        def spy(self, data, backward):
+            handles.append(self)
+            init(self, data, backward)
+
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        value, grad, _ = network.loss_and_grad_named(
+            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, Entropy(), ParamGroup.BN_ONLY
+        )
+        assert len(handles) == 1
+        assert handles[0].data.shape == () and float(handles[0].data) == value
+        assert grad.shape == (model.group_size(ParamGroup.BN_ONLY),)
 
 
 class TestGradients:
     def test_matmul(self):
-        check_head_grad(head_case(3), 0)  # dh = g W
+        # dh = g W: the head carries a logits gradient into the blocks, and
+        # each block's dh into the block below
+        check_cube_grad(3, True, ParamGroup.FEATURE_FULL)
 
     def test_transpose(self):
-        check_head_grad(head_case(4), 1)  # the weight enters transposed: dW = g^T h
+        # the weight enters transposed: dW = g^T h
+        check_cube_grad(4, True, None, name="classifier.weight")
 
     def test_broadcast_row_vector(self):
-        check_head_grad(head_case(5), 2)  # the bias row is broadcast: db = sum(g)
+        # the bias row is broadcast: db = sum(g)
+        check_cube_grad(5, True, None, name="classifier.bias")
 
     def test_broadcast_keepdims(self):
         # GlobalFA centers on the broadcast batch mean. Shifting every row
@@ -123,8 +132,8 @@ class TestGradients:
             lambda y: IntraOnly(stats),
             lambda y: Cafa(stats),
             lambda y: Entropy(),
-            lambda y: PseudoLabelCE(),
-            SupervisedCE,
+            lambda y: CrossEntropy(),
+            CrossEntropy,
         ):
             v1, g1 = loss_grad(make(y), x, y)
             v2, g2 = loss_grad(make(y2), x2, y2)
@@ -137,7 +146,7 @@ class TestGradients:
         # has zero entropy and zero entropy gradient, and the cross-entropy
         # gradient is softmax - one-hot over N
         z = np.array([[1000.0, 0.0, -1000.0], [-800.0, 800.0, 0.0]])
-        value, g = loss_grad(PseudoLabelCE(), z, np.array([1, 1]))
+        value, g = loss_grad(CrossEntropy(labels=np.array([1, 1])), z)
         assert value == 500.0
         assert np.array_equal(g, [[0.5, -0.5, 0.0], [0.0, 0.0, 0.0]])
         value, g = loss_grad(Entropy(), z)
@@ -161,46 +170,93 @@ class TestGradients:
         np.testing.assert_allclose(g[0], denom_only, rtol=1e-10)
 
     def test_diamond_graph_accumulates(self):
-        # y = x*x + x reuses the same leaf three times
-        t = Tensor(np.array([3.0]), requires_grad=True)
-        out = total(add(mul(t, t), t))
-        out.backward()
-        assert np.array_equal(t.grad, [7.0])
+        # with batch statistics, z reaches x_hat directly and through the
+        # batch mean and variance, and the backward sums the three paths.
+        # The batch mean absorbs any dense bias, so the loss does not depend
+        # on one: the paths cancel to a zero bias gradient. With running
+        # statistics the bias moves the loss, and its gradient is not zero.
+        rng = np.random.default_rng(9)
+        model = small_model(rng, input_dim=4, hidden_dims=(5, 3))
+        x = rng.normal(size=(6, 4))
+        for mode in StatMode:
+            _, grad = chain_grad(model.copy(), x, mode, cube(True), ParamGroup.FEATURE_FULL)
+            scale = np.max(np.abs(grad))
+            db = np.concatenate([named(model, grad)[f"block{i}.dense.bias"] for i in range(2)])
+            if mode is StatMode.RUNNING_EVAL:
+                assert np.max(np.abs(db)) > 1e-3 * scale
+            else:
+                assert np.max(np.abs(db)) < 1e-12 * scale
+        check_cube_grad(9, True, ParamGroup.FEATURE_FULL, modes=(StatMode.BATCH_ONLY,))
 
     def test_constant_leaf_receives_grad_but_detaches_nothing(self):
-        c = Tensor(np.array([2.0]))
-        t = Tensor(np.array([3.0]), requires_grad=True)
-        out = total(mul(c, t))
-        out.backward()
-        assert np.array_equal(t.grad, [2.0])
-        assert c.grad is None
+        # the batch, the running statistics and the parameters are read by
+        # the backward, never written: a step outside TRAIN_UPDATE leaves
+        # the batch and the whole model bit for bit as they were
+        rng = np.random.default_rng(10)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        x = rng.normal(size=(8, 6))
+        x_before, before = x.copy(), model_state(model)
+        for mode in (StatMode.BATCH_ONLY, StatMode.RUNNING_EVAL):
+            for group in (ParamGroup.BN_ONLY, ParamGroup.FEATURE_FULL, None):
+                network.loss_and_grad_named(model, x, mode, Cafa(stats), group)
+                network.loss_and_grad_named(model, x, mode, CrossEntropy(), group)
+        assert np.array_equal(x, x_before)
+        assert states_equal(before, model_state(model))
 
 
 class TestTape:
-    def test_forward_without_grad_leaf_records_no_parents(self):
-        a = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]))
-        b = Tensor(np.array([[0.05], [0.2]]))
-        out = total(mul(matmul(a, b), matmul(a, b)))
-        assert not out.requires_grad
-        assert not out._parents and out._backward is None
+    """What one step keeps between its forward and its backward: a cache per
+    block, and nothing at all when no gradient is taken."""
+
+    def test_forward_without_grad_leaf_records_no_parents(self, monkeypatch):
+        # with a cache list, each block records (input, x_hat, std, output),
+        # its input the previous block's output and the last output the
+        # features; without one, no block is handed a list
+        rng = np.random.default_rng(11)
+        model = small_model(rng)
+        x = rng.normal(size=(8, 6))
+        caches = []
+        forward = network._forward(model, x, StatMode.BATCH_ONLY, caches)
+        assert len(caches) == len(model.blocks)
+        assert caches[0][0] is not None and np.array_equal(caches[0][0], x)
+        assert caches[1][0] is caches[0][3]
+        assert caches[-1][3] is forward.feats
+        for (_, x_hat, std, y), blk in zip(caches, model.blocks):
+            assert x_hat.shape == y.shape and std.shape == (blk.bn.dim,)
+        handed = []
+        original = network._block
+
+        def spy(h, blk, mode, block_caches):
+            handed.append(block_caches)
+            return original(h, blk, mode, block_caches)
+
+        monkeypatch.setattr(network, "_block", spy)
+        network._forward(model, x, StatMode.BATCH_ONLY)
+        assert handed == [None, None]
 
     def test_output_requires_grad_if_any_parent_does(self):
-        c = Tensor(np.array([2.0]))
-        t = Tensor(np.array([3.0]), requires_grad=True)
-        out = mul(c, t)
-        assert out.requires_grad
-        assert out._parents == [t]  # the constant parent is not recorded
+        # a gradient holds one entry per parameter of its group and no more:
+        # the BN affine parameters, then the dense layers, then (pretraining
+        # only) the classifier
+        rng = np.random.default_rng(12)
+        model = small_model(rng)  # widths 8, 5 from 6 inputs, 3 classes
+        bn = 2 * (8 + 5)
+        feature = bn + (8 * 6 + 8) + (5 * 8 + 5)
+        assert model.group_size(ParamGroup.BN_ONLY) == bn
+        assert model.group_size(ParamGroup.FEATURE_FULL) == feature
+        assert model.group_size(None) == model.flat.size == feature + 3 * 5 + 3
+        x = rng.normal(size=(8, 6))
+        for group in (ParamGroup.BN_ONLY, ParamGroup.FEATURE_FULL, None):
+            _, grad, _ = network.loss_and_grad_named(
+                model, x, StatMode.BATCH_ONLY, CrossEntropy(), group
+            )
+            assert grad.shape == (model.group_size(group),)
 
     def test_backward_skips_constants(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(4, 3))
-        w = rng.normal(size=(3, 2))
-        c = Tensor(a)
-        t = Tensor(w.copy(), requires_grad=True)
-        unused = Tensor(np.ones(2), requires_grad=True)
-        h = matmul(c, t)
-        out = add(total(mul(h, h)), total(c))
-        out.backward()
-        assert c.grad is None
-        assert unused.grad is None
-        np.testing.assert_allclose(t.grad, 2.0 * a.T @ (a @ w), rtol=1e-12)
+        # with running statistics the normalization's mean and variance are
+        # constants, so the backward is gz = gx / std alone; it matches
+        # central differences there, and in TRAIN_UPDATE, whose refresh of
+        # the running statistics is a side effect and not part of the graph
+        check_cube_grad(13, False, ParamGroup.FEATURE_FULL, modes=(StatMode.RUNNING_EVAL,))
+        check_cube_grad(14, True, ParamGroup.FEATURE_FULL, modes=(StatMode.TRAIN_UPDATE,))

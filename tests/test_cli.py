@@ -38,6 +38,20 @@ def tiny_config(tmp_path, **overrides):
     return path
 
 
+FOUR_CLASSES = {"n_classes": 4, "cov_scales": [0.2, 0.6, 1.5, 1.0]}
+
+
+def config_with(config, tmp_path, **sections):
+    """A copy of the config document at `config` with some fields of its
+    sections replaced."""
+    doc = json.loads(config.read_text())
+    for section, values in sections.items():
+        doc[section].update(values)
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.fixture()
 def pretrained(tmp_path):
     config = tiny_config(tmp_path)
@@ -184,6 +198,57 @@ class TestAdaptCommand:
         )
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["adapt", "stats"])
+    @pytest.mark.parametrize(
+        "synthetic", [FOUR_CLASSES, {"input_dim": 6}], ids=["n_classes", "input_dim"]
+    )
+    def test_config_that_does_not_fit_checkpoint_is_config_error(
+        self, pretrained, tmp_path, capsys, command, synthetic
+    ):
+        # refused before any data is generated: no output is written
+        config, out = pretrained
+        other = config_with(config, tmp_path, synthetic=synthetic)
+        args = [command, "--config", str(other), "--checkpoint", str(out / "checkpoint.npz")]
+        if command == "adapt":
+            args += ["--stats", str(out / "stats.bin"), "--method", "cafa"]
+            args += ["--out-dir", str(tmp_path / "adapt")]
+        else:
+            args += ["--out", str(out / "stats2.bin")]
+        assert cli.main(args) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "adapt").exists() and not (out / "stats2.bin").exists()
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [("model", {"hidden_dims": [8, 4]}), ("synthetic", FOUR_CLASSES)],
+        ids=["feature_dim", "n_classes"],
+    )
+    def test_stats_that_do_not_fit_checkpoint_are_io_error(
+        self, pretrained, tmp_path, capsys, section, values
+    ):
+        config, out = pretrained
+        other = tmp_path / "other"
+        other_config = config_with(config, tmp_path, **{section: values})
+        assert cli.main(["pretrain", "--config", str(other_config), "--out-dir", str(other)]) == 0
+        code = cli.main(
+            [
+                "adapt",
+                "--config",
+                str(config),
+                "--checkpoint",
+                str(out / "checkpoint.npz"),
+                "--stats",
+                str(other / "stats.bin"),
+                "--method",
+                "cafa",
+                "--out-dir",
+                str(tmp_path / "adapt"),
+            ]
+        )
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert not (tmp_path / "adapt").exists()
 
     def test_non_finite_loss_keeps_partial_record(self, pretrained, capsys):
         config, out = pretrained

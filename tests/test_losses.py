@@ -6,25 +6,23 @@ from hypothesis import strategies as st
 from helpers import (
     exact_gaussian,
     gauss_jordan_inverse,
+    loss_fn,
     loss_grad,
-    loss_over,
     numeric_grad,
     random_spd,
     random_stats,
     small_model,
     stats_from_gaussians,
 )
-from tta_align import losses, network
-from tta_align.autograd import Tensor
+from tta_align import autograd, losses, network
 from tta_align.errors import BatchTooSmall, DimensionMismatch, SingleClass, UnknownClass
 from tta_align.losses import (
     RATIO_FLOOR,
     Cafa,
+    CrossEntropy,
     Entropy,
     GlobalFA,
     IntraOnly,
-    PseudoLabelCE,
-    SupervisedCE,
     distance_report,
     loss_tensor,
     mahalanobis,
@@ -36,16 +34,15 @@ SPECS = {  # name -> spec from (stats, labels)
     "intra": lambda stats, y: IntraOnly(stats),
     "cafa": lambda stats, y: Cafa(stats),
     "entropy": lambda stats, y: Entropy(),
-    "pseudo_label": lambda stats, y: PseudoLabelCE(),
-    "supervised": lambda stats, y: SupervisedCE(y),
+    "pseudo_label": lambda stats, y: CrossEntropy(),
+    "supervised": lambda stats, y: CrossEntropy(y),
 }
 
 
 def loss_value(spec, feats=None, logits=None, labels=None) -> float:
-    """A loss as a plain number, built by the one entry point `loss_tensor`."""
-    feats = None if feats is None else Tensor(feats)
-    logits = None if logits is None else Tensor(logits)
-    return float(loss_tensor(spec, feats, logits, pseudo_labels=labels)[0].data)
+    """A loss as a plain number, built by `loss_tensor` or, for labels in
+    place of the pseudo-labels, by the loss builder itself."""
+    return float(loss_fn(spec, labels)(network.Forward(feats, logits))[0])
 
 
 def class_quadratics(batch, stats) -> np.ndarray:
@@ -224,11 +221,18 @@ class TestClassKernel:
                 ref[n] += w[c, n] * (g.precision + g.precision.T) @ (x[n] - g.mu)
         np.testing.assert_allclose(self._grad(x, stats, w), ref, rtol=1e-12, atol=0.0)
 
-    def test_no_graph_without_grad_leaf(self):
+    def test_no_graph_without_grad_leaf(self, monkeypatch):
+        # a loss is plain numbers and a closure: it builds no graph node,
+        # and only the chain's step wraps the value in a loss handle
         stats, x, _ = self._setup(32)
-        loss, _ = loss_tensor(Cafa(stats), Tensor(x), None, pseudo_labels=np.arange(7) % 4)
-        assert not loss.requires_grad
-        assert loss._parents == [] and loss._backward is None
+        built = []
+        monkeypatch.setattr(autograd.Tensor, "__init__", lambda *a: built.append(a))
+        logits = np.eye(4)[np.arange(7) % 4]
+        value, grad, reads_logits, quads = loss_tensor(Cafa(stats), x, logits)
+        assert not built
+        assert isinstance(value, float) and not reads_logits
+        assert np.array_equal(quads, class_quadratics(x, stats))
+        assert grad(1.0 / 7).shape == x.shape
 
 
 class TestGlobalFaLoss:
@@ -353,12 +357,12 @@ class TestBaselineLosses:
 
     def test_pseudo_label_one_hot(self):
         logits = np.array([[50.0, 0.0], [0.0, 50.0]])
-        value = loss_value(PseudoLabelCE(), logits=logits, labels=np.array([0, 1]))
+        value = loss_value(CrossEntropy(np.array([0, 1])), logits=logits)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_pseudo_label_uniform(self):
         labels = np.array([0, 1, 3])
-        got = loss_value(PseudoLabelCE(), logits=np.zeros((3, 4)), labels=labels)
+        got = loss_value(CrossEntropy(labels), logits=np.zeros((3, 4)))
         assert got == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_pseudo_label_direct_formula(self):
@@ -367,13 +371,13 @@ class TestBaselineLosses:
         labels = rng.integers(0, 4, size=10)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         ref = float(np.mean(-np.log(p[np.arange(10), labels])))
-        value = loss_value(PseudoLabelCE(), logits=logits, labels=labels)
+        value = loss_value(CrossEntropy(labels), logits=logits)
         assert value == pytest.approx(ref, rel=1e-10)
 
     def test_pseudo_label_unknown_class(self):
         with pytest.raises(UnknownClass):
             loss_value(
-                PseudoLabelCE(), logits=np.zeros((2, 3)), labels=np.array([0, 3])
+                CrossEntropy(np.array([0, 3])), logits=np.zeros((2, 3))
             )
 
 
@@ -408,7 +412,7 @@ def generic_order_loss(spec, feats, logits, labels):
 
 
 class TestLossGradients:
-    """Each loss node's closed-form backward w.r.t. the input it reads."""
+    """Each loss's closed-form gradient w.r.t. the input it reads."""
 
     @pytest.mark.parametrize("name", SPECS)
     def test_matches_central_differences(self, name):
@@ -418,7 +422,7 @@ class TestLossGradients:
         y = rng.integers(0, 4, size=6)
         spec = SPECS[name](stats, y)
         _, g = loss_grad(spec, x, y)
-        fd = numeric_grad(lambda a: float(loss_over(spec, Tensor(a), y).data), x.copy())
+        fd = numeric_grad(lambda a: loss_grad(spec, a, y)[0], x.copy())
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
 
     def test_cafa_floored_term_has_zero_gradient(self):
@@ -432,7 +436,7 @@ class TestLossGradients:
         y = np.array([0, 2, 1, 1, 0])
         assert class_quadratics(x, stats)[1, 2] < RATIO_FLOOR
         _, g = loss_grad(Cafa(stats), x, y)
-        fd = numeric_grad(lambda a: float(loss_over(Cafa(stats), Tensor(a), y).data), x.copy(), h=1e-7)
+        fd = numeric_grad(lambda a: loss_grad(Cafa(stats), a, y)[0], x.copy(), h=1e-7)
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6)
 
     def test_values_keep_the_generic_order_bit_for_bit(self):
@@ -448,11 +452,12 @@ class TestLossGradients:
                     for make in SPECS.values():
                         spec = make(stats, y)
                         m = model.copy()
-                        names = m.group_param_names(group)
                         loss, _, (feats, logits, _) = network.loss_and_grad_named(
-                            m, x, mode, spec, names
+                            m, x, mode, spec, group
                         )
-                        labels = y if isinstance(spec, SupervisedCE) else logits.argmax(axis=1)
+                        labels = logits.argmax(axis=1)
+                        if isinstance(spec, CrossEntropy) and spec.labels is not None:
+                            labels = y
                         ref = generic_order_loss(spec, feats, logits, labels)
                         assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
 

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    cube_sum,
-    fd_grad_named,
+    fd_grad,
+    loss_fn,
     max_rel_error,
     model_state,
-    numeric_grad,
+    named,
     random_stats,
     small_model,
     states_equal,
 )
 from tta_align import losses, network
 from tta_align.adapt import TtaConfig, adapt_stream
-from tta_align.autograd import Tensor
 from tta_align.errors import (
     BatchTooSmall,
     DimensionMismatch,
@@ -232,30 +232,34 @@ class TestBlockNode:
     mode=st.sampled_from(list(StatMode)),
 )
 def test_normalization_chain_property(seed, n, d, mode):
-    # the block node's analytic backward checked by differences w.r.t. its
-    # input, W, b, gamma and beta; relu(y)**3 is smooth across the kink
+    # one block's backward in the chain checked by differences w.r.t. its
+    # W, b, gamma and beta; relu(y)**3 is smooth across the kink
     rng = np.random.default_rng(seed)
-    arrays = [
-        rng.normal(size=(n, 3)),  # block input
-        rng.normal(size=(d, 3)),  # dense weight
-        rng.normal(size=d),  # dense bias
-        1.0 + 0.5 * rng.normal(size=d),  # gamma
-        0.5 * rng.normal(size=d),  # beta
-    ]
-    bn = BnLayer(arrays[3], arrays[4], rng.normal(size=d), 0.5 + rng.random(d))
+    model = AdaptiveModel(
+        blocks=[
+            Block(
+                DenseLayer(rng.normal(size=(d, 3)), rng.normal(size=d)),
+                BnLayer(
+                    1.0 + 0.5 * rng.normal(size=d),
+                    0.5 * rng.normal(size=d),
+                    rng.normal(size=d),
+                    0.5 + rng.random(d),
+                ),
+            )
+        ],
+        classifier=DenseLayer(np.zeros((1, d)), np.zeros(1)),
+    )
+    x = rng.normal(size=(n, 3))
 
-    def build(leaves):
-        return cube_sum(network._block(*leaves, bn, mode))
+    def cube(forward):
+        return float((forward.feats**3).sum()), None, False
 
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    build(leaves).backward()
-    for i, leaf in enumerate(leaves):
-
-        def value(arr, i=i):
-            return float(build([Tensor(arr if j == i else a) for j, a in enumerate(arrays)]).data)
-
-        fd = numeric_grad(value, arrays[i].copy())
-        np.testing.assert_allclose(leaf.grad, fd, atol=5e-5)
+    caches = []
+    feats = network._forward(model, x, mode, caches).feats
+    size = model.group_size(ParamGroup.FEATURE_FULL)
+    analytic = network._backward(model, caches, mode, 3.0 * feats**2, False, size)
+    fd = fd_grad(model, x, mode, cube, ParamGroup.FEATURE_FULL, h=1e-6)
+    np.testing.assert_allclose(analytic, fd, atol=5e-5)
 
 
 class TestLogitsAndPredict:
@@ -298,7 +302,7 @@ class TestLogitsAndPredict:
         original = network._head
 
         def counting(h, w, b):
-            heads.append(h.data.shape[0])
+            heads.append(h.shape[0])
             return original(h, w, b)
 
         monkeypatch.setattr(network, "_head", counting)
@@ -346,74 +350,99 @@ class TestGradients:
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
         spec = losses.Cafa(stats)
-        bn_only = model.group_param_names(ParamGroup.BN_ONLY)
-        _, g_bn, _ = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, bn_only)
-        assert set(g_bn) == {
+        _, g_bn, _ = network.loss_and_grad_named(
+            model, x, StatMode.BATCH_ONLY, spec, ParamGroup.BN_ONLY
+        )
+        assert set(named(model, g_bn)) == {
             "block0.bn.gamma",
             "block0.bn.beta",
             "block1.bn.gamma",
             "block1.bn.beta",
         }
-        full = model.group_param_names(ParamGroup.FEATURE_FULL)
         _, g_full, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, spec, full
+            model, x, StatMode.BATCH_ONLY, spec, ParamGroup.FEATURE_FULL
         )
-        assert set(g_bn) < set(g_full)
-        assert not any(name.startswith("classifier") for name in g_full)
+        assert set(named(model, g_bn)) < set(named(model, g_full))
+        assert not any(name.startswith("classifier") for name in named(model, g_full))
+
+    def test_bn_gradient_is_the_feature_prefix(self):
+        # the BN group is the first 2 * sum(widths) entries of the buffer, so
+        # its gradient is that prefix of the feature group's, bit for bit
+        rng = np.random.default_rng(30)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        x = rng.normal(size=(8, 6))
+        n_bn = 2 * sum(blk.bn.dim for blk in model.blocks)
+        for mode in StatMode:
+            for spec in (losses.Cafa(stats), losses.GlobalFA(stats), losses.CrossEntropy()):
+                _, g_bn, _ = network.loss_and_grad_named(
+                    model.copy(), x, mode, spec, ParamGroup.BN_ONLY
+                )
+                _, g_full, _ = network.loss_and_grad_named(
+                    model.copy(), x, mode, spec, ParamGroup.FEATURE_FULL
+                )
+                assert g_bn.size == n_bn
+                assert g_bn.tobytes() == g_full[:n_bn].tobytes()
 
     def test_graph_freed_without_cycle_collector(self, monkeypatch):
-        # no graph node may sit in a reference cycle: with the cyclic
-        # collector off, every node dies when loss_and_grad_named returns
+        # the chain holds no reference cycle: with the cyclic collector off,
+        # every cached array dies when loss_and_grad_named returns
         rng = np.random.default_rng(24)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
-        nodes = {}  # id -> weakref, one per graph node
-        backward = Tensor.backward
+        refs = []
+        backward = network._backward
 
-        def spy(loss):
-            stack = [loss]
-            while stack:
-                node = stack.pop()
-                nodes[id(node)] = weakref.ref(node)
-                stack.extend(p for p in node._parents if id(p) not in nodes)
-            backward(loss)
+        def spy(model, caches, *args):
+            refs.extend(weakref.ref(a) for cache in caches for a in cache[1:])
+            return backward(model, caches, *args)
 
-        monkeypatch.setattr(Tensor, "backward", spy)
-        names = model.group_param_names(ParamGroup.BN_ONLY)
+        monkeypatch.setattr(network, "_backward", spy)
         gc.disable()
         try:
             x = rng.normal(size=(8, 6))
             spec = losses.Cafa(stats)
-            network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, names)
-            alive = sum(ref() is not None for ref in nodes.values())
+            network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, ParamGroup.BN_ONLY)
+            alive = sum(ref() is not None for ref in refs)
         finally:
             gc.enable()
-        assert nodes and alive == 0
+        assert refs and alive == 0
 
-    def test_forward_without_names_records_no_graph(self):
+    def test_forward_without_names_records_no_graph(self, monkeypatch):
+        # a forward that takes no gradient (prediction, a loss-free batch,
+        # the source statistics) hands no block a cache; a loss step hands
+        # every block the same list
         rng = np.random.default_rng(25)
         model = small_model(rng)
         x = rng.normal(size=(8, 6))
-        feats, logits, params = network._forward_graph(model, x, StatMode.BATCH_ONLY)
-        for t in (feats, logits, *params.values()):
-            assert not t.requires_grad and not t._parents
-        names = model.group_param_names(ParamGroup.BN_ONLY)
-        feats, logits, params = network._forward_graph(
-            model, x, StatMode.BATCH_ONLY, names
+        handed = []
+        original = network._block
+
+        def spy(h, blk, mode, caches):
+            handed.append(caches)
+            return original(h, blk, mode, caches)
+
+        monkeypatch.setattr(network, "_block", spy)
+        network.forward_features(model, x, StatMode.BATCH_ONLY)
+        network.predict(model, x, StatMode.RUNNING_EVAL)
+        assert handed == [None] * 4
+        handed.clear()
+        network.loss_and_grad_named(
+            model, x, StatMode.BATCH_ONLY, losses.Entropy(), ParamGroup.BN_ONLY
         )
-        assert feats.requires_grad and logits.requires_grad
-        assert {n for n, t in params.items() if t.requires_grad} == set(names)
+        assert len(handed) == 2 and handed[0] is handed[1] and len(handed[0]) == 2
 
     def test_unreached_named_parameter_gets_zero_grad(self):
-        # the alignment loss reads features only, never the classifier
+        # the alignment loss reads features only, never the classifier: its
+        # slice of a whole-buffer gradient is zero
         rng = np.random.default_rng(26)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
-        names = ["block1.bn.gamma", "classifier.weight", "classifier.bias"]
-        _, grads, _ = network.loss_and_grad_named(
-            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, losses.GlobalFA(stats), names
+        _, grad, _ = network.loss_and_grad_named(
+            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, losses.GlobalFA(stats), None
         )
-        assert set(grads) == set(names)
+        grads = named(model, grad)
+        assert set(grads) == set(model.named_parameters())
         assert np.any(grads["block1.bn.gamma"] != 0.0)
         for name in ("classifier.weight", "classifier.bias"):
             assert np.array_equal(grads[name], np.zeros_like(model.named_parameters()[name]))
@@ -423,11 +452,7 @@ class TestGradients:
         model = small_model(rng)
         x = rng.normal(size=(8, 6))
         _, _, forward = network.loss_and_grad_named(
-            model,
-            x,
-            StatMode.BATCH_ONLY,
-            losses.Entropy(),
-            model.group_param_names(ParamGroup.BN_ONLY),
+            model, x, StatMode.BATCH_ONLY, losses.Entropy(), ParamGroup.BN_ONLY
         )
         plain = network.forward_features(model, x, StatMode.BATCH_ONLY)
         assert np.array_equal(forward.feats, plain.feats)
@@ -441,11 +466,7 @@ class TestGradients:
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
         _, _, forward = network.loss_and_grad_named(
-            model,
-            x,
-            StatMode.BATCH_ONLY,
-            spec_type(stats),
-            model.group_param_names(ParamGroup.BN_ONLY),
+            model, x, StatMode.BATCH_ONLY, spec_type(stats), ParamGroup.BN_ONLY
         )
         quads, _ = losses._class_quadratics(forward.feats, stats)
         assert np.array_equal(forward.quads, quads)
@@ -455,43 +476,35 @@ class TestGradients:
         rng = np.random.default_rng(16)
         model = small_model(rng, n_classes=1)
         stats = random_stats(rng, 1, 5)
-        _, grads, _ = network.loss_and_grad_named(
+        _, grad, _ = network.loss_and_grad_named(
             model,
             rng.normal(size=(8, 6)),
             StatMode.BATCH_ONLY,
             losses.Cafa(stats),
-            model.group_param_names(ParamGroup.FEATURE_FULL),
+            ParamGroup.FEATURE_FULL,
         )
-        for g in grads.values():
-            assert np.array_equal(g, np.zeros_like(g))
+        assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_single_logit_entropy_closed_form(self):
         # with one class the softmax is the point mass, H = 0, dH/dparam = 0
         rng = np.random.default_rng(17)
         model = small_model(rng, n_classes=1)
         x = rng.normal(size=(6, 6))
-        value, grads, _ = network.loss_and_grad_named(
-            model,
-            x,
-            StatMode.BATCH_ONLY,
-            losses.Entropy(),
-            model.group_param_names(ParamGroup.BN_ONLY),
+        value, grad, _ = network.loss_and_grad_named(
+            model, x, StatMode.BATCH_ONLY, losses.Entropy(), ParamGroup.BN_ONLY
         )
         assert value == 0.0
-        for g in grads.values():
-            np.testing.assert_allclose(g, 0.0, atol=1e-15)
+        np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_fd_supervised_ce_full_group(self):
         rng = np.random.default_rng(18)
         model = small_model(rng)
         x = rng.normal(size=(12, 6))
         y = rng.integers(0, 3, size=12)
-        spec = losses.SupervisedCE(labels=y)
-        names = model.group_param_names(ParamGroup.FEATURE_FULL)
-        _, analytic, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, spec, names
-        )
-        fd = fd_grad_named(model, x, StatMode.BATCH_ONLY, spec, names)
+        spec = losses.CrossEntropy(labels=y)
+        group = ParamGroup.FEATURE_FULL
+        _, analytic, _ = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, group)
+        fd = fd_grad(model, x, StatMode.BATCH_ONLY, loss_fn(spec), group)
         assert max_rel_error(analytic, fd) < 1e-4
 
     def test_fd_global_fa_bn_group(self):
@@ -499,12 +512,10 @@ class TestGradients:
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         spec = losses.GlobalFA(stats)
-        names = model.group_param_names(ParamGroup.BN_ONLY)
+        group = ParamGroup.BN_ONLY
         x = rng.normal(size=(10, 6))
-        _, analytic, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, spec, names
-        )
-        fd = fd_grad_named(model, x, StatMode.BATCH_ONLY, spec, names)
+        _, analytic, _ = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, group)
+        fd = fd_grad(model, x, StatMode.BATCH_ONLY, loss_fn(spec), group)
         assert max_rel_error(analytic, fd) < 1e-4
 
     def test_non_finite_loss_raises(self):
@@ -518,7 +529,7 @@ class TestGradients:
                 rng.normal(size=(8, 6)),
                 StatMode.BATCH_ONLY,
                 losses.GlobalFA(stats),
-                model.group_param_names(ParamGroup.BN_ONLY),
+                ParamGroup.BN_ONLY,
             )
 
 
@@ -630,3 +641,54 @@ class TestCheckpoint:
             clone.blocks[0].bn.gamma, model.blocks[0].bn.gamma
         )
         assert not np.array_equal(clone.classifier.weight, model.classifier.weight)
+
+
+class TestFlatBuffer:
+    @staticmethod
+    def _own_views(model, other):
+        return all(
+            np.shares_memory(p, model.flat) and not np.shares_memory(p, other.flat)
+            for p in model.named_parameters().values()
+        )
+
+    def test_copy_and_load_rebuild_the_views(self, tmp_path):
+        # a deep copy alone would copy every view as an array of its own, so
+        # gradients and Adam, which address the buffer, would miss them
+        model = small_model(np.random.default_rng(31))
+        clone = model.copy()
+        assert self._own_views(clone, model)
+        path = tmp_path / "model.npz"
+        network.save_checkpoint(model, path)
+        loaded = network.load_checkpoint(path)
+        assert self._own_views(loaded, model)
+        assert states_equal(model_state(model), model_state(loaded))
+
+    @pytest.mark.parametrize("group", list(ParamGroup))
+    def test_adapting_a_copy_leaves_the_source(self, group):
+        rng = np.random.default_rng(32)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        before = model_state(model)
+        flat = model.flat.copy()
+        batches = [(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16)) for _ in range(3)]
+        cfg = TtaConfig(method="cafa", steps_per_batch=2, batch_size=16, param_group=group)
+        adapted, _ = adapt_stream(model.copy(), stats, batches, cfg)
+        assert not states_equal(before, model_state(adapted))
+        assert states_equal(before, model_state(model))
+        assert model.flat.tobytes() == flat.tobytes()
+
+    def test_loads_a_checkpoint_written_before_the_buffer(self):
+        # tests/data/checkpoint_v1.npz was written by the code before the flat
+        # buffer (per-array parameters); the format did not change
+        path = Path(__file__).parent / "data" / "checkpoint_v1.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "__header__"}
+        model = network.load_checkpoint(path)
+        state = model_state(model)
+        for name, arr in arrays.items():
+            if name.endswith("momentum"):
+                assert model.blocks[int(name[5])].bn.momentum == float(arr)
+            else:
+                assert state[name].tobytes() == arr.tobytes() and state[name].shape == arr.shape
+        assert set(state) == {k for k in arrays if not k.endswith("momentum")}
+        assert self._own_views(model, small_model(np.random.default_rng(0)))
