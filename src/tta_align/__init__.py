@@ -27,7 +27,6 @@ from .network import (
     save_checkpoint,
 )
 from .stats import (
-    ClassGaussian,
     CovarianceMode,
     SourceStats,
     estimate_source_stats,

@@ -65,23 +65,14 @@ def spd_inverse(f: SpdFactor) -> np.ndarray:
 
 
 def mean_and_cov(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and biased (1/N) covariance of a list of vectors.
+    """Mean and biased (1/N) covariance of the rows of an N x d matrix.
 
     The covariance is normalized by N, not N-1, and is exactly symmetric.
     """
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        x = np.asarray(samples, dtype=np.float64)
-    else:
-        samples = list(samples)
-        if len(samples) == 0:
-            raise EmptyInput("need at least one sample")
-        dims = {np.asarray(s).shape for s in samples}
-        if len(dims) != 1 or len(next(iter(dims))) != 1:
-            raise DimensionMismatch(f"inconsistent sample shapes: {dims}")
-        x = np.asarray(samples, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise EmptyInput("need at least one sample")
+    x = as_matrix(samples)
     n = x.shape[0]
+    if n == 0:
+        raise EmptyInput("need at least one sample")
     mu = x.sum(axis=0) / n
     centered = x - mu
     cov = centered.T @ centered / n

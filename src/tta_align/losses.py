@@ -20,7 +20,7 @@ from .errors import (
     UnknownClass,
 )
 from .network import argmax_rows
-from .stats import ClassGaussian, SourceStats
+from .stats import SourceStats
 
 RATIO_FLOOR = 1e-12  # clamp for the log-ratio numerator and denominator
 
@@ -65,12 +65,12 @@ class DistanceReport:
 # -- plain-number distance operations -----------------------------------------
 
 
-def mahalanobis(x_feat: np.ndarray, g: ClassGaussian) -> float:
+def mahalanobis(x_feat: np.ndarray, mu: np.ndarray, precision: np.ndarray) -> float:
     x = np.asarray(x_feat, dtype=np.float64)
-    if x.shape != g.mu.shape:
-        raise DimensionMismatch(f"feature shape {x.shape} vs mean {g.mu.shape}")
-    delta = x - g.mu
-    return float(delta @ g.precision @ delta)
+    if x.shape != mu.shape:
+        raise DimensionMismatch(f"feature shape {x.shape} vs mean {mu.shape}")
+    delta = x - mu
+    return float(delta @ precision @ delta)
 
 
 def distance_report(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from .errors import (
     CorruptChecksum,
     FormatVersionMismatch,
     MissingClass,
+    NotPositiveDefinite,
     StatsIoError,
 )
 from .linalg import mean_and_cov, spd_factor, spd_inverse
@@ -37,41 +39,28 @@ class CovarianceMode(enum.Enum):
 
 
 @dataclass
-class ClassGaussian:
-    class_id: int
-    mu: np.ndarray
-    sigma: np.ndarray
-    precision: np.ndarray  # dense inverse of the regularized sigma
-    n_samples: int
-
-
-@dataclass
 class SourceStats:
-    classes: list[ClassGaussian]
+    """The source Gaussians, stacked by class for the class kernel: means
+    (C x d), covariances and their regularized precisions (C x d x d), and
+    sample counts (C)."""
+
+    class_mus: np.ndarray
+    class_sigmas: np.ndarray
+    class_precisions: np.ndarray
+    class_counts: np.ndarray
     global_mu: np.ndarray
     global_sigma: np.ndarray
     covariance_mode: CovarianceMode
-    feature_dim: int
     eps_scale: float
     warnings: list[str] = field(default_factory=list)
-    # the class means (C x d) and precisions (C x d x d), stacked once here
-    # for the class kernel
-    class_mus: np.ndarray = field(init=False, repr=False)
-    class_precisions: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        d = self.feature_dim
-        self.class_mus = np.array([g.mu for g in self.classes]).reshape(-1, d)
-        self.class_precisions = np.array(
-            [g.precision for g in self.classes]
-        ).reshape(-1, d, d)
-        # each class reads its rows of the stacks, so the arrays exist once
-        for g, mu, precision in zip(self.classes, self.class_mus, self.class_precisions):
-            g.mu, g.precision = mu, precision
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return self.class_mus.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.class_mus.shape[1]
 
 
 def regularized_precision(sigma: np.ndarray, eps_scale: float) -> np.ndarray:
@@ -87,6 +76,13 @@ def regularized_precision(sigma: np.ndarray, eps_scale: float) -> np.ndarray:
     return spd_inverse(spd_factor(sigma + eps * np.eye(d)))
 
 
+def _precisions(sigmas: np.ndarray, eps_scale: float) -> np.ndarray:
+    """The regularized precision of each covariance of a C x d x d stack."""
+    return np.array([regularized_precision(s, eps_scale) for s in sigmas]).reshape(
+        sigmas.shape
+    )
+
+
 def fit_source_stats(
     features: np.ndarray,
     labels: np.ndarray,
@@ -100,42 +96,38 @@ def fit_source_stats(
     n_classes = int(y.max()) + 1 if y.size else 0
     warnings: list[str] = []
 
-    per_class: list[tuple[np.ndarray, np.ndarray, int]] = []
+    mus = np.empty((n_classes, d))
+    sigmas = np.empty((n_classes, d, d))
+    counts = np.empty(n_classes, dtype=np.int64)
     for c in range(n_classes):
         x_c = feats[y == c]
-        if x_c.shape[0] < 2:
-            raise MissingClass(f"class {c} has {x_c.shape[0]} samples, need >= 2")
-        if x_c.shape[0] <= d:
+        counts[c] = x_c.shape[0]
+        if counts[c] < 2:
+            raise MissingClass(f"class {c} has {counts[c]} samples, need >= 2")
+        if counts[c] <= d:
             warnings.append(
-                f"class {c}: {x_c.shape[0]} samples <= feature dim {d}; "
+                f"class {c}: {counts[c]} samples <= feature dim {d}; "
                 "covariance is rank-deficient before regularization"
             )
-        mu_c, sigma_c = mean_and_cov(x_c)
-        per_class.append((mu_c, sigma_c, x_c.shape[0]))
+        mus[c], sigmas[c] = mean_and_cov(x_c)
 
-    classes: list[ClassGaussian] = []
     if mode is CovarianceMode.TIED:
         # pooled within-class covariance, sample-count weighted (LDA convention)
         tied = np.zeros((d, d))
-        for _, sigma_c, n_c in per_class:
+        for n_c, sigma_c in zip(counts, sigmas):
             tied += n_c * sigma_c
         tied /= n
-        tied = 0.5 * (tied + tied.T)
-        precision = regularized_precision(tied, eps_scale)
-        for c, (mu_c, _, n_c) in enumerate(per_class):
-            classes.append(ClassGaussian(c, mu_c, tied, precision, n_c))
-    else:
-        for c, (mu_c, sigma_c, n_c) in enumerate(per_class):
-            precision = regularized_precision(sigma_c, eps_scale)
-            classes.append(ClassGaussian(c, mu_c, sigma_c, precision, n_c))
+        sigmas[:] = 0.5 * (tied + tied.T)
 
     global_mu, global_sigma = mean_and_cov(feats)
     return SourceStats(
-        classes=classes,
+        class_mus=mus,
+        class_sigmas=sigmas,
+        class_precisions=_precisions(sigmas, eps_scale),
+        class_counts=counts,
         global_mu=global_mu,
         global_sigma=global_sigma,
         covariance_mode=mode,
-        feature_dim=d,
         eps_scale=eps_scale,
         warnings=warnings,
     )
@@ -156,7 +148,8 @@ def estimate_source_stats(
 # -- serialization ------------------------------------------------------------
 #
 # Layout: magic(8) | version(1) | header_len(u32 LE) | header JSON |
-#         payload (raw little-endian float64 arrays, fixed order) |
+#         payload: raw little-endian float64 rows [mu | vec sigma], one per
+#         class, then the global pair |
 #         sha256(header JSON + payload)
 
 
@@ -166,17 +159,19 @@ def save_stats(stats: SourceStats, path) -> None:
         "n_classes": stats.n_classes,
         "covariance_mode": stats.covariance_mode.value,
         "eps_scale": stats.eps_scale,
-        "n_samples": [g.n_samples for g in stats.classes],
+        "n_samples": stats.class_counts.tolist(),
         "warnings": stats.warnings,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    chunks = []
-    for g in stats.classes:
-        chunks.append(np.ascontiguousarray(g.mu, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(g.sigma, dtype="<f8").tobytes())
-    chunks.append(np.ascontiguousarray(stats.global_mu, dtype="<f8").tobytes())
-    chunks.append(np.ascontiguousarray(stats.global_sigma, dtype="<f8").tobytes())
-    payload = b"".join(chunks)
+    d = stats.feature_dim
+    rows = np.concatenate(
+        [
+            np.vstack([stats.class_mus, stats.global_mu]),
+            np.vstack([stats.class_sigmas, stats.global_sigma[None]]).reshape(-1, d * d),
+        ],
+        axis=1,
+    )
+    payload = rows.astype("<f8").tobytes()
     digest = hashlib.sha256(header_bytes + payload).digest()
     try:
         with open(path, "wb") as fh:
@@ -217,44 +212,42 @@ def load_stats(path) -> SourceStats:
         n_classes = header["n_classes"]
         mode = CovarianceMode(header["covariance_mode"])
         eps_scale = header["eps_scale"]
-        n_samples = header["n_samples"]
-        warnings = list(header["warnings"])
-        if not all(type(v) is int for v in (d, n_classes, *n_samples)):
+        counts = header["n_samples"]
+        warnings = header["warnings"]
+        if not all(type(v) is int for v in (d, n_classes, *counts)):
             raise ValueError("feature_dim, n_classes and n_samples must be integers")
-        if len(n_samples) != n_classes:
-            raise ValueError(f"{len(n_samples)} sample counts for {n_classes} classes")
-        if type(eps_scale) not in (int, float) or not all(isinstance(w, str) for w in warnings):
-            raise ValueError("eps_scale must be a number and warnings a list of strings")
+        if d < 1 or n_classes < 1:
+            raise ValueError(f"feature_dim {d} and n_classes {n_classes} must be >= 1")
+        if len(counts) != n_classes:
+            raise ValueError(f"{len(counts)} sample counts for {n_classes} classes")
+        if type(eps_scale) not in (int, float) or not 0.0 < float(eps_scale) < math.inf:
+            raise ValueError(f"eps_scale {eps_scale!r} must be a finite number > 0")
+        if type(warnings) is not list or not all(isinstance(w, str) for w in warnings):
+            raise ValueError("warnings must be a list of strings")
+        counts = np.array(counts, dtype=np.int64)
         expected = (n_classes + 1) * (d + d * d) * 8
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StatsIoError(f"malformed stats header in {path}: {exc!r}") from exc
     if len(payload) != expected:
         raise CorruptChecksum(f"payload size {len(payload)} != expected {expected}")
 
-    pos = 0
-
-    def take(count):
-        nonlocal pos
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=pos).astype(
-            np.float64
-        )
-        pos += count * 8
-        return arr
-
-    classes = []
-    for c in range(n_classes):
-        mu = take(d)
-        sigma = take(d * d).reshape(d, d)
-        precision = regularized_precision(sigma, eps_scale)
-        classes.append(ClassGaussian(c, mu, sigma, precision, n_samples[c]))
-    global_mu = take(d)
-    global_sigma = take(d * d).reshape(d, d)
+    rows = np.frombuffer(payload, dtype="<f8").reshape(n_classes + 1, d + d * d)
+    if not np.all(np.isfinite(rows)):
+        raise StatsIoError(f"non-finite statistics in {path}")
+    mus = rows[:, :d].astype(np.float64)
+    sigmas = rows[:, d:].reshape(-1, d, d).astype(np.float64)
+    try:
+        precisions = _precisions(sigmas[:-1], eps_scale)
+    except (NotPositiveDefinite, ValueError) as exc:
+        raise StatsIoError(f"class covariances in {path} have no precision: {exc}") from exc
     return SourceStats(
-        classes=classes,
-        global_mu=global_mu,
-        global_sigma=global_sigma,
+        class_mus=mus[:-1],
+        class_sigmas=sigmas[:-1],
+        class_precisions=precisions,
+        class_counts=counts,
+        global_mu=mus[-1],
+        global_sigma=sigmas[-1],
         covariance_mode=mode,
-        feature_dim=d,
         eps_scale=eps_scale,
         warnings=warnings,
     )

@@ -7,11 +7,14 @@ the library accumulators, and explicit finite differences for gradients.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 
 from tta_align import losses, network
 from tta_align.linalg import spd_factor, spd_inverse
-from tta_align.stats import ClassGaussian, CovarianceMode, SourceStats
+from tta_align.stats import STATS_MAGIC, CovarianceMode, SourceStats
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -38,38 +41,57 @@ def random_spd(rng: np.random.Generator, d: int, ridge: float = 1.0) -> np.ndarr
     return 0.5 * (a + a.T)
 
 
-def exact_gaussian(class_id: int, mu, sigma, n_samples: int = 10) -> ClassGaussian:
-    """ClassGaussian whose precision inverts sigma with no regularization.
+def exact_precision(sigma) -> np.ndarray:
+    """The precision that inverts sigma with no regularization.
 
     Lets tests compare against closed forms without the eps*I term.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return ClassGaussian(class_id, mu, sigma, spd_inverse(spd_factor(sigma)), n_samples)
+    return spd_inverse(spd_factor(np.asarray(sigma, dtype=np.float64)))
 
 
-def stats_from_gaussians(gaussians, global_mu=None, global_sigma=None) -> SourceStats:
-    d = gaussians[0].mu.shape[0]
+def exact_stats(mus, sigmas, global_mu=None, global_sigma=None) -> SourceStats:
+    """SourceStats of the class Gaussians N(mus[c], sigmas[c]) with exact
+    precisions."""
+    mus = np.asarray(mus, dtype=np.float64)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
     if global_mu is None:
-        global_mu = np.mean([g.mu for g in gaussians], axis=0)
+        global_mu = mus.mean(axis=0)
     if global_sigma is None:
-        global_sigma = np.eye(d)
+        global_sigma = np.eye(mus.shape[1])
     return SourceStats(
-        classes=list(gaussians),
+        class_mus=mus,
+        class_sigmas=sigmas,
+        class_precisions=np.array([exact_precision(s) for s in sigmas]),
+        class_counts=np.full(len(mus), 10),
         global_mu=np.asarray(global_mu, dtype=np.float64),
         global_sigma=np.asarray(global_sigma, dtype=np.float64),
         covariance_mode=CovarianceMode.CLASS_WISE,
-        feature_dim=d,
         eps_scale=0.0,
     )
 
 
 def random_stats(rng: np.random.Generator, n_classes: int, d: int) -> SourceStats:
-    gaussians = [
-        exact_gaussian(c, rng.normal(size=d), random_spd(rng, d))
-        for c in range(n_classes)
-    ]
-    return stats_from_gaussians(gaussians, global_sigma=random_spd(rng, d))
+    pairs = [(rng.normal(size=d), random_spd(rng, d)) for _ in range(n_classes)]
+    mus, sigmas = zip(*pairs)
+    return exact_stats(mus, sigmas, global_sigma=random_spd(rng, d))
+
+
+def rewrite_stats(path, edit_header, edit_payload=lambda payload, header: payload) -> None:
+    """Rewrite a saved stats file's JSON header bytes with `edit_header` and
+    its payload with `edit_payload` (which also gets the edited header),
+    under a checksum that matches, so only what the edits changed is wrong."""
+    blob = path.read_bytes()
+    off = len(STATS_MAGIC) + 1
+    (header_len,) = struct.unpack_from("<I", blob, off)
+    header = edit_header(blob[off + 4 : off + 4 + header_len])
+    payload = edit_payload(blob[off + 4 + header_len : -32], header)
+    path.write_bytes(
+        blob[:off]
+        + struct.pack("<I", len(header))
+        + header
+        + payload
+        + hashlib.sha256(header + payload).digest()
+    )
 
 
 def small_model(

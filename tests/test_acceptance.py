@@ -11,7 +11,7 @@ import pytest
 
 from helpers import (
     chain_grad,
-    exact_gaussian,
+    exact_precision,
     fd_grad,
     gauss_jordan_inverse,
     loss_fn,
@@ -91,11 +91,12 @@ def test_criterion_2_mahalanobis_oracle(capsys):
         d = (2, 3, 6)[i % 3]
         mu = rng.normal(size=d)
         sigma = random_spd(rng, d)
-        g = exact_gaussian(0, mu, sigma)
+        precision = exact_precision(sigma)
         x = rng.normal(size=d)
         ref = float((x - mu) @ gauss_jordan_inverse(sigma) @ (x - mu))
-        worst_rel = max(worst_rel, abs(losses.mahalanobis(x, g) - ref) / abs(ref))
-        worst_zero = max(worst_zero, abs(losses.mahalanobis(mu, g)))
+        value = losses.mahalanobis(x, mu, precision)
+        worst_rel = max(worst_rel, abs(value - ref) / abs(ref))
+        worst_zero = max(worst_zero, abs(losses.mahalanobis(mu, mu, precision)))
     report(
         capsys,
         "criterion 2",
@@ -127,16 +128,16 @@ def test_criterion_3_statistics_oracles(capsys):
         cov /= len(x)
         two_pass_err = max(
             two_pass_err,
-            float(np.max(np.abs(stats.classes[c].mu - mu))),
-            float(np.max(np.abs(stats.classes[c].sigma - cov))),
+            float(np.max(np.abs(stats.class_mus[c] - mu))),
+            float(np.max(np.abs(stats.class_sigmas[c] - cov))),
         )
 
     n = len(labels)
-    pooled_mu = sum(g.n_samples * g.mu for g in stats.classes) / n
+    pooled_mu = sum(n_c * mu for n_c, mu in zip(stats.class_counts, stats.class_mus)) / n
     total_cov = np.zeros((4, 4))
-    for g in stats.classes:
-        gap = g.mu - stats.global_mu
-        total_cov += g.n_samples * (g.sigma + np.outer(gap, gap))
+    for n_c, mu, sigma in zip(stats.class_counts, stats.class_mus, stats.class_sigmas):
+        gap = mu - stats.global_mu
+        total_cov += n_c * (sigma + np.outer(gap, gap))
     total_cov /= n
     identity_err = max(
         float(np.max(np.abs(stats.global_mu - pooled_mu))),
@@ -148,9 +149,8 @@ def test_criterion_3_statistics_oracles(capsys):
     dup_labels = np.repeat([0, 1], 50)
     tied = fit_source_stats(dup_feats, dup_labels, mode=CovarianceMode.TIED)
     cw = fit_source_stats(dup_feats, dup_labels, mode=CovarianceMode.CLASS_WISE)
-    tied_exact = all(
-        np.array_equal(a.sigma, b.sigma) and np.array_equal(a.precision, b.precision)
-        for a, b in zip(tied.classes, cw.classes)
+    tied_exact = np.array_equal(tied.class_sigmas, cw.class_sigmas) and np.array_equal(
+        tied.class_precisions, cw.class_precisions
     )
 
     report(

@@ -161,7 +161,7 @@ class TestGradients:
         rng = np.random.default_rng(8)
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=(5, 4))
-        x[0] = stats.classes[0].mu + 1e-8 * rng.normal(size=4)
+        x[0] = stats.class_mus[0] + 1e-8 * rng.normal(size=4)
         labels = np.array([0, 1, 2, 0, 1])
         _, g = loss_grad(Cafa(stats), x, labels)
         quads, pd = losses._class_quadratics(x, stats)

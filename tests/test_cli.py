@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import rewrite_stats
 from tta_align import cli
 from tta_align.adapt import TtaConfig, read_run_record_rows
 from tta_align.stats import load_stats
@@ -99,9 +100,8 @@ class TestStatsCommand:
         assert code == 0
         a = load_stats(out / "stats.bin")
         b = load_stats(target)
-        for ga, gb in zip(a.classes, b.classes):
-            assert np.array_equal(ga.mu, gb.mu)
-            assert np.array_equal(ga.sigma, gb.sigma)
+        assert np.array_equal(a.class_mus, b.class_mus)
+        assert np.array_equal(a.class_sigmas, b.class_sigmas)
 
 
 class TestAdaptCommand:
@@ -145,11 +145,20 @@ class TestAdaptCommand:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_corrupt_stats_is_io_error(self, pretrained, capsys):
+    @pytest.mark.parametrize("damage", ["checksum_byte", "nan_class_mean"])
+    @pytest.mark.parametrize("method", ["bn", "cafa"])
+    def test_corrupt_stats_is_io_error(self, pretrained, tmp_path, capsys, method, damage):
         config, out = pretrained
-        blob = bytearray((out / "stats.bin").read_bytes())
-        blob[-1] ^= 0xFF
-        (out / "stats.bin").write_bytes(bytes(blob))
+        doc = json.loads(config.read_text())
+        doc["methods"].append({"method": "bn", "steps_per_batch": 0, "batch_size": 16})
+        config.write_text(json.dumps(doc))
+        path = out / "stats.bin"
+        if damage == "checksum_byte":
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0xFF
+            path.write_bytes(bytes(blob))
+        else:  # under a matching checksum
+            rewrite_stats(path, lambda h: h, lambda p, h: np.float64(np.nan).tobytes() + p[8:])
         code = cli.main(
             [
                 "adapt",
@@ -158,13 +167,16 @@ class TestAdaptCommand:
                 "--checkpoint",
                 str(out / "checkpoint.npz"),
                 "--stats",
-                str(out / "stats.bin"),
+                str(path),
                 "--method",
-                "cafa",
+                method,
+                "--out-dir",
+                str(tmp_path / "adapt"),
             ]
         )
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+        assert not (tmp_path / "adapt").exists()
 
     @pytest.mark.parametrize(
         "damage", ["missing_key", "wrong_shape", "garbage_bytes", "nan_weight"]

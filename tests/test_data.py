@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import exact_gaussian
+from helpers import exact_precision
 from tta_align.data import (
     MEAN_SHIFT_SCALE,
     NOISE_SIGMA_SCALE,
@@ -175,10 +175,8 @@ class TestSeverity:
         # severity, averaged over 5 data seeds
         spec = SyntheticSpec(n_train_per_class=20, n_test_per_class=60)
         gaussians = [
-            exact_gaussian(c, mu, cov)
-            for c, (mu, cov) in enumerate(
-                zip(spec.resolved_means(), spec.resolved_covs())
-            )
+            (mu, exact_precision(cov))
+            for mu, cov in zip(spec.resolved_means(), spec.resolved_covs())
         ]
         per_severity = []
         for severity in range(1, 6):
@@ -194,7 +192,7 @@ class TestSeverity:
                 totals.append(
                     np.mean(
                         [
-                            mahalanobis(x, gaussians[y])
+                            mahalanobis(x, *gaussians[y])
                             for x, y in zip(ds.target_x, ds.target_y)
                         ]
                     )

@@ -87,12 +87,12 @@ class TestSpdInverse:
 class TestMeanAndCov:
     def test_single_sample(self):
         x = np.array([1.5, -2.0, 0.25])
-        mu, cov = mean_and_cov([x])
+        mu, cov = mean_and_cov(x[None, :])
         assert np.array_equal(mu, x)
         assert np.array_equal(cov, np.zeros((3, 3)))
 
     def test_symmetric_pair(self):
-        mu, cov = mean_and_cov([np.array([-1.0, 0.0]), np.array([1.0, 0.0])])
+        mu, cov = mean_and_cov(np.array([[-1.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(mu, [0.0, 0.0])
         assert np.array_equal(cov, [[1.0, 0.0], [0.0, 0.0]])
 
@@ -138,13 +138,13 @@ class TestMeanAndCov:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            mean_and_cov([])
-        with pytest.raises(EmptyInput):
             mean_and_cov(np.zeros((0, 3)))
 
     def test_inconsistent_shapes(self):
-        with pytest.raises(DimensionMismatch):
-            mean_and_cov([np.zeros(2), np.zeros(3)])
+        # only an N x d matrix is a sample set
+        for samples in ([], np.zeros(3), np.zeros((2, 3, 1))):
+            with pytest.raises(DimensionMismatch):
+                mean_and_cov(samples)
 
 
 class TestValidators:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    exact_gaussian,
+    exact_precision,
+    exact_stats,
     gauss_jordan_inverse,
     loss_fn,
     loss_grad,
@@ -12,7 +13,6 @@ from helpers import (
     random_spd,
     random_stats,
     small_model,
-    stats_from_gaussians,
 )
 from tta_align import autograd, losses, network
 from tta_align.errors import BatchTooSmall, DimensionMismatch, SingleClass, UnknownClass
@@ -50,6 +50,11 @@ def class_quadratics(batch, stats) -> np.ndarray:
     return losses._class_quadratics(np.atleast_2d(batch), stats)[0]
 
 
+def form(x, stats, c) -> float:
+    """The per-vector Mahalanobis form of `x` to class `c` of `stats`."""
+    return mahalanobis(x, stats.class_mus[c], stats.class_precisions[c])
+
+
 def report_one(x, label, stats):
     return distance_report(np.atleast_2d(x), np.array([label]), stats)
 
@@ -58,12 +63,11 @@ class TestMahalanobis:
     def test_zero_displacement(self):
         rng = np.random.default_rng(0)
         mu = rng.normal(size=3)
-        g = exact_gaussian(0, mu, random_spd(rng, 3))
-        assert abs(mahalanobis(mu, g)) <= 1e-12
+        assert abs(mahalanobis(mu, mu, exact_precision(random_spd(rng, 3)))) <= 1e-12
 
     def test_euclidean_case(self):
-        g = exact_gaussian(0, np.zeros(2), np.eye(2))
-        assert mahalanobis(np.array([3.0, 4.0]), g) == pytest.approx(25.0, abs=1e-12)
+        value = mahalanobis(np.array([3.0, 4.0]), np.zeros(2), np.eye(2))
+        assert value == pytest.approx(25.0, abs=1e-12)
 
     def test_gauss_jordan_oracle(self):
         rng = np.random.default_rng(1)
@@ -71,15 +75,14 @@ class TestMahalanobis:
             mu = rng.normal(size=d)
             sigma = random_spd(rng, d)
             x = rng.normal(size=d)
-            g = exact_gaussian(0, mu, sigma)
             ref = float((x - mu) @ gauss_jordan_inverse(sigma) @ (x - mu))
-            assert mahalanobis(x, g) == pytest.approx(ref, rel=1e-9)
+            assert mahalanobis(x, mu, exact_precision(sigma)) == pytest.approx(ref, rel=1e-9)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
-        g = exact_gaussian(0, rng.normal(size=4), random_spd(rng, 4))
+        mu, precision = rng.normal(size=4), exact_precision(random_spd(rng, 4))
         for _ in range(50):
-            assert mahalanobis(rng.normal(size=4), g) >= 0.0
+            assert mahalanobis(rng.normal(size=4), mu, precision) >= 0.0
 
     def test_linear_reparameterization_invariance(self):
         # D(Ax; A mu, A Sigma A^T) == D(x; mu, Sigma) for invertible A
@@ -89,17 +92,16 @@ class TestMahalanobis:
         sigma = random_spd(rng, d)
         a = rng.normal(size=(d, d)) + 2.0 * np.eye(d)  # well-conditioned
         x = rng.normal(size=d)
-        base = mahalanobis(x, exact_gaussian(0, mu, sigma))
+        base = mahalanobis(x, mu, exact_precision(sigma))
         mapped_sigma = a @ sigma @ a.T
         mapped = mahalanobis(
-            a @ x, exact_gaussian(0, a @ mu, 0.5 * (mapped_sigma + mapped_sigma.T))
+            a @ x, a @ mu, exact_precision(0.5 * (mapped_sigma + mapped_sigma.T))
         )
         assert mapped == pytest.approx(base, rel=1e-8)
 
     def test_dimension_mismatch(self):
-        g = exact_gaussian(0, np.zeros(3), np.eye(3))
         with pytest.raises(DimensionMismatch):
-            mahalanobis(np.zeros(4), g)
+            mahalanobis(np.zeros(4), np.zeros(3), np.eye(3))
 
 
 class TestIntraInter:
@@ -107,13 +109,7 @@ class TestIntraInter:
 
     @staticmethod
     def _symmetric_two_class():
-        sigma = np.eye(2)
-        return stats_from_gaussians(
-            [
-                exact_gaussian(0, np.array([-1.0, 0.0]), sigma),
-                exact_gaussian(1, np.array([1.0, 0.0]), sigma),
-            ]
-        )
+        return exact_stats([[-1.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2)
 
     def test_intra_at_mean(self):
         stats = self._symmetric_two_class()
@@ -130,7 +126,7 @@ class TestIntraInter:
         quads = class_quadratics(x, stats)
         for c in range(3):
             assert report_one(x, c, stats).mean_intra == quads[c, 0]
-            ref = mahalanobis(x, stats.classes[c])
+            ref = form(x, stats, c)
             assert quads[c, 0] == pytest.approx(ref, rel=1e-12)
 
     def test_inter_two_class(self):
@@ -138,16 +134,13 @@ class TestIntraInter:
         x = np.array([1.0, 0.0])
         assert report_one(x, 1, stats).mean_inter == class_quadratics(x, stats)[0, 0]
         assert report_one(x, 1, stats).mean_inter == pytest.approx(
-            mahalanobis(x, stats.classes[0]), rel=1e-12
+            form(x, stats, 0), rel=1e-12
         )
 
     def test_inter_equidistant_average(self):
         # three unit-variance classes at distance 2 from the origin
-        gaussians = [
-            exact_gaussian(c, mu, np.eye(2))
-            for c, mu in enumerate([(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)])
-        ]
-        stats = stats_from_gaussians(gaussians)
+        mus = [(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)]
+        stats = exact_stats(mus, [np.eye(2)] * 4)
         assert report_one(np.zeros(2), 0, stats).mean_inter == pytest.approx(4.0)
 
     def test_inter_brute_force(self):
@@ -156,7 +149,7 @@ class TestIntraInter:
         x = rng.normal(size=3)
         for label in range(4):
             ref = sum(
-                mahalanobis(x, stats.classes[c]) for c in range(4) if c != label
+                form(x, stats, c) for c in range(4) if c != label
             ) / 3.0
             got = report_one(x, label, stats).mean_inter
             assert got == pytest.approx(ref, rel=1e-12)
@@ -183,7 +176,7 @@ class TestIntraInter:
         assert mat.shape == (3, 6)
         for i in range(6):
             for c in range(3):
-                ref = mahalanobis(batch[i], stats.classes[c])
+                ref = form(batch[i], stats, c)
                 assert mat[c, i] == pytest.approx(ref, rel=1e-12)
 
 
@@ -217,8 +210,8 @@ class TestClassKernel:
         stats, x, w = self._setup(31)
         ref = np.zeros_like(x)
         for n in range(x.shape[0]):
-            for c, g in enumerate(stats.classes):
-                ref[n] += w[c, n] * (g.precision + g.precision.T) @ (x[n] - g.mu)
+            for c, (mu, p) in enumerate(zip(stats.class_mus, stats.class_precisions)):
+                ref[n] += w[c, n] * (p + p.T) @ (x[n] - mu)
         np.testing.assert_allclose(self._grad(x, stats, w), ref, rtol=1e-12, atol=0.0)
 
     def test_no_graph_without_grad_leaf(self, monkeypatch):
@@ -237,8 +230,9 @@ class TestClassKernel:
 
 class TestGlobalFaLoss:
     def test_constructed_match_is_zero(self):
-        stats = stats_from_gaussians(
-            [exact_gaussian(0, np.zeros(1), np.eye(1))],
+        stats = exact_stats(
+            [np.zeros(1)],
+            [np.eye(1)],
             global_mu=np.zeros(1),
             global_sigma=np.ones((1, 1)),
         )
@@ -269,7 +263,7 @@ class TestIntraLoss:
     def test_zero_at_class_means(self):
         rng = np.random.default_rng(11)
         stats = random_stats(rng, 3, 4)
-        batch = np.stack([stats.classes[c].mu for c in (0, 1, 2, 1)])
+        batch = stats.class_mus[[0, 1, 2, 1]]
         value = loss_value(IntraOnly(stats), batch, labels=np.array([0, 1, 2, 1]))
         assert value == pytest.approx(0.0)
 
@@ -278,14 +272,14 @@ class TestIntraLoss:
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=4)
         value = loss_value(IntraOnly(stats), x[None, :], labels=np.array([2]))
-        assert value == pytest.approx(mahalanobis(x, stats.classes[2]), rel=1e-12)
+        assert value == pytest.approx(form(x, stats, 2), rel=1e-12)
 
     def test_brute_force(self):
         rng = np.random.default_rng(13)
         stats = random_stats(rng, 3, 4)
         batch = rng.normal(size=(8, 4))
         labels = rng.integers(0, 3, size=8)
-        ref = np.mean([mahalanobis(x, stats.classes[c]) for x, c in zip(batch, labels)])
+        ref = np.mean([form(x, stats, c) for x, c in zip(batch, labels)])
         value = loss_value(IntraOnly(stats), batch, labels=labels)
         assert value == pytest.approx(ref, rel=1e-12)
 
@@ -307,8 +301,8 @@ class TestCafaLoss:
         # sample exactly at its class mean: numerator clamps at the floor
         rng = np.random.default_rng(16)
         stats = random_stats(rng, 2, 3)
-        x = stats.classes[0].mu
-        v = mahalanobis(x, stats.classes[1])
+        x = stats.class_mus[0]
+        v = form(x, stats, 1)
         expected = np.log(RATIO_FLOOR) - np.log(v)  # denominator = 0 + v
         got = loss_value(Cafa(stats), x[None, :], labels=np.array([0]))
         assert got == pytest.approx(expected, rel=1e-9)
@@ -320,9 +314,9 @@ class TestCafaLoss:
         labels = rng.integers(0, 3, size=8)
         terms = []
         for x, label in zip(batch, labels):
-            num = max(mahalanobis(x, stats.classes[label]), RATIO_FLOOR)
+            num = max(form(x, stats, label), RATIO_FLOOR)
             den = max(
-                sum(mahalanobis(x, g) for g in stats.classes), RATIO_FLOOR
+                sum(form(x, stats, c) for c in range(3)), RATIO_FLOOR
             )
             terms.append(np.log(num / den))
         assert loss_value(Cafa(stats), batch, labels=labels) == pytest.approx(
@@ -335,7 +329,7 @@ class TestCafaLoss:
         for _ in range(20):
             x = rng.normal(size=(1, 4))
             label = rng.integers(0, 3, size=1)
-            if mahalanobis(x[0], stats.classes[int(label[0])]) > 0:
+            if form(x[0], stats, int(label[0])) > 0:
                 assert loss_value(Cafa(stats), x, labels=label) < 0.0
 
 
@@ -432,7 +426,7 @@ class TestLossGradients:
         rng = np.random.default_rng(41)
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=(5, 4))
-        x[2] = stats.classes[1].mu + 1e-9 * rng.normal(size=4)
+        x[2] = stats.class_mus[1] + 1e-9 * rng.normal(size=4)
         y = np.array([0, 2, 1, 1, 0])
         assert class_quadratics(x, stats)[1, 2] < RATIO_FLOOR
         _, g = loss_grad(Cafa(stats), x, y)
@@ -466,7 +460,7 @@ class TestDistanceReport:
     def test_zero_at_true_means(self):
         rng = np.random.default_rng(21)
         stats = random_stats(rng, 3, 4)
-        batch = np.stack([g.mu for g in stats.classes])
+        batch = stats.class_mus
         report = distance_report(batch, np.arange(3), stats)
         assert report.mean_intra == pytest.approx(0.0)
         assert report.mean_inter > 0.0
@@ -478,11 +472,11 @@ class TestDistanceReport:
         labels = rng.integers(0, 3, size=7)
         report = distance_report(batch, labels, stats)
         ref_intra = np.mean(
-            [mahalanobis(x, stats.classes[c]) for x, c in zip(batch, labels)]
+            [form(x, stats, c) for x, c in zip(batch, labels)]
         )
         ref_inter = np.mean(
             [
-                sum(mahalanobis(x, g) for k, g in enumerate(stats.classes) if k != c)
+                sum(form(x, stats, k) for k in range(3) if k != c)
                 / 2.0
                 for x, c in zip(batch, labels)
             ]
@@ -544,6 +538,6 @@ def test_intra_mean_identity_property(seed, n):
     stats = random_stats(rng, 3, 3)
     batch = rng.normal(size=(n, 3))
     labels = rng.integers(0, 3, size=n)
-    ref = np.mean([mahalanobis(x, stats.classes[k]) for x, k in zip(batch, labels)])
+    ref = np.mean([form(x, stats, k) for x, k in zip(batch, labels)])
     value = loss_value(IntraOnly(stats), batch, labels=labels)
     assert value == pytest.approx(float(ref), rel=1e-10)

@@ -1,13 +1,12 @@
-import hashlib
 import json
-import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import small_model
+from helpers import rewrite_stats, small_model
 from tta_align import network
 from tta_align.errors import (
     CorruptChecksum,
@@ -24,6 +23,9 @@ from tta_align.stats import (
     regularized_precision,
     save_stats,
 )
+
+
+STATS_V1 = Path(__file__).parent / "data" / "stats_v1.bin"
 
 
 def two_pass_class_stats(feats, labels, c):
@@ -44,11 +46,10 @@ class TestFitSourceStats:
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 1.0], [5.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
         stats = fit_source_stats(feats, labels)
-        g0 = stats.classes[0]
-        assert np.array_equal(g0.mu, [1.0, 0.0])
-        assert np.array_equal(g0.sigma, [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(stats.class_mus[0], [1.0, 0.0])
+        assert np.array_equal(stats.class_sigmas[0], [[1.0, 0.0], [0.0, 0.0]])
         # regularized precision exists despite the singular direction
-        assert np.all(np.isfinite(g0.precision))
+        assert np.all(np.isfinite(stats.class_precisions[0]))
 
     def test_two_pass_oracle_and_pooling(self):
         rng = np.random.default_rng(0)
@@ -59,11 +60,11 @@ class TestFitSourceStats:
         stats = fit_source_stats(feats, labels)
         for c in range(3):
             mu, cov = two_pass_class_stats(feats, labels, c)
-            assert np.max(np.abs(stats.classes[c].mu - mu)) < 1e-12
-            assert np.max(np.abs(stats.classes[c].sigma - cov)) < 1e-12
+            assert np.max(np.abs(stats.class_mus[c] - mu)) < 1e-12
+            assert np.max(np.abs(stats.class_sigmas[c] - cov)) < 1e-12
         pooled_mu = sum(
-            g.n_samples * g.mu for g in stats.classes
-        ) / sum(g.n_samples for g in stats.classes)
+            n_c * mu for n_c, mu in zip(stats.class_counts, stats.class_mus)
+        ) / sum(stats.class_counts)
         assert np.max(np.abs(stats.global_mu - pooled_mu)) < 1e-12
 
     def test_law_of_total_covariance(self):
@@ -73,9 +74,9 @@ class TestFitSourceStats:
         stats = fit_source_stats(feats, labels)
         n = len(labels)
         total = np.zeros((5, 5))
-        for g in stats.classes:
-            gap = g.mu - stats.global_mu
-            total += g.n_samples * (g.sigma + np.outer(gap, gap))
+        for n_c, mu, sigma in zip(stats.class_counts, stats.class_mus, stats.class_sigmas):
+            gap = mu - stats.global_mu
+            total += n_c * (sigma + np.outer(gap, gap))
         total /= n
         assert np.max(np.abs(stats.global_sigma - total)) < 1e-8
 
@@ -86,24 +87,23 @@ class TestFitSourceStats:
         labels = np.repeat([0, 1], 50)
         tied = fit_source_stats(feats, labels, mode=CovarianceMode.TIED)
         class_wise = fit_source_stats(feats, labels, mode=CovarianceMode.CLASS_WISE)
-        for g_t, g_c in zip(tied.classes, class_wise.classes):
-            assert np.array_equal(g_t.sigma, g_c.sigma)
-            assert np.array_equal(g_t.precision, g_c.precision)
+        assert np.array_equal(tied.class_sigmas, class_wise.class_sigmas)
+        assert np.array_equal(tied.class_precisions, class_wise.class_precisions)
 
     def test_tied_shares_one_covariance(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(90, 4))
         labels = rng.integers(0, 3, size=90)
         stats = fit_source_stats(feats, labels, mode=CovarianceMode.TIED)
-        for g in stats.classes[1:]:
-            assert np.array_equal(g.sigma, stats.classes[0].sigma)
+        for sigma in stats.class_sigmas[1:]:
+            assert np.array_equal(sigma, stats.class_sigmas[0])
         # pooled within-class covariance, sample-count weighted
         expected = np.zeros((4, 4))
         for c in range(3):
             _, cov = two_pass_class_stats(feats, labels, c)
             expected += np.sum(labels == c) * cov
         expected /= 90
-        assert np.max(np.abs(stats.classes[0].sigma - expected)) < 1e-12
+        assert np.max(np.abs(stats.class_sigmas[0] - expected)) < 1e-12
 
     def test_tied_single_class_equals_class_wise(self):
         rng = np.random.default_rng(4)
@@ -111,7 +111,7 @@ class TestFitSourceStats:
         labels = np.zeros(40, dtype=int)
         tied = fit_source_stats(feats, labels, mode=CovarianceMode.TIED)
         cw = fit_source_stats(feats, labels, mode=CovarianceMode.CLASS_WISE)
-        assert np.array_equal(tied.classes[0].sigma, cw.classes[0].sigma)
+        assert np.array_equal(tied.class_sigmas[0], cw.class_sigmas[0])
 
     def test_missing_class(self):
         feats = np.zeros((4, 2))
@@ -136,9 +136,8 @@ class TestFitSourceStats:
         via_model = estimate_source_stats(model, x, y)
         feats = network.forward_features(model, x, network.StatMode.RUNNING_EVAL).feats
         direct = fit_source_stats(feats, y)
-        for a, b in zip(via_model.classes, direct.classes):
-            assert np.array_equal(a.mu, b.mu)
-            assert np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(via_model.class_mus, direct.class_mus)
+        assert np.array_equal(via_model.class_sigmas, direct.class_sigmas)
 
 
 class TestRegularization:
@@ -180,14 +179,24 @@ class TestSerialization:
         assert loaded.covariance_mode == stats.covariance_mode
         assert loaded.eps_scale == stats.eps_scale
         assert loaded.feature_dim == stats.feature_dim
+        assert loaded.n_classes == stats.n_classes
         assert np.array_equal(loaded.global_mu, stats.global_mu)
         assert np.array_equal(loaded.global_sigma, stats.global_sigma)
-        for a, b in zip(loaded.classes, stats.classes):
-            assert a.class_id == b.class_id
-            assert a.n_samples == b.n_samples
-            assert np.array_equal(a.mu, b.mu)
-            assert np.array_equal(a.sigma, b.sigma)
-            assert np.array_equal(a.precision, b.precision)
+        assert np.array_equal(loaded.class_counts, stats.class_counts)
+        assert np.array_equal(loaded.class_mus, stats.class_mus)
+        assert np.array_equal(loaded.class_sigmas, stats.class_sigmas)
+        assert np.array_equal(loaded.class_precisions, stats.class_precisions)
+
+    def test_reads_and_rewrites_format_v1(self, tmp_path):
+        # written from the `_stats()` data by the code before the class
+        # stacks: the loader reads it, and both the loaded and the freshly
+        # fitted stats save it back byte for byte
+        v1 = STATS_V1.read_bytes()
+        fitted, loaded = self._stats(), load_stats(STATS_V1)
+        assert np.array_equal(loaded.class_precisions, fitted.class_precisions)
+        for i, stats in enumerate((loaded, fitted)):
+            save_stats(stats, tmp_path / f"{i}.bin")
+            assert (tmp_path / f"{i}.bin").read_bytes() == v1
 
     @pytest.mark.parametrize("mode", list(CovarianceMode), ids=lambda m: m.value)
     def test_class_stacks_match_classes(self, tmp_path, mode):
@@ -195,10 +204,6 @@ class TestSerialization:
         path = tmp_path / "stats.bin"
         save_stats(stats, path)
         for s in (stats, load_stats(path)):
-            assert np.array_equal(s.class_mus, np.stack([g.mu for g in s.classes]))
-            assert np.array_equal(
-                s.class_precisions, np.stack([g.precision for g in s.classes])
-            )
             # the class kernel's analytic gradient assumes exact symmetry
             assert np.array_equal(s.class_precisions, s.class_precisions.mT)
 
@@ -240,28 +245,10 @@ class TestSerialization:
         with pytest.raises(StatsIoError):
             load_stats(path)
 
-    @staticmethod
-    def _with_header(path, edit):
-        """Rewrite the saved file's JSON header with `edit` applied and a
-        checksum that matches, so only the header is wrong."""
-        blob = path.read_bytes()
-        off = len(STATS_MAGIC) + 1
-        (header_len,) = struct.unpack_from("<I", blob, off)
-        header = blob[off + 4 : off + 4 + header_len]
-        payload = blob[off + 4 + header_len : -32]
-        header = edit(header)
-        path.write_bytes(
-            blob[:off]
-            + struct.pack("<I", len(header))
-            + header
-            + payload
-            + hashlib.sha256(header + payload).digest()
-        )
-
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "stats.bin"
         save_stats(self._stats(), path)
-        self._with_header(path, lambda h: b"{not json" + h)
+        rewrite_stats(path, lambda h: b"{not json" + h)
         with pytest.raises(StatsIoError):
             load_stats(path)
 
@@ -274,6 +261,15 @@ class TestSerialization:
             ("feature_dim", 4.0),
             ("eps_scale", "x"),
             ("warnings", 5),
+            # the payload is cut to the size these declare (no feature
+            # columns, or no class rows), and the sample counts to the classes
+            ("feature_dim", 0),
+            ("n_classes", 0),
+            ("eps_scale", 0.0),
+            ("eps_scale", -1e-4),
+            ("eps_scale", float("nan")),
+            ("eps_scale", float("inf")),
+            ("warnings", "abc"),
         ],
     )
     def test_header_field_malformed(self, tmp_path, field, value):
@@ -283,11 +279,29 @@ class TestSerialization:
                 del header[field]
             else:
                 header[field] = value
+            if field == "n_classes":
+                header["n_samples"] = header["n_samples"][:value]
             return json.dumps(header).encode()
 
         path = tmp_path / "stats.bin"
         save_stats(self._stats(), path)
-        self._with_header(path, edit)
+        rewrite_stats(path, edit, sized_to_header)
+        with pytest.raises(StatsIoError):
+            load_stats(path)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(0, np.nan), (8 * 5, np.inf), (-8, -np.inf)],
+        ids=["class_mean", "class_sigma", "global_sigma"],
+    )
+    def test_non_finite_payload(self, tmp_path, offset, value):
+        # a checksum-valid file whose statistics hold a NaN or an infinity
+        def poke(payload, header):
+            return payload[:offset] + np.float64(value).tobytes() + payload[offset:][8:]
+
+        path = tmp_path / "stats.bin"
+        save_stats(self._stats(), path)
+        rewrite_stats(path, lambda h: h, poke)
         with pytest.raises(StatsIoError):
             load_stats(path)
 
@@ -308,5 +322,99 @@ def test_pooling_identity_property(seed, n_classes, per_class, d):
     feats = rng.normal(size=(n_classes * per_class, d))
     labels = np.repeat(np.arange(n_classes), per_class)
     stats = fit_source_stats(feats, labels)
-    pooled = sum(g.n_samples * g.mu for g in stats.classes) / len(labels)
+    pooled = sum(n_c * mu for n_c, mu in zip(stats.class_counts, stats.class_mus))
+    pooled /= len(labels)
     assert np.max(np.abs(stats.global_mu - pooled)) < 1e-10
+
+
+def sized_to_header(payload: bytes, header: bytes) -> bytes:
+    """`payload` repeated or cut to the size `header` declares, so that a
+    header edit reaches the checks past the payload size; unchanged when the
+    header declares no size, or one above 64 KiB."""
+    try:
+        fields = json.loads(header)
+        d, n_classes = fields["feature_dim"], fields["n_classes"]
+    except (ValueError, KeyError, TypeError):
+        return payload
+    if type(d) is not int or type(n_classes) is not int:
+        return payload
+    size = (n_classes + 1) * (d + d * d) * 8
+    if not 0 <= size <= 1 << 16:
+        return payload
+    return (payload * (size // len(payload) + 1))[:size]
+
+
+HEADER_FIELDS = [
+    "feature_dim",
+    "n_classes",
+    "covariance_mode",
+    "eps_scale",
+    "n_samples",
+    "warnings",
+]
+DROP = "<drop>"  # an edit that deletes the field
+HEADER_VALUES = st.one_of(
+    st.just(DROP),
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from([m.value for m in CovarianceMode]),
+    st.lists(st.integers(-2, 6) | st.text(max_size=2), max_size=5),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    edits=st.dictionaries(
+        st.sampled_from(HEADER_FIELDS), HEADER_VALUES, min_size=1, max_size=3
+    ),
+    fit_payload=st.booleans(),
+)
+@example(edits={"feature_dim": 0}, fit_payload=True)
+@example(edits={"eps_scale": 0.0}, fit_payload=False)
+def test_rewritten_header_loads_or_fails_closed(tmp_path_factory, edits, fit_payload):
+    # header values rewritten under a matching checksum; with `fit_payload`
+    # the payload also takes the size the new header declares, and its
+    # repeated rows need not be covariances at all
+    def edit(h):
+        header = json.loads(h)
+        for field, value in edits.items():
+            if value == DROP:
+                header.pop(field)
+            else:
+                header[field] = value
+        return json.dumps(header).encode()
+
+    path = tmp_path_factory.mktemp("fuzz") / "stats.bin"
+    path.write_bytes(STATS_V1.read_bytes())
+    rewrite_stats(path, edit, sized_to_header if fit_payload else lambda p, h: p)
+    try:
+        load_stats(path)
+    except StatsIoError:
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cut=st.integers(0, STATS_V1.stat().st_size),
+    flips=st.lists(
+        st.tuples(st.integers(0, STATS_V1.stat().st_size - 1), st.integers(1, 255)),
+        max_size=3,
+    ),
+)
+def test_damaged_bytes_fail_closed(tmp_path_factory, cut, flips):
+    # a file cut short or with flipped bits never loads
+    blob = bytearray(STATS_V1.read_bytes())
+    for i, mask in flips:
+        blob[i] ^= mask
+    del blob[cut:]
+    path = tmp_path_factory.mktemp("fuzz") / "stats.bin"
+    path.write_bytes(bytes(blob))
+    if bytes(blob) == STATS_V1.read_bytes():
+        load_stats(path)
+    else:
+        with pytest.raises(StatsIoError):
+            load_stats(path)
