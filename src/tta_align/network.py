@@ -34,6 +34,7 @@ from .linalg import as_matrix
 
 BN_VAR_EPS = 1e-5
 CHECKPOINT_VERSION = 1
+EVAL_ROWS = 1024  # rows per block of a running-statistics forward without a cache
 
 
 class StatMode(enum.Enum):
@@ -177,10 +178,10 @@ def init_model(
 def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np.ndarray:
     """One dense -> BN -> relu block.
 
-    The forward runs in place on one buffer: z = h W^T + b becomes
-    x_hat = (z - mu) / std, then y = x_hat * gamma + beta is rectified in
-    place. With `caches`, the block appends (h, x_hat, std, y) for the
-    backward; without, x_hat is freed on return.
+    The forward runs in place: z = h W^T + b becomes x_hat = (z - mu) / std.
+    With `caches`, y = x_hat * gamma + beta is a second buffer, rectified in
+    place, and the block appends (h, x_hat, std, y) for the backward;
+    without, y overwrites x_hat in the one buffer.
     """
     bn = blk.bn
     z = h @ blk.dense.weight.T
@@ -201,7 +202,7 @@ def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np
         var = bn.running_var
     std = np.sqrt(var + BN_VAR_EPS)
     z /= std  # z now holds x_hat
-    y = z * bn.gamma
+    y = np.multiply(z, bn.gamma, out=z if caches is None else None)
     y += bn.beta
     np.maximum(y, 0.0, out=y)
     if caches is not None:
@@ -224,13 +225,9 @@ class Forward(NamedTuple):
     quads: np.ndarray | None = None
 
 
-def _forward(model: AdaptiveModel, batch, mode: StatMode, caches: list | None = None) -> Forward:
-    """The features and logits of one forward; with `caches`, each block's
-    (input, x_hat, std, output) in block order, for `_backward`.
-
-    In batch-statistic modes the normalization uses the batch mean/variance.
-    TRAIN_UPDATE additionally refreshes the running stats in place.
-    """
+def _checked(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:
+    """The batch as a float64 matrix, refused unless a forward of `model`
+    in `mode` can run on it."""
     x = as_matrix(batch)
     if x.shape[1] != model.input_dim:
         raise DimensionMismatch(
@@ -239,6 +236,19 @@ def _forward(model: AdaptiveModel, batch, mode: StatMode, caches: list | None = 
     uses_batch_stats = mode in (StatMode.TRAIN_UPDATE, StatMode.BATCH_ONLY)
     if uses_batch_stats and x.shape[0] < 2:
         raise BatchTooSmall("batch-statistics modes need at least 2 samples")
+    return x
+
+
+def _forward(
+    model: AdaptiveModel, x: np.ndarray, mode: StatMode, caches: list | None = None
+) -> Forward:
+    """The features and logits of one forward over the rows of `x` (as
+    `_checked` returns it); with `caches`, each block's (input, x_hat, std,
+    output) in block order, for `_backward`.
+
+    In batch-statistic modes the normalization uses the batch mean/variance.
+    TRAIN_UPDATE additionally refreshes the running stats in place.
+    """
     h = x
     for blk in model.blocks:
         h = _block(h, blk, mode, caches)
@@ -246,13 +256,40 @@ def _forward(model: AdaptiveModel, batch, mode: StatMode, caches: list | None = 
     return Forward(h, _head(h, clf.weight, clf.bias))
 
 
+def _row_blocks(model: AdaptiveModel, batch, mode: StatMode) -> tuple[np.ndarray, list[slice]]:
+    """The checked batch and the row blocks a cache-free forward of it runs
+    over. Under running statistics each row's forward reads only that row,
+    so the blocks are EVAL_ROWS rows each and the forward's memory is
+    bounded; batch statistics read every row, so the batch is one block."""
+    x = _checked(model, batch, mode)
+    n = x.shape[0]
+    step = EVAL_ROWS if mode is StatMode.RUNNING_EVAL else n
+    return x, [slice(start, start + step) for start in range(0, n, step)]
+
+
 def forward_features(model: AdaptiveModel, batch, mode: StatMode) -> Forward:
-    """One forward that keeps no cache: the features and their logits."""
-    return _forward(model, batch, mode)
+    """A forward that keeps no cache: the features and their logits, bit
+    for bit those of one `_forward` over the whole batch."""
+    x, blocks = _row_blocks(model, batch, mode)
+    if len(blocks) == 1:  # the batch's own forward: a copy would add a buffer
+        return _forward(model, x, mode)
+    n = x.shape[0]
+    out = Forward(np.empty((n, model.feature_dim)), np.empty((n, model.n_classes)))
+    for rows in blocks:
+        feats, logits, _ = _forward(model, x[rows], mode)
+        out.feats[rows] = feats
+        out.logits[rows] = logits
+    return out
 
 
 def predict(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:
-    return argmax_rows(forward_features(model, batch, mode).logits)
+    """The predicted class of each row; no more than one row block's
+    features are alive at a time."""
+    x, blocks = _row_blocks(model, batch, mode)
+    labels = np.empty(x.shape[0], dtype=np.intp)
+    for rows in blocks:
+        labels[rows] = argmax_rows(_forward(model, x[rows], mode).logits)
+    return labels
 
 
 def argmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -305,7 +342,7 @@ def _backward(
         h, x_hat, std, y = caches[i]
         d = std.shape[0]
         bn_at -= 2 * d
-        gy = g * (y > 0.0)
+        gy = _relu_grad(g, y)
         np.add.reduce(gy * x_hat, axis=0, out=grad[bn_at : bn_at + d])
         np.add.reduce(gy, axis=0, out=grad[bn_at + d : bn_at + 2 * d])
         if i == 0 and not full:
@@ -329,6 +366,14 @@ def _backward(
     return grad
 
 
+def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g * (y > 0) bit for bit, the -0.0 of a negative g where y == 0
+    included, through a float mask: a float64 x bool product costs more."""
+    gy = (y > 0.0).astype(np.float64)
+    gy *= g
+    return gy
+
+
 def loss_and_grad_named(
     model: AdaptiveModel,
     batch,
@@ -347,7 +392,7 @@ def loss_and_grad_named(
     from . import losses
 
     caches: list = []
-    forward = _forward(model, batch, mode, caches)
+    forward = _forward(model, _checked(model, batch, mode), mode, caches)
     value, grad, at_logits, quads = losses.loss_tensor(loss_spec, forward.feats, forward.logits)
     inv_n = 1.0 / forward.feats.shape[0]
     size = model.group_size(group)
@@ -385,8 +430,11 @@ def load_checkpoint(path) -> AdaptiveModel:
             raise StatsIoError(f"{path} is not a checkpoint archive")
         with data:
             arrays = {k: data[k] for k in data.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        # garbage bytes are refused as a pickle, a cut archive as a zip
+    except (OSError, EOFError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+        # garbage bytes are refused as a pickle, a cut archive as a zip and an
+        # empty file as the end of a file; an entry zipfile cannot read (an
+        # encryption flag, an unknown compression method or zip version) is
+        # a RuntimeError
         raise StatsIoError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         header = json.loads(bytes(arrays.pop("__header__")).decode())

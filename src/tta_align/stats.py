@@ -220,6 +220,8 @@ def load_stats(path) -> SourceStats:
             raise ValueError(f"feature_dim {d} and n_classes {n_classes} must be >= 1")
         if len(counts) != n_classes:
             raise ValueError(f"{len(counts)} sample counts for {n_classes} classes")
+        if min(counts) < 2:  # a fit refuses such a class (MissingClass)
+            raise ValueError(f"sample counts {counts} must each be >= 2")
         if type(eps_scale) not in (int, float) or not 0.0 < float(eps_scale) < math.inf:
             raise ValueError(f"eps_scale {eps_scale!r} must be a finite number > 0")
         if type(warnings) is not list or not all(isinstance(w, str) for w in warnings):
@@ -236,6 +238,9 @@ def load_stats(path) -> SourceStats:
         raise StatsIoError(f"non-finite statistics in {path}")
     mus = rows[:, :d].astype(np.float64)
     sigmas = rows[:, d:].reshape(-1, d, d).astype(np.float64)
+    class_bits = sigmas[:-1].view(np.uint64)
+    if mode is CovarianceMode.TIED and not (class_bits == class_bits[0]).all():
+        raise StatsIoError(f"tied stats in {path} hold class covariances that differ")
     try:
         precisions = _precisions(sigmas[:-1], eps_scale)
     except (NotPositiveDefinite, ValueError) as exc:

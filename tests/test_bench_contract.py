@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import harness  # noqa: E402
 import tracing  # noqa: E402
-from tta_align import adapt, data  # noqa: E402
+from tta_align import adapt, data, experiment, network, stats  # noqa: E402
 from tta_align.config import ExperimentConfig, TtaConfig  # noqa: E402
 
 
@@ -61,3 +61,26 @@ def test_loss_free_stream_records_no_backward():
     assert "autograd.backward" not in spans["bn"]
     for name in ("autograd.backward", "adapt.adam_step", "losses.loss_tensor"):
         assert spans["cafa"][name]["calls"] == len(batches)
+
+
+def test_forward_features_span_covers_every_row_block():
+    # `network.forward_features.ms_per_call` times one loss-free batch or one
+    # source-statistics fit: the row blocks of a running-statistics forward
+    # stay inside that one call
+    cfg = ExperimentConfig.default(seed=0)
+    cfg.pretrain.epochs = 1
+    pre = experiment.pretrain_source(cfg)
+    n = network.EVAL_ROWS + 3
+    shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
+    batches = data.batch_stream(shifted.target_x, shifted.target_y, n)
+    assert len(batches) >= 2 and pre.dataset.train_x.shape[0] > network.EVAL_ROWS
+    for method in ("source", "bn"):
+        tracer = tracing.Tracer()
+        with tracer:
+            mcfg = TtaConfig(method=method, steps_per_batch=0, batch_size=n)
+            adapt.adapt_stream(pre.model.copy(), pre.stats, batches, mcfg)
+        assert tracer.totals()["network.forward_features"]["calls"] == len(batches)
+    tracer = tracing.Tracer()
+    with tracer:
+        stats.estimate_source_stats(pre.model, pre.dataset.train_x, pre.dataset.train_y)
+    assert tracer.totals()["network.forward_features"]["calls"] == 1

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import rewrite_stats
 from tta_align import cli
@@ -437,3 +441,76 @@ class TestErrorExitCodes:
             code = cli.main(["pretrain", "--config", str(config)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_artifacts(tmp_path_factory):
+    """A pretrained tiny config: its config path, checkpoint bytes and stats."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = tiny_config(tmp)
+    assert cli.main(["pretrain", "--config", str(config), "--out-dir", str(tmp)]) == 0
+    return config, (tmp / "checkpoint.npz").read_bytes(), tmp / "stats.bin"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cut=st.integers(0, 1 << 16),
+    flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=3),
+)
+def test_damaged_checkpoint_fails_closed(fuzz_artifacts, tmp_path_factory, cut, flips):
+    # a checkpoint cut short or with flipped bits: `adapt` runs (the damage
+    # missed everything it reads), or exits 1 or 3 with one error line
+    config, good, stats = fuzz_artifacts
+    blob = bytearray(good)
+    for i, mask in flips:
+        blob[i % len(blob)] ^= mask
+    del blob[cut % (len(blob) + 1) :]
+    tmp = tmp_path_factory.mktemp("ckpt")
+    (tmp / "checkpoint.npz").write_bytes(bytes(blob))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(
+            [
+                "adapt",
+                "--config",
+                str(config),
+                "--checkpoint",
+                str(tmp / "checkpoint.npz"),
+                "--stats",
+                str(stats),
+                "--method",
+                "source",
+                "--out-dir",
+                str(tmp / "adapt"),
+            ]
+        )
+    assert code in (0, 1, 3), err.getvalue()
+    assert code == 0 or err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "offset, value",
+    [(8, 0x01), (10, 99), (6, 99)],
+    ids=["encrypted_flag", "compression_method", "zip_version"],
+)
+def test_checkpoint_entry_zipfile_cannot_read_is_io_error(fuzz_artifacts, tmp_path, offset, value):
+    # a field of the first central directory entry that makes zipfile refuse
+    # the entry; the archive itself opens
+    config, good, stats = fuzz_artifacts
+    blob = bytearray(good)
+    blob[blob.find(b"PK\x01\x02") + offset] = value
+    (tmp_path / "checkpoint.npz").write_bytes(bytes(blob))
+    code = cli.main(
+        [
+            "adapt",
+            "--config",
+            str(config),
+            "--checkpoint",
+            str(tmp_path / "checkpoint.npz"),
+            "--stats",
+            str(stats),
+            "--method",
+            "source",
+        ]
+    )
+    assert code == 3

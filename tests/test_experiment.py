@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tta_align import network, stats
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
 from tta_align.data import SyntheticSpec
@@ -8,6 +11,7 @@ from tta_align.errors import ConfigInvalid, StatsIoError, TrainingDiverged
 from tta_align.experiment import (
     SUMMARY_FIELDS,
     MethodSummary,
+    evaluate_accuracy,
     final_quarter_mean,
     pretrain_source,
     rebuild_report,
@@ -58,6 +62,38 @@ class TestPretrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged):
                 pretrain_source(cfg)
+
+
+def traced_peak_mb(fn) -> float:
+    """The peak of memory traced while `fn` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSetUpMemory:
+    """The set-up's gradient-free forwards keep one block of rows alive, not
+    the N x 128 activations of the whole holdout or training set."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(43)
+        model = network.init_model(16, [128, 64], 10, rng)
+        return model, rng.normal(size=(12_800, 16)), rng.integers(0, 10, size=12_800)
+
+    def test_holdout_accuracy(self, wide):
+        # one forward over all rows held two 12,800 x 128 arrays: 25 MiB
+        model, x, y = wide
+        assert traced_peak_mb(lambda: evaluate_accuracy(model, x, y)) < 4.0
+
+    def test_source_statistics(self, wide):
+        # the 5,000 x 64 features stay (the fit reads them); 9.8 MiB before
+        model, x, y = wide
+        x, y = x[:5_000], np.arange(5_000) % 10
+        assert traced_peak_mb(lambda: stats.estimate_source_stats(model, x, y)) < 7.0
 
 
 class TestFinalQuarterMean:

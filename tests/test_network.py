@@ -224,6 +224,62 @@ class TestBlockNode:
         assert peak <= 2 * (12_800 * 128 * 8) + 2**20
 
 
+class TestRowBlocks:
+    """A cache-free forward under running statistics runs `_forward` over
+    blocks of EVAL_ROWS rows; each row's forward reads only that row."""
+
+    @pytest.mark.parametrize(
+        "n", [network.EVAL_ROWS - 1, network.EVAL_ROWS, 2 * network.EVAL_ROWS + 3]
+    )
+    def test_blocks_match_one_forward_bitwise(self, n):
+        rng = np.random.default_rng(40)
+        model = small_model(rng)
+        for blk in model.blocks:
+            blk.bn.running_mean[:] = rng.normal(size=blk.bn.dim)
+            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
+        x = rng.normal(size=(n, 6))
+        whole = network._forward(model, x, StatMode.RUNNING_EVAL)
+        out = network.forward_features(model, x, StatMode.RUNNING_EVAL)
+        assert out.feats.tobytes() == whole.feats.tobytes()
+        assert out.logits.tobytes() == whole.logits.tobytes()
+        labels = network.predict(model, x, StatMode.RUNNING_EVAL)
+        assert labels.tobytes() == network.argmax_rows(whole.logits).tobytes()
+
+    def test_one_forward_per_block(self, monkeypatch):
+        # running statistics split the rows; batch statistics read them all
+        rng = np.random.default_rng(41)
+        model = small_model(rng)
+        x = rng.normal(size=(2 * network.EVAL_ROWS + 3, 6))
+        rows = []
+        original = network._forward
+
+        def counting(model, x, mode, caches=None):
+            rows.append(x.shape[0])
+            return original(model, x, mode, caches)
+
+        monkeypatch.setattr(network, "_forward", counting)
+        network.predict(model, x, StatMode.RUNNING_EVAL)
+        assert rows == [network.EVAL_ROWS, network.EVAL_ROWS, 3]
+        rows.clear()
+        network.forward_features(model, x, StatMode.BATCH_ONLY)
+        assert rows == [x.shape[0]]
+
+    @pytest.mark.parametrize("mode", [StatMode.RUNNING_EVAL, StatMode.BATCH_ONLY])
+    @pytest.mark.parametrize("n", [8, network.EVAL_ROWS + 5])
+    def test_cache_free_forward_writes_nothing_it_reads(self, mode, n):
+        # the block rewrites x_hat in place, and only in buffers of its own
+        rng = np.random.default_rng(42)
+        model = small_model(rng)
+        x = rng.normal(size=(n, 6))
+        batch, state = x.tobytes(), model_state(model)
+        out = network.forward_features(model, x, mode)
+        network.predict(model, x, mode)
+        assert x.tobytes() == batch
+        for name, array in model_state(model).items():
+            assert array.tobytes() == state[name].tobytes(), name
+        assert not np.shares_memory(out.feats, x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -431,6 +487,31 @@ class TestGradients:
             model, x, StatMode.BATCH_ONLY, losses.Entropy(), ParamGroup.BN_ONLY
         )
         assert len(handed) == 2 and handed[0] is handed[1] and len(handed[0]) == 2
+
+    def test_relu_mask_keeps_signed_zeros(self):
+        # gy = g * (y > 0) bit for bit: where the relu is off, a negative g
+        # gives -0.0 and a positive one +0.0
+        y = np.array([[0.0, -0.0, 2.0], [0.0, 1e-300, -0.0]])
+        g = np.array([[-1.5, -2.0, -3.0], [4.0, -5.0, 6.0]])
+        gy = network._relu_grad(g, y)
+        assert gy.tobytes() == (g * (y > 0.0)).tobytes()
+        assert np.signbit(gy[0, :2]).all() and not np.signbit(gy[1, [0, 2]]).any()
+        # and through the chain: the BN gradients of a block whose relu is
+        # off for one unit and part of the rows
+        rng = np.random.default_rng(32)
+        model = small_model(rng, hidden_dims=(4,))
+        model.blocks[0].bn.beta[:] = [-100.0, 0.0, 0.0, 0.0]
+        caches = []
+        x = rng.normal(size=(8, 6))
+        feats = network._forward(model, x, StatMode.RUNNING_EVAL, caches).feats
+        g = -0.5 - rng.random(feats.shape)
+        size = model.group_size(ParamGroup.BN_ONLY)
+        grad = network._backward(model, caches, StatMode.RUNNING_EVAL, g, False, size)
+        _, x_hat, _, y = caches[0]
+        assert (y == 0.0).any() and (y > 0.0).any()
+        gy = g * (y > 0.0)
+        want = np.concatenate([np.add.reduce(gy * x_hat, axis=0), np.add.reduce(gy, axis=0)])
+        assert grad.tobytes() == want.tobytes()
 
     def test_unreached_named_parameter_gets_zero_grad(self):
         # the alignment loss reads features only, never the classifier: its

@@ -213,6 +213,21 @@ class TestSerialization:
         save_stats(stats, path)
         assert load_stats(path).covariance_mode is CovarianceMode.TIED
 
+    def test_tied_header_over_differing_covariances(self, tmp_path):
+        # a tied fit writes one pooled covariance for every class, so a
+        # "tied" header over distinct class covariances was never fitted
+        path = tmp_path / "stats.bin"
+        path.write_bytes(STATS_V1.read_bytes())
+
+        def tied(h):
+            header = json.loads(h)
+            header["covariance_mode"] = CovarianceMode.TIED.value
+            return json.dumps(header).encode()
+
+        rewrite_stats(path, tied)
+        with pytest.raises(StatsIoError, match="differ"):
+            load_stats(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "stats.bin"
         save_stats(self._stats(), path)
@@ -270,6 +285,9 @@ class TestSerialization:
             ("eps_scale", float("nan")),
             ("eps_scale", float("inf")),
             ("warnings", "abc"),
+            # counts no fit writes: it refuses a class of fewer than 2 samples
+            ("n_samples", [-5, 0, 1]),
+            ("n_samples", [40, 1, 40]),
         ],
     )
     def test_header_field_malformed(self, tmp_path, field, value):
