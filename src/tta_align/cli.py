@@ -81,13 +81,7 @@ def cmd_stats(args) -> int:
     model = network.load_checkpoint(args.checkpoint)
     _check_fits(cfg, model)
     dataset = data.generate_dataset(cfg.synthetic, shift=None)
-    stats = stats_mod.estimate_source_stats(
-        model,
-        dataset.train_x,
-        dataset.train_y,
-        mode=cfg.pretrain.covariance_mode,
-        eps_scale=cfg.pretrain.eps_scale,
-    )
+    stats = experiment.source_statistics(cfg, model, dataset)
     stats_mod.save_stats(stats, args.out)
     print(f"stats: {args.out} ({stats.n_classes} classes, d={stats.feature_dim})")
     for w in stats.warnings:

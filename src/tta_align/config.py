@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import json
 import numbers
+import re
 import reprlib
 import sys
 import types
@@ -178,6 +179,9 @@ class TtaConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigInvalid(f"unknown method {self.method!r}; one of {METHODS}")
+        if not re.fullmatch(r"[\w.+-]*", self.name, re.ASCII):
+            # the name is part of the run's file names
+            raise ConfigInvalid(f"name {self.name!r} may hold only ASCII letters, digits and _.+-")
         _check_enum("param_group", self.param_group, ParamGroup)
         if self.method in NO_LOSS_METHODS:
             if self.steps_per_batch != 0:
@@ -216,6 +220,8 @@ class ModelConfig:
             raise ConfigInvalid("hidden_dims entries must be >= 1")
         if not 0.0 < self.bn_momentum < 1.0:
             raise ConfigInvalid("bn_momentum must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigInvalid("model seed must be >= 0")
 
 
 @dataclass
@@ -232,6 +238,8 @@ class PretrainConfig:
             raise ConfigInvalid("pretrain needs epochs >= 1 and batch_size >= 2")
         if self.learning_rate <= 0 or self.eps_scale <= 0:
             raise ConfigInvalid("learning_rate and eps_scale must be > 0")
+        if self.seed < 0:
+            raise ConfigInvalid("pretrain seed must be >= 0")
         _check_enum("covariance_mode", self.covariance_mode, CovarianceMode)
 
 
@@ -259,6 +267,22 @@ class ExperimentConfig:
             raise ConfigInvalid(f"duplicate run names in experiment: {names}")
         for m in self.methods:
             m.validate()
+        # a batch larger than its data set leaves pretraining without a step
+        # or a method without a batch
+        spec = self.synthetic
+        n_train = spec.n_classes * spec.n_train_per_class
+        n_target = spec.n_classes * spec.n_test_per_class
+        if self.pretrain.batch_size > n_train:
+            raise ConfigInvalid(
+                f"pretrain batch_size {self.pretrain.batch_size} exceeds the "
+                f"{n_train} training samples (n_classes x n_train_per_class)"
+            )
+        for m in self.methods:
+            if m.batch_size > n_target:
+                raise ConfigInvalid(
+                    f"method {m.run_name!r} batch_size {m.batch_size} exceeds the "
+                    f"{n_target} target samples (n_classes x n_test_per_class)"
+                )
 
     @staticmethod
     def from_dict(doc) -> "ExperimentConfig":

@@ -73,8 +73,14 @@ class SyntheticSpec:
             raise ConfigInvalid("input_dim must be >= 2")
         if self.n_train_per_class < 2 or self.n_test_per_class < 2:
             raise ConfigInvalid("need at least 2 samples per class")
-        if self.cov_scales is not None and len(self.cov_scales) != self.n_classes:
-            raise ConfigInvalid("cov_scales must list one std per class")
+        if self.seed < 0 or self.geometry_seed < 0:
+            raise ConfigInvalid("seed and geometry_seed must be >= 0")
+        if self.cov_scales is not None:
+            if len(self.cov_scales) != self.n_classes:
+                raise ConfigInvalid("cov_scales must list one std per class")
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(np.square(self.cov_scales))):
+                    raise ConfigInvalid("cov_scales entries must have finite squares")
         c, d = self.n_classes, self.input_dim
         for name, value, shape in (
             ("class_means", self.class_means, (c, d)),
@@ -193,6 +199,8 @@ def generate_dataset(spec: SyntheticSpec, shift: ShiftSpec | None = None) -> Dat
     target_x, target_y = _sample_mixture(spec, spec.n_test_per_class, rng)
     if shift is not None:
         target_x = apply_shift(target_x, shift, spec, rng)
+    if not all(np.all(np.isfinite(x)) for x in (train_x, test_x, target_x)):
+        raise ConfigInvalid("the configured mixture and shift draw non-finite samples")
     return Dataset(train_x, train_y, test_x, test_y, target_x, target_y)
 
 

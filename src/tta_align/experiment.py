@@ -16,7 +16,13 @@ import numpy as np
 from . import adapt, data, losses, network, stats as stats_mod
 from .adapt import RunRecord, adapt_stream
 from .config import ExperimentConfig, tta_config_from_dict
-from .errors import ConfigInvalid, NonFiniteLoss, StatsIoError, TrainingDiverged
+from .errors import (
+    ConfigInvalid,
+    NonFiniteLoss,
+    NotPositiveDefinite,
+    StatsIoError,
+    TrainingDiverged,
+)
 from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
 
@@ -71,14 +77,29 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
             adapt.adam_step(model.flat, grad, adam, cfg.pretrain.learning_rate)
 
     holdout = evaluate_accuracy(model, dataset.test_x, dataset.test_y)
-    source_stats = stats_mod.estimate_source_stats(
-        model,
-        dataset.train_x,
-        dataset.train_y,
-        mode=cfg.pretrain.covariance_mode,
-        eps_scale=cfg.pretrain.eps_scale,
-    )
+    source_stats = source_statistics(cfg, model, dataset)
     return PretrainResult(model, source_stats, dataset, holdout)
+
+
+def source_statistics(
+    cfg: ExperimentConfig, model: AdaptiveModel, dataset: data.Dataset
+) -> SourceStats:
+    """The source Gaussians of `model`'s features on the training set, as the
+    pretrain section configures them. A covariance that the configured
+    eps_scale leaves without a finite precision is a config error."""
+    try:
+        return stats_mod.estimate_source_stats(
+            model,
+            dataset.train_x,
+            dataset.train_y,
+            mode=cfg.pretrain.covariance_mode,
+            eps_scale=cfg.pretrain.eps_scale,
+        )
+    except NotPositiveDefinite as exc:
+        raise ConfigInvalid(
+            f"pretrain eps_scale {cfg.pretrain.eps_scale} leaves a source covariance "
+            f"without a precision: {exc}"
+        ) from exc
 
 
 # -- comparison runs -----------------------------------------------------------

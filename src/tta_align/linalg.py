@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, EmptyInput, NonFiniteInput, NotPositiveDefinite
 
@@ -30,10 +29,6 @@ class SpdFactor:
     """Lower-triangular Cholesky factor L with A = L @ L.T."""
 
     lower: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
 
 
 def spd_factor(m) -> SpdFactor:
@@ -58,10 +53,20 @@ def spd_factor(m) -> SpdFactor:
 
 
 def spd_inverse(f: SpdFactor) -> np.ndarray:
-    """Dense inverse of the factored matrix, symmetrized exactly."""
-    inv_l = solve_triangular(f.lower, np.eye(f.dim), lower=True)
-    p = inv_l.T @ inv_l
-    return 0.5 * (p + p.T)
+    """Dense inverse (L^-1)^T L^-1 of the factored matrix, symmetrized
+    exactly.
+
+    Raises NotPositiveDefinite when the inverse is not finite in float64:
+    a matrix whose entries are all near the subnormal range factors, but
+    its inverse overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_l = np.linalg.inv(f.lower)
+        p = inv_l.T @ inv_l
+        p = 0.5 * (p + p.T)
+    if not np.all(np.isfinite(p)):
+        raise NotPositiveDefinite("inverse overflows float64")
+    return p
 
 
 def mean_and_cov(samples) -> tuple[np.ndarray, np.ndarray]:

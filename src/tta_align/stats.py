@@ -65,7 +65,8 @@ class SourceStats:
 
 def regularized_precision(sigma: np.ndarray, eps_scale: float) -> np.ndarray:
     """Inverse of sigma + eps*I with trace-relative eps, through its Cholesky
-    factor (raises NotPositiveDefinite if that factor does not exist).
+    factor (raises NotPositiveDefinite if that factor or a finite inverse
+    does not exist).
 
     A zero covariance would give eps = 0, so the floor falls back to
     eps_scale itself to keep the regularized matrix positive definite.

@@ -1,16 +1,22 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tta_align
 from helpers import rewrite_stats
 from tta_align import cli
 from tta_align.adapt import TtaConfig, read_run_record_rows
-from tta_align.stats import load_stats
+from tta_align.config import ExperimentConfig
+from tta_align.stats import STATS_MAGIC, load_stats
 
 
 def tiny_config(tmp_path, **overrides):
@@ -84,6 +90,16 @@ class TestPretrainCommand:
         out = capsys.readouterr().out
         assert "warning: class 0:" in out
         assert "rank-deficient" in out
+
+
+    def test_batch_larger_than_training_set_is_config_error(self, tmp_path, capsys):
+        # 3 classes x 40 samples: a batch of 121 would leave pretraining
+        # without a step and the checkpoint untrained
+        config = tiny_config(tmp_path, pretrain={"epochs": 3, "batch_size": 121})
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert "pretrain batch_size 121 exceeds the 120 training samples" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStatsCommand:
@@ -180,6 +196,44 @@ class TestAdaptCommand:
         )
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+        assert not (tmp_path / "adapt").exists()
+
+    @pytest.mark.parametrize("method", ["source", "cafa"])
+    def test_stats_without_finite_precision_are_io_error(
+        self, pretrained, tmp_path, capsys, method
+    ):
+        # a finite but subnormal class covariance under a matching checksum:
+        # its Cholesky factor exists, its precision overflows
+        config, out = pretrained
+        path = out / "stats.bin"
+
+        def subnormal_sigma(payload, header):
+            d = json.loads(header)["feature_dim"]
+            rows = np.frombuffer(payload, dtype="<f8").reshape(-1, d + d * d).copy()
+            rows[0, d:] = (1e-310 * np.eye(d)).ravel()
+            return rows.tobytes()
+
+        rewrite_stats(path, lambda h: h, subnormal_sigma)
+        args = ["adapt", "--config", str(config), "--checkpoint", str(out / "checkpoint.npz")]
+        args += ["--stats", str(path), "--method", method, "--out-dir", str(tmp_path / "adapt")]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "have no precision" in err
+        assert not (tmp_path / "adapt").exists()
+
+    def test_batch_larger_than_target_stream_is_config_error(self, pretrained, tmp_path, capsys):
+        # 3 classes x 64 samples: a batch of 193 would leave the method no batch
+        config, out = pretrained
+        doc = json.loads(config.read_text())
+        doc["methods"][2]["batch_size"] = 193  # cafa
+        config.write_text(json.dumps(doc))
+        args = ["adapt", "--config", str(config), "--checkpoint", str(out / "checkpoint.npz")]
+        args += ["--stats", str(out / "stats.bin"), "--method", "cafa"]
+        args += ["--out-dir", str(tmp_path / "adapt")]
+        assert cli.main(args) == 1
+        assert "method 'cafa' batch_size 193 exceeds the 192 target samples" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "adapt").exists()
 
     @pytest.mark.parametrize(
@@ -312,6 +366,16 @@ class TestCompareCommand:
             assert (out / name).exists()
         assert "cafa" in capsys.readouterr().out
 
+    def test_batch_larger_than_target_stream_is_config_error(self, tmp_path, capsys):
+        doc = json.loads(tiny_config(tmp_path).read_text())
+        doc["methods"][1]["batch_size"] = 193  # global_fa; 3 x 64 target samples
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert "method 'global_fa' batch_size 193 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("steps, partial_rows", [(1, range(1, 12)), (2, [0])])
     def test_non_finite_loss_keeps_partial_records(self, tmp_path, capsys, steps, partial_rows):
         config = tiny_config(tmp_path)
@@ -443,6 +507,24 @@ class TestErrorExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+def run_quietly(argv) -> tuple[int, str]:
+    """`cli.main(argv)`'s exit code and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def assert_fails_closed(code: int, err: str) -> None:
+    """Exit 0, or 1 or 3 with one error line; exit 2 only for a loss that
+    went non-finite."""
+    if code == 2:
+        assert "numerical failure" in err and "loss evaluated to" in err, err
+    else:
+        assert code in (0, 1, 3), err
+        assert code == 0 or err.count("\n") == 1, err
+
+
 @pytest.fixture(scope="module")
 def fuzz_artifacts(tmp_path_factory):
     """A pretrained tiny config: its config path, checkpoint bytes and stats."""
@@ -467,25 +549,11 @@ def test_damaged_checkpoint_fails_closed(fuzz_artifacts, tmp_path_factory, cut, 
     del blob[cut % (len(blob) + 1) :]
     tmp = tmp_path_factory.mktemp("ckpt")
     (tmp / "checkpoint.npz").write_bytes(bytes(blob))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(
-            [
-                "adapt",
-                "--config",
-                str(config),
-                "--checkpoint",
-                str(tmp / "checkpoint.npz"),
-                "--stats",
-                str(stats),
-                "--method",
-                "source",
-                "--out-dir",
-                str(tmp / "adapt"),
-            ]
-        )
-    assert code in (0, 1, 3), err.getvalue()
-    assert code == 0 or err.getvalue().count("\n") == 1
+    args = ["adapt", "--config", str(config), "--checkpoint", str(tmp / "checkpoint.npz")]
+    args += ["--stats", str(stats), "--method", "source", "--out-dir", str(tmp / "adapt")]
+    code, err = run_quietly(args)
+    assert code in (0, 1, 3), err
+    assert code == 0 or err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -514,3 +582,99 @@ def test_checkpoint_entry_zipfile_cannot_read_is_io_error(fuzz_artifacts, tmp_pa
         ]
     )
     assert code == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cut=st.integers(0, 1 << 16),
+    flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=3),
+    reseal=st.booleans(),
+)
+def test_damaged_stats_fail_closed(fuzz_artifacts, tmp_path_factory, cut, flips, reseal):
+    # a stats file cut short or with flipped bits, under its old checksum or,
+    # with `reseal`, under one that matches the damaged bytes
+    config, _, stats = fuzz_artifacts
+    blob = bytearray(stats.read_bytes())
+    for i, mask in flips:
+        blob[i % len(blob)] ^= mask
+    del blob[cut % (len(blob) + 1) :]
+    header_at = len(STATS_MAGIC) + 5  # after the magic, version and header length
+    if reseal and len(blob) >= header_at + 32:
+        blob[-32:] = hashlib.sha256(blob[header_at:-32]).digest()
+    tmp = tmp_path_factory.mktemp("stats")
+    (tmp / "stats.bin").write_bytes(bytes(blob))
+    args = ["adapt", "--config", str(config), "--checkpoint", str(stats.with_name("checkpoint.npz"))]
+    args += ["--stats", str(tmp / "stats.bin"), "--method", "cafa", "--out-dir", str(tmp / "adapt")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_fails_closed(*run_quietly(args))
+
+
+def tiny_default_document() -> dict:
+    """The default config document on tiny data: 20 training and 64 target
+    samples per class, one epoch of batches of 16."""
+    doc = ExperimentConfig.default().to_dict()
+    doc["synthetic"].update(n_train_per_class=20, n_test_per_class=64)
+    doc["pretrain"].update(epochs=1, batch_size=16)
+    return doc
+
+
+def document_paths(node, prefix=()):
+    """The key path of every value nested in a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in children:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from document_paths(value, prefix + (key,))
+
+
+CONFIG_PATHS = list(document_paths(tiny_default_document()))
+# bounded integers: a size field as large as the type allows is a run that
+# does not fit in memory, not a malformed document
+CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 70),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 70) | st.floats(-1e3, 1e3), max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from(CONFIG_PATHS), CONFIG_VALUES, min_size=1, max_size=3))
+@example(edits={("pretrain", "batch_size"): 61})
+@example(edits={("methods", 6, "batch_size"): 193})
+@example(edits={("model", "seed"): -1})
+@example(edits={("synthetic", "cov_scales", 0): 1e300})
+@example(edits={("synthetic", "mean_scale"): 1.7e308})
+@example(edits={("pretrain", "eps_scale"): 1e-320})
+@example(edits={("methods", 0, "name"): "\x00"})
+def test_config_values_fail_closed(tmp_path_factory, edits):
+    # values of the default document replaced; a deeper path is edited before
+    # any section that holds it, so every edit lands
+    doc = tiny_default_document()
+    for path, value in sorted(edits.items(), key=lambda e: -len(e[0])):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("config")
+    (tmp / "config.json").write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, err = run_quietly(
+            ["compare", "--config", str(tmp / "config.json"), "--out-dir", str(tmp / "out")]
+        )
+    assert_fails_closed(code, err)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(tta_align.__file__))
+    check = "import sys, tta_align.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -320,6 +320,20 @@ class TestValidation:
                 ),
                 "class_covs entries must be symmetric PSD",
             ),
+            (
+                lambda doc: doc["synthetic"].update(geometry_seed=-1),
+                "seed and geometry_seed must be >= 0",
+            ),
+            (lambda doc: doc["model"].update(seed=-1), "model seed must be >= 0"),
+            (lambda doc: doc["pretrain"].update(seed=-1), "pretrain seed must be >= 0"),
+            (
+                lambda doc: doc["synthetic"].update(cov_scales=[0.2, 1e200, 1.5]),
+                "cov_scales entries must have finite squares",
+            ),
+            (
+                lambda doc: doc["methods"][2].update(name="../pl"),
+                "may hold only ASCII letters, digits and _.+-",
+            ),
         ],
         ids=[
             "adam_beta1",
@@ -328,6 +342,11 @@ class TestValidation:
             "zero_shift_direction",
             "class_covs_not_psd",
             "class_covs_not_symmetric",
+            "negative_geometry_seed",
+            "negative_model_seed",
+            "negative_pretrain_seed",
+            "cov_scale_square_overflows",
+            "name_with_path_separator",
         ],
     )
     def test_value_that_cannot_run(self, tmp_path, capsys, damage, message):

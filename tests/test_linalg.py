@@ -83,6 +83,22 @@ class TestSpdInverse:
         inv = spd_inverse(spd_factor(random_spd(rng, 7)))
         assert np.array_equal(inv, inv.T)
 
+    def test_rank_deficient_covariance_with_ridge(self):
+        # 20 samples in 64 dimensions: rank 19 before the ridge, condition
+        # number near 1e9 after it, as a rank-deficient class covariance is
+        rng = np.random.default_rng(43)
+        _, cov = mean_and_cov(rng.normal(size=(20, 64)))
+        a = cov + 1e-8 * np.eye(64)
+        inv = spd_inverse(spd_factor(a))
+        expected = gauss_jordan_inverse(a)
+        np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+        assert np.array_equal(inv, inv.T)
+
+    def test_overflowing_inverse_rejected(self):
+        # factors (the pivots are about 1e-155), but the inverse is about 1e310
+        with pytest.raises(NotPositiveDefinite, match="overflows"):
+            spd_inverse(spd_factor(1e-310 * np.eye(4)))
+
 
 class TestMeanAndCov:
     def test_single_sample(self):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from tta_align.errors import (
     CorruptChecksum,
     FormatVersionMismatch,
     MissingClass,
+    NotPositiveDefinite,
     StatsIoError,
 )
 from tta_align.stats import (
@@ -154,6 +156,12 @@ class TestRegularization:
         precision = regularized_precision(np.zeros((3, 3)), eps_scale=1e-3)
         np.testing.assert_allclose(precision, np.eye(3) / 1e-3)
         assert np.all(np.linalg.eigvalsh(precision) > 0)
+
+    def test_non_finite_precision_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite):
+                regularized_precision(1e-310 * np.eye(4), 1e-6)
 
     def test_psd_input_always_factors(self):
         rng = np.random.default_rng(7)
