@@ -144,14 +144,15 @@ class Dataset:
 
 
 def _sample_mixture(spec: SyntheticSpec, n_per_class: int, rng: np.random.Generator):
+    """n_per_class draws of each class, in one random order. Each class's
+    draw fills its rows of one matrix; the permutation is the only copy."""
     means = spec.resolved_means()
     covs = spec.resolved_covs()
-    xs, ys = [], []
+    x = np.empty((spec.n_classes * n_per_class, spec.input_dim))
     for c in range(spec.n_classes):
-        xs.append(rng.multivariate_normal(means[c], covs[c], size=n_per_class))
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+        rows = slice(c * n_per_class, (c + 1) * n_per_class)
+        x[rows] = rng.multivariate_normal(means[c], covs[c], size=n_per_class)
+    y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), n_per_class)
     order = rng.permutation(x.shape[0])
     return x[order], y[order]
 
@@ -165,24 +166,23 @@ def apply_shift(
     """Apply the shift transforms in order; label-preserving by construction."""
     shift.validate(spec.input_dim)
     std = spec.mean_class_std()
-    out = np.array(x, dtype=np.float64)
+    out = np.array(x, dtype=np.float64)  # the one copy; each transform edits it
     for t in shift.transforms:
         if t.kind == "gaussian_noise":
             sigma = NOISE_SIGMA_SCALE[shift.severity] * std
-            out = out + rng.normal(0.0, sigma, size=out.shape)
+            out += rng.normal(0.0, sigma, size=out.shape)
         elif t.kind == "mean_shift":
             direction = np.asarray(t.direction, dtype=np.float64)
             direction = direction / np.linalg.norm(direction)
-            out = out + MEAN_SHIFT_SCALE[shift.severity] * std * direction
+            out += MEAN_SHIFT_SCALE[shift.severity] * std * direction
         elif t.kind == "scaling":
-            out = out * SCALING_FACTOR[shift.severity]
+            out *= SCALING_FACTOR[shift.severity]
         elif t.kind == "rotation":
             theta = np.deg2rad(ROTATION_DEGREES[shift.severity])
             i, j = t.plane
-            rot = out.copy()
-            rot[:, i] = np.cos(theta) * out[:, i] - np.sin(theta) * out[:, j]
-            rot[:, j] = np.sin(theta) * out[:, i] + np.cos(theta) * out[:, j]
-            out = rot
+            xi = np.cos(theta) * out[:, i] - np.sin(theta) * out[:, j]
+            out[:, j] = np.sin(theta) * out[:, i] + np.cos(theta) * out[:, j]
+            out[:, i] = xi
     return out
 
 

@@ -29,9 +29,11 @@ from .stats import SourceStats
 
 @dataclass
 class PretrainResult:
+    """What adaptation reads of the source side. The training set is not
+    kept: a caller that needs it again passes it to `pretrain_source`."""
+
     model: AdaptiveModel
     stats: SourceStats
-    dataset: data.Dataset
     holdout_accuracy: float
 
 
@@ -78,7 +80,7 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
 
     holdout = evaluate_accuracy(model, dataset.test_x, dataset.test_y)
     source_stats = source_statistics(cfg, model, dataset)
-    return PretrainResult(model, source_stats, dataset, holdout)
+    return PretrainResult(model, source_stats, holdout)
 
 
 def source_statistics(

@@ -21,12 +21,15 @@ import numpy as np
 from . import network
 from .errors import (
     CorruptChecksum,
+    DimensionMismatch,
+    EmptyInput,
     FormatVersionMismatch,
     MissingClass,
     NotPositiveDefinite,
     StatsIoError,
+    UnknownClass,
 )
-from .linalg import mean_and_cov, spd_factor, spd_inverse
+from .linalg import as_matrix, mean_and_cov, spd_factor, spd_inverse
 
 STATS_MAGIC = b"TTASTATS"
 STATS_VERSION = 1
@@ -90,11 +93,42 @@ def fit_source_stats(
     mode: CovarianceMode = CovarianceMode.CLASS_WISE,
     eps_scale: float = DEFAULT_EPS_SCALE,
 ) -> SourceStats:
-    """Estimate per-class and global Gaussians from extracted features."""
-    feats = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    """Estimate per-class and global Gaussians from extracted features (an
+    N x d matrix) and their labels (N class indices). `features` is left
+    as it is."""
+    return _fit(np.array(features, dtype=np.float64), labels, mode, eps_scale)
+
+
+def estimate_source_stats(
+    model: network.AdaptiveModel,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    mode: CovarianceMode = CovarianceMode.CLASS_WISE,
+    eps_scale: float = DEFAULT_EPS_SCALE,
+) -> SourceStats:
+    """Extract features with stored running statistics, then fit Gaussians."""
+    # the forward's features are a fresh array (every model has a block), so
+    # the fit may centre them in place
+    feats = network.forward_features(model, inputs, network.StatMode.RUNNING_EVAL).feats
+    return _fit(feats, labels, mode, eps_scale)
+
+
+def _fit(
+    feats: np.ndarray, labels, mode: CovarianceMode, eps_scale: float
+) -> SourceStats:
+    """`fit_source_stats` on a float64 feature matrix that the fit owns: the
+    global Gaussian comes last and centres `feats` in place, in the
+    operation order of `linalg.mean_and_cov`."""
+    feats = as_matrix(feats)
     n, d = feats.shape
-    n_classes = int(y.max()) + 1 if y.size else 0
+    if n == 0:
+        raise EmptyInput("need at least one sample")
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (n,):
+        raise DimensionMismatch(f"labels of shape {y.shape} for {n} feature rows")
+    if y.min() < 0:
+        raise UnknownClass(f"negative class label {y.min()}")
+    n_classes = int(y.max()) + 1
     warnings: list[str] = []
 
     mus = np.empty((n_classes, d))
@@ -120,7 +154,10 @@ def fit_source_stats(
         tied /= n
         sigmas[:] = 0.5 * (tied + tied.T)
 
-    global_mu, global_sigma = mean_and_cov(feats)
+    global_mu = feats.sum(axis=0) / n
+    feats -= global_mu
+    global_sigma = feats.T @ feats / n
+    global_sigma = 0.5 * (global_sigma + global_sigma.T)
     return SourceStats(
         class_mus=mus,
         class_sigmas=sigmas,
@@ -132,18 +169,6 @@ def fit_source_stats(
         eps_scale=eps_scale,
         warnings=warnings,
     )
-
-
-def estimate_source_stats(
-    model: network.AdaptiveModel,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    mode: CovarianceMode = CovarianceMode.CLASS_WISE,
-    eps_scale: float = DEFAULT_EPS_SCALE,
-) -> SourceStats:
-    """Extract features with stored running statistics, then fit Gaussians."""
-    feats = network.forward_features(model, inputs, network.StatMode.RUNNING_EVAL).feats
-    return fit_source_stats(feats, labels, mode=mode, eps_scale=eps_scale)
 
 
 # -- serialization ------------------------------------------------------------
@@ -246,6 +271,15 @@ def load_stats(path) -> SourceStats:
         precisions = _precisions(sigmas[:-1], eps_scale)
     except (NotPositiveDefinite, ValueError) as exc:
         raise StatsIoError(f"class covariances in {path} have no precision: {exc}") from exc
+    # every loss and distance report reads the class kernel's forms
+    # (x - mu_c)^T P_c (x - mu_c): those of the class means and of the origin
+    # must be finite, or a finite but absurd mean overflows them all
+    points = np.vstack([mus[:-1], np.zeros(d)])
+    diff = points - mus[:-1, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        forms = np.einsum("cnd,cnd->cn", diff @ precisions, diff)
+    if not np.all(np.isfinite(forms)):
+        raise StatsIoError(f"class means in {path} give non-finite Mahalanobis forms")
     return SourceStats(
         class_mus=mus[:-1],
         class_sigmas=sigmas[:-1],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -92,6 +93,16 @@ def rewrite_stats(path, edit_header, edit_payload=lambda payload, header: payloa
         + payload
         + hashlib.sha256(header + payload).digest()
     )
+
+
+def traced_peak_mb(fn) -> float:
+    """The peak of memory traced while `fn` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def small_model(

@@ -40,10 +40,11 @@ def report(capsys, criterion, ok, detail):
 @pytest.fixture(scope="module")
 def pretrained_seed0():
     cfg = ExperimentConfig.default(seed=0)
-    pre = pretrain_source(cfg)
+    source = data.generate_dataset(cfg.synthetic, shift=None)
+    pre = pretrain_source(cfg, source)
     shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
     batches = data.batch_stream(shifted.target_x, shifted.target_y, 64)
-    return cfg, pre, batches
+    return cfg, pre, source, batches
 
 
 def test_criterion_1_gradient_correctness(capsys):
@@ -229,7 +230,7 @@ def test_criterion_5_end_to_end_direction(capsys):
 def test_criterion_6_online_protocol(capsys, pretrained_seed0):
     """Prediction-before-update via replay; parameter-group containment
     bitwise; loss-free baselines leave the model bitwise unchanged."""
-    _, pre, batches = pretrained_seed0
+    _, pre, _, batches = pretrained_seed0
     short = batches[:6]
     cfg = TtaConfig(method="cafa", steps_per_batch=2)
 
@@ -297,8 +298,7 @@ def test_criterion_7_determinism(capsys, tmp_path):
 def test_criterion_8_ablation_plumbing(capsys, tmp_path, pretrained_seed0):
     """Tied covariance, full-feature updates, and steps 1..3 all run to
     completion on the default experiment and emit full-length records."""
-    cfg, pre, batches = pretrained_seed0
-    dataset = pre.dataset
+    cfg, pre, dataset, batches = pretrained_seed0
     runs = {}
 
     tied_stats = estimate_source_stats(

@@ -69,11 +69,12 @@ def test_forward_features_span_covers_every_row_block():
     # stay inside that one call
     cfg = ExperimentConfig.default(seed=0)
     cfg.pretrain.epochs = 1
-    pre = experiment.pretrain_source(cfg)
+    source = data.generate_dataset(cfg.synthetic, shift=None)
+    pre = experiment.pretrain_source(cfg, source)
     n = network.EVAL_ROWS + 3
     shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
     batches = data.batch_stream(shifted.target_x, shifted.target_y, n)
-    assert len(batches) >= 2 and pre.dataset.train_x.shape[0] > network.EVAL_ROWS
+    assert len(batches) >= 2 and source.train_x.shape[0] > network.EVAL_ROWS
     for method in ("source", "bn"):
         tracer = tracing.Tracer()
         with tracer:
@@ -82,5 +83,5 @@ def test_forward_features_span_covers_every_row_block():
         assert tracer.totals()["network.forward_features"]["calls"] == len(batches)
     tracer = tracing.Tracer()
     with tracer:
-        stats.estimate_source_stats(pre.model, pre.dataset.train_x, pre.dataset.train_y)
+        stats.estimate_source_stats(pre.model, source.train_x, source.train_y)
     assert tracer.totals()["network.forward_features"]["calls"] == 1

@@ -221,6 +221,21 @@ class TestAdaptCommand:
         assert "i/o error" in err and "have no precision" in err
         assert not (tmp_path / "adapt").exists()
 
+    @pytest.mark.parametrize("method", ["source", "cafa"])
+    def test_stats_with_absurd_class_mean_are_io_error(self, pretrained, tmp_path, method):
+        # a finite first mean entry of 1e200 under a matching checksum: every
+        # Mahalanobis form of that class overflows (source wrote inf and nan
+        # distances with exit 0, cafa a nan loss with exit 2)
+        config, out = pretrained
+        path = out / "stats.bin"
+        rewrite_stats(path, lambda h: h, lambda p, h: np.float64(1e200).tobytes() + p[8:])
+        args = ["adapt", "--config", str(config), "--checkpoint", str(out / "checkpoint.npz")]
+        args += ["--stats", str(path), "--method", method, "--out-dir", str(tmp_path / "adapt")]
+        code, err = run_quietly(args)
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("i/o error"), err
+        assert not (tmp_path / "adapt").exists()
+
     def test_batch_larger_than_target_stream_is_config_error(self, pretrained, tmp_path, capsys):
         # 3 classes x 64 samples: a batch of 193 would leave the method no batch
         config, out = pretrained

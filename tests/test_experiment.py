@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from helpers import traced_peak_mb
 from tta_align import network, stats
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
@@ -62,16 +61,6 @@ class TestPretrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged):
                 pretrain_source(cfg)
-
-
-def traced_peak_mb(fn) -> float:
-    """The peak of memory traced while `fn` runs, in MiB."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestSetUpMemory:

@@ -11,10 +11,12 @@ from helpers import rewrite_stats, small_model
 from tta_align import network
 from tta_align.errors import (
     CorruptChecksum,
+    DimensionMismatch,
     FormatVersionMismatch,
     MissingClass,
     NotPositiveDefinite,
     StatsIoError,
+    UnknownClass,
 )
 from tta_align.stats import (
     STATS_MAGIC,
@@ -121,6 +123,29 @@ class TestFitSourceStats:
             fit_source_stats(feats, np.array([0, 0, 2, 2]))  # class 1 absent
         with pytest.raises(MissingClass):
             fit_source_stats(feats, np.array([0, 0, 0, 1]))  # class 1 has one sample
+
+    @pytest.mark.parametrize(
+        "labels, error",
+        [
+            (np.arange(29) % 3, DimensionMismatch),  # one label short
+            (np.arange(31) % 3, DimensionMismatch),  # one label over
+            ((np.arange(30) % 3)[:, None], DimensionMismatch),  # a column
+            (np.where(np.arange(30) < 5, -1, np.arange(30) % 3), UnknownClass),
+        ],
+        ids=["short", "long", "column", "negative"],
+    )
+    def test_labels_must_name_a_class_per_row(self, labels, error):
+        feats = np.random.default_rng(4).normal(size=(30, 2))
+        with pytest.raises(error):
+            fit_source_stats(feats, labels)
+
+    @pytest.mark.parametrize("mode", list(CovarianceMode))
+    def test_features_left_unchanged(self, mode):
+        # the global fit centres a matrix in place; it must be the fit's own
+        feats = np.random.default_rng(8).normal(loc=3.0, size=(40, 3))
+        before = feats.copy()
+        fit_source_stats(feats, np.arange(40) % 2, mode=mode)
+        assert feats.tobytes() == before.tobytes()
 
     def test_rank_deficiency_warning(self):
         rng = np.random.default_rng(5)
