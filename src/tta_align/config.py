@@ -158,6 +158,11 @@ def _check_enum(name: str, value, cls) -> None:
         )
 
 
+def valid_run_name(name) -> bool:
+    """Whether `name` can label a run: it is part of the run's file names."""
+    return isinstance(name, str) and re.fullmatch(r"[\w.+-]+", name, re.ASCII) is not None
+
+
 @dataclass
 class TtaConfig:
     method: str = "cafa"
@@ -179,8 +184,7 @@ class TtaConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigInvalid(f"unknown method {self.method!r}; one of {METHODS}")
-        if not re.fullmatch(r"[\w.+-]*", self.name, re.ASCII):
-            # the name is part of the run's file names
+        if self.name and not valid_run_name(self.name):
             raise ConfigInvalid(f"name {self.name!r} may hold only ASCII letters, digits and _.+-")
         _check_enum("param_group", self.param_group, ParamGroup)
         if self.method in NO_LOSS_METHODS:

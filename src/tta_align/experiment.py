@@ -15,7 +15,7 @@ import numpy as np
 
 from . import adapt, data, losses, network, stats as stats_mod
 from .adapt import RunRecord, adapt_stream
-from .config import ExperimentConfig, tta_config_from_dict
+from .config import ExperimentConfig, tta_config_from_dict, valid_run_name
 from .errors import (
     ConfigInvalid,
     NonFiniteLoss,
@@ -280,9 +280,20 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
         raise StatsIoError(f"cannot read {manifest_path}: {exc}") from exc
+    methods = manifest.get("methods") if isinstance(manifest, dict) else None
+    if (
+        not isinstance(methods, list)
+        or not methods
+        or not all(map(valid_run_name, methods))
+        or len(set(methods)) != len(methods)
+    ):
+        raise StatsIoError(
+            f"{manifest_path}: \"methods\" must list one or more unique run names, "
+            f"got {methods!r}"
+        )
     records: dict[str, RunRecord] = {}
     try:
-        for name in manifest["methods"]:
+        for name in methods:
             rows = adapt.read_run_record_rows(os.path.join(run_dir, f"run_{name}.csv"))
             if not rows:
                 raise StatsIoError(f"run_{name}.csv in {run_dir} holds no batch rows")
@@ -293,8 +304,6 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
             records[name] = RunRecord(config=config, rows=rows)
     except (OSError, KeyError, TypeError, ValueError, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
-    if not records:
-        raise StatsIoError(f"the manifest in {run_dir} lists no methods")
     summaries = [summarize_record(n, r) for n, r in records.items()]
     write_summary_files(summaries, run_dir)
     write_trajectory_files(records, run_dir)

@@ -1,10 +1,12 @@
 """Alignment distances and all adaptation/baseline losses.
 
 One batched kernel scores every sample against every class Gaussian with
-the stacked regularized precisions; the losses and the distance report both
-read it. `mahalanobis` is the per-vector reference form. Each loss returns
-its value and a closed-form gradient w.r.t. the one input it reads, which
-`network._backward` carries down the chain.
+the stacked regularized precisions; the class-kernel losses read it, and so
+does the distance report of a batch whose loss built it. Any other report
+takes its two sums from class moments. `mahalanobis` is the per-vector
+reference form. Each loss returns its value and a closed-form gradient
+w.r.t. the one input it reads, which `network._backward` carries down the
+chain.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import (
     BatchTooSmall,
     DimensionMismatch,
+    EmptyInput,
     SingleClass,
     UnknownClass,
 )
@@ -78,11 +81,14 @@ def distance_report(
 ) -> DistanceReport:
     """Batch-mean intra/inter distances under ground-truth labels.
 
-    Instrumentation only; no loss ever consumes ground-truth labels. Reads
-    the same class kernel as the CAFA loss, so the two cannot drift apart.
-    `quads`, when given, is that C x N kernel already computed on
-    `batch_feats` (the one an IntraOnly or Cafa loss read); otherwise the
-    report computes it.
+    Instrumentation only; no loss ever consumes ground-truth labels. The
+    means are two sums over the C x N class kernel q: the intra form
+    q_{y_n}(x_n) of each sample and its inter forms q_c(x_n), c != y_n.
+    `quads`, when given, is that kernel already computed on `batch_feats`
+    (the one an IntraOnly or Cafa loss read), and the report reads it.
+    Otherwise the report builds no kernel and takes both sums from the
+    moments of each label's rows (`_moment_sums`), equal in exact
+    arithmetic.
     """
     if stats.n_classes < 2:
         raise SingleClass("inter-class distance needs at least 2 classes")
@@ -90,10 +96,18 @@ def distance_report(
     y = np.asarray(true_labels, dtype=np.int64)
     if feats.ndim != 2 or y.shape != feats.shape[:1]:
         raise DimensionMismatch(f"features {feats.shape} vs labels {y.shape}")
+    if feats.shape[1] != stats.feature_dim:
+        raise DimensionMismatch(f"feature dim {feats.shape[1]} vs {stats.feature_dim}")
+    if y.size == 0:
+        raise EmptyInput("distance report needs at least one sample")
     _check_labels(y, stats.n_classes)  # a gather would wrap a label of -1
     if quads is None:
-        quads, _ = _class_quadratics(feats, stats)
-    elif quads.shape != (stats.n_classes, y.size):
+        intra_sum, inter_sum = _moment_sums(feats, y, stats)
+        return DistanceReport(
+            mean_intra=float(intra_sum / y.size),
+            mean_inter=float(inter_sum / (y.size * (stats.n_classes - 1))),
+        )
+    if quads.shape != (stats.n_classes, y.size):
         raise DimensionMismatch(
             f"class kernel {quads.shape} vs {stats.n_classes} classes x {y.size} samples"
         )
@@ -102,6 +116,47 @@ def distance_report(
     return DistanceReport(
         mean_intra=float(np.mean(intra)), mean_inter=float(np.mean(inter))
     )
+
+
+def _moment_sums(x: np.ndarray, y: np.ndarray, stats: SourceStats):
+    """The intra sum sum_n q_{y_n}(x_n) and the inter sum sum_n sum_{c != y_n}
+    q_c(x_n) of the class kernel q of `x` under labels `y`, built from the
+    moments of each label's rows: no C x N x d array, and N d^2 + 2 C K d^2
+    multiply-adds for the K labels present, against the kernel's C N d^2.
+
+    With rows grouped by label k (a stable sort), group mean m_k and scatter
+    B_k about it, the cross terms of x_n - mu_c = (x_n - m_k) + (m_k - mu_c)
+    sum to zero over the group, so
+
+        sum_{n in k} q_c(x_n) = <P_c, B_k> + N_k (m_k - mu_c)^T P_c (m_k - mu_c).
+
+    Every term is >= 0, and each sum adds only its own terms: taking the
+    inter sum as the total less the intra sum would lose it to cancellation
+    wherever the intra forms dwarf the inter ones.
+    """
+    mus, precs = stats.class_mus, stats.class_precisions
+    n_classes, d = mus.shape
+    rows = x[np.argsort(y, kind="stable")]
+    counts = np.bincount(y, minlength=n_classes)
+    present = np.flatnonzero(counts)
+    n_k = counts[present]
+    ends = np.cumsum(n_k)
+    starts = ends - n_k
+    means = np.add.reduceat(rows, starts, axis=0)
+    means /= n_k[:, None]
+    rows -= np.repeat(means, n_k, axis=0)
+    rows_t = rows.T.copy()  # a plain GEMM per group: NumPy's g.T @ g path is slower here
+    scatters = np.empty((present.size, d, d))
+    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        np.matmul(rows_t[:, a:b], rows[a:b], out=scatters[i])
+    # sums[c, k]: the forms to class c of the rows labelled present[k]
+    sums = precs.reshape(n_classes, -1) @ scatters.reshape(present.size, -1).T
+    gaps = means - mus[:, None, :]
+    sums += n_k * np.einsum("ckd,ckd->ck", gaps @ precs, gaps)
+    own = (present, np.arange(present.size))
+    intra = sums[own].sum()
+    sums[own] = 0.0
+    return intra, sums.sum()
 
 
 # -- losses -------------------------------------------------------------------

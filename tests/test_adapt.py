@@ -225,7 +225,9 @@ class TestOnlineProtocol:
 
     def test_prediction_before_update_by_replay(self):
         # cafa and intra report from their step-1 loss's class kernel,
-        # entropy computes its own: each must equal a standalone report
+        # entropy from class moments: each must equal a standalone report
+        # on the replayed features, handed the replayed kernel where the
+        # loss built one
         rng = np.random.default_rng(4)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
@@ -242,12 +244,13 @@ class TestOnlineProtocol:
                 preds = network.predict(prefix_model, x, StatMode.BATCH_ONLY)
                 assert record.rows[i].accuracy == float(np.mean(preds == y))
                 feats = network.forward_features(prefix_model, x, StatMode.BATCH_ONLY).feats
-                report = losses.distance_report(feats, y, stats)
+                quads = None if method == "entropy" else losses._class_quadratics(feats, stats)[0]
+                report = losses.distance_report(feats, y, stats, quads)
                 assert record.rows[i].mean_intra == report.mean_intra
                 assert record.rows[i].mean_inter == report.mean_inter
 
     @pytest.mark.parametrize(
-        "method, steps, kernels_per_batch",
+        "method, steps, sweeps_per_batch",
         [
             ("cafa", 1, 1),
             ("cafa", 3, 3),
@@ -259,27 +262,36 @@ class TestOnlineProtocol:
             ("bn", 0, 1),
         ],
     )
-    def test_one_class_kernel_per_step(self, monkeypatch, method, steps, kernels_per_batch):
-        # a kernel loss builds one kernel per step and the report reads the
-        # step-1 one; any other batch builds the report's kernel alone
+    def test_one_class_kernel_per_step(self, monkeypatch, method, steps, sweeps_per_batch):
+        # a kernel loss builds one class kernel per step and the report
+        # reads the step-1 one; any other batch builds no kernel at all and
+        # reports from class moments: one class sweep per step or report
         rng = np.random.default_rng(10)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
-        calls = []
-        original = losses._class_quadratics
+        calls = {"_class_quadratics": [], "_moment_sums": []}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(losses, name)
 
-        monkeypatch.setattr(losses, "_class_quadratics", counting)
+            def wrapped(*args, **kwargs):
+                calls[name].append(1)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(losses, name, counting(name))
         adapt_stream(
             model,
             stats,
             make_batches(rng, n_batches=4),
             TtaConfig(method=method, steps_per_batch=steps, batch_size=16),
         )
-        assert len(calls) == 4 * kernels_per_batch
+        kernel_loss = method in ("cafa", "intra")
+        assert len(calls["_class_quadratics"]) == 4 * (steps if kernel_loss else 0)
+        assert len(calls["_moment_sums"]) == 4 * (0 if kernel_loss else 1)
+        assert sum(map(len, calls.values())) == 4 * sweeps_per_batch
 
     def test_each_step_executes_once(self, monkeypatch):
         rng = np.random.default_rng(5)

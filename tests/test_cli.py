@@ -496,6 +496,24 @@ class TestReportCommand:
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "methods",
+        [["cafa", "cafa"], "cafa", ["cafa", "../cafa"], ["cafa", 5]],
+        ids=["duplicate", "string", "path", "number"],
+    )
+    def test_manifest_methods_must_be_unique_run_names(self, tmp_path, capsys, methods):
+        # a method listed twice would collapse into one summary row, and a
+        # string would be read one character at a time
+        (tmp_path / "run_cafa.csv").write_text(
+            "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,0.1,2.0,3.0\n"
+        )
+        (tmp_path / "run_cafa.json").write_text(
+            json.dumps({"config": TtaConfig(method="cafa").to_dict()})
+        )
+        (tmp_path / "manifest.json").write_text(json.dumps({"methods": methods}))
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+        assert '"methods" must list one or more unique run names' in capsys.readouterr().err
+
 
 class TestErrorExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):

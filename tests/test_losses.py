@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,13 @@ from helpers import (
     small_model,
 )
 from tta_align import autograd, losses, network
-from tta_align.errors import BatchTooSmall, DimensionMismatch, SingleClass, UnknownClass
+from tta_align.errors import (
+    BatchTooSmall,
+    DimensionMismatch,
+    EmptyInput,
+    SingleClass,
+    UnknownClass,
+)
 from tta_align.losses import (
     RATIO_FLOOR,
     Cafa,
@@ -28,6 +36,7 @@ from tta_align.losses import (
     mahalanobis,
 )
 from tta_align.network import ParamGroup, StatMode
+from tta_align.stats import CovarianceMode, fit_source_stats
 
 SPECS = {  # name -> spec from (stats, labels)
     "global_fa": lambda stats, y: GlobalFA(stats),
@@ -510,17 +519,72 @@ class TestDistanceReport:
             loss_value(Cafa(stats), np.zeros((3, 5)), labels=np.arange(3))
 
     def test_given_kernel(self):
-        # a kernel handed in is read as is; one of the wrong shape is refused
+        # a kernel handed in is read as an explicit gather reads it; the
+        # moment form agrees with it, and one of the wrong shape is refused
         rng = np.random.default_rng(26)
         stats = random_stats(rng, 3, 4)
         batch = rng.normal(size=(5, 4))
         labels = rng.integers(0, 3, size=5)
         quads = class_quadratics(batch, stats)
-        assert distance_report(batch, labels, stats, quads) == distance_report(
-            batch, labels, stats
-        )
+        given_kernel = distance_report(batch, labels, stats, quads)
+        intra = np.array([quads[c, i] for i, c in enumerate(labels)])
+        inter = np.array([(quads[:, i].sum() - quads[c, i]) / 2.0 for i, c in enumerate(labels)])
+        assert given_kernel.mean_intra == float(np.mean(intra))
+        assert given_kernel.mean_inter == float(np.mean(inter))
+        moments = distance_report(batch, labels, stats)
+        assert moments.mean_intra == pytest.approx(given_kernel.mean_intra, rel=1e-12)
+        assert moments.mean_inter == pytest.approx(given_kernel.mean_inter, rel=1e-12)
         with pytest.raises(DimensionMismatch):
             distance_report(batch, labels, stats, quads[:, :4])
+
+    def test_empty_batch(self):
+        # refused on both paths before any arithmetic, so no mean of an
+        # empty slice warns and returns nan
+        stats = random_stats(np.random.default_rng(27), 3, 4)
+        batch, labels = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for quads in (None, np.zeros((3, 0))):
+                with pytest.raises(EmptyInput):
+                    distance_report(batch, labels, stats, quads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    c=st.integers(2, 5),
+    d=st.integers(1, 6),
+    n=st.integers(1, 12),
+    present=st.integers(1, 5),
+    tied=st.booleans(),
+    log_eps=st.integers(-8, -2),
+)
+def test_moment_report_matches_per_vector_oracle(seed, c, d, n, present, tied, log_eps):
+    # class Gaussians fitted on 2..d+1 samples each, so most covariances are
+    # rank-deficient and only the eps_scale ridge keeps them invertible; the
+    # batch may miss classes, hold one class only, or one row
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(2, d + 2, size=c)
+    centres = rng.normal(size=(c, d)) * 3.0
+    labels_fit = np.repeat(np.arange(c), counts)
+    stats = fit_source_stats(
+        centres[labels_fit] + rng.normal(size=(labels_fit.size, d)),
+        labels_fit,
+        CovarianceMode.TIED if tied else CovarianceMode.CLASS_WISE,
+        eps_scale=10.0**log_eps,
+    )
+    y = rng.choice(rng.permutation(c)[: min(present, c)], size=n)
+    batch = centres[y] + rng.normal(size=(n, d)) + 0.5
+    report = distance_report(batch, y, stats)
+    intra = [form(x, stats, k) for x, k in zip(batch, y)]
+    # each inter form added on its own, as the report must: the total less
+    # the intra form cancels where a near-singular class dwarfs the others
+    inter = [
+        sum(form(x, stats, j) for j in range(c) if j != k) / (c - 1)
+        for x, k in zip(batch, y)
+    ]
+    assert report.mean_intra == pytest.approx(float(np.mean(intra)), rel=1e-12)
+    assert report.mean_inter == pytest.approx(float(np.mean(inter)), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

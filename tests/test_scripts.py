@@ -50,3 +50,29 @@ def test_sweep_steps_writes_one_summary_row_per_run(tmp_path):
         assert len(accuracies) == 60  # the default stream
         assert float(row["mean_accuracy"]) == float(np.mean(accuracies))
         assert 0.0 < float(row["final_quarter_accuracy"]) <= 1.0
+
+
+def test_default_compare_output_is_pinned(tmp_path):
+    # every file of a default `pretrain` + `compare` run, byte for byte; a
+    # change that moves rounding on purpose re-pins with the script
+    out = tmp_path / "pins.json"
+    script = REPO / "scripts" / "pin_default_compare.py"
+    subprocess.run(
+        [sys.executable, str(script), "--out", str(out)],
+        check=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        timeout=300,
+    )
+    made = json.loads(out.read_text())
+    pinned = json.loads((REPO / "tests" / "data" / "default_compare_sha256.json").read_text())
+    assert len(pinned["sha256"]) == 23  # 21 compare files, the checkpoint and the stats
+    moved = sorted(
+        name
+        for name in pinned["sha256"].keys() | made["sha256"].keys()
+        if pinned["sha256"].get(name) != made["sha256"].get(name)
+    )
+    assert not moved, (
+        f"moved: {moved}; pinned on NumPy {pinned['numpy']} ({pinned['blas']}), "
+        f"run on NumPy {made['numpy']} ({made['blas']})"
+    )
