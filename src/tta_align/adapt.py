@@ -7,8 +7,6 @@ Batches are never revisited.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,31 +107,6 @@ class RunRecord:
 
     def accuracies(self) -> np.ndarray:
         return np.array([r.accuracy for r in self.rows])
-
-
-CSV_FIELDS = ("batch_index", "accuracy", "loss", "mean_intra", "mean_inter")
-
-
-def write_run_record(record: RunRecord, csv_path, header_path=None) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for r in record.rows:
-            writer.writerow(
-                [r.batch_index, repr(r.accuracy), repr(r.loss), repr(r.mean_intra), repr(r.mean_inter)]
-            )
-    if header_path is not None:
-        with open(header_path, "w") as fh:
-            json.dump({"config": record.config.to_dict()}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def read_run_record_rows(csv_path) -> list[BatchRow]:
-    with open(csv_path, newline="") as fh:
-        return [
-            BatchRow(int(rec["batch_index"]), *(float(rec[k]) for k in CSV_FIELDS[1:]))
-            for rec in csv.DictReader(fh)
-        ]
 
 
 # -- the adaptation loop ----------------------------------------------------------

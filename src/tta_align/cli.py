@@ -16,9 +16,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import adapt as adapt_mod
 from . import data, experiment, network, stats as stats_mod
 from .config import ExperimentConfig
 from .errors import (
@@ -102,23 +99,17 @@ def cmd_adapt(args) -> int:
     stats = stats_mod.load_stats(args.stats)
     _check_fits(cfg, model, stats)
     shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
-    batches = data.batch_stream(shifted.target_x, shifted.target_y, mcfg.batch_size)
     out_dir = args.out_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"run_{mcfg.run_name}.csv")
-    json_path = os.path.join(out_dir, f"run_{mcfg.run_name}.json")
+    csv_path = experiment.run_path(out_dir, mcfg.run_name, ".csv")
     try:
-        _, record = adapt_mod.adapt_stream(model, stats, batches, mcfg)
-    except NonFiniteLoss as exc:
-        # keep the batches that finished before the loss went non-finite
-        adapt_mod.write_run_record(exc.record, csv_path, json_path)
+        records = experiment.run_methods([mcfg], model, stats, shifted, out_dir)
+    except NonFiniteLoss:
         print(f"partial run record: {csv_path}", file=sys.stderr)
         raise
-    adapt_mod.write_run_record(record, csv_path, json_path)
-    acc = record.accuracies()
+    summary = experiment.summarize_record(mcfg.run_name, records[mcfg.run_name])
     print(f"run record: {csv_path}")
-    print(f"mean accuracy: {np.mean(acc):.4f}")
-    print(f"final-quarter accuracy: {experiment.final_quarter_mean(acc):.4f}")
+    print(f"mean accuracy: {summary.mean_accuracy:.4f}")
+    print(f"final-quarter accuracy: {summary.final_quarter_accuracy:.4f}")
     return EXIT_OK
 
 

@@ -1,21 +1,24 @@
-"""Experiment drivers: source pre-training and method comparisons.
+"""Experiment drivers: source pre-training, method runs and the run directory.
 
 Every method in one experiment consumes the identical target stream; each
-method adapts its own copy of the pretrained model.
+method adapts its own copy of the pretrained model. This module is the only
+code that writes or reads a run directory.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import adapt, data, losses, network, stats as stats_mod
-from .adapt import RunRecord, adapt_stream
-from .config import ExperimentConfig, tta_config_from_dict, valid_run_name
+from .adapt import BatchRow, RunRecord, adapt_stream
+from .config import ExperimentConfig, TtaConfig, tta_config_from_dict, valid_run_name
 from .errors import (
     ConfigInvalid,
     NonFiniteLoss,
@@ -140,63 +143,122 @@ def summarize_record(name: str, record: RunRecord) -> MethodSummary:
     )
 
 
+def run_methods(
+    methods: list[TtaConfig],
+    model: AdaptiveModel,
+    stats: SourceStats,
+    dataset: data.Dataset,
+    out_dir: str | None = None,
+) -> dict[str, RunRecord]:
+    """Run each method on its own copy of `model` over `dataset`'s target
+    stream, and write each record to `out_dir` when one is given. A loss that
+    goes non-finite writes the finished records and the failing method's
+    partial one, then raises."""
+    records: dict[str, RunRecord] = {}
+    for mcfg in methods:
+        batches = data.batch_stream(dataset.target_x, dataset.target_y, mcfg.batch_size)
+        try:
+            _, records[mcfg.run_name] = adapt_stream(model.copy(), stats, batches, mcfg)
+        except NonFiniteLoss as exc:
+            if out_dir is not None:
+                # keep the finished methods and the batches this one finished
+                write_run_records([*records.values(), exc.record], out_dir)
+            raise
+    if out_dir is not None:
+        write_run_records(records.values(), out_dir)
+    return records
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | None = None,
     pretrained: PretrainResult | None = None,
 ) -> ExperimentResult:
-    """Pretrain (unless given), build one shared stream, run every method."""
+    """Pretrain (unless given) and run every method on one shared stream,
+    all from one draw of the data."""
     cfg.validate()
+    dataset = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
     if pretrained is None:
-        pretrained = pretrain_source(cfg)
-
-    shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
-    records: dict[str, RunRecord] = {}
-    summaries: list[MethodSummary] = []
-    for mcfg in cfg.methods:
-        batches = data.batch_stream(shifted.target_x, shifted.target_y, mcfg.batch_size)
-        model = pretrained.model.copy()
-        try:
-            _, record = adapt_stream(model, pretrained.stats, batches, mcfg)
-        except NonFiniteLoss as exc:
-            if out_dir is not None:
-                # keep the finished methods and the batches this one finished
-                write_run_records({**records, mcfg.run_name: exc.record}, out_dir)
-            raise
-        records[mcfg.run_name] = record
-        summaries.append(summarize_record(mcfg.run_name, record))
-
+        pretrained = pretrain_source(cfg, dataset)
+    records = run_methods(cfg.methods, pretrained.model, pretrained.stats, dataset, out_dir)
     result = ExperimentResult(
         records=records,
-        summaries=summaries,
+        summaries=[summarize_record(n, r) for n, r in records.items()],
         source_holdout_accuracy=pretrained.holdout_accuracy,
     )
     if out_dir is not None:
-        write_experiment_outputs(result, out_dir)
+        write_report(result, out_dir)
     return result
 
 
-# -- report files ----------------------------------------------------------------
+# -- the run directory -----------------------------------------------------------
+
+CSV_FIELDS = tuple(f.name for f in fields(BatchRow))
+SUMMARY_FIELDS = ("method",) + tuple(f.name for f in fields(MethodSummary))[1:]
 
 
-def write_run_records(records: dict[str, RunRecord], out_dir: str) -> None:
-    """`run_<name>.csv` and `run_<name>.json` for every record."""
+def run_path(run_dir: str, name: str, suffix: str) -> str:
+    """`run_<name>.csv` (the batch rows) or `run_<name>.json` (the header)."""
+    return os.path.join(run_dir, f"run_{name}{suffix}")
+
+
+def write_run_records(records: Iterable[RunRecord], out_dir: str) -> None:
+    """`run_<name>.csv` and `run_<name>.json` for every record, each named
+    by its config's run name."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, record in records.items():
-        adapt.write_run_record(
-            record,
-            os.path.join(out_dir, f"run_{name}.csv"),
-            os.path.join(out_dir, f"run_{name}.json"),
-        )
+    for record in records:
+        name = record.config.run_name
+        with open(run_path(out_dir, name, ".csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_FIELDS)
+            for r in record.rows:
+                writer.writerow([r.batch_index] + [repr(v) for v in astuple(r)[1:]])
+        with open(run_path(out_dir, name, ".json"), "w") as fh:
+            json.dump({"config": record.config.to_dict()}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
-def write_experiment_outputs(result: ExperimentResult, out_dir: str) -> None:
-    names = list(result.records)
-    write_run_records(result.records, out_dir)
+def read_run_record(run_dir: str, name: str) -> RunRecord:
+    """The record of run `name`, refused (StatsIoError) where no run could
+    have written it: a header that is not a valid config of that run, or rows
+    whose batch indices do not count 0..n-1 or whose accuracy is not a whole
+    number of hits out of the header's batch size."""
+    try:
+        with open(run_path(run_dir, name, ".json")) as fh:
+            config = tta_config_from_dict(json.load(fh)["config"], f"run_{name}.json config")
+        config.validate()
+        with open(run_path(run_dir, name, ".csv"), newline="") as fh:
+            rows = [
+                BatchRow(int(rec[CSV_FIELDS[0]]), *(float(rec[k]) for k in CSV_FIELDS[1:]))
+                for rec in csv.DictReader(fh)
+            ]
+    except (OSError, KeyError, TypeError, ValueError, ConfigInvalid) as exc:
+        raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
+    if config.run_name != name:
+        raise StatsIoError(f"run_{name}.json in {run_dir} describes run {config.run_name!r}")
+    bs = config.batch_size
+    for i, r in enumerate(rows):
+        if r.batch_index != i:
+            raise StatsIoError(
+                f"run_{name}.csv in {run_dir}: row {i} has batch_index {r.batch_index}"
+            )
+        # batch_stream yields full batches: accuracy is hits / batch_size, rounded once
+        hits = round(r.accuracy * bs) if math.isfinite(r.accuracy) else -1
+        if not (0 <= hits <= bs and r.accuracy == hits / bs):
+            raise StatsIoError(
+                f"run_{name}.csv in {run_dir}: batch {i} accuracy {r.accuracy!r} is not "
+                f"a whole number of hits out of {bs}"
+            )
+    return RunRecord(config=config, rows=rows)
+
+
+def write_report(result: ExperimentResult, out_dir: str) -> None:
+    """The manifest, summary and trajectory files of a run directory whose
+    records are written."""
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(
             {
-                "methods": names,
+                "methods": list(result.records),
                 "source_holdout_accuracy": result.source_holdout_accuracy,
             },
             fh,
@@ -208,62 +270,34 @@ def write_experiment_outputs(result: ExperimentResult, out_dir: str) -> None:
     write_trajectory_files(result.records, out_dir)
 
 
-SUMMARY_FIELDS = (
-    "method",
-    "mean_accuracy",
-    "final_quarter_accuracy",
-    "final_mean_intra",
-    "final_mean_inter",
-)
-
-
 def write_summary_files(summaries: list[MethodSummary], out_dir: str) -> None:
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)
         for s in summaries:
-            writer.writerow(
-                [
-                    s.name,
-                    repr(s.mean_accuracy),
-                    repr(s.final_quarter_accuracy),
-                    repr(s.final_mean_intra),
-                    repr(s.final_mean_inter),
-                ]
-            )
+            writer.writerow([s.name] + [repr(v) for v in astuple(s)[1:]])
     widths = [12, 15, 24, 18, 18]  # each wider than its header
     lines = ["".join(f"{h:<{w}}" for h, w in zip(SUMMARY_FIELDS, widths))]
     for s in summaries:
-        cells = [
-            s.name,
-            f"{s.mean_accuracy:.4f}",
-            f"{s.final_quarter_accuracy:.4f}",
-            f"{s.final_mean_intra:.4f}",
-            f"{s.final_mean_inter:.4f}",
-        ]
+        cells = [s.name] + [f"{v:.4f}" for v in astuple(s)[1:]]
         lines.append("".join(f"{c:<{w}}" for c, w in zip(cells, widths)))
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_trajectory_files(records: dict[str, RunRecord], out_dir: str) -> None:
-    """Plot-data CSVs: batch index on x, one column per method."""
+    """Plot-data CSVs, one per batch-row value: batch index on x, one column
+    per method (`accuracy_trajectories.csv`, `intra_distance_trajectories.csv`
+    for `mean_intra`, and so on)."""
     names = list(records)
-    columns = {
-        "accuracy_trajectories.csv": "accuracy",
-        "intra_distance_trajectories.csv": "mean_intra",
-        "inter_distance_trajectories.csv": "mean_inter",
-        "loss_trajectories.csv": "loss",
-    }
     n_batches = min(len(r.rows) for r in records.values())
-    for filename, attr in columns.items():
-        with open(os.path.join(out_dir, filename), "w", newline="") as fh:
+    for field in CSV_FIELDS[1:]:
+        stem = f"{field.removeprefix('mean_')}_distance" if field.startswith("mean_") else field
+        with open(os.path.join(out_dir, f"{stem}_trajectories.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["batch_index"] + names)
             for i in range(n_batches):
-                writer.writerow(
-                    [i] + [repr(getattr(records[n].rows[i], attr)) for n in names]
-                )
+                writer.writerow([i] + [repr(getattr(records[n].rows[i], field)) for n in names])
 
 
 def rebuild_report(run_dir: str) -> list[MethodSummary]:
@@ -292,18 +326,10 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
             f"got {methods!r}"
         )
     records: dict[str, RunRecord] = {}
-    try:
-        for name in methods:
-            rows = adapt.read_run_record_rows(os.path.join(run_dir, f"run_{name}.csv"))
-            if not rows:
-                raise StatsIoError(f"run_{name}.csv in {run_dir} holds no batch rows")
-            with open(os.path.join(run_dir, f"run_{name}.json")) as fh:
-                header = json.load(fh)["config"]
-            config = tta_config_from_dict(header, f"run_{name}.json config")
-            config.validate()
-            records[name] = RunRecord(config=config, rows=rows)
-    except (OSError, KeyError, TypeError, ValueError, ConfigInvalid) as exc:
-        raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
+    for name in methods:
+        records[name] = read_run_record(run_dir, name)
+        if not records[name].rows:
+            raise StatsIoError(f"run_{name}.csv in {run_dir} holds no batch rows")
     summaries = [summarize_record(n, r) for n, r in records.items()]
     write_summary_files(summaries, run_dir)
     write_trajectory_files(records, run_dir)

@@ -23,10 +23,15 @@ from helpers import (
     states_equal,
 )
 from tta_align import cli, data, losses, network
-from tta_align.adapt import TtaConfig, adapt_stream, write_run_record
+from tta_align.adapt import TtaConfig, adapt_stream
 from tta_align.config import ExperimentConfig
 from tta_align.errors import SingleClass
-from tta_align.experiment import final_quarter_mean, pretrain_source, run_experiment
+from tta_align.experiment import (
+    final_quarter_mean,
+    pretrain_source,
+    run_experiment,
+    write_run_records,
+)
 from tta_align.network import ParamGroup, StatMode
 from tta_align.stats import CovarianceMode, estimate_source_stats, fit_source_stats
 
@@ -309,27 +314,34 @@ def test_criterion_8_ablation_plumbing(capsys, tmp_path, pretrained_seed0):
         eps_scale=cfg.pretrain.eps_scale,
     )
     _, runs["tied"] = adapt_stream(
-        pre.model.copy(), tied_stats, batches, TtaConfig(method="cafa", steps_per_batch=2)
+        pre.model.copy(),
+        tied_stats,
+        batches,
+        TtaConfig(method="cafa", name="tied", steps_per_batch=2),
     )
     _, runs["feature_full"] = adapt_stream(
         pre.model.copy(),
         pre.stats,
         batches,
-        TtaConfig(method="cafa", steps_per_batch=2, param_group=ParamGroup.FEATURE_FULL),
+        TtaConfig(
+            method="cafa",
+            name="feature_full",
+            steps_per_batch=2,
+            param_group=ParamGroup.FEATURE_FULL,
+        ),
     )
     for steps in (1, 2, 3):
         _, runs[f"steps_{steps}"] = adapt_stream(
             pre.model.copy(),
             pre.stats,
             batches,
-            TtaConfig(method="cafa", steps_per_batch=steps),
+            TtaConfig(method="cafa", name=f"steps_{steps}", steps_per_batch=steps),
         )
 
+    write_run_records(runs.values(), str(tmp_path))
     ok = True
     for name, record in runs.items():
-        path = tmp_path / f"run_{name}.csv"
-        write_run_record(record, path)
-        ok &= path.exists()
+        ok &= (tmp_path / f"run_{name}.csv").exists()
         ok &= len(record.rows) == len(batches)
         ok &= all(
             np.isfinite([r.accuracy, r.loss, r.mean_intra, r.mean_inter]).all()

@@ -3,14 +3,7 @@ import pytest
 
 from helpers import model_state, named, random_stats, small_model, states_equal
 from tta_align import data, losses, network
-from tta_align.adapt import (
-    AdamState,
-    TtaConfig,
-    adam_step,
-    adapt_stream,
-    read_run_record_rows,
-    write_run_record,
-)
+from tta_align.adapt import AdamState, TtaConfig, adam_step, adapt_stream
 from tta_align.config import ExperimentConfig, tta_config_from_dict
 from tta_align.errors import (
     ConfigInvalid,
@@ -18,7 +11,7 @@ from tta_align.errors import (
     NonFiniteInput,
     NonFiniteLoss,
 )
-from tta_align.experiment import pretrain_source
+from tta_align.experiment import pretrain_source, read_run_record, write_run_records
 from tta_align.network import ParamGroup, StatMode
 
 
@@ -400,9 +393,8 @@ class TestRunRecordIo:
         stats = random_stats(rng, 3, 5)
         cfg = TtaConfig(method="cafa", batch_size=16)
         _, record = adapt_stream(model, stats, make_batches(rng, n_batches=3), cfg)
-        csv_path = tmp_path / "run.csv"
-        write_run_record(record, csv_path, tmp_path / "run.json")
-        rows = read_run_record_rows(csv_path)
+        write_run_records([record], str(tmp_path))
+        rows = read_run_record(str(tmp_path), "cafa").rows
         assert len(rows) == 3
         for a, b in zip(record.rows, rows):
             assert a.batch_index == b.batch_index
@@ -410,7 +402,7 @@ class TestRunRecordIo:
             assert a.loss == b.loss
             assert a.mean_intra == b.mean_intra
             assert a.mean_inter == b.mean_inter
-        header = (tmp_path / "run.json").read_text()
+        header = (tmp_path / "run_cafa.json").read_text()
         assert '"method": "cafa"' in header
 
 

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import tta_align
 from helpers import rewrite_stats
 from tta_align import cli
-from tta_align.adapt import TtaConfig, read_run_record_rows
+from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig
+from tta_align.experiment import read_run_record
 from tta_align.stats import STATS_MAGIC, load_stats
 
 
@@ -61,6 +62,28 @@ def config_with(config, tmp_path, **sections):
     path = tmp_path / "other.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+ALL_METHODS = [
+    {"method": "source", "steps_per_batch": 0, "batch_size": 16},
+    {"method": "bn", "steps_per_batch": 0, "batch_size": 16},
+    {"method": "pl", "batch_size": 16},
+    {"method": "entropy", "batch_size": 16},
+    {"method": "global_fa", "batch_size": 16},
+    {"method": "intra", "batch_size": 16},
+    {"method": "cafa", "steps_per_batch": 2, "batch_size": 16},
+]
+
+
+@pytest.fixture(scope="module")
+def compared(tmp_path_factory):
+    """One `pretrain` and one `compare` of every method into one directory."""
+    tmp = tmp_path_factory.mktemp("compared")
+    config = tiny_config(tmp, methods=ALL_METHODS)
+    out = tmp / "cmp"
+    for command in ("pretrain", "compare"):
+        assert cli.main([command, "--config", str(config), "--out-dir", str(out)]) == 0
+    return config, out
 
 
 @pytest.fixture()
@@ -146,6 +169,31 @@ class TestAdaptCommand:
         assert (out / "run_cafa.csv").exists()
         assert (out / "run_cafa.json").exists()
         assert "final-quarter accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", [m["method"] for m in ALL_METHODS])
+    def test_record_equals_compare_record(self, compared, tmp_path, method):
+        # one runner behind both commands: the same checkpoint, stats and
+        # stream give the same bytes
+        config, out = compared
+        code = cli.main(
+            [
+                "adapt",
+                "--config",
+                str(config),
+                "--checkpoint",
+                str(out / "checkpoint.npz"),
+                "--stats",
+                str(out / "stats.bin"),
+                "--method",
+                method,
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        for suffix in (".csv", ".json"):
+            name = f"run_{method}{suffix}"
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
     def test_unknown_method_is_config_error(self, pretrained, capsys):
         config, out = pretrained
@@ -358,7 +406,7 @@ class TestAdaptCommand:
             )
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
-        rows = read_run_record_rows(out / "run_global_fa.csv")
+        rows = read_run_record(str(out), "global_fa").rows
         assert 1 <= len(rows) < 12  # 192 target samples in batches of 16
         header = json.loads((out / "run_global_fa.json").read_text())
         assert header["config"]["learning_rate"] == 1e150
@@ -404,13 +452,28 @@ class TestCompareCommand:
             code = cli.main(["compare", "--config", str(config), "--out-dir", str(out)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
-        assert len(read_run_record_rows(out / "run_source.csv")) == 12
-        assert len(read_run_record_rows(out / "run_global_fa.csv")) in partial_rows
+        assert len(read_run_record(str(out), "source").rows) == 12
+        assert len(read_run_record(str(out), "global_fa").rows) in partial_rows
         header = json.loads((out / "run_global_fa.json").read_text())
         assert header["config"]["learning_rate"] == 1e150
         # the method after the failing one never ran, and no summary claims a result
         assert not (out / "run_cafa.csv").exists()
         assert not (out / "summary.csv").exists()
+
+    def test_draws_data_once(self, tmp_path, monkeypatch):
+        # pretraining and every method read one draw: train and holdout come
+        # first from the generator, so the shifted draw holds them too
+        draw = tta_align.data.generate_dataset
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("shift"))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(tta_align.data, "generate_dataset", counted)
+        config = tiny_config(tmp_path)
+        assert cli.main(["compare", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1 and calls[0] is not None
 
     def test_two_runs_bitwise_identical(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -513,6 +576,44 @@ class TestReportCommand:
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": methods}))
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
         assert '"methods" must list one or more unique run names' in capsys.readouterr().err
+
+
+    def test_header_must_describe_the_named_run(self, tmp_path, capsys):
+        # a manifest listing cafa whose header holds a bn run is not cafa's
+        (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
+        (tmp_path / "run_cafa.csv").write_text(
+            "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,nan,2.0,3.0\n"
+        )
+        bn = TtaConfig(method="bn", steps_per_batch=0)
+        (tmp_path / "run_cafa.json").write_text(json.dumps({"config": bn.to_dict()}))
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+        assert "run_cafa.json" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,nan,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n",
+            "0,7.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n",
+            "1,0.5,0.1,2.0,3.0\n0,0.5,0.1,2.0,3.0\n",
+        ],
+        ids=["accuracy_nan", "accuracy_above_one", "batch_index_out_of_order"],
+    )
+    def test_rows_no_run_could_write_are_io_error(self, tmp_path, capsys, rows):
+        # batches of 64 (the header's batch_size) score a whole number of
+        # hits out of 64, and count up from 0
+        header = "batch_index,accuracy,loss,mean_intra,mean_inter\n"
+        (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
+        (tmp_path / "run_cafa.json").write_text(
+            json.dumps({"config": TtaConfig(method="cafa", batch_size=64).to_dict()})
+        )
+        (tmp_path / "run_cafa.csv").write_text(header + "0,0.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n")
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
+        (tmp_path / "summary.csv").unlink()
+        (tmp_path / "run_cafa.csv").write_text(header + rows)
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+        assert "run_cafa.csv" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestErrorExitCodes:

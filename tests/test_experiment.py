@@ -15,6 +15,8 @@ from tta_align.experiment import (
     pretrain_source,
     rebuild_report,
     run_experiment,
+    write_report,
+    write_run_records,
     write_summary_files,
 )
 
@@ -147,10 +149,9 @@ class TestRunExperiment:
 class TestReportFiles:
     def test_outputs_and_rebuild_bit_identical(self, tmp_path, default_result):
         _, result = default_result
-        from tta_align.experiment import write_experiment_outputs
-
         out = tmp_path / "runs"
-        write_experiment_outputs(result, str(out))
+        write_run_records(result.records.values(), str(out))
+        write_report(result, str(out))
         expected = [
             "manifest.json",
             "summary.csv",
