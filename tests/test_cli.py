@@ -515,6 +515,10 @@ class TestReportCommand:
             "header_unknown_key",
             "header_mistyped",
             "header_invalid",
+            "header_of_other_run",
+            "accuracy_nan",
+            "accuracy_above_one",
+            "batch_index_out_of_order",
             "no_manifest",
         ],
     )
@@ -549,6 +553,18 @@ class TestReportCommand:
                 "run_cafa.json",
                 json.dumps({"config": {"method": "tent", "learning_rate": -1.0}}),
             ),
+            "header_of_other_run": (
+                "run_cafa.json",
+                json.dumps({"config": TtaConfig(method="bn", steps_per_batch=0).to_dict()}),
+            ),
+            # batches of 64 (the header's batch_size) score a whole number of
+            # hits out of 64, and count up from 0
+            "accuracy_nan": ("run_cafa.csv", run_csv.replace("0.5", "nan")),
+            "accuracy_above_one": ("run_cafa.csv", run_csv.replace("0.5", "7.5")),
+            "batch_index_out_of_order": (
+                "run_cafa.csv",
+                header + "1,0.5,0.1,2.0,3.0\n0,0.5,0.1,2.0,3.0\n",
+            ),
             "no_manifest": ("manifest.json", None),
         }
         name, text = damaged[damage]
@@ -576,44 +592,6 @@ class TestReportCommand:
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": methods}))
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
         assert '"methods" must list one or more unique run names' in capsys.readouterr().err
-
-
-    def test_header_must_describe_the_named_run(self, tmp_path, capsys):
-        # a manifest listing cafa whose header holds a bn run is not cafa's
-        (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
-        (tmp_path / "run_cafa.csv").write_text(
-            "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,nan,2.0,3.0\n"
-        )
-        bn = TtaConfig(method="bn", steps_per_batch=0)
-        (tmp_path / "run_cafa.json").write_text(json.dumps({"config": bn.to_dict()}))
-        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
-        assert "run_cafa.json" in capsys.readouterr().err
-        assert not (tmp_path / "summary.csv").exists()
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            "0,nan,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n",
-            "0,7.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n",
-            "1,0.5,0.1,2.0,3.0\n0,0.5,0.1,2.0,3.0\n",
-        ],
-        ids=["accuracy_nan", "accuracy_above_one", "batch_index_out_of_order"],
-    )
-    def test_rows_no_run_could_write_are_io_error(self, tmp_path, capsys, rows):
-        # batches of 64 (the header's batch_size) score a whole number of
-        # hits out of 64, and count up from 0
-        header = "batch_index,accuracy,loss,mean_intra,mean_inter\n"
-        (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
-        (tmp_path / "run_cafa.json").write_text(
-            json.dumps({"config": TtaConfig(method="cafa", batch_size=64).to_dict()})
-        )
-        (tmp_path / "run_cafa.csv").write_text(header + "0,0.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n")
-        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
-        (tmp_path / "summary.csv").unlink()
-        (tmp_path / "run_cafa.csv").write_text(header + rows)
-        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
-        assert "run_cafa.csv" in capsys.readouterr().err
-        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestErrorExitCodes:
