@@ -111,8 +111,13 @@ def distance_report(
         raise DimensionMismatch(
             f"class kernel {quads.shape} vs {stats.n_classes} classes x {y.size} samples"
         )
-    intra = quads[y, np.arange(y.size)]
-    inter = (quads.sum(axis=0) - intra) / (stats.n_classes - 1)
+    labelled = (y, np.arange(y.size))
+    intra = quads[labelled]
+    # the inter forms added on their own: the column total less the intra
+    # form cancels where a near-singular class's intra form dwarfs the rest
+    off_label = quads.copy()
+    off_label[labelled] = 0.0
+    inter = off_label.sum(axis=0) / (stats.n_classes - 1)
     return DistanceReport(
         mean_intra=float(np.mean(intra)), mean_inter=float(np.mean(inter))
     )

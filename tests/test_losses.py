@@ -528,7 +528,9 @@ class TestDistanceReport:
         quads = class_quadratics(batch, stats)
         given_kernel = distance_report(batch, labels, stats, quads)
         intra = np.array([quads[c, i] for i, c in enumerate(labels)])
-        inter = np.array([(quads[:, i].sum() - quads[c, i]) / 2.0 for i, c in enumerate(labels)])
+        inter = np.array(
+            [sum(quads[j, i] for j in range(3) if j != c) / 2.0 for i, c in enumerate(labels)]
+        )
         assert given_kernel.mean_intra == float(np.mean(intra))
         assert given_kernel.mean_inter == float(np.mean(inter))
         moments = distance_report(batch, labels, stats)
@@ -536,6 +538,28 @@ class TestDistanceReport:
         assert moments.mean_inter == pytest.approx(given_kernel.mean_inter, rel=1e-12)
         with pytest.raises(DimensionMismatch):
             distance_report(batch, labels, stats, quads[:, :4])
+
+    def test_given_kernel_adds_inter_forms_on_their_own(self):
+        # class 0 fitted on 2 samples in d=8 with a 1e-8 ridge: the intra
+        # forms of 16 class-0 samples dwarf their inter forms about 2e7-fold,
+        # so a column total less the intra form would lose about 1e-10
+        rng = np.random.default_rng(0)
+        counts = np.array([2, 20, 20])
+        centres = rng.normal(size=(3, 8)) * 3.0
+        labels_fit = np.repeat(np.arange(3), counts)
+        stats = fit_source_stats(
+            centres[labels_fit] + rng.normal(size=(labels_fit.size, 8)),
+            labels_fit,
+            eps_scale=1e-8,
+        )
+        labels = np.zeros(16, dtype=np.int64)
+        batch = centres[labels] + rng.normal(size=(16, 8))
+        report = distance_report(batch, labels, stats, class_quadratics(batch, stats))
+        intra = np.mean([form(x, stats, 0) for x in batch])
+        inter = np.mean([(form(x, stats, 1) + form(x, stats, 2)) / 2.0 for x in batch])
+        assert intra / inter > 1e7
+        assert report.mean_intra == pytest.approx(intra, rel=1e-13)
+        assert report.mean_inter == pytest.approx(inter, rel=1e-13)
 
     def test_empty_batch(self):
         # refused on both paths before any arithmetic, so no mean of an
