@@ -54,15 +54,13 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+# pretraining and every adapting method share these
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """One in-place Adam update with bias correction of the flat slice
     `params` (a prefix of `AdaptiveModel.flat`) by its gradient `grad`."""
     if grad.shape != params.shape:
@@ -74,16 +72,16 @@ def adam_step(
         raise DimensionMismatch(f"Adam state holds {state.m.shape}, the step {grad.shape}")
     state.t += 1
     t, m, v = state.t, state.m, state.v
-    m *= beta1
-    m += (1 - beta1) * grad
-    v *= beta2
-    v += (1 - beta2) * grad * grad
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
     # lr * m_hat / (sqrt(v_hat) + eps), on two temporaries
-    update = m / (1 - beta1**t)
+    update = m / (1 - ADAM_BETA1**t)
     update *= lr
-    denom = v / (1 - beta2**t)
+    denom = v / (1 - ADAM_BETA2**t)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     update /= denom
     params -= update
 
@@ -160,15 +158,7 @@ def adapt_stream(
                 # stat mode a prediction uses: its forward is the prediction's
                 loss_value = step_loss
                 observed = _observe(forward, y, stats)
-            adam_step(
-                params,
-                grad,
-                adam,
-                config.learning_rate,
-                config.adam_beta1,
-                config.adam_beta2,
-                config.adam_eps,
-            )
+            adam_step(params, grad, adam, config.learning_rate)
         accuracy, mean_intra, mean_inter = observed
         record.rows.append(
             BatchRow(batch_index, accuracy, loss_value, mean_intra, mean_inter)

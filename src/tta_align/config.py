@@ -19,8 +19,6 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data import ShiftSpec, ShiftTransform, SyntheticSpec
 from .errors import ConfigInvalid
 from .network import ParamGroup
@@ -43,21 +41,15 @@ _SCALARS = {  # JSON scalar type -> (what to expect, test)
 }
 
 
-def _number_nest(value) -> bool:
-    if isinstance(value, list):
-        return all(map(_number_nest, value))
-    return _SCALARS[float][1](value)
-
-
 class _Mismatch(Exception):
     """A value does not fit its annotation; the message says what would."""
 
 
 def _value(tp, value, section: str):
     """`value` checked against annotation `tp` and built: a nested dataclass
-    section, a list or tuple of entries, an enum member, an array's nest of
-    finite numbers (kept as lists) or a scalar (kept as it is). An int is
-    accepted for a float, a bool is not accepted for an int."""
+    section, a list or tuple of entries, an enum member or a scalar (kept
+    as it is). An int is accepted for a float, a bool is not accepted for an
+    int."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         if value is None and type(None) in args:
@@ -82,10 +74,6 @@ def _value(tp, value, section: str):
         except _Mismatch as exc:
             raise _Mismatch(f"a JSON list with each entry {exc}") from None
         return origin(built)
-    if tp is np.ndarray:
-        if isinstance(value, list) and _number_nest(value):
-            return value
-        raise _Mismatch("a JSON list of numbers")
     if tp in _SCALARS:
         want, fits = _SCALARS[tp]
         if fits(value):
@@ -139,13 +127,11 @@ def _read(cls, doc, section: str):
 
 def _plain(value):
     """JSON-ready copy of a config value: a dataclass becomes an object of
-    its fields, arrays and tuples lists, enums their value."""
+    its fields, tuples lists, enums their value."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, enum.Enum):
         return value.value
     return value
@@ -171,9 +157,6 @@ class TtaConfig:
     steps_per_batch: int = 1
     learning_rate: float = 1e-3
     batch_size: int = 64
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     to_dict = _plain
 
@@ -199,10 +182,6 @@ class TtaConfig:
             raise ConfigInvalid("learning_rate must be > 0")
         if self.batch_size < 2:
             raise ConfigInvalid("batch_size must be >= 2")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ConfigInvalid("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigInvalid("adam_eps must be > 0")
 
 
 def tta_config_from_dict(d, section: str = "methods[]") -> TtaConfig:
@@ -214,7 +193,6 @@ def tta_config_from_dict(d, section: str = "methods[]") -> TtaConfig:
 @dataclass
 class ModelConfig:
     hidden_dims: list[int] = field(default_factory=lambda: [32, 16])
-    bn_momentum: float = 0.1
     seed: int = 0
 
     def validate(self) -> None:
@@ -222,8 +200,6 @@ class ModelConfig:
             raise ConfigInvalid("hidden_dims must list at least one block width")
         if not all(int(w) >= 1 for w in self.hidden_dims):
             raise ConfigInvalid("hidden_dims entries must be >= 1")
-        if not 0.0 < self.bn_momentum < 1.0:
-            raise ConfigInvalid("bn_momentum must lie in (0, 1)")
         if self.seed < 0:
             raise ConfigInvalid("model seed must be >= 0")
 

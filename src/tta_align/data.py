@@ -63,8 +63,6 @@ class SyntheticSpec:
     seed: int = 0  # sampling only; geometry is pinned by geometry_seed
     geometry_seed: int = 7
     cov_scales: list[float] | None = None  # per-class isotropic stds
-    class_means: np.ndarray | None = None  # C x input_dim; generated if None
-    class_covs: np.ndarray | None = None  # C x d x d; overrides cov_scales
 
     def validate(self) -> None:
         if self.n_classes < 2:
@@ -81,43 +79,19 @@ class SyntheticSpec:
             with np.errstate(over="ignore"):
                 if not np.all(np.isfinite(np.square(self.cov_scales))):
                     raise ConfigInvalid("cov_scales entries must have finite squares")
-        c, d = self.n_classes, self.input_dim
-        for name, value, shape in (
-            ("class_means", self.class_means, (c, d)),
-            ("class_covs", self.class_covs, (c, d, d)),
-        ):
-            try:
-                fits = value is None or np.shape(value) == shape
-            except ValueError:  # a ragged nest of lists
-                fits = False
-            if not fits:
-                raise ConfigInvalid(f"{name} must have shape {shape}")
-        if self.class_covs is not None:
-            covs = np.asarray(self.class_covs, dtype=np.float64)
-            # the sampler draws non-finite points from anything but symmetric
-            # PSD; a singular one may round to a slightly negative eigenvalue
-            psd = np.isfinite(covs).all() and np.allclose(covs, covs.transpose(0, 2, 1))
-            if psd:
-                eig = np.linalg.eigvalsh(covs)
-                psd = (eig[:, 0] >= -1e-10 * np.abs(eig).max(axis=1)).all()
-            if not psd:
-                raise ConfigInvalid("class_covs entries must be symmetric PSD")
 
     def resolved_means(self) -> np.ndarray:
-        if self.class_means is not None:
-            means = np.asarray(self.class_means, dtype=np.float64)
-        else:
-            rng = np.random.default_rng(self.geometry_seed)
-            raw = rng.normal(size=(self.n_classes, self.input_dim))
-            raw -= raw.mean(axis=0)
-            means = self.mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        """C x input_dim class means of radius mean_scale, laid out by
+        geometry_seed."""
+        rng = np.random.default_rng(self.geometry_seed)
+        raw = rng.normal(size=(self.n_classes, self.input_dim))
+        raw -= raw.mean(axis=0)
+        means = self.mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
         if len({tuple(m) for m in means}) != self.n_classes:
             raise ConfigInvalid("class means must be distinct")
         return means
 
     def resolved_covs(self) -> np.ndarray:
-        if self.class_covs is not None:
-            return np.asarray(self.class_covs, dtype=np.float64)
         if self.cov_scales is not None:
             scales = np.asarray(self.cov_scales, dtype=np.float64)
         else:

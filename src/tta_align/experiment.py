@@ -18,7 +18,13 @@ import numpy as np
 
 from . import adapt, data, losses, network, stats as stats_mod
 from .adapt import BatchRow, RunRecord, adapt_stream
-from .config import ExperimentConfig, TtaConfig, tta_config_from_dict, valid_run_name
+from .config import (
+    NO_LOSS_METHODS,
+    ExperimentConfig,
+    TtaConfig,
+    tta_config_from_dict,
+    valid_run_name,
+)
 from .errors import (
     ConfigInvalid,
     NonFiniteLoss,
@@ -59,7 +65,6 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
         [int(w) for w in cfg.model.hidden_dims],
         cfg.synthetic.n_classes,
         rng,
-        bn_momentum=cfg.model.bn_momentum,
     )
     adam = adapt.AdamState()
     shuffle_rng = np.random.default_rng(cfg.pretrain.seed)
@@ -214,19 +219,25 @@ def write_run_records(records: Iterable[RunRecord], out_dir: str) -> None:
             for r in record.rows:
                 writer.writerow([r.batch_index] + [repr(v) for v in astuple(r)[1:]])
         with open(run_path(out_dir, name, ".json"), "w") as fh:
-            json.dump({"config": record.config.to_dict()}, fh, indent=2, sort_keys=True)
+            header = {"config": record.config.to_dict(), "n_batches": len(record.rows)}
+            json.dump(header, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def read_run_record(run_dir: str, name: str) -> RunRecord:
     """The record of run `name`, refused (StatsIoError) where no run could
-    have written it: a header that is not a valid config of that run, or rows
-    whose batch indices do not count 0..n-1 or whose accuracy is not a whole
-    number of hits out of the header's batch size."""
+    have written it: a header that is not a valid config of that run or
+    whose `n_batches` is not the number of rows, or rows whose batch indices
+    do not count 0..n-1, whose accuracy is not a whole number of hits out of
+    the header's batch size, whose loss is not finite (nan for a loss-free
+    method), or whose distance columns are not each finite and >= 0 in every
+    row or nan in every row."""
     try:
         with open(run_path(run_dir, name, ".json")) as fh:
-            config = tta_config_from_dict(json.load(fh)["config"], f"run_{name}.json config")
+            header = json.load(fh)
+        config = tta_config_from_dict(header["config"], f"run_{name}.json config")
         config.validate()
+        n_batches = header["n_batches"]
         with open(run_path(run_dir, name, ".csv"), newline="") as fh:
             rows = [
                 BatchRow(int(rec[CSV_FIELDS[0]]), *(float(rec[k]) for k in CSV_FIELDS[1:]))
@@ -236,6 +247,11 @@ def read_run_record(run_dir: str, name: str) -> RunRecord:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
     if config.run_name != name:
         raise StatsIoError(f"run_{name}.json in {run_dir} describes run {config.run_name!r}")
+    if type(n_batches) is not int or n_batches != len(rows):
+        raise StatsIoError(
+            f"run_{name}.json in {run_dir}: n_batches {n_batches!r} is not the "
+            f"{len(rows)} rows of run_{name}.csv"
+        )
     bs = config.batch_size
     for i, r in enumerate(rows):
         if r.batch_index != i:
@@ -248,6 +264,21 @@ def read_run_record(run_dir: str, name: str) -> RunRecord:
             raise StatsIoError(
                 f"run_{name}.csv in {run_dir}: batch {i} accuracy {r.accuracy!r} is not "
                 f"a whole number of hits out of {bs}"
+            )
+    loss = np.array([r.loss for r in rows])
+    loss_free = config.method in NO_LOSS_METHODS
+    if not (np.isnan(loss) if loss_free else np.isfinite(loss)).all():
+        raise StatsIoError(
+            f"run_{name}.csv in {run_dir}: a loss of method {config.method!r} is not "
+            + ("nan" if loss_free else "finite")
+        )
+    for field in ("mean_intra", "mean_inter"):
+        # nan throughout when the run had no source statistics
+        v = np.array([getattr(r, field) for r in rows])
+        if not (np.isnan(v).all() or (np.isfinite(v) & (v >= 0)).all()):
+            raise StatsIoError(
+                f"run_{name}.csv in {run_dir}: {field} is neither finite and >= 0 "
+                "in every row nor nan in every row"
             )
     return RunRecord(config=config, rows=rows)
 

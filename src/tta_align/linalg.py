@@ -6,8 +6,6 @@ summation order, so repeated runs on identical inputs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NonFiniteInput, NotPositiveDefinite
@@ -24,15 +22,9 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Lower-triangular Cholesky factor L with A = L @ L.T."""
-
-    lower: np.ndarray
-
-
-def spd_factor(m) -> SpdFactor:
-    """Cholesky-factor a symmetric positive-definite matrix.
+def spd_factor(m) -> np.ndarray:
+    """The lower-triangular Cholesky factor L, with A = L @ L.T, of a
+    symmetric positive-definite matrix.
 
     Raises NotPositiveDefinite when the matrix is not PD (degenerate
     covariance; the caller should regularize and retry).
@@ -49,19 +41,19 @@ def spd_factor(m) -> SpdFactor:
         raise NotPositiveDefinite(str(exc)) from exc
     if np.any(np.diag(lower) <= 0.0):
         raise NotPositiveDefinite("non-positive pivot in Cholesky factor")
-    return SpdFactor(lower=lower)
+    return lower
 
 
-def spd_inverse(f: SpdFactor) -> np.ndarray:
-    """Dense inverse (L^-1)^T L^-1 of the factored matrix, symmetrized
-    exactly.
+def spd_inverse(lower: np.ndarray) -> np.ndarray:
+    """Dense inverse (L^-1)^T L^-1 of the matrix whose Cholesky factor is
+    `lower`, symmetrized exactly.
 
     Raises NotPositiveDefinite when the inverse is not finite in float64:
     a matrix whose entries are all near the subnormal range factors, but
     its inverse overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        inv_l = np.linalg.inv(f.lower)
+        inv_l = np.linalg.inv(lower)
         p = inv_l.T @ inv_l
         p = 0.5 * (p + p.T)
     if not np.all(np.isfinite(p)):

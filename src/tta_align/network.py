@@ -147,9 +147,9 @@ def init_model(
     hidden_dims: list[int],
     n_classes: int,
     rng: np.random.Generator,
-    bn_momentum: float = 0.1,
 ) -> AdaptiveModel:
-    """He-initialized dense weights, identity BN affine, unit running variance."""
+    """He-initialized dense weights, identity BN affine, unit running variance
+    and BnLayer's momentum of 0.1."""
     blocks = []
     fan_in = input_dim
     for width in hidden_dims:
@@ -162,7 +162,6 @@ def init_model(
                     beta=np.zeros(width),
                     running_mean=np.zeros(width),
                     running_var=np.ones(width),
-                    momentum=bn_momentum,
                 ),
             )
         )

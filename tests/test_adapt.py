@@ -40,6 +40,7 @@ class TestAdam:
 
     def test_five_step_hand_trace(self):
         # scalar quadratic f(p) = p^2, traced with explicit plain-float Adam
+        # at the shared constants
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         p_ref, m, v = 1.0, 0.0, 0.0
         trace = []
@@ -55,7 +56,7 @@ class TestAdam:
         p = np.array([1.0])
         state = AdamState()
         for t in range(5):
-            adam_step(p, 2.0 * p, state, lr, b1, b2, eps)
+            adam_step(p, 2.0 * p, state, lr)
             assert p[0] == pytest.approx(trace[t], rel=1e-12)
         assert state.t == 5
 
@@ -84,7 +85,7 @@ class TestAdam:
         for t in range(1, 6):
             grad = rng.normal(size=model.flat.size)
             grads = {k: g.copy() for k, g in named(model, grad).items()}
-            adam_step(model.flat, grad, state, 0.05, 0.9, 0.999, 1e-8)
+            adam_step(model.flat, grad, state, 0.05)
             per_array_step(ref, grads, m, v, t, 0.05, 0.9, 0.999, 1e-8)
             for k in params:
                 assert params[k].tobytes() == ref[k].tobytes()

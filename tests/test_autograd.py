@@ -59,7 +59,7 @@ def check_cube_grad(seed, at_logits, group, modes=tuple(StatMode), name=None):
 
 
 class TestForwardValues:
-    def test_matmul_and_transpose(self):
+    def test_head_logits_match_prediction(self):
         # the head's logits are h W^T + b, bit for bit what a cache-free
         # forward (and so prediction) reads
         rng = np.random.default_rng(0)
@@ -72,7 +72,7 @@ class TestForwardValues:
             logits, network.forward_features(model, x, StatMode.BATCH_ONLY).logits
         )
 
-    def test_backward_requires_scalar(self, monkeypatch):
+    def test_step_builds_one_scalar_loss_handle(self, monkeypatch):
         # one step builds one handle: its data is the scalar loss, and its
         # backward returns the flat gradient of the step's group
         rng = np.random.default_rng(1)
@@ -169,7 +169,7 @@ class TestGradients:
         denom_only = -2.0 * pd[:, 0].sum(axis=0) / (5 * quads[:, 0].sum())
         np.testing.assert_allclose(g[0], denom_only, rtol=1e-10)
 
-    def test_diamond_graph_accumulates(self):
+    def test_batch_statistic_paths_cancel_bias_gradient(self):
         # with batch statistics, z reaches x_hat directly and through the
         # batch mean and variance, and the backward sums the three paths.
         # The batch mean absorbs any dense bias, so the loss does not depend
@@ -188,7 +188,7 @@ class TestGradients:
                 assert np.max(np.abs(db)) < 1e-12 * scale
         check_cube_grad(9, True, ParamGroup.FEATURE_FULL, modes=(StatMode.BATCH_ONLY,))
 
-    def test_constant_leaf_receives_grad_but_detaches_nothing(self):
+    def test_step_leaves_batch_and_model_unchanged(self):
         # the batch, the running statistics and the parameters are read by
         # the backward, never written: a step outside TRAIN_UPDATE leaves
         # the batch and the whole model bit for bit as they were
@@ -205,11 +205,11 @@ class TestGradients:
         assert states_equal(before, model_state(model))
 
 
-class TestTape:
+class TestStepCaches:
     """What one step keeps between its forward and its backward: a cache per
     block, and nothing at all when no gradient is taken."""
 
-    def test_forward_without_grad_leaf_records_no_parents(self, monkeypatch):
+    def test_blocks_cache_only_when_handed_a_list(self, monkeypatch):
         # with a cache list, each block records (input, x_hat, std, output),
         # its input the previous block's output and the last output the
         # features; without one, no block is handed a list
@@ -235,7 +235,7 @@ class TestTape:
         network._forward(model, x, StatMode.BATCH_ONLY)
         assert handed == [None, None]
 
-    def test_output_requires_grad_if_any_parent_does(self):
+    def test_gradient_spans_its_group_prefix(self):
         # a gradient holds one entry per parameter of its group and no more:
         # the BN affine parameters, then the dense layers, then (pretraining
         # only) the classifier
@@ -253,7 +253,7 @@ class TestTape:
             )
             assert grad.shape == (model.group_size(group),)
 
-    def test_backward_skips_constants(self):
+    def test_running_statistics_are_constants(self):
         # with running statistics the normalization's mean and variance are
         # constants, so the backward is gz = gx / std alone; it matches
         # central differences there, and in TRAIN_UPDATE, whose refresh of

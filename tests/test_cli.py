@@ -520,12 +520,22 @@ class TestReportCommand:
             "accuracy_above_one",
             "batch_index_out_of_order",
             "no_manifest",
+            "loss_nan",
+            "loss_of_loss_free_run",
+            "mean_intra_inf",
+            "mean_inter_negative",
+            "distance_nan_in_one_row",
+            "header_removed_key",
+            "n_batches_missing",
+            "n_batches_not_integer",
+            "last_row_cut",
         ],
     )
     def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
         header = "batch_index,accuracy,loss,mean_intra,mean_inter\n"
-        run_csv = header + "0,0.5,0.1,2.0,3.0\n"
-        run_header = {"config": TtaConfig(method="cafa").to_dict()}
+        run_csv = header + "0,0.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n"
+        config = TtaConfig(method="cafa").to_dict()
+        run_header = {"config": config, "n_batches": 2}
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
         (tmp_path / "run_cafa.csv").write_text(run_csv)
         (tmp_path / "run_cafa.json").write_text(json.dumps(run_header))
@@ -566,6 +576,32 @@ class TestReportCommand:
                 header + "1,0.5,0.1,2.0,3.0\n0,0.5,0.1,2.0,3.0\n",
             ),
             "no_manifest": ("manifest.json", None),
+            # an optimizing run's loss is finite, a loss-free run's nan; each
+            # distance column is finite and >= 0, or nan throughout
+            "loss_nan": ("run_cafa.csv", run_csv.replace("0.1", "nan", 1)),
+            "loss_of_loss_free_run": (
+                "run_cafa.json",
+                json.dumps(
+                    {
+                        "config": TtaConfig(method="bn", name="cafa", steps_per_batch=0).to_dict(),
+                        "n_batches": 2,
+                    }
+                ),
+            ),
+            "mean_intra_inf": ("run_cafa.csv", run_csv.replace("2.0", "inf")),
+            "mean_inter_negative": ("run_cafa.csv", run_csv.replace("3.0", "-3.0")),
+            "distance_nan_in_one_row": ("run_cafa.csv", run_csv.replace("2.0", "nan", 1)),
+            "header_removed_key": (
+                "run_cafa.json",
+                json.dumps({"config": {**config, "adam_beta1": 0.9}, "n_batches": 2}),
+            ),
+            # the header counts the rows, so a cut CSV is detectable
+            "n_batches_missing": ("run_cafa.json", json.dumps({"config": config})),
+            "n_batches_not_integer": (
+                "run_cafa.json",
+                json.dumps({"config": config, "n_batches": 2.0}),
+            ),
+            "last_row_cut": ("run_cafa.csv", header + "0,0.5,0.1,2.0,3.0\n"),
         }
         name, text = damaged[damage]
         if text is None:
@@ -587,7 +623,7 @@ class TestReportCommand:
             "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,0.1,2.0,3.0\n"
         )
         (tmp_path / "run_cafa.json").write_text(
-            json.dumps({"config": TtaConfig(method="cafa").to_dict()})
+            json.dumps({"config": TtaConfig(method="cafa").to_dict(), "n_batches": 1})
         )
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": methods}))
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3

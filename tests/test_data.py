@@ -47,19 +47,8 @@ class TestSyntheticSpec:
         assert np.array_equal(a.resolved_means(), b.resolved_means())
         assert np.array_equal(a.resolved_covs(), b.resolved_covs())
 
-    def test_explicit_means_and_covs_pass_through(self):
-        means = np.array([[0.0, 1.0], [1.0, 0.0]])
-        covs = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        spec = SyntheticSpec(
-            n_classes=2, input_dim=2, class_means=means, class_covs=covs
-        )
-        assert np.array_equal(spec.resolved_means(), means)
-        assert np.array_equal(spec.resolved_covs(), covs)
-
     def test_duplicate_means_rejected(self):
-        spec = SyntheticSpec(
-            n_classes=2, input_dim=2, class_means=np.zeros((2, 2))
-        )
+        spec = SyntheticSpec(n_classes=2, input_dim=2, mean_scale=0.0)
         with pytest.raises(ConfigInvalid):
             spec.resolved_means()
 

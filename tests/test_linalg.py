@@ -10,18 +10,18 @@ from tta_align.linalg import as_matrix, mean_and_cov, spd_factor, spd_inverse
 
 class TestSpdFactor:
     def test_identity(self):
-        f = spd_factor(np.eye(3))
-        assert np.array_equal(f.lower, np.eye(3))
+        lower = spd_factor(np.eye(3))
+        assert np.array_equal(lower, np.eye(3))
 
     def test_diagonal_square_roots(self):
-        f = spd_factor(np.diag([4.0, 9.0]))
-        assert np.array_equal(f.lower, np.diag([2.0, 3.0]))
+        lower = spd_factor(np.diag([4.0, 9.0]))
+        assert np.array_equal(lower, np.diag([2.0, 3.0]))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         a = random_spd(rng, 6)
-        f = spd_factor(a)
-        err = np.linalg.norm(f.lower @ f.lower.T - a) / np.linalg.norm(a)
+        lower = spd_factor(a)
+        err = np.linalg.norm(lower @ lower.T - a) / np.linalg.norm(a)
         assert err < 1e-10
 
     def test_not_positive_definite(self):
@@ -176,9 +176,9 @@ class TestValidators:
 def test_factor_solve_property(seed, d):
     rng = np.random.default_rng(seed)
     a = random_spd(rng, d)
-    f = spd_factor(a)
+    lower = spd_factor(a)
     x = rng.normal(size=d)
-    back = spd_inverse(f) @ (a @ x)
+    back = spd_inverse(lower) @ (a @ x)
     assert np.max(np.abs(back - x)) < 1e-8 * max(1.0, np.max(np.abs(x)))
 
 

@@ -213,7 +213,7 @@ class TestClassKernel:
         fd = numeric_grad(value, x.copy())
         np.testing.assert_allclose(self._grad(x, stats, w), fd, rtol=1e-6, atol=1e-6)
 
-    def test_gradient_matches_composed_tape(self):
+    def test_gradient_matches_per_sample_loop(self):
         # a plain loop over the general form (P + P^T)(x - mu), which needs
         # no symmetry of P
         stats, x, w = self._setup(31)
@@ -223,7 +223,7 @@ class TestClassKernel:
                 ref[n] += w[c, n] * (p + p.T) @ (x[n] - mu)
         np.testing.assert_allclose(self._grad(x, stats, w), ref, rtol=1e-12, atol=0.0)
 
-    def test_no_graph_without_grad_leaf(self, monkeypatch):
+    def test_loss_builds_no_tensor(self, monkeypatch):
         # a loss is plain numbers and a closure: it builds no graph node,
         # and only the chain's step wraps the value in a loss handle
         stats, x, _ = self._setup(32)

@@ -85,7 +85,7 @@ def loop_forward(model, x, mode):
     return np.array(h)
 
 
-def tape_order_block(h, blk, mode):
+def reference_order_block(h, blk, mode):
     """One block in the op order of the generic tape it replaced, as plain
     NumPy: `a - b` was `a + (-b)`, a mean was `sum * (1 / n)`."""
     bn = blk.bn
@@ -184,9 +184,9 @@ class TestForwardFeatures:
             network.forward_features(model, np.zeros(6), StatMode.BATCH_ONLY)
 
 
-class TestBlockNode:
+class TestBlockForward:
     @pytest.mark.parametrize("mode", list(StatMode))
-    def test_forward_bitwise_matches_tape_order(self, mode):
+    def test_forward_bitwise_matches_reference_order(self, mode):
         rng = np.random.default_rng(28)
         model = small_model(rng, input_dim=5, hidden_dims=(7, 4))
         for blk in model.blocks:
@@ -199,7 +199,7 @@ class TestBlockNode:
         x = rng.normal(size=(9, 5))
         h = x
         for blk in oracle.blocks:
-            h = tape_order_block(h, blk, mode)
+            h = reference_order_block(h, blk, mode)
         feats = network.forward_features(model, x, mode).feats
         assert feats.tobytes() == h.tobytes()
         for got, want in zip(model.blocks, oracle.blocks):
@@ -440,7 +440,7 @@ class TestGradients:
                 assert g_bn.size == n_bn
                 assert g_bn.tobytes() == g_full[:n_bn].tobytes()
 
-    def test_graph_freed_without_cycle_collector(self, monkeypatch):
+    def test_caches_freed_without_cycle_collector(self, monkeypatch):
         # the chain holds no reference cycle: with the cyclic collector off,
         # every cached array dies when loss_and_grad_named returns
         rng = np.random.default_rng(24)
@@ -464,7 +464,7 @@ class TestGradients:
             gc.enable()
         assert refs and alive == 0
 
-    def test_forward_without_names_records_no_graph(self, monkeypatch):
+    def test_only_loss_steps_hand_blocks_a_cache(self, monkeypatch):
         # a forward that takes no gradient (prediction, a loss-free batch,
         # the source statistics) hands no block a cache; a loss step hands
         # every block the same list

@@ -29,7 +29,7 @@ def test_write_default_config_round_trips(tmp_path):
     # every schema field is written, unset optional ones as null
     doc = json.loads(out.read_text())
     assert set(doc["synthetic"]) == {f.name for f in fields(SyntheticSpec)}
-    assert doc["synthetic"]["class_means"] is None
+    assert doc["shift"]["transforms"][0]["direction"] is None
 
 
 def test_sweep_steps_writes_one_summary_row_per_run(tmp_path):
