@@ -193,15 +193,12 @@ def tta_config_from_dict(d, section: str = "methods[]") -> TtaConfig:
 @dataclass
 class ModelConfig:
     hidden_dims: list[int] = field(default_factory=lambda: [32, 16])
-    seed: int = 0
 
     def validate(self) -> None:
         if not self.hidden_dims:
             raise ConfigInvalid("hidden_dims must list at least one block width")
         if not all(int(w) >= 1 for w in self.hidden_dims):
             raise ConfigInvalid("hidden_dims entries must be >= 1")
-        if self.seed < 0:
-            raise ConfigInvalid("model seed must be >= 0")
 
 
 @dataclass
@@ -209,7 +206,6 @@ class PretrainConfig:
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 1e-3
-    seed: int = 0
     eps_scale: float = DEFAULT_EPS_SCALE
     covariance_mode: CovarianceMode = CovarianceMode.CLASS_WISE
 
@@ -218,8 +214,6 @@ class PretrainConfig:
             raise ConfigInvalid("pretrain needs epochs >= 1 and batch_size >= 2")
         if self.learning_rate <= 0 or self.eps_scale <= 0:
             raise ConfigInvalid("learning_rate and eps_scale must be > 0")
-        if self.seed < 0:
-            raise ConfigInvalid("pretrain seed must be >= 0")
         _check_enum("covariance_mode", self.covariance_mode, CovarianceMode)
 
 

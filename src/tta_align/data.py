@@ -18,6 +18,9 @@ MEAN_SHIFT_SCALE = {1: 0.5, 2: 1.0, 3: 1.5, 4: 2.0, 5: 3.0}  # x mean class std
 SCALING_FACTOR = {1: 1.2, 2: 1.5, 3: 2.0, 4: 2.5, 5: 3.0}
 ROTATION_DEGREES = {1: 10.0, 2: 20.0, 3: 30.0, 4: 45.0, 5: 60.0}
 
+# lays out the class-mean directions, so every data seed re-draws the same classes
+GEOMETRY_SEED = 7
+
 SHIFT_KINDS = ("gaussian_noise", "mean_shift", "scaling", "rotation")
 
 
@@ -60,8 +63,7 @@ class SyntheticSpec:
     mean_scale: float = 2.4  # class-mean radius from the origin
     n_train_per_class: int = 500
     n_test_per_class: int = 1280
-    seed: int = 0  # sampling only; geometry is pinned by geometry_seed
-    geometry_seed: int = 7
+    seed: int = 0  # sampling only; geometry is pinned by GEOMETRY_SEED
     cov_scales: list[float] | None = None  # per-class isotropic stds
 
     def validate(self) -> None:
@@ -71,8 +73,8 @@ class SyntheticSpec:
             raise ConfigInvalid("input_dim must be >= 2")
         if self.n_train_per_class < 2 or self.n_test_per_class < 2:
             raise ConfigInvalid("need at least 2 samples per class")
-        if self.seed < 0 or self.geometry_seed < 0:
-            raise ConfigInvalid("seed and geometry_seed must be >= 0")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
         if self.cov_scales is not None:
             if len(self.cov_scales) != self.n_classes:
                 raise ConfigInvalid("cov_scales must list one std per class")
@@ -82,8 +84,8 @@ class SyntheticSpec:
 
     def resolved_means(self) -> np.ndarray:
         """C x input_dim class means of radius mean_scale, laid out by
-        geometry_seed."""
-        rng = np.random.default_rng(self.geometry_seed)
+        GEOMETRY_SEED."""
+        rng = np.random.default_rng(GEOMETRY_SEED)
         raw = rng.normal(size=(self.n_classes, self.input_dim))
         raw -= raw.mean(axis=0)
         means = self.mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)

@@ -35,6 +35,11 @@ from .errors import (
 from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
 
+# the model's initial weights and the order of its training batches are the
+# same for every data seed
+INIT_SEED = 0
+SHUFFLE_SEED = 0
+
 
 @dataclass
 class PretrainResult:
@@ -59,7 +64,7 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
     if dataset is None:
         dataset = data.generate_dataset(cfg.synthetic, shift=None)
 
-    rng = np.random.default_rng(cfg.model.seed)
+    rng = np.random.default_rng(INIT_SEED)
     model = network.init_model(
         cfg.synthetic.input_dim,
         [int(w) for w in cfg.model.hidden_dims],
@@ -67,7 +72,7 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
         rng,
     )
     adam = adapt.AdamState()
-    shuffle_rng = np.random.default_rng(cfg.pretrain.seed)
+    shuffle_rng = np.random.default_rng(SHUFFLE_SEED)
 
     n = dataset.train_x.shape[0]
     bs = cfg.pretrain.batch_size
@@ -227,11 +232,12 @@ def write_run_records(records: Iterable[RunRecord], out_dir: str) -> None:
 def read_run_record(run_dir: str, name: str) -> RunRecord:
     """The record of run `name`, refused (StatsIoError) where no run could
     have written it: a header that is not a valid config of that run or
-    whose `n_batches` is not the number of rows, or rows whose batch indices
-    do not count 0..n-1, whose accuracy is not a whole number of hits out of
-    the header's batch size, whose loss is not finite (nan for a loss-free
-    method), or whose distance columns are not each finite and >= 0 in every
-    row or nan in every row."""
+    whose `n_batches` is not the number of rows, a CSV whose header row is
+    not CSV_FIELDS or whose rows hold another number of fields, or rows whose
+    batch indices do not count 0..n-1, whose accuracy is not a whole number
+    of hits out of the header's batch size, whose loss is not finite (nan for
+    a loss-free method), or whose distance columns are not each finite and
+    >= 0 in every row or nan in every row."""
     try:
         with open(run_path(run_dir, name, ".json")) as fh:
             header = json.load(fh)
@@ -239,11 +245,11 @@ def read_run_record(run_dir: str, name: str) -> RunRecord:
         config.validate()
         n_batches = header["n_batches"]
         with open(run_path(run_dir, name, ".csv"), newline="") as fh:
-            rows = [
-                BatchRow(int(rec[CSV_FIELDS[0]]), *(float(rec[k]) for k in CSV_FIELDS[1:]))
-                for rec in csv.DictReader(fh)
-            ]
-    except (OSError, KeyError, TypeError, ValueError, ConfigInvalid) as exc:
+            columns, *cells = csv.reader(fh)
+        if tuple(columns) != CSV_FIELDS or any(len(c) != len(CSV_FIELDS) for c in cells):
+            raise ValueError(f"run_{name}.csv does not hold exactly the columns {CSV_FIELDS}")
+        rows = [BatchRow(int(c[0]), *map(float, c[1:])) for c in cells]
+    except (OSError, KeyError, TypeError, ValueError, csv.Error, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
     if config.run_name != name:
         raise StatsIoError(f"run_{name}.json in {run_dir} describes run {config.run_name!r}")

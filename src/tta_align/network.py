@@ -32,6 +32,7 @@ from .errors import (
 )
 from .linalg import as_matrix
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
 BN_VAR_EPS = 1e-5
 CHECKPOINT_VERSION = 1
 EVAL_ROWS = 1024  # rows per block of a running-statistics forward without a cache
@@ -60,11 +61,6 @@ class BnLayer:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
 
 
 @dataclass
@@ -148,8 +144,8 @@ def init_model(
     n_classes: int,
     rng: np.random.Generator,
 ) -> AdaptiveModel:
-    """He-initialized dense weights, identity BN affine, unit running variance
-    and BnLayer's momentum of 0.1."""
+    """He-initialized dense weights, identity BN affine and unit running
+    variance."""
     blocks = []
     fan_in = input_dim
     for width in hidden_dims:
@@ -191,7 +187,7 @@ def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np
         z -= mu
         var = np.add.reduce(z**2, axis=0) * inv_n
         if mode is StatMode.TRAIN_UPDATE:
-            m = bn.momentum
+            m = BN_MOMENTUM
             bn.running_mean *= 1 - m
             bn.running_mean += m * mu
             bn.running_var *= 1 - m
@@ -411,7 +407,6 @@ def save_checkpoint(model: AdaptiveModel, path) -> None:
     for i, blk in enumerate(model.blocks):
         arrays[f"block{i}.bn.running_mean"] = blk.bn.running_mean
         arrays[f"block{i}.bn.running_var"] = blk.bn.running_var
-        arrays[f"block{i}.bn.momentum"] = np.asarray(blk.bn.momentum)
     for name, arr in arrays.items():
         layout.append({"name": name, "shape": list(np.asarray(arr).shape)})
     header = {
@@ -423,6 +418,8 @@ def save_checkpoint(model: AdaptiveModel, path) -> None:
 
 
 def load_checkpoint(path) -> AdaptiveModel:
+    """The model a checkpoint holds. The `block{i}.bn.momentum` entries that
+    older checkpoints carry are not read: the momentum is BN_MOMENTUM."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -454,10 +451,7 @@ def load_checkpoint(path) -> AdaptiveModel:
         blocks = [
             Block(
                 DenseLayer(arrays[f"block{i}.dense.weight"], arrays[f"block{i}.dense.bias"]),
-                BnLayer(
-                    *(arrays[f"block{i}.bn.{k}"] for k in bn_keys),
-                    momentum=float(arrays[f"block{i}.bn.momentum"]),
-                ),
+                BnLayer(*(arrays[f"block{i}.bn.{k}"] for k in bn_keys)),
             )
             for i in range(header["n_blocks"])
         ]
@@ -472,7 +466,7 @@ def load_checkpoint(path) -> AdaptiveModel:
 def _check_runnable(model: AdaptiveModel) -> None:
     """Raise ValueError unless a forward of `model` can run: widths chain from
     block to block and into the head, every bias and BN vector has its
-    layer's width, running variances are >= 0 and each momentum is in (0, 1)."""
+    layer's width and running variances are >= 0."""
     width = model.input_dim
     layers = [(b.dense, b.bn) for b in model.blocks] + [(model.classifier, None)]
     for i, (dense, bn) in enumerate(layers):
@@ -482,5 +476,5 @@ def _check_runnable(model: AdaptiveModel) -> None:
         bn_vectors = [] if bn is None else [bn.gamma, bn.beta, bn.running_mean, bn.running_var]
         if any(v.shape != (width,) for v in [dense.bias, *bn_vectors]):
             raise ValueError(f"layer {i}: a bias or BN vector is not of width {width}")
-        if bn is not None and not (0 < bn.momentum < 1 and (bn.running_var >= 0).all()):
-            raise ValueError(f"layer {i}: BN momentum outside (0, 1) or running_var < 0")
+        if bn is not None and not (bn.running_var >= 0).all():
+            raise ValueError(f"layer {i}: running_var < 0")

@@ -48,8 +48,8 @@ def check_cube_grad(seed, at_logits, group, modes=tuple(StatMode), name=None):
         rng = np.random.default_rng(seed)
         model = small_model(rng, input_dim=4, hidden_dims=(5, 3), n_classes=3)
         for blk in model.blocks:
-            blk.bn.running_mean[:] = rng.normal(size=blk.bn.dim)
-            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
+            blk.bn.running_mean[:] = rng.normal(size=blk.bn.gamma.size)
+            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.gamma.size)
         x = rng.normal(size=(6, 4))
         _, analytic = chain_grad(model, x, mode, cube(at_logits), group)
         fd = fd_grad(model, x, mode, cube(at_logits), group, h=1e-6)
@@ -223,7 +223,7 @@ class TestStepCaches:
         assert caches[1][0] is caches[0][3]
         assert caches[-1][3] is forward.feats
         for (_, x_hat, std, y), blk in zip(caches, model.blocks):
-            assert x_hat.shape == y.shape and std.shape == (blk.bn.dim,)
+            assert x_hat.shape == y.shape and std.shape == (blk.bn.gamma.size,)
         handed = []
         original = network._block
 

@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -529,11 +531,17 @@ class TestReportCommand:
             "n_batches_missing",
             "n_batches_not_integer",
             "last_row_cut",
+            "repeated_column",
+            "extra_field",
+            "extra_column",
+            "reordered_columns",
+            "oversized_cell",
         ],
     )
     def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
         header = "batch_index,accuracy,loss,mean_intra,mean_inter\n"
-        run_csv = header + "0,0.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n"
+        rows = "0,0.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n"
+        run_csv = header + rows
         config = TtaConfig(method="cafa").to_dict()
         run_header = {"config": config, "n_batches": 2}
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
@@ -602,6 +610,22 @@ class TestReportCommand:
                 json.dumps({"config": config, "n_batches": 2.0}),
             ),
             "last_row_cut": ("run_cafa.csv", header + "0,0.5,0.1,2.0,3.0\n"),
+            # the columns are the writer's, in its order, in every row
+            "repeated_column": (
+                "run_cafa.csv",
+                header.replace("\n", ",accuracy\n") + rows.replace("\n", ",0.0\n"),
+            ),
+            "extra_field": ("run_cafa.csv", run_csv.replace("3.0\n", "3.0,9\n", 1)),
+            "extra_column": (
+                "run_cafa.csv",
+                header.replace("\n", ",note\n") + rows.replace("\n", ",x\n"),
+            ),
+            "reordered_columns": (
+                "run_cafa.csv",
+                run_csv.replace("mean_intra,mean_inter", "mean_inter,mean_intra"),
+            ),
+            # past the csv module's field size limit
+            "oversized_cell": ("run_cafa.csv", run_csv.replace("0.1", "0" * 200_000, 1)),
         }
         name, text = damaged[damage]
         if text is None:
@@ -757,6 +781,39 @@ def test_damaged_stats_fail_closed(fuzz_artifacts, tmp_path_factory, cut, flips,
         assert_fails_closed(*run_quietly(args))
 
 
+RUN_FILES = [f"run_{m['method']}{suffix}" for m in ALL_METHODS for suffix in (".csv", ".json")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(RUN_FILES),
+    cut=st.integers(0, 1 << 12),
+    flips=st.lists(st.tuples(st.integers(0, 1 << 12), st.integers(1, 255)), max_size=3),
+)
+def test_damaged_run_dir_fails_closed(compared, tmp_path_factory, name, cut, flips):
+    # one run CSV or run header of a `compare` directory cut short or with
+    # flipped bits: `report` summarizes accuracies in [0, 1], or exits 3 with
+    # one error line
+    _, good = compared
+    tmp = tmp_path_factory.mktemp("report")
+    for kept in ["manifest.json", *RUN_FILES]:
+        shutil.copyfile(good / kept, tmp / kept)
+    blob = bytearray((good / name).read_bytes())
+    for i, mask in flips:
+        blob[i % len(blob)] ^= mask
+    del blob[cut % (len(blob) + 1) :]
+    (tmp / name).write_bytes(bytes(blob))
+    code, err = run_quietly(["report", "--run-dir", str(tmp)])
+    assert code in (0, 3), err
+    if code == 3:
+        assert err.startswith("i/o error") and err.count("\n") == 1, err
+    else:
+        with open(tmp / "summary.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                for key in ("mean_accuracy", "final_quarter_accuracy"):
+                    assert 0.0 <= float(row[key]) <= 1.0, row
+
+
 def tiny_default_document() -> dict:
     """The default config document on tiny data: 20 training and 64 target
     samples per class, one epoch of batches of 16."""
@@ -792,7 +849,7 @@ CONFIG_VALUES = st.one_of(
 @given(edits=st.dictionaries(st.sampled_from(CONFIG_PATHS), CONFIG_VALUES, min_size=1, max_size=3))
 @example(edits={("pretrain", "batch_size"): 61})
 @example(edits={("methods", 6, "batch_size"): 193})
-@example(edits={("model", "seed"): -1})
+@example(edits={("synthetic", "seed"): -1})
 @example(edits={("synthetic", "cov_scales", 0): 1e300})
 @example(edits={("synthetic", "mean_scale"): 1.7e308})
 @example(edits={("pretrain", "eps_scale"): 1e-320})

@@ -69,16 +69,30 @@ class TestStrictParsing:
         [
             ("synthetic", "SyntheticSpec", "class_means"),
             ("synthetic", "SyntheticSpec", "class_covs"),
+            ("synthetic", "SyntheticSpec", "geometry_seed"),
             ("model", "ModelConfig", "bn_momentum"),
+            ("model", "ModelConfig", "seed"),
+            ("pretrain", "PretrainConfig", "seed"),
             ("methods[]", "TtaConfig", "adam_beta1"),
             ("methods[]", "TtaConfig", "adam_beta2"),
             ("methods[]", "TtaConfig", "adam_eps"),
         ],
-        ids=["class_means", "class_covs", "bn_momentum", "adam_beta1", "adam_beta2", "adam_eps"],
+        ids=[
+            "class_means",
+            "class_covs",
+            "geometry_seed",
+            "bn_momentum",
+            "model.seed",
+            "pretrain.seed",
+            "adam_beta1",
+            "adam_beta2",
+            "adam_eps",
+        ],
     )
     def test_removed_key_rejected(self, tmp_path, capsys, section, cls, key):
-        # the class geometry comes from geometry_seed, mean_scale and
-        # cov_scales; the BN momentum and the Adam constants are fixed
+        # the class geometry comes from data.GEOMETRY_SEED, mean_scale and
+        # cov_scales; the initialisation and shuffle seeds, the BN momentum
+        # and the Adam constants are fixed
         doc = ExperimentConfig().to_dict()
         doc["methods"] = [TtaConfig().to_dict()]
         target = doc["methods"][0] if section == "methods[]" else doc[section]
@@ -326,12 +340,6 @@ class TestValidation:
                 "mean_shift direction must be finite and nonzero",
             ),
             (
-                lambda doc: doc["synthetic"].update(geometry_seed=-1),
-                "seed and geometry_seed must be >= 0",
-            ),
-            (lambda doc: doc["model"].update(seed=-1), "model seed must be >= 0"),
-            (lambda doc: doc["pretrain"].update(seed=-1), "pretrain seed must be >= 0"),
-            (
                 lambda doc: doc["synthetic"].update(cov_scales=[0.2, 1e200, 1.5]),
                 "cov_scales entries must have finite squares",
             ),
@@ -342,9 +350,6 @@ class TestValidation:
         ],
         ids=[
             "zero_shift_direction",
-            "negative_geometry_seed",
-            "negative_model_seed",
-            "negative_pretrain_seed",
             "cov_scale_square_overflows",
             "name_with_path_separator",
         ],
@@ -370,10 +375,11 @@ class TestValidation:
 
 class TestDefaultExperiment:
     def test_seed_threads_to_data_only(self):
-        a = ExperimentConfig.default(seed=4)
-        assert a.synthetic.seed == 4
-        assert a.model.seed == 0
-        assert a.pretrain.seed == 0
+        # the geometry, initialisation and shuffle seeds are constants, so the
+        # data seed is the one seed a document carries
+        doc = ExperimentConfig.default(seed=4).to_dict()
+        assert re.findall(r'"(\w*seed\w*)":', json.dumps(doc)) == ["seed"]
+        assert doc["synthetic"]["seed"] == 4
 
     def test_default_shape(self):
         cfg = ExperimentConfig.default()

@@ -46,7 +46,7 @@ class TestPretrain:
             ),
             model=ModelConfig(hidden_dims=[8]),
             # the default 30 epochs: 10 (60 steps) reach 0.98-1.0, depending
-            # on the direction geometry_seed gives the means
+            # on the direction data.GEOMETRY_SEED gives the means
             pretrain=PretrainConfig(epochs=30),
             methods=[TtaConfig(method="source", steps_per_batch=0)],
         )

@@ -28,6 +28,7 @@ from tta_align.errors import (
     StatsIoError,
 )
 from tta_align.network import (
+    BN_MOMENTUM,
     BN_VAR_EPS,
     AdaptiveModel,
     Block,
@@ -97,7 +98,7 @@ def reference_order_block(h, blk, mode):
         mu = z.sum(axis=0) * (1.0 / n)
         var = ((z + (-mu)) ** 2).sum(axis=0) * (1.0 / n)
         if mode is StatMode.TRAIN_UPDATE:
-            m = bn.momentum
+            m = BN_MOMENTUM
             bn.running_mean[:] = (1 - m) * bn.running_mean + m * mu
             bn.running_var[:] = (1 - m) * bn.running_var + m * var
         xhat = (z + (-mu)) / np.sqrt(var + BN_VAR_EPS)
@@ -128,8 +129,8 @@ class TestForwardFeatures:
         model = small_model(rng, input_dim=5, hidden_dims=(6, 4))
         # make running stats non-trivial so RunningEval is a real case
         for blk in model.blocks:
-            blk.bn.running_mean[:] = rng.normal(size=blk.bn.dim)
-            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
+            blk.bn.running_mean[:] = rng.normal(size=blk.bn.gamma.size)
+            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.gamma.size)
         x = rng.normal(size=(8, 5))
         oracle = loop_forward(model, x, mode)
         feats = network.forward_features(model.copy(), x, mode).feats
@@ -143,7 +144,7 @@ class TestForwardFeatures:
         pre = x @ blk.dense.weight.T + blk.dense.bias
         mu = pre.mean(axis=0)
         var = ((pre - mu) ** 2).mean(axis=0)
-        m = blk.bn.momentum
+        m = BN_MOMENTUM
         expected_mean = (1 - m) * blk.bn.running_mean + m * mu
         expected_var = (1 - m) * blk.bn.running_var + m * var
         network.forward_features(model, x, StatMode.TRAIN_UPDATE)
@@ -190,10 +191,10 @@ class TestBlockForward:
         rng = np.random.default_rng(28)
         model = small_model(rng, input_dim=5, hidden_dims=(7, 4))
         for blk in model.blocks:
-            blk.bn.gamma[:] = 1.0 + 0.5 * rng.normal(size=blk.bn.dim)
-            blk.bn.beta[:] = 0.5 * rng.normal(size=blk.bn.dim)
-            blk.bn.running_mean[:] = rng.normal(size=blk.bn.dim)
-            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
+            blk.bn.gamma[:] = 1.0 + 0.5 * rng.normal(size=blk.bn.gamma.size)
+            blk.bn.beta[:] = 0.5 * rng.normal(size=blk.bn.gamma.size)
+            blk.bn.running_mean[:] = rng.normal(size=blk.bn.gamma.size)
+            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.gamma.size)
         before = model_state(model)
         oracle = model.copy()
         x = rng.normal(size=(9, 5))
@@ -235,8 +236,8 @@ class TestRowBlocks:
         rng = np.random.default_rng(40)
         model = small_model(rng)
         for blk in model.blocks:
-            blk.bn.running_mean[:] = rng.normal(size=blk.bn.dim)
-            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.dim)
+            blk.bn.running_mean[:] = rng.normal(size=blk.bn.gamma.size)
+            blk.bn.running_var[:] = 0.5 + rng.random(blk.bn.gamma.size)
         x = rng.normal(size=(n, 6))
         whole = network._forward(model, x, StatMode.RUNNING_EVAL)
         out = network.forward_features(model, x, StatMode.RUNNING_EVAL)
@@ -428,7 +429,7 @@ class TestGradients:
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
-        n_bn = 2 * sum(blk.bn.dim for blk in model.blocks)
+        n_bn = 2 * sum(blk.bn.gamma.size for blk in model.blocks)
         for mode in StatMode:
             for spec in (losses.Cafa(stats), losses.GlobalFA(stats), losses.CrossEntropy()):
                 _, g_bn, _ = network.loss_and_grad_named(
@@ -623,7 +624,8 @@ class TestCheckpoint:
         network.save_checkpoint(model, path)
         loaded = network.load_checkpoint(path)
         assert states_equal(model_state(model), model_state(loaded))
-        assert loaded.blocks[0].bn.momentum == model.blocks[0].bn.momentum
+        with np.load(path) as data:  # the momentum is BN_MOMENTUM, not an entry
+            assert not [k for k in data.files if k.endswith("momentum")]
 
     def test_version_mismatch(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(22)
@@ -675,7 +677,6 @@ class TestCheckpoint:
             "bn_vector_length",
             "nan_weight",
             "negative_running_var",
-            "momentum",
         ],
     )
     def test_model_that_cannot_run(self, tmp_path, damage):
@@ -692,10 +693,8 @@ class TestCheckpoint:
             blk0.bn.gamma = np.append(blk0.bn.gamma, 1.0)
         elif damage == "nan_weight":
             blk0.dense.weight[0, 0] = np.nan
-        elif damage == "negative_running_var":
-            blk1.bn.running_var[0] = -1.0
         else:
-            blk0.bn.momentum = 1.5
+            blk1.bn.running_var[0] = -1.0
         path = tmp_path / "model.npz"
         network.save_checkpoint(model, path)
         with pytest.raises(StatsIoError, match="malformed checkpoint"):
@@ -760,7 +759,8 @@ class TestFlatBuffer:
 
     def test_loads_a_checkpoint_written_before_the_buffer(self):
         # tests/data/checkpoint_v1.npz was written by the code before the flat
-        # buffer (per-array parameters); the format did not change
+        # buffer (per-array parameters); the format did not change, except
+        # that its BN momentum entries, all BN_MOMENTUM, are no longer read
         path = Path(__file__).parent / "data" / "checkpoint_v1.npz"
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files if k != "__header__"}
@@ -768,7 +768,7 @@ class TestFlatBuffer:
         state = model_state(model)
         for name, arr in arrays.items():
             if name.endswith("momentum"):
-                assert model.blocks[int(name[5])].bn.momentum == float(arr)
+                assert float(arr) == BN_MOMENTUM
             else:
                 assert state[name].tobytes() == arr.tobytes() and state[name].shape == arr.shape
         assert set(state) == {k for k in arrays if not k.endswith("momentum")}

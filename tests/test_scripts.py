@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -76,3 +77,13 @@ def test_default_compare_output_is_pinned(tmp_path):
         f"moved: {moved}; pinned on NumPy {pinned['numpy']} ({pinned['blas']}), "
         f"run on NumPy {made['numpy']} ({made['blas']})"
     )
+
+
+def test_readme_layout_names_every_module():
+    # the README's Layout block lists each module of the package once, and
+    # nothing that is not one
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```\n", 2)[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    modules = {p.name for p in (REPO / "src" / "tta_align").glob("*.py")} - {"__init__.py"}
+    assert sorted(listed) == sorted(modules)
