@@ -179,17 +179,12 @@ def run_methods(
     return records
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | None = None,
-    pretrained: PretrainResult | None = None,
-) -> ExperimentResult:
-    """Pretrain (unless given) and run every method on one shared stream,
-    all from one draw of the data."""
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
+    """Pretrain and run every method on one shared stream, all from one draw
+    of the data."""
     cfg.validate()
     dataset = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
-    if pretrained is None:
-        pretrained = pretrain_source(cfg, dataset)
+    pretrained = pretrain_source(cfg, dataset)
     records = run_methods(cfg.methods, pretrained.model, pretrained.stats, dataset, out_dir)
     result = ExperimentResult(
         records=records,
@@ -229,11 +224,21 @@ def write_run_records(records: Iterable[RunRecord], out_dir: str) -> None:
             fh.write("\n")
 
 
+def _cell(text: str, kind: type):
+    """The number a run-CSV cell holds, refused (ValueError) unless the cell
+    is its `repr`, as the writer writes it: no padding, `_` or `+`."""
+    value = kind(text)
+    if repr(value) != text:
+        raise ValueError(f"cell {text!r} is not the writer's form of {value!r}")
+    return value
+
+
 def read_run_record(run_dir: str, name: str) -> RunRecord:
     """The record of run `name`, refused (StatsIoError) where no run could
     have written it: a header that is not a valid config of that run or
     whose `n_batches` is not the number of rows, a CSV whose header row is
-    not CSV_FIELDS or whose rows hold another number of fields, or rows whose
+    not CSV_FIELDS or whose rows hold another number of fields, a cell that
+    is not the writer's form of the number it parses to, or rows whose
     batch indices do not count 0..n-1, whose accuracy is not a whole number
     of hits out of the header's batch size, whose loss is not finite (nan for
     a loss-free method), or whose distance columns are not each finite and
@@ -248,7 +253,7 @@ def read_run_record(run_dir: str, name: str) -> RunRecord:
             columns, *cells = csv.reader(fh)
         if tuple(columns) != CSV_FIELDS or any(len(c) != len(CSV_FIELDS) for c in cells):
             raise ValueError(f"run_{name}.csv does not hold exactly the columns {CSV_FIELDS}")
-        rows = [BatchRow(int(c[0]), *map(float, c[1:])) for c in cells]
+        rows = [BatchRow(_cell(c[0], int), *(_cell(v, float) for v in c[1:])) for c in cells]
     except (OSError, KeyError, TypeError, ValueError, csv.Error, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
     if config.run_name != name:

@@ -185,8 +185,8 @@ def _class_quadratics(x: np.ndarray, stats: SourceStats):
     A loss that weights the forms by w = d loss / d quads has the feature
     gradient 2 sum_c w_cn P_c (x_n - mu_c), since d/dx (x - mu)^T P (x - mu)
     = 2 P (x - mu). That holds because every class precision P is exactly
-    symmetric (`spd_inverse` returns 0.5 * (p + p^T), and `load_stats`
-    rebuilds precisions the same way).
+    symmetric (`stats.regularized_precisions` returns 0.5 * (q + q^T) for
+    the fit and for `load_stats`).
     """
     mus = stats.class_mus
     if x.shape[-1] != mus.shape[1]:

@@ -27,10 +27,10 @@ from .errors import (
     BatchTooSmall,
     DimensionMismatch,
     FormatVersionMismatch,
+    NonFiniteInput,
     NonFiniteLoss,
     StatsIoError,
 )
-from .linalg import as_matrix
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
 BN_VAR_EPS = 1e-5
@@ -218,6 +218,16 @@ class Forward(NamedTuple):
     feats: np.ndarray
     logits: np.ndarray
     quads: np.ndarray | None = None
+
+
+def as_matrix(x) -> np.ndarray:
+    """`x` as a float64 matrix, refused unless 2-D and finite."""
+    m = np.asarray(x, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteInput("matrix contains non-finite entries")
+    return m
 
 
 def _checked(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:

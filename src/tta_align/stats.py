@@ -4,7 +4,9 @@ Per-class mean/covariance use the biased 1/N_c estimator. Precisions are
 dense inverses, through a Cholesky factor, of the trace-regularized
 covariance (sigma + eps*I with eps = eps_scale * trace(sigma)/d), cached for
 the differentiable loss paths. Each precision is exactly symmetric, which the
-class kernel's analytic gradient relies on.
+class kernel's analytic gradient relies on. All arrays are float64, and
+reductions keep numpy's fixed summation order, so repeated fits on identical
+inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from .errors import (
     StatsIoError,
     UnknownClass,
 )
-from .linalg import as_matrix, mean_and_cov, spd_factor, spd_inverse
 
 STATS_MAGIC = b"TTASTATS"
 STATS_VERSION = 1
 DEFAULT_EPS_SCALE = 1e-6
+SYMMETRY_RTOL = 1e-10
 
 
 class CovarianceMode(enum.Enum):
@@ -66,25 +68,39 @@ class SourceStats:
         return self.class_mus.shape[1]
 
 
-def regularized_precision(sigma: np.ndarray, eps_scale: float) -> np.ndarray:
-    """Inverse of sigma + eps*I with trace-relative eps, through its Cholesky
-    factor (raises NotPositiveDefinite if that factor or a finite inverse
-    does not exist).
+def regularized_precisions(sigmas: np.ndarray, eps_scale: float) -> np.ndarray:
+    """The inverse of sigma + eps*I, with eps = eps_scale * trace(sigma)/d,
+    of each covariance of a C x d x d stack, exactly symmetric.
 
     A zero covariance would give eps = 0, so the floor falls back to
-    eps_scale itself to keep the regularized matrix positive definite.
+    eps_scale itself to keep the regularized matrix positive definite. Raises
+    NonFiniteInput for a non-finite regularized matrix, ValueError for one
+    not symmetric within SYMMETRY_RTOL, and NotPositiveDefinite for one with
+    no Cholesky factor or whose inverse overflows (a subnormal one factors).
+    Each matrix is inverted on its own into the output, which keeps the peak
+    memory below that of a stacked inverse.
     """
-    d = sigma.shape[0]
-    trace = float(np.trace(sigma))
-    eps = eps_scale * (trace / d if trace > 0.0 else 1.0)
-    return spd_inverse(spd_factor(sigma + eps * np.eye(d)))
-
-
-def _precisions(sigmas: np.ndarray, eps_scale: float) -> np.ndarray:
-    """The regularized precision of each covariance of a C x d x d stack."""
-    return np.array([regularized_precision(s, eps_scale) for s in sigmas]).reshape(
-        sigmas.shape
-    )
+    d = sigmas.shape[-1]
+    eye = np.eye(d)
+    out = np.empty(sigmas.shape)
+    # an overflow is refused by the checks below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sigma, p in zip(sigmas, out):
+            trace = float(np.trace(sigma))
+            eps = eps_scale * (trace / d if trace > 0.0 else 1.0)
+            a = network.as_matrix(sigma + eps * eye)
+            if np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * np.max(np.abs(a)):
+                raise ValueError("covariance is not symmetric within tolerance")
+            try:
+                lower = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(str(exc)) from exc
+            inv_l = np.linalg.inv(lower)
+            q = inv_l.T @ inv_l
+            p[:] = 0.5 * (q + q.T)
+            if not np.all(np.isfinite(p)):
+                raise NotPositiveDefinite("inverse overflows float64")
+    return out
 
 
 def fit_source_stats(
@@ -117,9 +133,8 @@ def _fit(
     feats: np.ndarray, labels, mode: CovarianceMode, eps_scale: float
 ) -> SourceStats:
     """`fit_source_stats` on a float64 feature matrix that the fit owns: the
-    global Gaussian comes last and centres `feats` in place, in the
-    operation order of `linalg.mean_and_cov`."""
-    feats = as_matrix(feats)
+    global Gaussian comes last and centres `feats` in place."""
+    feats = network.as_matrix(feats)
     n, d = feats.shape
     if n == 0:
         raise EmptyInput("need at least one sample")
@@ -135,7 +150,7 @@ def _fit(
     sigmas = np.empty((n_classes, d, d))
     counts = np.empty(n_classes, dtype=np.int64)
     for c in range(n_classes):
-        x_c = feats[y == c]
+        x_c = feats[y == c]  # a copy, which _moments centres
         counts[c] = x_c.shape[0]
         if counts[c] < 2:
             raise MissingClass(f"class {c} has {counts[c]} samples, need >= 2")
@@ -144,7 +159,7 @@ def _fit(
                 f"class {c}: {counts[c]} samples <= feature dim {d}; "
                 "covariance is rank-deficient before regularization"
             )
-        mus[c], sigmas[c] = mean_and_cov(x_c)
+        mus[c], sigmas[c] = _moments(x_c)
 
     if mode is CovarianceMode.TIED:
         # pooled within-class covariance, sample-count weighted (LDA convention)
@@ -154,14 +169,11 @@ def _fit(
         tied /= n
         sigmas[:] = 0.5 * (tied + tied.T)
 
-    global_mu = feats.sum(axis=0) / n
-    feats -= global_mu
-    global_sigma = feats.T @ feats / n
-    global_sigma = 0.5 * (global_sigma + global_sigma.T)
+    global_mu, global_sigma = _moments(feats)
     return SourceStats(
         class_mus=mus,
         class_sigmas=sigmas,
-        class_precisions=_precisions(sigmas, eps_scale),
+        class_precisions=regularized_precisions(sigmas, eps_scale),
         class_counts=counts,
         global_mu=global_mu,
         global_sigma=global_sigma,
@@ -169,6 +181,16 @@ def _fit(
         eps_scale=eps_scale,
         warnings=warnings,
     )
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased (1/N) covariance, exactly symmetric, of the rows of
+    an N x d matrix (N >= 1) that the caller owns: `x` is centred in place."""
+    n = x.shape[0]
+    mu = x.sum(axis=0) / n
+    x -= mu
+    cov = x.T @ x / n
+    return mu, 0.5 * (cov + cov.T)
 
 
 # -- serialization ------------------------------------------------------------
@@ -268,7 +290,7 @@ def load_stats(path) -> SourceStats:
     if mode is CovarianceMode.TIED and not (class_bits == class_bits[0]).all():
         raise StatsIoError(f"tied stats in {path} hold class covariances that differ")
     try:
-        precisions = _precisions(sigmas[:-1], eps_scale)
+        precisions = regularized_precisions(sigmas[:-1], eps_scale)
     except (NotPositiveDefinite, ValueError) as exc:
         raise StatsIoError(f"class covariances in {path} have no precision: {exc}") from exc
     # every loss and distance report reads the class kernel's forms

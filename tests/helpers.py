@@ -14,8 +14,7 @@ import tracemalloc
 import numpy as np
 
 from tta_align import losses, network
-from tta_align.linalg import spd_factor, spd_inverse
-from tta_align.stats import STATS_MAGIC, CovarianceMode, SourceStats
+from tta_align.stats import STATS_MAGIC, CovarianceMode, SourceStats, regularized_precisions
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -47,7 +46,7 @@ def exact_precision(sigma) -> np.ndarray:
 
     Lets tests compare against closed forms without the eps*I term.
     """
-    return spd_inverse(spd_factor(np.asarray(sigma, dtype=np.float64)))
+    return regularized_precisions(np.asarray(sigma, dtype=np.float64)[None], 0.0)[0]
 
 
 def exact_stats(mus, sigmas, global_mu=None, global_sigma=None) -> SourceStats:

@@ -536,6 +536,9 @@ class TestReportCommand:
             "extra_column",
             "reordered_columns",
             "oversized_cell",
+            "batch_index_padded",
+            "loss_with_underscore",
+            "mean_intra_with_underscore",
         ],
     )
     def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
@@ -626,6 +629,11 @@ class TestReportCommand:
             ),
             # past the csv module's field size limit
             "oversized_cell": ("run_cafa.csv", run_csv.replace("0.1", "0" * 200_000, 1)),
+            # every cell is the writer's form of its number: the repr of a
+            # float, the str of the batch index
+            "batch_index_padded": ("run_cafa.csv", header + " 0 " + rows[1:]),
+            "loss_with_underscore": ("run_cafa.csv", run_csv.replace("0.1", "1_0", 1)),
+            "mean_intra_with_underscore": ("run_cafa.csv", run_csv.replace("2.0", "2_000.0")),
         }
         name, text = damaged[damage]
         if text is None:

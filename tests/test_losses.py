@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -463,6 +464,42 @@ class TestLossGradients:
                             labels = y
                         ref = generic_order_loss(spec, feats, logits, labels)
                         assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
+
+
+class TestPrecisionScale:
+    """The exact part of the claim that CAFA needs no scale hyper-parameter:
+    scaling every class precision by 2^k (as eps_scale or the feature scale
+    would, were they exact powers of two) cancels in the log-ratio."""
+
+    @staticmethod
+    def _step(model, x, spec):
+        loss, grad, _ = network.loss_and_grad_named(
+            model.copy(), x, StatMode.BATCH_ONLY, spec, ParamGroup.BN_ONLY
+        )
+        return loss, grad
+
+    @pytest.mark.parametrize("k", [-6, -1, 1, 5, 20])
+    def test_cafa_step_is_scale_free_and_intra_scales(self, k):
+        scale = 2.0**k
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            model = small_model(rng, hidden_dims=(8, 5), n_classes=5)
+            stats = random_stats(rng, 5, 5)
+            scaled = dataclasses.replace(
+                stats, class_precisions=stats.class_precisions * scale
+            )
+            x = rng.normal(size=(32, 6))
+            loss, grad = self._step(model, x, Cafa(stats))
+            loss_k, grad_k = self._step(model, x, Cafa(scaled))
+            # log(2^k a) = k log 2 + log a on both sides of the ratio: the
+            # value moves by rounding only, and the weights 1/intra - 1/denom
+            # scale by 2^-k exactly, against 2^k in P (x - mu)
+            assert grad_k.tobytes() == grad.tobytes()
+            assert abs(loss_k - loss) <= 2 * np.spacing(abs(loss))
+            loss, grad = self._step(model, x, IntraOnly(stats))
+            loss_k, grad_k = self._step(model, x, IntraOnly(scaled))
+            assert loss_k == scale * loss
+            assert grad_k.tobytes() == (scale * grad).tobytes()
 
 
 class TestDistanceReport:

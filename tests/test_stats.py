@@ -14,6 +14,7 @@ from tta_align.errors import (
     DimensionMismatch,
     FormatVersionMismatch,
     MissingClass,
+    NonFiniteInput,
     NotPositiveDefinite,
     StatsIoError,
     UnknownClass,
@@ -24,7 +25,7 @@ from tta_align.stats import (
     estimate_source_stats,
     fit_source_stats,
     load_stats,
-    regularized_precision,
+    regularized_precisions,
     save_stats,
 )
 
@@ -170,7 +171,7 @@ class TestFitSourceStats:
 class TestRegularization:
     def test_trace_relative_eps(self):
         sigma = np.diag([2.0, 4.0])
-        precision = regularized_precision(sigma, eps_scale=0.5)
+        (precision,) = regularized_precisions(sigma[None], eps_scale=0.5)
         eps = 0.5 * (6.0 / 2.0)  # trace/d scaled
         np.testing.assert_allclose(
             precision, np.diag([1.0 / (2.0 + eps), 1.0 / (4.0 + eps)])
@@ -178,7 +179,7 @@ class TestRegularization:
         assert precision.shape == (2, 2)
 
     def test_zero_trace_fallback(self):
-        precision = regularized_precision(np.zeros((3, 3)), eps_scale=1e-3)
+        (precision,) = regularized_precisions(np.zeros((1, 3, 3)), eps_scale=1e-3)
         np.testing.assert_allclose(precision, np.eye(3) / 1e-3)
         assert np.all(np.linalg.eigvalsh(precision) > 0)
 
@@ -186,13 +187,16 @@ class TestRegularization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite):
-                regularized_precision(1e-310 * np.eye(4), 1e-6)
+                regularized_precisions(1e-310 * np.eye(4)[None], 1e-6)
+            # finite, but its trace overflows, and so does the ridge
+            with pytest.raises(NonFiniteInput):
+                regularized_precisions(np.diag([1e308, 1e308])[None], 1e-6)
 
     def test_psd_input_always_factors(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=4)
         rank_one = np.outer(v, v)  # PSD, singular
-        precision = regularized_precision(rank_one, eps_scale=1e-6)
+        (precision,) = regularized_precisions(rank_one[None], eps_scale=1e-6)
         assert np.all(np.linalg.eigvalsh(precision) > 0)
 
 
