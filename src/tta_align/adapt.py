@@ -13,33 +13,9 @@ import numpy as np
 
 from . import losses, network
 from .config import NO_LOSS_METHODS, TtaConfig
-from .errors import ConfigInvalid, DimensionMismatch, NonFiniteLoss
+from .errors import DimensionMismatch, NonFiniteLoss
 from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
-
-
-def method_loss_spec(method: str, stats: SourceStats | None):
-    if method in NO_LOSS_METHODS:
-        return None
-    if method == "pl":
-        return losses.CrossEntropy()
-    if method == "entropy":
-        return losses.Entropy()
-    if stats is None:
-        raise ConfigInvalid(f"method {method!r} requires source statistics")
-    if method == "global_fa":
-        return losses.GlobalFA(stats)
-    if method == "intra":
-        return losses.IntraOnly(stats)
-    if method == "cafa":
-        return losses.Cafa(stats)
-    raise ConfigInvalid(f"unknown method {method!r}")
-
-
-def method_stat_mode(method: str) -> StatMode:
-    # Source predicts with stored running statistics; every other method
-    # normalizes with current-batch statistics.
-    return StatMode.RUNNING_EVAL if method == "source" else StatMode.BATCH_ONLY
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -130,11 +106,14 @@ def adapt_stream(
 
     Labels travel with batches strictly for metrics (accuracy and the
     distance report); no loss path reads them. Predictions for each batch
-    are recorded before any parameter update driven by that batch.
+    are recorded before any parameter update driven by that batch. A
+    method of `losses.FEATURE_LOSSES` without `stats` is refused
+    (ConfigInvalid) by its first step.
     """
     config.validate()
-    spec = method_loss_spec(config.method, stats)
-    mode = method_stat_mode(config.method)
+    # source predicts with stored running statistics; every other method
+    # normalizes with current-batch statistics
+    mode = StatMode.RUNNING_EVAL if config.method == "source" else StatMode.BATCH_ONLY
     record = RunRecord(config=config)
     adam = AdamState()
     params = model.flat[: model.group_size(config.param_group)]
@@ -142,13 +121,13 @@ def adapt_stream(
     for batch_index, (x, y) in enumerate(batches):
         y = np.asarray(y, dtype=np.int64)
         loss_value = float("nan")
-        if spec is None:
+        if config.method in NO_LOSS_METHODS:
             observed = _observe(network.forward_features(model, x, mode), y, stats)
         for step in range(config.steps_per_batch):  # none for loss-free methods
             # recomputed forward: pseudo-labels track current parameters
             try:
                 step_loss, grad, forward = network.loss_and_grad_named(
-                    model, x, mode, spec, config.param_group
+                    model, x, mode, config.param_group, config.method, stats
                 )
             except NonFiniteLoss as exc:
                 exc.record = record

@@ -36,7 +36,8 @@ class ShiftTransform:
         if self.kind == "mean_shift":
             if self.direction is None or len(self.direction) != input_dim:
                 raise ConfigInvalid("mean_shift needs a direction of input_dim length")
-            if not 0 < np.linalg.norm(self.direction) < np.inf:
+            d = np.asarray(self.direction, dtype=np.float64)
+            if not (np.isfinite(d).all() and (d != 0).any()):
                 raise ConfigInvalid("mean_shift direction must be finite and nonzero")
         if self.kind == "rotation":
             i, j = self.plane
@@ -149,6 +150,9 @@ def apply_shift(
             out += rng.normal(0.0, sigma, size=out.shape)
         elif t.kind == "mean_shift":
             direction = np.asarray(t.direction, dtype=np.float64)
+            # scaled to a largest entry of 1 first, so its norm neither over-
+            # nor underflows
+            direction = direction / np.abs(direction).max()
             direction = direction / np.linalg.norm(direction)
             out += MEAN_SHIFT_SCALE[shift.severity] * std * direction
         elif t.kind == "scaling":

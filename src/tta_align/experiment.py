@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from . import adapt, data, losses, network, stats as stats_mod
+from . import adapt, data, network, stats as stats_mod
 from .adapt import BatchRow, RunRecord, adapt_stream
 from .config import (
     NO_LOSS_METHODS,
@@ -82,10 +82,9 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
             idx = order[start : start + bs]
             xb = dataset.train_x[idx]
             yb = dataset.train_y[idx]
-            spec = losses.CrossEntropy(labels=yb)
             try:
                 _, grad, _ = network.loss_and_grad_named(
-                    model, xb, StatMode.TRAIN_UPDATE, spec, None
+                    model, xb, StatMode.TRAIN_UPDATE, None, "pl", labels=yb
                 )
             except NonFiniteLoss as exc:
                 raise TrainingDiverged(f"pretraining diverged: {exc}") from exc

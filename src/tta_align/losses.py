@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BatchTooSmall,
+    ConfigInvalid,
     DimensionMismatch,
     EmptyInput,
     SingleClass,
@@ -26,37 +27,9 @@ from .network import argmax_rows
 from .stats import SourceStats
 
 RATIO_FLOOR = 1e-12  # clamp for the log-ratio numerator and denominator
-
-
-# -- loss specs ---------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GlobalFA:
-    stats: SourceStats
-
-
-@dataclass(frozen=True, eq=False)
-class IntraOnly:
-    stats: SourceStats
-
-
-@dataclass(frozen=True, eq=False)
-class Cafa:
-    stats: SourceStats
-
-
-@dataclass(frozen=True)
-class Entropy:
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class CrossEntropy:
-    """Cross-entropy against `labels`, or against the argmax pseudo-labels
-    of the logits when None."""
-
-    labels: np.ndarray | None = None
+# the losses that read the features and the source statistics; the others
+# read the logits
+FEATURE_LOSSES = ("global_fa", "intra", "cafa")
 
 
 @dataclass
@@ -85,7 +58,7 @@ def distance_report(
     means are two sums over the C x N class kernel q: the intra form
     q_{y_n}(x_n) of each sample and its inter forms q_c(x_n), c != y_n.
     `quads`, when given, is that kernel already computed on `batch_feats`
-    (the one an IntraOnly or Cafa loss read), and the report reads it.
+    (the one an `intra` or `cafa` loss read), and the report reads it.
     Otherwise the report builds no kernel and takes both sums from the
     moments of each label's rows (`_moment_sums`), equal in exact
     arithmetic.
@@ -167,12 +140,6 @@ def _moment_sums(x: np.ndarray, y: np.ndarray, stats: SourceStats):
 # -- losses -------------------------------------------------------------------
 
 
-def _labels_for(spec, logits: np.ndarray) -> np.ndarray:
-    if isinstance(spec, CrossEntropy) and spec.labels is not None:
-        return np.asarray(spec.labels, dtype=np.int64)
-    return argmax_rows(logits)
-
-
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise UnknownClass(f"labels outside 0..{n_classes - 1}")
@@ -222,15 +189,15 @@ def _global_fa(x: np.ndarray, stats: SourceStats):
     return value, grad
 
 
-def _class_kernel_loss(spec, quads: np.ndarray, pd: np.ndarray, labels: np.ndarray):
-    """IntraOnly: the mean intra form. Cafa: the mean log-ratio of the intra
+def _class_kernel_loss(method: str, quads: np.ndarray, pd: np.ndarray, labels: np.ndarray):
+    """`intra`: the mean intra form. `cafa`: the mean log-ratio of the intra
     form over the summed forms, each clamped at RATIO_FLOOR. Reads the
     kernel `_class_quadratics` returned."""
     _check_labels(labels, quads.shape[0])
     n = quads.shape[1]
     cols = np.arange(n)
     intra = quads[labels, cols]
-    if isinstance(spec, IntraOnly):
+    if method == "intra":
         value = intra.sum() * (1.0 / n)
         w = np.zeros_like(quads)
         w[labels, cols] = 1.0
@@ -281,27 +248,38 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray):
     return value, grad
 
 
-def loss_tensor(spec, feats: np.ndarray, logits: np.ndarray):
-    """The scalar loss of any LossSpec: (value, grad, reads_logits, quads).
+def loss_tensor(
+    method: str,
+    feats: np.ndarray,
+    logits: np.ndarray,
+    stats: SourceStats | None = None,
+    labels=None,
+):
+    """The scalar loss of `method`: (value, grad, reads_logits, quads).
 
-    grad(s) is the gradient w.r.t. what the loss reads, the logits
-    (`reads_logits`: Entropy, CrossEntropy) or the features (GlobalFA,
-    IntraOnly, Cafa). quads is the C x N class kernel an IntraOnly or Cafa
-    loss read, else None. Values take a mean as sum * (1/N), the order the
-    recorded `loss` columns were computed in; tests pin every value bit for
-    bit.
+    `pl` is the cross-entropy against `labels`, or against the argmax
+    pseudo-labels of the logits when None; `intra` and `cafa` read the same
+    labels. The FEATURE_LOSSES read the features and `stats`; `pl` and
+    `entropy` read the logits (`reads_logits`), and grad(s) is the gradient
+    w.r.t. what the loss reads. quads is the C x N class kernel an `intra`
+    or `cafa` loss read, else None. Values take a mean as sum * (1/N), the
+    order the recorded `loss` columns were computed in; tests pin every
+    value bit for bit.
     """
+    if method in FEATURE_LOSSES and stats is None:
+        raise ConfigInvalid(f"method {method!r} requires source statistics")
+    if method in ("pl", "intra", "cafa"):
+        labels = argmax_rows(logits) if labels is None else np.asarray(labels, dtype=np.int64)
     quads = None
-    if isinstance(spec, GlobalFA):
-        value, grad = _global_fa(feats, spec.stats)
-    elif isinstance(spec, (IntraOnly, Cafa)):
-        labels = _labels_for(spec, logits)
-        quads, pd = _class_quadratics(feats, spec.stats)
-        value, grad = _class_kernel_loss(spec, quads, pd, labels)
-    elif isinstance(spec, Entropy):
+    if method == "global_fa":
+        value, grad = _global_fa(feats, stats)
+    elif method in ("intra", "cafa"):
+        quads, pd = _class_quadratics(feats, stats)
+        value, grad = _class_kernel_loss(method, quads, pd, labels)
+    elif method == "entropy":
         value, grad = _entropy(logits)
-    elif isinstance(spec, CrossEntropy):
-        value, grad = _cross_entropy(logits, _labels_for(spec, logits))
+    elif method == "pl":
+        value, grad = _cross_entropy(logits, labels)
     else:
-        raise TypeError(f"unknown loss spec: {spec!r}")
-    return value, grad, not isinstance(spec, (GlobalFA, IntraOnly, Cafa)), quads
+        raise ConfigInvalid(f"method {method!r} has no loss")
+    return value, grad, method not in FEATURE_LOSSES, quads

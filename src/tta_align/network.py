@@ -383,12 +383,15 @@ def loss_and_grad_named(
     model: AdaptiveModel,
     batch,
     mode: StatMode,
-    loss_spec,
     group: ParamGroup | None,
+    method: str,
+    stats=None,
+    labels=None,
 ) -> tuple[float, np.ndarray, Forward]:
-    """Loss value, its gradient over `group`'s prefix of the buffer (None:
-    the whole buffer), and the forward the loss was built on (with the class
-    kernel, if the loss read one).
+    """The value of `method`'s loss (`losses.loss_tensor`, with `stats` and
+    the optional `labels`), its gradient over `group`'s prefix of the buffer
+    (None: the whole buffer), and the forward the loss was built on (with
+    the class kernel, if the loss read one).
 
     A parameter of the group that the loss does not reach gets a zero
     gradient.
@@ -398,7 +401,9 @@ def loss_and_grad_named(
 
     caches: list = []
     forward = _forward(model, _checked(model, batch, mode), mode, caches)
-    value, grad, at_logits, quads = losses.loss_tensor(loss_spec, forward.feats, forward.logits)
+    value, grad, at_logits, quads = losses.loss_tensor(
+        method, forward.feats, forward.logits, stats, labels
+    )
     inv_n = 1.0 / forward.feats.shape[0]
     size = model.group_size(group)
     loss = Tensor(value, lambda: _backward(model, caches, mode, grad(inv_n), at_logits, size))
@@ -455,8 +460,11 @@ def load_checkpoint(path) -> AdaptiveModel:
             shape = arrays[entry["name"]].shape
             if shape != tuple(entry["shape"]):
                 raise ValueError(f"{entry['name']}: shape {shape} vs layout {entry['shape']}")
-        if not all(np.isfinite(a).all() for a in arrays.values()):
-            raise ValueError("non-finite entries")
+        for name, a in arrays.items():  # save_checkpoint writes float64 only
+            if a.dtype != np.float64:
+                raise ValueError(f"{name}: dtype {a.dtype}, not float64")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name}: non-finite entries")
         bn_keys = ("gamma", "beta", "running_mean", "running_var")
         blocks = [
             Block(

@@ -129,27 +129,22 @@ def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-def loss_fn(spec, labels=None):
-    """The loss of `spec` as a function of one forward: (value, grad,
+def loss_fn(method, stats=None, labels=None):
+    """The loss of `method` as a function of one forward: (value, grad,
     reads_logits). `labels`, when given, replace the argmax pseudo-labels of
-    an IntraOnly, Cafa or label-free CrossEntropy loss (the first two through
-    their builder), so that finite differences never flip one."""
-    if labels is not None and isinstance(spec, losses.CrossEntropy) and spec.labels is None:
-        spec = losses.CrossEntropy(labels)
+    a `pl`, `intra` or `cafa` loss, so that finite differences never flip
+    one."""
 
     def fn(forward):
-        if labels is not None and isinstance(spec, (losses.IntraOnly, losses.Cafa)):
-            quads, pd = losses._class_quadratics(forward.feats, spec.stats)
-            return (*losses._class_kernel_loss(spec, quads, pd, labels), False)
-        return losses.loss_tensor(spec, forward.feats, forward.logits)[:3]
+        return losses.loss_tensor(method, forward.feats, forward.logits, stats, labels)[:3]
 
     return fn
 
 
-def loss_grad(spec, x: np.ndarray, labels=None) -> tuple[float, np.ndarray]:
+def loss_grad(method, x: np.ndarray, stats=None, labels=None) -> tuple[float, np.ndarray]:
     """A loss over `x` and its gradient w.r.t. `x`: `x` stands for the
-    features (GlobalFA, IntraOnly, Cafa) or the logits (the others)."""
-    value, grad, _ = loss_fn(spec, labels)(network.Forward(x, x))
+    features (`losses.FEATURE_LOSSES`) or the logits (the others)."""
+    value, grad, _ = loss_fn(method, stats, labels)(network.Forward(x, x))
     return float(value), grad(1.0 / x.shape[0])
 
 

@@ -65,16 +65,16 @@ def test_criterion_1_gradient_correctness(capsys):
         x = rng.normal(size=(16, 6))
         logits = network.forward_features(model, x, StatMode.BATCH_ONLY).logits
         frozen = network.argmax_rows(logits)
-        specs = [
-            losses.GlobalFA(stats),
-            losses.IntraOnly(stats),
-            losses.Cafa(stats),
-            losses.Entropy(),
-            losses.CrossEntropy(labels=frozen),  # pseudo-label CE
-            losses.CrossEntropy(labels=rng.integers(0, 4, size=16)),
+        cases = [  # (method, labels)
+            ("global_fa", None),
+            ("intra", frozen),
+            ("cafa", frozen),
+            ("entropy", None),
+            ("pl", frozen),  # pseudo-label CE
+            ("pl", rng.integers(0, 4, size=16)),
         ]
-        for spec in specs:
-            fn = loss_fn(spec, frozen)
+        for method, labels in cases:
+            fn = loss_fn(method, stats, labels)
             _, analytic = chain_grad(model, x, StatMode.BATCH_ONLY, fn, ParamGroup.BN_ONLY)
             fd = fd_grad(model, x, StatMode.BATCH_ONLY, fn, ParamGroup.BN_ONLY)
             worst = max(worst, max_rel_error(analytic, fd))
@@ -175,7 +175,7 @@ def test_criterion_4_degeneracy(capsys):
     stats = random_stats(rng, 1, 4)
     logits = np.zeros((8, 1))  # one class: every pseudo-label is 0
     zeros = all(
-        losses.loss_tensor(losses.Cafa(stats), rng.normal(size=(8, 4)), logits)[0] == 0.0
+        losses.loss_tensor("cafa", rng.normal(size=(8, 4)), logits, stats)[0] == 0.0
         for _ in range(5)
     )
     try:
@@ -193,7 +193,7 @@ def test_criterion_4_degeneracy(capsys):
 
 def test_criterion_5_end_to_end_direction(capsys):
     """Default experiment, severity-5 noise, 60 batches, 3 seeds: CAFA beats
-    Source by >= 5 points, matches GlobalFA, and moves the distances the
+    Source by >= 5 points, matches global_fa, and moves the distances the
     right way."""
     start = time.perf_counter()
     fq = {"source": [], "global_fa": [], "cafa": []}

@@ -4,7 +4,12 @@ import pytest
 from helpers import model_state, named, random_stats, small_model, states_equal
 from tta_align import data, losses, network
 from tta_align.adapt import AdamState, TtaConfig, adam_step, adapt_stream
-from tta_align.config import ExperimentConfig, tta_config_from_dict
+from tta_align.config import (
+    METHODS,
+    NO_LOSS_METHODS,
+    ExperimentConfig,
+    tta_config_from_dict,
+)
 from tta_align.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -135,6 +140,32 @@ class TestTtaConfig:
         # the loop draws no random numbers, so a seed would select nothing
         with pytest.raises(ConfigInvalid):
             tta_config_from_dict({"method": "cafa", "seed": 0})
+
+
+    @pytest.mark.parametrize("method", [*METHODS, "tent"])
+    def test_method_name_selects_the_loss(self, method):
+        # the config's method names are the only loss vocabulary: every
+        # optimizing method has a loss, a loss-free or unknown name has none,
+        # and a loss that reads the source statistics refuses to run without
+        assert set(losses.FEATURE_LOSSES) <= set(METHODS)
+        rng = np.random.default_rng(12)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        batches = make_batches(rng, n_batches=2)
+        feats, logits, _ = network.forward_features(model, batches[0][0], StatMode.BATCH_ONLY)
+        if method not in METHODS or method in NO_LOSS_METHODS:
+            with pytest.raises(ConfigInvalid, match="has no loss"):
+                losses.loss_tensor(method, feats, logits, stats)
+            return
+        assert np.isfinite(losses.loss_tensor(method, feats, logits, stats)[0])
+        cfg = TtaConfig(method=method, batch_size=16)
+        if method in losses.FEATURE_LOSSES:
+            with pytest.raises(ConfigInvalid, match="requires source statistics"):
+                adapt_stream(model, None, batches, cfg)
+        else:
+            _, record = adapt_stream(model, None, batches, cfg)
+            for r in record.rows:
+                assert np.isfinite(r.loss) and np.isnan([r.mean_intra, r.mean_inter]).all()
 
 
 class TestBaselineRuns:

@@ -16,14 +16,7 @@ from helpers import (
 )
 from tta_align import losses, network
 from tta_align.autograd import Tensor
-from tta_align.losses import (
-    RATIO_FLOOR,
-    Cafa,
-    CrossEntropy,
-    Entropy,
-    GlobalFA,
-    IntraOnly,
-)
+from tta_align.losses import RATIO_FLOOR
 from tta_align.network import ParamGroup, StatMode
 
 
@@ -86,7 +79,7 @@ class TestForwardValues:
 
         monkeypatch.setattr(Tensor, "__init__", spy)
         value, grad, _ = network.loss_and_grad_named(
-            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, Entropy(), ParamGroup.BN_ONLY
+            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy"
         )
         assert len(handles) == 1
         assert handles[0].data.shape == () and float(handles[0].data) == value
@@ -108,13 +101,13 @@ class TestGradients:
         check_cube_grad(5, True, None, name="classifier.bias")
 
     def test_broadcast_keepdims(self):
-        # GlobalFA centers on the broadcast batch mean. Shifting every row
+        # global_fa centers on the broadcast batch mean. Shifting every row
         # moves the mean only, so the gradient's rows sum to the mean gap's
         # gradient 2 (mu_t - mu_s)
         rng = np.random.default_rng(6)
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=(9, 4))
-        _, g = loss_grad(GlobalFA(stats), x)
+        _, g = loss_grad("global_fa", x, stats)
         np.testing.assert_allclose(
             g.sum(axis=0), 2.0 * (x.mean(axis=0) - stats.global_mu), rtol=1e-9, atol=1e-12
         )
@@ -127,16 +120,9 @@ class TestGradients:
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 4, size=8)
         x2, y2 = np.concatenate([x, x]), np.concatenate([y, y])
-        for make in (
-            lambda y: GlobalFA(stats),
-            lambda y: IntraOnly(stats),
-            lambda y: Cafa(stats),
-            lambda y: Entropy(),
-            lambda y: CrossEntropy(),
-            CrossEntropy,
-        ):
-            v1, g1 = loss_grad(make(y), x, y)
-            v2, g2 = loss_grad(make(y2), x2, y2)
+        for method in ("global_fa", "intra", "cafa", "entropy", "pl"):
+            v1, g1 = loss_grad(method, x, stats, y)
+            v2, g2 = loss_grad(method, x2, stats, y2)
             assert v2 == pytest.approx(v1, rel=1e-12)
             np.testing.assert_allclose(g2, 0.5 * np.concatenate([g1, g1]), rtol=1e-9, atol=1e-14)
 
@@ -146,10 +132,10 @@ class TestGradients:
         # has zero entropy and zero entropy gradient, and the cross-entropy
         # gradient is softmax - one-hot over N
         z = np.array([[1000.0, 0.0, -1000.0], [-800.0, 800.0, 0.0]])
-        value, g = loss_grad(CrossEntropy(labels=np.array([1, 1])), z)
+        value, g = loss_grad("pl", z, labels=np.array([1, 1]))
         assert value == 500.0
         assert np.array_equal(g, [[0.5, -0.5, 0.0], [0.0, 0.0, 0.0]])
-        value, g = loss_grad(Entropy(), z)
+        value, g = loss_grad("entropy", z)
         assert value == 0.0
         assert np.array_equal(g, np.zeros_like(z))
 
@@ -163,7 +149,7 @@ class TestGradients:
         x = rng.normal(size=(5, 4))
         x[0] = stats.class_mus[0] + 1e-8 * rng.normal(size=4)
         labels = np.array([0, 1, 2, 0, 1])
-        _, g = loss_grad(Cafa(stats), x, labels)
+        _, g = loss_grad("cafa", x, stats, labels)
         quads, pd = losses._class_quadratics(x, stats)
         assert quads[0, 0] < RATIO_FLOOR
         denom_only = -2.0 * pd[:, 0].sum(axis=0) / (5 * quads[:, 0].sum())
@@ -199,8 +185,8 @@ class TestGradients:
         x_before, before = x.copy(), model_state(model)
         for mode in (StatMode.BATCH_ONLY, StatMode.RUNNING_EVAL):
             for group in (ParamGroup.BN_ONLY, ParamGroup.FEATURE_FULL, None):
-                network.loss_and_grad_named(model, x, mode, Cafa(stats), group)
-                network.loss_and_grad_named(model, x, mode, CrossEntropy(), group)
+                network.loss_and_grad_named(model, x, mode, group, "cafa", stats)
+                network.loss_and_grad_named(model, x, mode, group, "pl")
         assert np.array_equal(x, x_before)
         assert states_equal(before, model_state(model))
 
@@ -249,7 +235,7 @@ class TestStepCaches:
         x = rng.normal(size=(8, 6))
         for group in (ParamGroup.BN_ONLY, ParamGroup.FEATURE_FULL, None):
             _, grad, _ = network.loss_and_grad_named(
-                model, x, StatMode.BATCH_ONLY, CrossEntropy(), group
+                model, x, StatMode.BATCH_ONLY, group, "pl"
             )
             assert grad.shape == (model.group_size(group),)
 

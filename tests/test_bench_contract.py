@@ -64,9 +64,11 @@ def test_loss_free_stream_records_no_backward():
 
 
 def test_forward_features_span_covers_every_row_block():
-    # `network.forward_features.ms_per_call` times one loss-free batch or one
-    # source-statistics fit: the row blocks of a running-statistics forward
-    # stay inside that one call
+    # the row blocks of a running-statistics forward stay inside one
+    # `network.forward_features` call: one per loss-free batch, which
+    # `harness.layer_metrics` reads as `network.forward_features.ms_per_call`
+    # from the stream tracer, and one per source-statistics fit, which no
+    # metric reads (only this last assertion and the raw trace file see it)
     cfg = ExperimentConfig.default(seed=0)
     cfg.pretrain.epochs = 1
     source = data.generate_dataset(cfg.synthetic, shift=None)

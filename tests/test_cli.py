@@ -302,7 +302,17 @@ class TestAdaptCommand:
         assert not (tmp_path / "adapt").exists()
 
     @pytest.mark.parametrize(
-        "damage", ["missing_key", "wrong_shape", "garbage_bytes", "nan_weight"]
+        "damage",
+        [
+            "missing_key",
+            "wrong_shape",
+            "garbage_bytes",
+            "nan_weight",
+            "complex_running_mean",
+            "complex_gamma",
+            "bool_running_mean",
+            "float32_weight",
+        ],
     )
     def test_malformed_checkpoint_is_io_error(self, pretrained, capsys, damage):
         config, out = pretrained
@@ -315,6 +325,17 @@ class TestAdaptCommand:
             arrays["classifier.weight"] = arrays["classifier.weight"][:, :-1]
         elif damage == "nan_weight":  # loads with a consistent layout
             arrays["block0.dense.weight"][0, 0] = np.nan
+        # entries of a dtype no writer produces; loaded, a complex running
+        # mean breaks the forward with a traceback, a complex gamma loses its
+        # imaginary part, a bool running mean reads as 0/1 and float32 widens
+        elif damage == "complex_running_mean":
+            arrays["block0.bn.running_mean"] = arrays["block0.bn.running_mean"].astype(complex)
+        elif damage == "complex_gamma":
+            arrays["block0.bn.gamma"] = arrays["block0.bn.gamma"] + 1j
+        elif damage == "bool_running_mean":
+            arrays["block0.bn.running_mean"] = arrays["block0.bn.running_mean"] > 0
+        elif damage == "float32_weight":
+            arrays["block0.dense.weight"] = arrays["block0.dense.weight"].astype(np.float32)
         np.savez(path, **arrays)
         if damage == "garbage_bytes":  # not an archive at all
             path.write_bytes(b"\x00garbage" * 16)

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import exact_precision, traced_peak_mb
+from tta_align.config import ExperimentConfig
 from tta_align.data import (
     MEAN_SHIFT_SCALE,
     NOISE_SIGMA_SCALE,
@@ -120,6 +123,23 @@ class TestGenerateDataset:
         expected = MEAN_SHIFT_SCALE[severity] * spec.mean_class_std() * direction
         observed = shifted.target_x.mean(axis=0) - clean.target_x.mean(axis=0)
         np.testing.assert_allclose(observed, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-200])
+    def test_mean_shift_direction_norm_may_over_or_underflow(self, scale):
+        # the direction is taken as a unit vector: one whose norm would over-
+        # or underflow is accepted with no warning and shifts the stream
+        # exactly as the direction [1, 0, ...] does
+        def target(first):
+            doc = ExperimentConfig.default().to_dict()
+            doc["synthetic"].update(n_train_per_class=30, n_test_per_class=30)
+            direction = [first] + [0.0] * 7
+            doc["shift"]["transforms"] = [{"kind": "mean_shift", "direction": direction}]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cfg = ExperimentConfig.from_dict(doc)
+                return generate_dataset(cfg.synthetic, cfg.shift).target_x
+
+        assert target(scale).tobytes() == target(1.0).tobytes()
 
     def test_scaling_multiplies(self):
         spec = SyntheticSpec(n_train_per_class=20, n_test_per_class=20, seed=5)

@@ -25,34 +25,24 @@ from tta_align.errors import (
     SingleClass,
     UnknownClass,
 )
-from tta_align.losses import (
-    RATIO_FLOOR,
-    Cafa,
-    CrossEntropy,
-    Entropy,
-    GlobalFA,
-    IntraOnly,
-    distance_report,
-    loss_tensor,
-    mahalanobis,
-)
+from tta_align.losses import RATIO_FLOOR, distance_report, loss_tensor, mahalanobis
 from tta_align.network import ParamGroup, StatMode
 from tta_align.stats import CovarianceMode, fit_source_stats
 
-SPECS = {  # name -> spec from (stats, labels)
-    "global_fa": lambda stats, y: GlobalFA(stats),
-    "intra": lambda stats, y: IntraOnly(stats),
-    "cafa": lambda stats, y: Cafa(stats),
-    "entropy": lambda stats, y: Entropy(),
-    "pseudo_label": lambda stats, y: CrossEntropy(),
-    "supervised": lambda stats, y: CrossEntropy(y),
+LOSSES = {  # name -> (method, whether the batch labels replace the pseudo-labels)
+    "global_fa": ("global_fa", False),
+    "intra": ("intra", False),
+    "cafa": ("cafa", False),
+    "entropy": ("entropy", False),
+    "pseudo_label": ("pl", False),
+    "supervised": ("pl", True),
 }
 
 
-def loss_value(spec, feats=None, logits=None, labels=None) -> float:
-    """A loss as a plain number, built by `loss_tensor` or, for labels in
-    place of the pseudo-labels, by the loss builder itself."""
-    return float(loss_fn(spec, labels)(network.Forward(feats, logits))[0])
+def loss_value(method, stats=None, feats=None, logits=None, labels=None) -> float:
+    """A loss as a plain number, built by `loss_tensor` (`labels`, when
+    given, in place of the pseudo-labels)."""
+    return float(loss_fn(method, stats, labels)(network.Forward(feats, logits))[0])
 
 
 def class_quadratics(batch, stats) -> np.ndarray:
@@ -231,7 +221,7 @@ class TestClassKernel:
         built = []
         monkeypatch.setattr(autograd.Tensor, "__init__", lambda *a: built.append(a))
         logits = np.eye(4)[np.arange(7) % 4]
-        value, grad, reads_logits, quads = loss_tensor(Cafa(stats), x, logits)
+        value, grad, reads_logits, quads = loss_tensor("cafa", x, logits, stats)
         assert not built
         assert isinstance(value, float) and not reads_logits
         assert np.array_equal(quads, class_quadratics(x, stats))
@@ -246,7 +236,7 @@ class TestGlobalFaLoss:
             global_mu=np.zeros(1),
             global_sigma=np.ones((1, 1)),
         )
-        value = loss_value(GlobalFA(stats), np.array([[-1.0], [1.0]]))
+        value = loss_value("global_fa", stats, np.array([[-1.0], [1.0]]))
         assert value == pytest.approx(0.0)
 
     def test_naive_oracle(self):
@@ -260,13 +250,13 @@ class TestGlobalFaLoss:
             np.sum((stats.global_mu - mu_t) ** 2)
             + np.sum((stats.global_sigma - sigma_t) ** 2)
         )
-        assert loss_value(GlobalFA(stats), batch) == pytest.approx(ref, rel=1e-12)
+        assert loss_value("global_fa", stats, batch) == pytest.approx(ref, rel=1e-12)
 
     def test_batch_too_small(self):
         rng = np.random.default_rng(10)
         stats = random_stats(rng, 2, 3)
         with pytest.raises(BatchTooSmall):
-            loss_value(GlobalFA(stats), np.zeros((1, 3)))
+            loss_value("global_fa", stats, np.zeros((1, 3)))
 
 
 class TestIntraLoss:
@@ -274,14 +264,14 @@ class TestIntraLoss:
         rng = np.random.default_rng(11)
         stats = random_stats(rng, 3, 4)
         batch = stats.class_mus[[0, 1, 2, 1]]
-        value = loss_value(IntraOnly(stats), batch, labels=np.array([0, 1, 2, 1]))
+        value = loss_value("intra", stats, batch, labels=np.array([0, 1, 2, 1]))
         assert value == pytest.approx(0.0)
 
     def test_single_sample(self):
         rng = np.random.default_rng(12)
         stats = random_stats(rng, 3, 4)
         x = rng.normal(size=4)
-        value = loss_value(IntraOnly(stats), x[None, :], labels=np.array([2]))
+        value = loss_value("intra", stats, x[None, :], labels=np.array([2]))
         assert value == pytest.approx(form(x, stats, 2), rel=1e-12)
 
     def test_brute_force(self):
@@ -290,14 +280,14 @@ class TestIntraLoss:
         batch = rng.normal(size=(8, 4))
         labels = rng.integers(0, 3, size=8)
         ref = np.mean([form(x, stats, c) for x, c in zip(batch, labels)])
-        value = loss_value(IntraOnly(stats), batch, labels=labels)
+        value = loss_value("intra", stats, batch, labels=labels)
         assert value == pytest.approx(ref, rel=1e-12)
 
     def test_unknown_label(self):
         rng = np.random.default_rng(14)
         stats = random_stats(rng, 3, 4)
         with pytest.raises(UnknownClass):
-            loss_value(IntraOnly(stats), np.zeros((2, 4)), labels=np.array([0, 5]))
+            loss_value("intra", stats, np.zeros((2, 4)), labels=np.array([0, 5]))
 
 
 class TestCafaLoss:
@@ -305,7 +295,7 @@ class TestCafaLoss:
         rng = np.random.default_rng(15)
         stats = random_stats(rng, 1, 4)
         batch = rng.normal(size=(8, 4))
-        assert loss_value(Cafa(stats), batch, labels=np.zeros(8, dtype=int)) == 0.0
+        assert loss_value("cafa", stats, batch, labels=np.zeros(8, dtype=int)) == 0.0
 
     def test_clamp_at_class_mean(self):
         # sample exactly at its class mean: numerator clamps at the floor
@@ -314,7 +304,7 @@ class TestCafaLoss:
         x = stats.class_mus[0]
         v = form(x, stats, 1)
         expected = np.log(RATIO_FLOOR) - np.log(v)  # denominator = 0 + v
-        got = loss_value(Cafa(stats), x[None, :], labels=np.array([0]))
+        got = loss_value("cafa", stats, x[None, :], labels=np.array([0]))
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_brute_force(self):
@@ -329,7 +319,7 @@ class TestCafaLoss:
                 sum(form(x, stats, c) for c in range(3)), RATIO_FLOOR
             )
             terms.append(np.log(num / den))
-        assert loss_value(Cafa(stats), batch, labels=labels) == pytest.approx(
+        assert loss_value("cafa", stats, batch, labels=labels) == pytest.approx(
             float(np.mean(terms)), rel=1e-10
         )
 
@@ -340,16 +330,16 @@ class TestCafaLoss:
             x = rng.normal(size=(1, 4))
             label = rng.integers(0, 3, size=1)
             if form(x[0], stats, int(label[0])) > 0:
-                assert loss_value(Cafa(stats), x, labels=label) < 0.0
+                assert loss_value("cafa", stats, x, labels=label) < 0.0
 
 
 class TestBaselineLosses:
     def test_entropy_point_mass(self):
         logits = np.array([[1e6, 0.0, 0.0]])
-        assert loss_value(Entropy(), logits=logits) == pytest.approx(0.0, abs=1e-9)
+        assert loss_value("entropy", logits=logits) == pytest.approx(0.0, abs=1e-9)
 
     def test_entropy_uniform(self):
-        value = loss_value(Entropy(), logits=np.zeros((3, 4)))
+        value = loss_value("entropy", logits=np.zeros((3, 4)))
         assert value == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_entropy_direct_formula(self):
@@ -357,16 +347,16 @@ class TestBaselineLosses:
         logits = rng.normal(size=(10, 5)) * 2.0
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         ref = float(np.mean(-(p * np.log(p)).sum(axis=1)))
-        assert loss_value(Entropy(), logits=logits) == pytest.approx(ref, rel=1e-10)
+        assert loss_value("entropy", logits=logits) == pytest.approx(ref, rel=1e-10)
 
     def test_pseudo_label_one_hot(self):
         logits = np.array([[50.0, 0.0], [0.0, 50.0]])
-        value = loss_value(CrossEntropy(np.array([0, 1])), logits=logits)
+        value = loss_value("pl", logits=logits, labels=np.array([0, 1]))
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_pseudo_label_uniform(self):
         labels = np.array([0, 1, 3])
-        got = loss_value(CrossEntropy(labels), logits=np.zeros((3, 4)))
+        got = loss_value("pl", logits=np.zeros((3, 4)), labels=labels)
         assert got == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_pseudo_label_direct_formula(self):
@@ -375,38 +365,36 @@ class TestBaselineLosses:
         labels = rng.integers(0, 4, size=10)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         ref = float(np.mean(-np.log(p[np.arange(10), labels])))
-        value = loss_value(CrossEntropy(labels), logits=logits)
+        value = loss_value("pl", logits=logits, labels=labels)
         assert value == pytest.approx(ref, rel=1e-10)
 
     def test_pseudo_label_unknown_class(self):
         with pytest.raises(UnknownClass):
-            loss_value(
-                CrossEntropy(np.array([0, 3])), logits=np.zeros((2, 3))
-            )
+            loss_value("pl", logits=np.zeros((2, 3)), labels=np.array([0, 3]))
 
 
-def generic_order_loss(spec, feats, logits, labels):
+def generic_order_loss(method, stats, feats, logits, labels):
     """A loss in the operation order of a generic op-by-op tape: a - b as
     a + (-b), a mean as sum * (1/n), a label's entry as a one-hot product
     sum. `loss_tensor` must give these values bit for bit."""
-    if isinstance(spec, GlobalFA):
+    if method == "global_fa":
         inv_n = 1.0 / feats.shape[0]
         mu = feats.sum(axis=0) * inv_n
         centered = feats + (-mu)
         sigma = (centered.T @ centered) * inv_n
-        mean_gap = ((spec.stats.global_mu + (-mu)) ** 2).sum()
-        return mean_gap + ((spec.stats.global_sigma + (-sigma)) ** 2).sum()
-    if isinstance(spec, (IntraOnly, Cafa)):
-        quads = class_quadratics(feats, spec.stats)
+        mean_gap = ((stats.global_mu + (-mu)) ** 2).sum()
+        return mean_gap + ((stats.global_sigma + (-sigma)) ** 2).sum()
+    if method in ("intra", "cafa"):
+        quads = class_quadratics(feats, stats)
         intra = (quads * np.eye(quads.shape[0])[labels].T).sum(axis=0)
-        if isinstance(spec, IntraOnly):
+        if method == "intra":
             return intra.sum() * (1.0 / intra.size)
         floored = np.maximum(quads.sum(axis=0), RATIO_FLOOR)
         terms = np.log(np.maximum(intra, RATIO_FLOOR)) + (-np.log(floored))
         return terms.sum() * (1.0 / terms.size)
     shift = logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(logits + (-shift)).sum(axis=1, keepdims=True)) + shift
-    if isinstance(spec, Entropy):
+    if method == "entropy":
         neg_logp = lse + (-logits)
         h = (np.exp(-neg_logp) * neg_logp).sum(axis=1)
         return h.sum() * (1.0 / h.size)
@@ -418,15 +406,15 @@ def generic_order_loss(spec, feats, logits, labels):
 class TestLossGradients:
     """Each loss's closed-form gradient w.r.t. the input it reads."""
 
-    @pytest.mark.parametrize("name", SPECS)
+    @pytest.mark.parametrize("name", LOSSES)
     def test_matches_central_differences(self, name):
         rng = np.random.default_rng(40)
         stats = random_stats(rng, 4, 4)  # 4 classes: labels index logits too
         x = 1.5 * rng.normal(size=(6, 4))
         y = rng.integers(0, 4, size=6)
-        spec = SPECS[name](stats, y)
-        _, g = loss_grad(spec, x, y)
-        fd = numeric_grad(lambda a: loss_grad(spec, a, y)[0], x.copy())
+        method, _ = LOSSES[name]
+        _, g = loss_grad(method, x, stats, y)
+        fd = numeric_grad(lambda a: loss_grad(method, a, stats, y)[0], x.copy())
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
 
     def test_cafa_floored_term_has_zero_gradient(self):
@@ -439,8 +427,8 @@ class TestLossGradients:
         x[2] = stats.class_mus[1] + 1e-9 * rng.normal(size=4)
         y = np.array([0, 2, 1, 1, 0])
         assert class_quadratics(x, stats)[1, 2] < RATIO_FLOOR
-        _, g = loss_grad(Cafa(stats), x, y)
-        fd = numeric_grad(lambda a: loss_grad(Cafa(stats), a, y)[0], x.copy(), h=1e-7)
+        _, g = loss_grad("cafa", x, stats, y)
+        fd = numeric_grad(lambda a: loss_grad("cafa", a, stats, y)[0], x.copy(), h=1e-7)
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6)
 
     def test_values_keep_the_generic_order_bit_for_bit(self):
@@ -453,16 +441,14 @@ class TestLossGradients:
             y = rng.integers(0, 3, size=12)
             for mode in StatMode:
                 for group in ParamGroup:
-                    for make in SPECS.values():
-                        spec = make(stats, y)
+                    for method, supervised in LOSSES.values():
+                        given = y if supervised else None
                         m = model.copy()
                         loss, _, (feats, logits, _) = network.loss_and_grad_named(
-                            m, x, mode, spec, group
+                            m, x, mode, group, method, stats, given
                         )
-                        labels = logits.argmax(axis=1)
-                        if isinstance(spec, CrossEntropy) and spec.labels is not None:
-                            labels = y
-                        ref = generic_order_loss(spec, feats, logits, labels)
+                        labels = y if supervised else logits.argmax(axis=1)
+                        ref = generic_order_loss(method, stats, feats, logits, labels)
                         assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
 
 
@@ -472,9 +458,9 @@ class TestPrecisionScale:
     would, were they exact powers of two) cancels in the log-ratio."""
 
     @staticmethod
-    def _step(model, x, spec):
+    def _step(model, x, method, stats):
         loss, grad, _ = network.loss_and_grad_named(
-            model.copy(), x, StatMode.BATCH_ONLY, spec, ParamGroup.BN_ONLY
+            model.copy(), x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, method, stats
         )
         return loss, grad
 
@@ -489,15 +475,15 @@ class TestPrecisionScale:
                 stats, class_precisions=stats.class_precisions * scale
             )
             x = rng.normal(size=(32, 6))
-            loss, grad = self._step(model, x, Cafa(stats))
-            loss_k, grad_k = self._step(model, x, Cafa(scaled))
+            loss, grad = self._step(model, x, "cafa", stats)
+            loss_k, grad_k = self._step(model, x, "cafa", scaled)
             # log(2^k a) = k log 2 + log a on both sides of the ratio: the
             # value moves by rounding only, and the weights 1/intra - 1/denom
             # scale by 2^-k exactly, against 2^k in P (x - mu)
             assert grad_k.tobytes() == grad.tobytes()
             assert abs(loss_k - loss) <= 2 * np.spacing(abs(loss))
-            loss, grad = self._step(model, x, IntraOnly(stats))
-            loss_k, grad_k = self._step(model, x, IntraOnly(scaled))
+            loss, grad = self._step(model, x, "intra", stats)
+            loss_k, grad_k = self._step(model, x, "intra", scaled)
             assert loss_k == scale * loss
             assert grad_k.tobytes() == (scale * grad).tobytes()
 
@@ -553,7 +539,7 @@ class TestDistanceReport:
         with pytest.raises(DimensionMismatch):
             distance_report(np.zeros((3, 5)), np.arange(3), stats)
         with pytest.raises(DimensionMismatch):
-            loss_value(Cafa(stats), np.zeros((3, 5)), labels=np.arange(3))
+            loss_value("cafa", stats, np.zeros((3, 5)), labels=np.arange(3))
 
     def test_given_kernel(self):
         # a kernel handed in is read as an explicit gather reads it; the
@@ -652,7 +638,7 @@ def test_moment_report_matches_per_vector_oracle(seed, c, d, n, present, tied, l
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), c=st.integers(2, 5))
 def test_entropy_bounds_property(seed, n, c):
     rng = np.random.default_rng(seed)
-    value = loss_value(Entropy(), logits=rng.normal(size=(n, c)) * 3.0)
+    value = loss_value("entropy", logits=rng.normal(size=(n, c)) * 3.0)
     assert -1e-12 <= value <= np.log(c) + 1e-12
 
 
@@ -664,5 +650,5 @@ def test_intra_mean_identity_property(seed, n):
     batch = rng.normal(size=(n, 3))
     labels = rng.integers(0, 3, size=n)
     ref = np.mean([form(x, stats, k) for x, k in zip(batch, labels)])
-    value = loss_value(IntraOnly(stats), batch, labels=labels)
+    value = loss_value("intra", stats, batch, labels=labels)
     assert value == pytest.approx(float(ref), rel=1e-10)

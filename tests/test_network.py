@@ -406,9 +406,8 @@ class TestGradients:
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
-        spec = losses.Cafa(stats)
         _, g_bn, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, spec, ParamGroup.BN_ONLY
+            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "cafa", stats
         )
         assert set(named(model, g_bn)) == {
             "block0.bn.gamma",
@@ -417,7 +416,7 @@ class TestGradients:
             "block1.bn.beta",
         }
         _, g_full, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, spec, ParamGroup.FEATURE_FULL
+            model, x, StatMode.BATCH_ONLY, ParamGroup.FEATURE_FULL, "cafa", stats
         )
         assert set(named(model, g_bn)) < set(named(model, g_full))
         assert not any(name.startswith("classifier") for name in named(model, g_full))
@@ -431,12 +430,12 @@ class TestGradients:
         x = rng.normal(size=(8, 6))
         n_bn = 2 * sum(blk.bn.gamma.size for blk in model.blocks)
         for mode in StatMode:
-            for spec in (losses.Cafa(stats), losses.GlobalFA(stats), losses.CrossEntropy()):
+            for method in ("cafa", "global_fa", "pl"):
                 _, g_bn, _ = network.loss_and_grad_named(
-                    model.copy(), x, mode, spec, ParamGroup.BN_ONLY
+                    model.copy(), x, mode, ParamGroup.BN_ONLY, method, stats
                 )
                 _, g_full, _ = network.loss_and_grad_named(
-                    model.copy(), x, mode, spec, ParamGroup.FEATURE_FULL
+                    model.copy(), x, mode, ParamGroup.FEATURE_FULL, method, stats
                 )
                 assert g_bn.size == n_bn
                 assert g_bn.tobytes() == g_full[:n_bn].tobytes()
@@ -458,8 +457,9 @@ class TestGradients:
         gc.disable()
         try:
             x = rng.normal(size=(8, 6))
-            spec = losses.Cafa(stats)
-            network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, ParamGroup.BN_ONLY)
+            network.loss_and_grad_named(
+                model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "cafa", stats
+            )
             alive = sum(ref() is not None for ref in refs)
         finally:
             gc.enable()
@@ -484,9 +484,7 @@ class TestGradients:
         network.predict(model, x, StatMode.RUNNING_EVAL)
         assert handed == [None] * 4
         handed.clear()
-        network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, losses.Entropy(), ParamGroup.BN_ONLY
-        )
+        network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy")
         assert len(handed) == 2 and handed[0] is handed[1] and len(handed[0]) == 2
 
     def test_relu_mask_keeps_signed_zeros(self):
@@ -521,7 +519,7 @@ class TestGradients:
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         _, grad, _ = network.loss_and_grad_named(
-            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, losses.GlobalFA(stats), None
+            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, None, "global_fa", stats
         )
         grads = named(model, grad)
         assert set(grads) == set(model.named_parameters())
@@ -534,21 +532,21 @@ class TestGradients:
         model = small_model(rng)
         x = rng.normal(size=(8, 6))
         _, _, forward = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, losses.Entropy(), ParamGroup.BN_ONLY
+            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy"
         )
         plain = network.forward_features(model, x, StatMode.BATCH_ONLY)
         assert np.array_equal(forward.feats, plain.feats)
         assert np.array_equal(forward.logits, plain.logits)
         assert forward.quads is None and plain.quads is None  # entropy reads no kernel
 
-    @pytest.mark.parametrize("spec_type", [losses.IntraOnly, losses.Cafa])
-    def test_returns_the_class_kernel_its_loss_read(self, spec_type):
+    @pytest.mark.parametrize("method", ["intra", "cafa"])
+    def test_returns_the_class_kernel_its_loss_read(self, method):
         rng = np.random.default_rng(28)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
         _, _, forward = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, spec_type(stats), ParamGroup.BN_ONLY
+            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, method, stats
         )
         quads, _ = losses._class_quadratics(forward.feats, stats)
         assert np.array_equal(forward.quads, quads)
@@ -562,8 +560,9 @@ class TestGradients:
             model,
             rng.normal(size=(8, 6)),
             StatMode.BATCH_ONLY,
-            losses.Cafa(stats),
             ParamGroup.FEATURE_FULL,
+            "cafa",
+            stats,
         )
         assert np.array_equal(grad, np.zeros_like(grad))
 
@@ -573,7 +572,7 @@ class TestGradients:
         model = small_model(rng, n_classes=1)
         x = rng.normal(size=(6, 6))
         value, grad, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, losses.Entropy(), ParamGroup.BN_ONLY
+            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy"
         )
         assert value == 0.0
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
@@ -583,21 +582,23 @@ class TestGradients:
         model = small_model(rng)
         x = rng.normal(size=(12, 6))
         y = rng.integers(0, 3, size=12)
-        spec = losses.CrossEntropy(labels=y)
         group = ParamGroup.FEATURE_FULL
-        _, analytic, _ = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, group)
-        fd = fd_grad(model, x, StatMode.BATCH_ONLY, loss_fn(spec), group)
+        _, analytic, _ = network.loss_and_grad_named(
+            model, x, StatMode.BATCH_ONLY, group, "pl", labels=y
+        )
+        fd = fd_grad(model, x, StatMode.BATCH_ONLY, loss_fn("pl", labels=y), group)
         assert max_rel_error(analytic, fd) < 1e-4
 
     def test_fd_global_fa_bn_group(self):
         rng = np.random.default_rng(19)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
-        spec = losses.GlobalFA(stats)
         group = ParamGroup.BN_ONLY
         x = rng.normal(size=(10, 6))
-        _, analytic, _ = network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, spec, group)
-        fd = fd_grad(model, x, StatMode.BATCH_ONLY, loss_fn(spec), group)
+        _, analytic, _ = network.loss_and_grad_named(
+            model, x, StatMode.BATCH_ONLY, group, "global_fa", stats
+        )
+        fd = fd_grad(model, x, StatMode.BATCH_ONLY, loss_fn("global_fa", stats), group)
         assert max_rel_error(analytic, fd) < 1e-4
 
     def test_non_finite_loss_raises(self):
@@ -610,8 +611,9 @@ class TestGradients:
                 model,
                 rng.normal(size=(8, 6)),
                 StatMode.BATCH_ONLY,
-                losses.GlobalFA(stats),
                 ParamGroup.BN_ONLY,
+                "global_fa",
+                stats,
             )
 
 
