@@ -13,7 +13,7 @@ import numpy as np
 
 from . import losses, network
 from .config import NO_LOSS_METHODS, TtaConfig
-from .errors import DimensionMismatch, NonFiniteLoss
+from .errors import DimensionMismatch, NonFiniteLoss, UnknownClass
 from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
 
@@ -86,9 +86,17 @@ class RunRecord:
 # -- the adaptation loop ----------------------------------------------------------
 
 
-def _observe(forward: network.Forward, y: np.ndarray, stats):
+def _observe(forward: network.Forward, y, stats):
     """Accuracy and report distances of one batch's pre-update forward; the
-    report reads the forward's class kernel when its loss built one."""
+    report reads the forward's class kernel when its loss built one. Labels
+    are refused unless they are one class index of the model per row."""
+    y = np.asarray(y)
+    n, n_classes = forward.logits.shape
+    if y.shape != (n,):
+        raise DimensionMismatch(f"labels of shape {y.shape} for a batch of {n} rows")
+    if y.dtype.kind not in "iu" and not np.array_equal(np.floor(y), y):  # nan included
+        raise UnknownClass("labels are not whole numbers")
+    losses._check_labels(y, n_classes)
     accuracy = float(np.mean(network.argmax_rows(forward.logits) == y))
     if stats is None or stats.n_classes < 2:
         return accuracy, float("nan"), float("nan")
@@ -105,7 +113,8 @@ def adapt_stream(
     """Adapt `model` over an ordered stream of (inputs, labels) batches.
 
     Labels travel with batches strictly for metrics (accuracy and the
-    distance report); no loss path reads them. Predictions for each batch
+    distance report), and `_observe` refuses any that are not one class
+    index per row; no loss path reads them. Predictions for each batch
     are recorded before any parameter update driven by that batch. A
     method of `losses.FEATURE_LOSSES` without `stats` is refused
     (ConfigInvalid) by its first step.
@@ -119,7 +128,6 @@ def adapt_stream(
     params = model.flat[: model.group_size(config.param_group)]
 
     for batch_index, (x, y) in enumerate(batches):
-        y = np.asarray(y, dtype=np.int64)
         loss_value = float("nan")
         if config.method in NO_LOSS_METHODS:
             observed = _observe(network.forward_features(model, x, mode), y, stats)

@@ -38,14 +38,26 @@ def _checkpoint_and_stats_paths(out_dir: str) -> tuple[str, str]:
 
 
 def _check_fits(cfg: ExperimentConfig, model, stats=None) -> None:
-    """Refuse, before any data is generated, a checkpoint that does not fit
-    the config (ConfigInvalid) and stats not fitted on the checkpoint's
-    features (StatsIoError)."""
+    """Refuse, before any data is generated, a checkpoint or stats that the
+    config does not describe (ConfigInvalid) and stats not fitted on the
+    checkpoint's features (StatsIoError)."""
     spec = cfg.synthetic
     if (spec.input_dim, spec.n_classes) != (model.input_dim, model.n_classes):
         raise ConfigInvalid(
             f"config input_dim {spec.input_dim}, n_classes {spec.n_classes} vs checkpoint "
             f"input_dim {model.input_dim}, n_classes {model.n_classes}"
+        )
+    widths = [b.dense.weight.shape[0] for b in model.blocks]
+    if widths != cfg.model.hidden_dims:
+        raise ConfigInvalid(f"config hidden_dims {cfg.model.hidden_dims} vs checkpoint {widths}")
+    fit = cfg.pretrain
+    if stats is not None and (stats.covariance_mode, stats.eps_scale) != (
+        fit.covariance_mode,
+        fit.eps_scale,
+    ):
+        raise ConfigInvalid(
+            f"config covariance_mode {fit.covariance_mode.value}, eps_scale {fit.eps_scale} "
+            f"vs stats {stats.covariance_mode.value}, {stats.eps_scale}"
         )
     if stats is not None and (stats.feature_dim, stats.n_classes) != (
         model.feature_dim,

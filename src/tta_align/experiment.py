@@ -317,11 +317,11 @@ def write_summary_files(summaries: list[MethodSummary], out_dir: str) -> None:
         writer.writerow(SUMMARY_FIELDS)
         for s in summaries:
             writer.writerow([s.name] + [repr(v) for v in astuple(s)[1:]])
-    widths = [12, 15, 24, 18, 18]  # each wider than its header
-    lines = ["".join(f"{h:<{w}}" for h, w in zip(SUMMARY_FIELDS, widths))]
-    for s in summaries:
-        cells = [s.name] + [f"{v:.4f}" for v in astuple(s)[1:]]
-        lines.append("".join(f"{c:<{w}}" for c, w in zip(cells, widths)))
+    rows = [SUMMARY_FIELDS] + [[s.name] + [f"{v:.4f}" for v in astuple(s)[1:]] for s in summaries]
+    # each column at least two wider than its longest cell, and never
+    # narrower than these
+    widths = [max(w, 2 + max(map(len, col))) for w, col in zip([12, 15, 24, 18, 18], zip(*rows))]
+    lines = ["".join(f"{c:<{w}}" for c, w in zip(row, widths)) for row in rows]
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

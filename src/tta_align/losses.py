@@ -163,9 +163,8 @@ def _class_quadratics(x: np.ndarray, stats: SourceStats):
     return np.einsum("cnd,cnd->cn", pd, diff), pd
 
 
-# Each builder returns (loss value, grad), where grad(s) is the gradient of
-# the loss w.r.t. its input for an upstream gradient of s * N: every loss is
-# a mean over the batch, so its backward carries 1/N.
+# Each builder returns (loss value, grad), where grad is the gradient of the
+# loss w.r.t. its input: every loss is a mean over the batch, so both carry 1/N.
 
 
 def _global_fa(x: np.ndarray, stats: SourceStats):
@@ -179,14 +178,10 @@ def _global_fa(x: np.ndarray, stats: SourceStats):
     mean_gap = stats.global_mu - mu_t
     cov_gap = stats.global_sigma - sigma_t
     value = (mean_gap**2).sum() + (cov_gap**2).sum()
-
-    def grad(s):
-        # the gaps' gradients -2 * gap, pushed through sigma_t =
-        # centered^T centered / n and through the centering x - mu_t
-        g = centered @ (cov_gap + cov_gap.T) * (-2.0 * s)
-        return g + (mean_gap * (-2.0 * s) - g.sum(axis=0) * inv_n)
-
-    return value, grad
+    # the gaps' gradients -2 * gap, pushed through sigma_t =
+    # centered^T centered / n and through the centering x - mu_t
+    g = centered @ (cov_gap + cov_gap.T) * (-2.0 * inv_n)
+    return value, g + (mean_gap * (-2.0 * inv_n) - g.sum(axis=0) * inv_n)
 
 
 def _class_kernel_loss(method: str, quads: np.ndarray, pd: np.ndarray, labels: np.ndarray):
@@ -194,27 +189,23 @@ def _class_kernel_loss(method: str, quads: np.ndarray, pd: np.ndarray, labels: n
     form over the summed forms, each clamped at RATIO_FLOOR. Reads the
     kernel `_class_quadratics` returned."""
     _check_labels(labels, quads.shape[0])
-    n = quads.shape[1]
-    cols = np.arange(n)
+    inv_n = 1.0 / quads.shape[1]
+    cols = np.arange(quads.shape[1])
     intra = quads[labels, cols]
     if method == "intra":
-        value = intra.sum() * (1.0 / n)
+        value = intra.sum() * inv_n
         w = np.zeros_like(quads)
         w[labels, cols] = 1.0
     else:
         denom = quads.sum(axis=0)
         num_c = np.maximum(intra, RATIO_FLOOR)
         den_c = np.maximum(denom, RATIO_FLOOR)
-        value = (np.log(num_c) - np.log(den_c)).sum() * (1.0 / n)
+        value = (np.log(num_c) - np.log(den_c)).sum() * inv_n
         # 1/intra at the labelled class minus 1/denom at every class, each
         # zero wherever its clamp is active
         w = np.tile(-((denom > RATIO_FLOOR) / den_c), (quads.shape[0], 1))
         w[labels, cols] += (intra > RATIO_FLOOR) / num_c
-
-    def grad(s):
-        return 2.0 * np.einsum("cn,cnd->nd", w * s, pd)
-
-    return value, grad
+    return value, 2.0 * np.einsum("cn,cnd->nd", w * inv_n, pd)
 
 
 def _log_sum_exp(z: np.ndarray):
@@ -230,22 +221,19 @@ def _entropy(z: np.ndarray):
     neg_logp = _log_sum_exp(z)[0] - z
     p = np.exp(-neg_logp)
     h = (p * neg_logp).sum(axis=1)
-    value = h.sum() * (1.0 / z.shape[0])
-    return value, lambda s: p * (neg_logp - h[:, None]) * s
+    inv_n = 1.0 / z.shape[0]
+    return h.sum() * inv_n, p * (neg_logp - h[:, None]) * inv_n
 
 
 def _cross_entropy(z: np.ndarray, labels: np.ndarray):
     _check_labels(labels, z.shape[1])
     lse, e, total = _log_sum_exp(z)
     rows = np.arange(z.shape[0])
-    value = (lse - z[rows, labels][:, None]).sum() * (1.0 / z.shape[0])
-
-    def grad(s):  # softmax - one-hot
-        g = e * (s / total)
-        g[rows, labels] -= s
-        return g
-
-    return value, grad
+    inv_n = 1.0 / z.shape[0]
+    value = (lse - z[rows, labels][:, None]).sum() * inv_n
+    g = e * (inv_n / total)  # softmax - one-hot
+    g[rows, labels] -= inv_n
+    return value, g
 
 
 def loss_tensor(
@@ -260,11 +248,11 @@ def loss_tensor(
     `pl` is the cross-entropy against `labels`, or against the argmax
     pseudo-labels of the logits when None; `intra` and `cafa` read the same
     labels. The FEATURE_LOSSES read the features and `stats`; `pl` and
-    `entropy` read the logits (`reads_logits`), and grad(s) is the gradient
-    w.r.t. what the loss reads. quads is the C x N class kernel an `intra`
-    or `cafa` loss read, else None. Values take a mean as sum * (1/N), the
-    order the recorded `loss` columns were computed in; tests pin every
-    value bit for bit.
+    `entropy` read the logits (`reads_logits`), and grad is the array of
+    the loss's gradient w.r.t. what it reads, 1/N included. quads is the
+    C x N class kernel an `intra` or `cafa` loss read, else None. Values
+    take a mean as sum * (1/N), the order the recorded `loss` columns were
+    computed in; tests pin every value bit for bit.
     """
     if method in FEATURE_LOSSES and stats is None:
         raise ConfigInvalid(f"method {method!r} requires source statistics")

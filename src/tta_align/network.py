@@ -404,9 +404,8 @@ def loss_and_grad_named(
     value, grad, at_logits, quads = losses.loss_tensor(
         method, forward.feats, forward.logits, stats, labels
     )
-    inv_n = 1.0 / forward.feats.shape[0]
     size = model.group_size(group)
-    loss = Tensor(value, lambda: _backward(model, caches, mode, grad(inv_n), at_logits, size))
+    loss = Tensor(value, lambda: _backward(model, caches, mode, grad, at_logits, size))
     if not np.isfinite(loss.data):
         raise NonFiniteLoss(f"loss evaluated to {float(loss.data)}")
     return float(loss.data), loss.backward(), forward._replace(quads=quads)

@@ -103,18 +103,6 @@ def regularized_precisions(sigmas: np.ndarray, eps_scale: float) -> np.ndarray:
     return out
 
 
-def fit_source_stats(
-    features: np.ndarray,
-    labels: np.ndarray,
-    mode: CovarianceMode = CovarianceMode.CLASS_WISE,
-    eps_scale: float = DEFAULT_EPS_SCALE,
-) -> SourceStats:
-    """Estimate per-class and global Gaussians from extracted features (an
-    N x d matrix) and their labels (N class indices). `features` is left
-    as it is."""
-    return _fit(np.array(features, dtype=np.float64), labels, mode, eps_scale)
-
-
 def estimate_source_stats(
     model: network.AdaptiveModel,
     inputs: np.ndarray,
@@ -132,8 +120,9 @@ def estimate_source_stats(
 def _fit(
     feats: np.ndarray, labels, mode: CovarianceMode, eps_scale: float
 ) -> SourceStats:
-    """`fit_source_stats` on a float64 feature matrix that the fit owns: the
-    global Gaussian comes last and centres `feats` in place."""
+    """Per-class and global Gaussians of a float64 feature matrix (N x d)
+    that the fit owns and its labels (N class indices): the global Gaussian
+    comes last and centres `feats` in place."""
     feats = network.as_matrix(feats)
     n, d = feats.shape
     if n == 0:

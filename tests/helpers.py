@@ -14,7 +14,14 @@ import tracemalloc
 import numpy as np
 
 from tta_align import losses, network
-from tta_align.stats import STATS_MAGIC, CovarianceMode, SourceStats, regularized_precisions
+from tta_align.stats import (
+    DEFAULT_EPS_SCALE,
+    STATS_MAGIC,
+    CovarianceMode,
+    SourceStats,
+    _fit,
+    regularized_precisions,
+)
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -68,6 +75,18 @@ def exact_stats(mus, sigmas, global_mu=None, global_sigma=None) -> SourceStats:
         covariance_mode=CovarianceMode.CLASS_WISE,
         eps_scale=0.0,
     )
+
+
+def fit_source_stats(
+    features: np.ndarray,
+    labels: np.ndarray,
+    mode: CovarianceMode = CovarianceMode.CLASS_WISE,
+    eps_scale: float = DEFAULT_EPS_SCALE,
+) -> SourceStats:
+    """Per-class and global Gaussians of extracted features (an N x d
+    matrix) and their labels (N class indices), by the package's fit on a
+    copy: `features` is left as it is."""
+    return _fit(np.array(features, dtype=np.float64), labels, mode, eps_scale)
 
 
 def random_stats(rng: np.random.Generator, n_classes: int, d: int) -> SourceStats:
@@ -145,7 +164,7 @@ def loss_grad(method, x: np.ndarray, stats=None, labels=None) -> tuple[float, np
     """A loss over `x` and its gradient w.r.t. `x`: `x` stands for the
     features (`losses.FEATURE_LOSSES`) or the logits (the others)."""
     value, grad, _ = loss_fn(method, stats, labels)(network.Forward(x, x))
-    return float(value), grad(1.0 / x.shape[0])
+    return float(value), grad
 
 
 def chain_grad(model, batch, mode, fn, group) -> tuple[float, np.ndarray]:
@@ -154,8 +173,7 @@ def chain_grad(model, batch, mode, fn, group) -> tuple[float, np.ndarray]:
     caches = []
     forward = network._forward(model, batch, mode, caches)
     value, grad, at_logits = fn(forward)
-    g = grad(1.0 / forward.feats.shape[0])
-    return value, network._backward(model, caches, mode, g, at_logits, model.group_size(group))
+    return value, network._backward(model, caches, mode, grad, at_logits, model.group_size(group))
 
 
 def fd_grad(model, batch, mode, fn, group, h: float = 1e-5) -> np.ndarray:

@@ -13,6 +13,7 @@ from helpers import (
     chain_grad,
     exact_precision,
     fd_grad,
+    fit_source_stats,
     gauss_jordan_inverse,
     loss_fn,
     max_rel_error,
@@ -33,7 +34,7 @@ from tta_align.experiment import (
     write_run_records,
 )
 from tta_align.network import ParamGroup, StatMode
-from tta_align.stats import CovarianceMode, estimate_source_stats, fit_source_stats
+from tta_align.stats import CovarianceMode, estimate_source_stats
 
 
 def report(capsys, criterion, ok, detail):

@@ -15,6 +15,7 @@ from tta_align.errors import (
     DimensionMismatch,
     NonFiniteInput,
     NonFiniteLoss,
+    UnknownClass,
 )
 from tta_align.experiment import pretrain_source, read_run_record, write_run_records
 from tta_align.network import ParamGroup, StatMode
@@ -403,6 +404,31 @@ class TestOnlineProtocol:
                 adapt_stream(model, stats, make_batches(rng), cfg)
         assert excinfo.value.record is not None
         assert len(excinfo.value.record.rows) >= 1
+
+    @pytest.mark.parametrize(
+        "method", [m for m in METHODS if m not in losses.FEATURE_LOSSES]
+    )
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            # a column or one label would broadcast against the 8 predictions
+            pytest.param(lambda y: y[:, None], DimensionMismatch, id="column"),
+            pytest.param(lambda y: y[:1], DimensionMismatch, id="one_label"),
+            pytest.param(lambda y: y + 0.7, UnknownClass, id="fractional"),
+            pytest.param(lambda y: np.where(y == 0, np.nan, y), UnknownClass, id="nan"),
+            pytest.param(lambda y: y + 7, UnknownClass, id="above_range"),
+            pytest.param(lambda y: y - 3, UnknownClass, id="negative"),
+        ],
+    )
+    def test_labels_that_are_not_class_indices_are_refused(self, method, bad, error):
+        # with no statistics there is no distance report, so the accuracy
+        # is the only reader of the labels
+        rng = np.random.default_rng(12)
+        (x, y), = make_batches(rng, n_batches=1, batch_size=8)
+        steps = 0 if method in NO_LOSS_METHODS else 1
+        cfg = TtaConfig(method=method, steps_per_batch=steps, batch_size=8)
+        with pytest.raises(error):
+            adapt_stream(small_model(rng), None, [(x, bad(y))], cfg)
 
     def test_non_finite_input_rejected(self):
         # one NaN row poisons the batch statistics: every logit turns NaN,

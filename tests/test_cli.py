@@ -55,6 +55,17 @@ def tiny_config(tmp_path, **overrides):
 FOUR_CLASSES = {"n_classes": 4, "cov_scales": [0.2, 0.6, 1.5, 1.0]}
 
 
+# configs that do not describe the `pretrained` checkpoint or its stats file;
+# the `pretrain` fit settings are the stats file's, which `stats` refits
+MISFITS = {
+    "n_classes": {"synthetic": FOUR_CLASSES},
+    "input_dim": {"synthetic": {"input_dim": 6}},
+    "hidden_dims": {"model": {"hidden_dims": [5]}},
+    "covariance_mode": {"pretrain": {"covariance_mode": "tied"}},
+    "eps_scale": {"pretrain": {"eps_scale": 0.5}},
+}
+
+
 def config_with(config, tmp_path, **sections):
     """A copy of the config document at `config` with some fields of its
     sections replaced."""
@@ -355,16 +366,21 @@ class TestAdaptCommand:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["adapt", "stats"])
     @pytest.mark.parametrize(
-        "synthetic", [FOUR_CLASSES, {"input_dim": 6}], ids=["n_classes", "input_dim"]
+        "misfit, command",
+        [
+            pytest.param(misfit, command, id=f"{misfit}-{command}")
+            for misfit, sections in MISFITS.items()
+            for command in ("adapt", "stats")
+            if command == "adapt" or "pretrain" not in sections
+        ],
     )
     def test_config_that_does_not_fit_checkpoint_is_config_error(
-        self, pretrained, tmp_path, capsys, command, synthetic
+        self, pretrained, tmp_path, capsys, misfit, command
     ):
         # refused before any data is generated: no output is written
         config, out = pretrained
-        other = config_with(config, tmp_path, synthetic=synthetic)
+        other = config_with(config, tmp_path, **MISFITS[misfit])
         args = [command, "--config", str(other), "--checkpoint", str(out / "checkpoint.npz")]
         if command == "adapt":
             args += ["--stats", str(out / "stats.bin"), "--method", "cafa"]

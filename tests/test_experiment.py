@@ -177,6 +177,14 @@ class TestReportFiles:
         header = (tmp_path / "summary.txt").read_text().splitlines()[0]
         assert header.split() == list(SUMMARY_FIELDS)
 
+    def test_long_run_names_keep_their_columns_apart(self, tmp_path):
+        # `scripts/sweep_steps.py` names its runs cafa_steps_1, cafa_steps_2, ...
+        names = ["cafa_steps_1", "a_twenty_two_char_name"]
+        write_summary_files([MethodSummary(n, 0.8031, 0.5, 1.0, 2.0) for n in names], str(tmp_path))
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert [line.split()[0] for line in lines] == ["method", *names]
+        assert all(len(line.split()) == len(SUMMARY_FIELDS) for line in lines)
+
     def test_rebuild_missing_manifest(self, tmp_path):
         # a run directory without its manifest is malformed (exit 3); a
         # run directory that does not exist is a usage error (exit 1)

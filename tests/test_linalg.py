@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_jordan_inverse, random_spd
+from helpers import fit_source_stats, gauss_jordan_inverse, random_spd
 from tta_align.errors import DimensionMismatch, EmptyInput, NonFiniteInput, NotPositiveDefinite
 from tta_align.network import as_matrix
-from tta_align.stats import _moments, fit_source_stats, regularized_precisions
+from tta_align.stats import _moments, regularized_precisions
 
 
 def precision(a) -> np.ndarray:

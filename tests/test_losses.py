@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     exact_precision,
     exact_stats,
+    fit_source_stats,
     gauss_jordan_inverse,
     loss_fn,
     loss_grad,
@@ -18,6 +19,7 @@ from helpers import (
     small_model,
 )
 from tta_align import autograd, losses, network
+from tta_align.config import METHODS, NO_LOSS_METHODS
 from tta_align.errors import (
     BatchTooSmall,
     DimensionMismatch,
@@ -27,7 +29,7 @@ from tta_align.errors import (
 )
 from tta_align.losses import RATIO_FLOOR, distance_report, loss_tensor, mahalanobis
 from tta_align.network import ParamGroup, StatMode
-from tta_align.stats import CovarianceMode, fit_source_stats
+from tta_align.stats import CovarianceMode
 
 LOSSES = {  # name -> (method, whether the batch labels replace the pseudo-labels)
     "global_fa": ("global_fa", False),
@@ -215,7 +217,7 @@ class TestClassKernel:
         np.testing.assert_allclose(self._grad(x, stats, w), ref, rtol=1e-12, atol=0.0)
 
     def test_loss_builds_no_tensor(self, monkeypatch):
-        # a loss is plain numbers and a closure: it builds no graph node,
+        # a loss is plain numbers and arrays: it builds no graph node,
         # and only the chain's step wraps the value in a loss handle
         stats, x, _ = self._setup(32)
         built = []
@@ -225,7 +227,7 @@ class TestClassKernel:
         assert not built
         assert isinstance(value, float) and not reads_logits
         assert np.array_equal(quads, class_quadratics(x, stats))
-        assert grad(1.0 / 7).shape == x.shape
+        assert grad.shape == x.shape
 
 
 class TestGlobalFaLoss:
@@ -416,6 +418,15 @@ class TestLossGradients:
         _, g = loss_grad(method, x, stats, y)
         fd = numeric_grad(lambda a: loss_grad(method, a, stats, y)[0], x.copy())
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m not in NO_LOSS_METHODS])
+    def test_grad_is_an_array_shaped_like_what_the_loss_reads(self, method):
+        # features 7 x 4 and logits 7 x 3: the two inputs differ in shape
+        rng = np.random.default_rng(42)
+        feats, logits = rng.normal(size=(7, 4)), rng.normal(size=(7, 3))
+        _, grad, reads_logits, _ = loss_tensor(method, feats, logits, random_stats(rng, 3, 4))
+        assert type(grad) is np.ndarray
+        assert grad.shape == (logits if reads_logits else feats).shape
 
     def test_cafa_floored_term_has_zero_gradient(self):
         # sample 2 sits within 1e-9 of its class mean, so its intra form is

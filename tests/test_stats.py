@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import rewrite_stats, small_model
+from helpers import fit_source_stats, rewrite_stats, small_model
 from tta_align import network
 from tta_align.errors import (
     CorruptChecksum,
@@ -23,7 +23,6 @@ from tta_align.stats import (
     STATS_MAGIC,
     CovarianceMode,
     estimate_source_stats,
-    fit_source_stats,
     load_stats,
     regularized_precisions,
     save_stats,
