@@ -5,6 +5,7 @@ Usage: python3 scripts/sweep_steps.py [--seed N] [--steps 1 2 3] [--out-dir DIR]
 """
 
 import argparse
+import os
 
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig
@@ -18,17 +19,15 @@ def main() -> None:
     parser.add_argument("--out-dir", default="runs/steps_sweep")
     args = parser.parse_args()
 
-    cfg = ExperimentConfig.default(seed=args.seed, output_dir=args.out_dir)
+    cfg = ExperimentConfig.default(seed=args.seed)
     cfg.methods = [TtaConfig(method="source", steps_per_batch=0)] + [
         TtaConfig(method="cafa", name=f"cafa_steps_{k}", steps_per_batch=k)
         for k in args.steps
     ]
-    result = run_experiment(cfg, out_dir=args.out_dir)
-
-    print(f"{'run':<16}{'mean_acc':>10}{'final_q_acc':>13}")
-    for s in result.summaries:
-        print(f"{s.name:<16}{s.mean_accuracy:>10.4f}{s.final_quarter_accuracy:>13.4f}")
-    print(f"report written to {args.out_dir}")
+    run_experiment(cfg, out_dir=args.out_dir)
+    print(f"outputs: {args.out_dir}")
+    with open(os.path.join(args.out_dir, "summary.txt")) as fh:
+        print(fh.read(), end="")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import losses, network
 from .config import NO_LOSS_METHODS, TtaConfig
-from .errors import DimensionMismatch, NonFiniteLoss, UnknownClass
+from .errors import DimensionMismatch, NonFiniteLoss
 from .network import AdaptiveModel, StatMode
 from .stats import SourceStats
 
@@ -90,13 +90,7 @@ def _observe(forward: network.Forward, y, stats):
     """Accuracy and report distances of one batch's pre-update forward; the
     report reads the forward's class kernel when its loss built one. Labels
     are refused unless they are one class index of the model per row."""
-    y = np.asarray(y)
-    n, n_classes = forward.logits.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(f"labels of shape {y.shape} for a batch of {n} rows")
-    if y.dtype.kind not in "iu" and not np.array_equal(np.floor(y), y):  # nan included
-        raise UnknownClass("labels are not whole numbers")
-    losses._check_labels(y, n_classes)
+    y = network.as_labels(y, *forward.logits.shape)
     accuracy = float(np.mean(network.argmax_rows(forward.logits) == y))
     if stats is None or stats.n_classes < 2:
         return accuracy, float("nan"), float("nan")

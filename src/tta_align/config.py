@@ -197,8 +197,9 @@ class ModelConfig:
     def validate(self) -> None:
         if not self.hidden_dims:
             raise ConfigInvalid("hidden_dims must list at least one block width")
-        if not all(int(w) >= 1 for w in self.hidden_dims):
-            raise ConfigInvalid("hidden_dims entries must be >= 1")
+        is_int = _SCALARS[int][1]  # no fraction, and no bool for a width of 1
+        if not all(is_int(w) and w >= 1 for w in self.hidden_dims):
+            raise ConfigInvalid(f"hidden_dims entries must be integers >= 1: {self.hidden_dims}")
 
 
 @dataclass
@@ -265,7 +266,7 @@ class ExperimentConfig:
         return cfg
 
     @staticmethod
-    def default(seed: int = 0, output_dir: str = "runs") -> "ExperimentConfig":
+    def default(seed: int = 0) -> "ExperimentConfig":
         """The stock benchmark: heteroscedastic 3-class mixture, severity-5
         additive noise, 60 online batches of 64, all seven methods.
 
@@ -288,7 +289,6 @@ class ExperimentConfig:
                 TtaConfig(method="intra"),
                 TtaConfig(method="cafa", steps_per_batch=2),
             ],
-            output_dir=output_dir,
         )
         cfg.validate()
         return cfg

@@ -53,7 +53,7 @@ class PretrainResult:
 
 def evaluate_accuracy(model: AdaptiveModel, x, y) -> float:
     preds = network.predict(model, x, StatMode.RUNNING_EVAL)
-    return float(np.mean(preds == np.asarray(y)))
+    return float(np.mean(preds == network.as_labels(y, preds.size, model.n_classes)))
 
 
 def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) -> PretrainResult:
@@ -67,7 +67,7 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
     rng = np.random.default_rng(INIT_SEED)
     model = network.init_model(
         cfg.synthetic.input_dim,
-        [int(w) for w in cfg.model.hidden_dims],
+        cfg.model.hidden_dims,
         cfg.synthetic.n_classes,
         rng,
     )

@@ -21,9 +21,8 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     SingleClass,
-    UnknownClass,
 )
-from .network import argmax_rows
+from .network import argmax_rows, as_labels
 from .stats import SourceStats
 
 RATIO_FLOOR = 1e-12  # clamp for the log-ratio numerator and denominator
@@ -66,14 +65,13 @@ def distance_report(
     if stats.n_classes < 2:
         raise SingleClass("inter-class distance needs at least 2 classes")
     feats = np.asarray(batch_feats, dtype=np.float64)
-    y = np.asarray(true_labels, dtype=np.int64)
-    if feats.ndim != 2 or y.shape != feats.shape[:1]:
-        raise DimensionMismatch(f"features {feats.shape} vs labels {y.shape}")
+    if feats.ndim != 2:
+        raise DimensionMismatch(f"expected a feature matrix, got shape {feats.shape}")
+    y = as_labels(true_labels, feats.shape[0], stats.n_classes)
     if feats.shape[1] != stats.feature_dim:
         raise DimensionMismatch(f"feature dim {feats.shape[1]} vs {stats.feature_dim}")
     if y.size == 0:
         raise EmptyInput("distance report needs at least one sample")
-    _check_labels(y, stats.n_classes)  # a gather would wrap a label of -1
     if quads is None:
         intra_sum, inter_sum = _moment_sums(feats, y, stats)
         return DistanceReport(
@@ -140,11 +138,6 @@ def _moment_sums(x: np.ndarray, y: np.ndarray, stats: SourceStats):
 # -- losses -------------------------------------------------------------------
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise UnknownClass(f"labels outside 0..{n_classes - 1}")
-
-
 def _class_quadratics(x: np.ndarray, stats: SourceStats):
     """Mahalanobis quadratic form of every sample to every class, C x N,
     and the C x N x d products P (x - mu) it is built from.
@@ -188,7 +181,7 @@ def _class_kernel_loss(method: str, quads: np.ndarray, pd: np.ndarray, labels: n
     """`intra`: the mean intra form. `cafa`: the mean log-ratio of the intra
     form over the summed forms, each clamped at RATIO_FLOOR. Reads the
     kernel `_class_quadratics` returned."""
-    _check_labels(labels, quads.shape[0])
+    labels = as_labels(labels, quads.shape[1], quads.shape[0])
     inv_n = 1.0 / quads.shape[1]
     cols = np.arange(quads.shape[1])
     intra = quads[labels, cols]
@@ -226,7 +219,7 @@ def _entropy(z: np.ndarray):
 
 
 def _cross_entropy(z: np.ndarray, labels: np.ndarray):
-    _check_labels(labels, z.shape[1])
+    labels = as_labels(labels, *z.shape)
     lse, e, total = _log_sum_exp(z)
     rows = np.arange(z.shape[0])
     inv_n = 1.0 / z.shape[0]
@@ -256,8 +249,8 @@ def loss_tensor(
     """
     if method in FEATURE_LOSSES and stats is None:
         raise ConfigInvalid(f"method {method!r} requires source statistics")
-    if method in ("pl", "intra", "cafa"):
-        labels = argmax_rows(logits) if labels is None else np.asarray(labels, dtype=np.int64)
+    if method in ("pl", "intra", "cafa") and labels is None:
+        labels = argmax_rows(logits)
     quads = None
     if method == "global_fa":
         value, grad = _global_fa(feats, stats)

@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteInput,
     NonFiniteLoss,
     StatsIoError,
+    UnknownClass,
 )
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
@@ -228,6 +229,21 @@ def as_matrix(x) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput("matrix contains non-finite entries")
     return m
+
+
+def as_labels(labels, n_rows: int, n_classes: int | None = None) -> np.ndarray:
+    """`labels` as int64 class indices, refused unless one whole number per
+    row in 0..n_classes-1; with `n_classes` None, any index int64 holds."""
+    y = np.asarray(labels)
+    if y.shape != (n_rows,):
+        raise DimensionMismatch(f"labels of shape {y.shape} for {n_rows} rows")
+    kind = y.dtype.kind
+    if kind not in "biu" and not (kind == "f" and np.array_equal(np.floor(y), y)):  # nan included
+        raise UnknownClass(f"labels of dtype {y.dtype} are not whole numbers")
+    end = 2**63 if n_classes is None else n_classes
+    if y.size and (y.min() < 0 or y.max() >= end):
+        raise UnknownClass(f"labels outside 0..{end - 1}")
+    return y.astype(np.int64, copy=False)
 
 
 def _checked(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:

@@ -23,13 +23,11 @@ import numpy as np
 from . import network
 from .errors import (
     CorruptChecksum,
-    DimensionMismatch,
     EmptyInput,
     FormatVersionMismatch,
     MissingClass,
     NotPositiveDefinite,
     StatsIoError,
-    UnknownClass,
 )
 
 STATS_MAGIC = b"TTASTATS"
@@ -127,11 +125,7 @@ def _fit(
     n, d = feats.shape
     if n == 0:
         raise EmptyInput("need at least one sample")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n,):
-        raise DimensionMismatch(f"labels of shape {y.shape} for {n} feature rows")
-    if y.min() < 0:
-        raise UnknownClass(f"negative class label {y.min()}")
+    y = network.as_labels(labels, n)
     n_classes = int(y.max()) + 1
     warnings: list[str] = []
 

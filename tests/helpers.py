@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 
 from tta_align import losses, network
+from tta_align.errors import DimensionMismatch, UnknownClass
 from tta_align.stats import (
     DEFAULT_EPS_SCALE,
     STATS_MAGIC,
@@ -22,6 +23,21 @@ from tta_align.stats import (
     _fit,
     regularized_precisions,
 )
+
+
+# kinds of labels that are not one class index per row, each made from the
+# valid labels y of a batch of 3 classes, with the error `network.as_labels`
+# raises: a column or a short array would broadcast or overrun a gather, and
+# a fraction would truncate
+BAD_LABELS = {
+    "column": (lambda y: y[:, None], DimensionMismatch),
+    "one_label": (lambda y: y[:1], DimensionMismatch),
+    "one_short": (lambda y: y[:-1], DimensionMismatch),
+    "fractional": (lambda y: y + 0.7, UnknownClass),
+    "nan": (lambda y: np.where(y == 0, np.nan, y), UnknownClass),
+    "above_range": (lambda y: y + 7, UnknownClass),
+    "negative": (lambda y: y - 3, UnknownClass),
+}
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import model_state, named, random_stats, small_model, states_equal
+from helpers import BAD_LABELS, model_state, named, random_stats, small_model, states_equal
 from tta_align import data, losses, network
 from tta_align.adapt import AdamState, TtaConfig, adam_step, adapt_stream
 from tta_align.config import (
@@ -15,7 +15,6 @@ from tta_align.errors import (
     DimensionMismatch,
     NonFiniteInput,
     NonFiniteLoss,
-    UnknownClass,
 )
 from tta_align.experiment import pretrain_source, read_run_record, write_run_records
 from tta_align.network import ParamGroup, StatMode
@@ -408,25 +407,15 @@ class TestOnlineProtocol:
     @pytest.mark.parametrize(
         "method", [m for m in METHODS if m not in losses.FEATURE_LOSSES]
     )
-    @pytest.mark.parametrize(
-        "bad, error",
-        [
-            # a column or one label would broadcast against the 8 predictions
-            pytest.param(lambda y: y[:, None], DimensionMismatch, id="column"),
-            pytest.param(lambda y: y[:1], DimensionMismatch, id="one_label"),
-            pytest.param(lambda y: y + 0.7, UnknownClass, id="fractional"),
-            pytest.param(lambda y: np.where(y == 0, np.nan, y), UnknownClass, id="nan"),
-            pytest.param(lambda y: y + 7, UnknownClass, id="above_range"),
-            pytest.param(lambda y: y - 3, UnknownClass, id="negative"),
-        ],
-    )
-    def test_labels_that_are_not_class_indices_are_refused(self, method, bad, error):
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_labels_that_are_not_class_indices_are_refused(self, method, kind):
         # with no statistics there is no distance report, so the accuracy
         # is the only reader of the labels
         rng = np.random.default_rng(12)
         (x, y), = make_batches(rng, n_batches=1, batch_size=8)
         steps = 0 if method in NO_LOSS_METHODS else 1
         cfg = TtaConfig(method=method, steps_per_batch=steps, batch_size=8)
+        bad, error = BAD_LABELS[kind]
         with pytest.raises(error):
             adapt_stream(small_model(rng), None, [(x, bad(y))], cfg)
 

@@ -363,8 +363,11 @@ class TestValidation:
         assert message in capsys.readouterr().err
 
     def test_model_config_bounds(self):
-        with pytest.raises(ConfigInvalid):
-            ModelConfig(hidden_dims=[]).validate()
+        # a width built in Python passes the schema walk's integer test too:
+        # 8.7 used to train an 8-wide block and True a 1-wide one
+        for widths in ([], [0], [8.7], [True], [8, 4.0]):
+            with pytest.raises(ConfigInvalid, match="hidden_dims"):
+                ModelConfig(hidden_dims=widths).validate()
 
     def test_pretrain_bounds(self):
         with pytest.raises(ConfigInvalid):

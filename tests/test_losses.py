@@ -169,6 +169,8 @@ class TestIntraInter:
             report_one(np.zeros(3), 3, stats)
         with pytest.raises(UnknownClass):
             report_one(np.zeros(3), -1, stats)
+        with pytest.raises(UnknownClass):
+            report_one(np.zeros(3), 0.6, stats)  # used to report class 0
 
     def test_class_distance_matrix(self):
         rng = np.random.default_rng(8)
@@ -288,8 +290,9 @@ class TestIntraLoss:
     def test_unknown_label(self):
         rng = np.random.default_rng(14)
         stats = random_stats(rng, 3, 4)
-        with pytest.raises(UnknownClass):
-            loss_value("intra", stats, np.zeros((2, 4)), labels=np.array([0, 5]))
+        for labels in ([0, 5], [0, 1.5], [0, np.nan]):
+            with pytest.raises(UnknownClass):
+                loss_value("intra", stats, np.zeros((2, 4)), labels=np.array(labels))
 
 
 class TestCafaLoss:
@@ -371,8 +374,9 @@ class TestBaselineLosses:
         assert value == pytest.approx(ref, rel=1e-10)
 
     def test_pseudo_label_unknown_class(self):
-        with pytest.raises(UnknownClass):
-            loss_value("pl", logits=np.zeros((2, 3)), labels=np.array([0, 3]))
+        for labels in ([0, 3], [0, 1.5], [0, np.nan]):
+            with pytest.raises(UnknownClass):
+                loss_value("pl", logits=np.zeros((2, 3)), labels=np.array(labels))
 
 
 def generic_order_loss(method, stats, feats, logits, labels):

@@ -35,13 +35,17 @@ def test_write_default_config_round_trips(tmp_path):
 
 def test_sweep_steps_writes_one_summary_row_per_run(tmp_path):
     script = REPO / "scripts" / "sweep_steps.py"
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, str(script), "--steps", "1", "--out-dir", str(tmp_path)],
         check=True,
         capture_output=True,
+        text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         timeout=300,
     )
+    # the one summary table printed is the run directory's own
+    summary = (tmp_path / "summary.txt").read_text()
+    assert proc.stdout == f"outputs: {tmp_path}\n{summary}"
     with open(tmp_path / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows] == ["source", "cafa_steps_1"]

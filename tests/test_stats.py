@@ -131,8 +131,10 @@ class TestFitSourceStats:
             (np.arange(31) % 3, DimensionMismatch),  # one label over
             ((np.arange(30) % 3)[:, None], DimensionMismatch),  # a column
             (np.where(np.arange(30) < 5, -1, np.arange(30) % 3), UnknownClass),
+            (np.arange(30) % 3 + 0.6, UnknownClass),  # used to fit the stats of y
+            (np.where(np.arange(30) < 5, np.nan, np.arange(30) % 3), UnknownClass),
         ],
-        ids=["short", "long", "column", "negative"],
+        ids=["short", "long", "column", "negative", "fractional", "nan"],
     )
     def test_labels_must_name_a_class_per_row(self, labels, error):
         feats = np.random.default_rng(4).normal(size=(30, 2))
