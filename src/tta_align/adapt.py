@@ -111,9 +111,18 @@ def adapt_stream(
     index per row; no loss path reads them. Predictions for each batch
     are recorded before any parameter update driven by that batch. A
     method of `losses.FEATURE_LOSSES` without `stats` is refused
-    (ConfigInvalid) by its first step.
+    (ConfigInvalid) by its first step, and `stats` of another class count
+    or feature dim than the model's (DimensionMismatch) before the first.
     """
     config.validate()
+    if stats is not None and (stats.n_classes, stats.feature_dim) != (
+        model.n_classes,
+        model.feature_dim,
+    ):
+        raise DimensionMismatch(
+            f"stats n_classes {stats.n_classes}, feature_dim {stats.feature_dim} vs model "
+            f"n_classes {model.n_classes}, feature_dim {model.feature_dim}"
+        )
     # source predicts with stored running statistics; every other method
     # normalizes with current-batch statistics
     mode = StatMode.RUNNING_EVAL if config.method == "source" else StatMode.BATCH_ONLY

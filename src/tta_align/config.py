@@ -3,7 +3,7 @@
 The dataclass annotations are the schema. One walk over them (`_read`)
 checks every value of a config document and builds the dataclasses in the
 same pass; unknown keys anywhere are rejected. `_plain` writes the document
-back.
+back, and each section's `validate()` runs the walk on its own fields.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import numbers
 import re
 import reprlib
@@ -19,13 +20,13 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from .data import ShiftSpec, ShiftTransform, SyntheticSpec
 from .errors import ConfigInvalid
 from .network import ParamGroup
 from .stats import DEFAULT_EPS_SCALE, CovarianceMode
 
 METHODS = ("source", "bn", "pl", "entropy", "global_fa", "intra", "cafa")
 NO_LOSS_METHODS = ("source", "bn")
+SHIFT_KINDS = ("gaussian_noise", "mean_shift", "scaling", "rotation")
 
 
 def _real(v) -> bool:
@@ -137,16 +138,82 @@ def _plain(value):
     return value
 
 
-def _check_enum(name: str, value, cls) -> None:
-    if not isinstance(value, cls):
-        raise ConfigInvalid(
-            f"{name} must be one of {[m.value for m in cls]}, got {value!r}"
-        )
+def _check_fields(section, where: str) -> None:
+    """The walk's type rules for a section built in Python: each field and
+    list entry must have the type the walk reads from its JSON form."""
+    read = _read(type(section), _plain(section), where)
+    for f in dataclasses.fields(section):
+        value, want = getattr(section, f.name), getattr(read, f.name)
+        pairs = zip(value, want) if isinstance(want, (list, tuple)) else []
+        if type(value) is not type(want) or any(type(v) is not type(w) for v, w in pairs):
+            message = f"field {f.name!r} in section {where!r} must be {want!r}, got {value!r}"
+            raise ConfigInvalid(message)
 
 
 def valid_run_name(name) -> bool:
     """Whether `name` can label a run: it is part of the run's file names."""
     return isinstance(name, str) and re.fullmatch(r"[\w.+-]+", name, re.ASCII) is not None
+
+
+@dataclass
+class ShiftTransform:
+    kind: str
+    direction: list[float] | None = None  # mean_shift only
+    plane: tuple[int, int] = (0, 1)  # rotation only
+
+    def validate(self, input_dim: int) -> None:
+        _check_fields(self, "shift.transforms[]")
+        if self.kind not in SHIFT_KINDS:
+            raise ConfigInvalid(f"unknown shift kind {self.kind!r}")
+        if self.kind == "mean_shift":
+            if self.direction is None or len(self.direction) != input_dim:
+                raise ConfigInvalid("mean_shift needs a direction of input_dim length")
+            if not any(self.direction):
+                raise ConfigInvalid("mean_shift direction must be nonzero")
+        if self.kind == "rotation":
+            i, j = self.plane
+            if not (0 <= i < input_dim and 0 <= j < input_dim and i != j):
+                raise ConfigInvalid(f"invalid rotation plane {self.plane}")
+
+
+@dataclass
+class ShiftSpec:
+    transforms: list[ShiftTransform] = field(default_factory=list)
+    severity: int = 5
+
+    def validate(self, input_dim: int) -> None:
+        _check_fields(self, "shift")
+        if not 1 <= self.severity <= 5:
+            raise ConfigInvalid(f"severity {self.severity} outside 1..5")
+        for t in self.transforms:
+            t.validate(input_dim)
+
+
+@dataclass
+class SyntheticSpec:
+    n_classes: int = 3
+    input_dim: int = 8
+    mean_scale: float = 2.4  # class-mean radius from the origin
+    n_train_per_class: int = 500
+    n_test_per_class: int = 1280
+    seed: int = 0  # sampling only; geometry is pinned by data.GEOMETRY_SEED
+    cov_scales: list[float] | None = None  # per-class isotropic stds
+
+    def validate(self) -> None:
+        _check_fields(self, "synthetic")
+        if self.n_classes < 2:
+            raise ConfigInvalid("classification needs n_classes >= 2")
+        if self.input_dim < 2:
+            raise ConfigInvalid("input_dim must be >= 2")
+        if self.n_train_per_class < 2 or self.n_test_per_class < 2:
+            raise ConfigInvalid("need at least 2 samples per class")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
+        if self.cov_scales is not None:
+            if len(self.cov_scales) != self.n_classes:
+                raise ConfigInvalid("cov_scales must list one std per class")
+            if not all(math.isfinite(float(s) * s) for s in self.cov_scales):
+                raise ConfigInvalid("cov_scales entries must have finite squares")
 
 
 @dataclass
@@ -165,11 +232,11 @@ class TtaConfig:
         return self.name or self.method
 
     def validate(self) -> None:
+        _check_fields(self, "methods[]")
         if self.method not in METHODS:
             raise ConfigInvalid(f"unknown method {self.method!r}; one of {METHODS}")
         if self.name and not valid_run_name(self.name):
             raise ConfigInvalid(f"name {self.name!r} may hold only ASCII letters, digits and _.+-")
-        _check_enum("param_group", self.param_group, ParamGroup)
         if self.method in NO_LOSS_METHODS:
             if self.steps_per_batch != 0:
                 raise ConfigInvalid(
@@ -195,11 +262,9 @@ class ModelConfig:
     hidden_dims: list[int] = field(default_factory=lambda: [32, 16])
 
     def validate(self) -> None:
-        if not self.hidden_dims:
-            raise ConfigInvalid("hidden_dims must list at least one block width")
-        is_int = _SCALARS[int][1]  # no fraction, and no bool for a width of 1
-        if not all(is_int(w) and w >= 1 for w in self.hidden_dims):
-            raise ConfigInvalid(f"hidden_dims entries must be integers >= 1: {self.hidden_dims}")
+        _check_fields(self, "model")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ConfigInvalid(f"hidden_dims must list block widths >= 1, got {self.hidden_dims}")
 
 
 @dataclass
@@ -211,11 +276,11 @@ class PretrainConfig:
     covariance_mode: CovarianceMode = CovarianceMode.CLASS_WISE
 
     def validate(self) -> None:
+        _check_fields(self, "pretrain")
         if self.epochs < 1 or self.batch_size < 2:
             raise ConfigInvalid("pretrain needs epochs >= 1 and batch_size >= 2")
         if self.learning_rate <= 0 or self.eps_scale <= 0:
             raise ConfigInvalid("learning_rate and eps_scale must be > 0")
-        _check_enum("covariance_mode", self.covariance_mode, CovarianceMode)
 
 
 @dataclass
@@ -230,6 +295,7 @@ class ExperimentConfig:
     to_dict = _plain
 
     def validate(self) -> None:
+        _check_fields(self, "top-level")
         self.synthetic.validate()
         if self.shift is not None:
             self.shift.validate(self.synthetic.input_dim)

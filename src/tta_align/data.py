@@ -6,10 +6,11 @@ the configured shift transforms; labels are untouched by every shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ShiftSpec, ShiftTransform, SyntheticSpec  # noqa: F401  (re-exported)
 from .errors import ConfigInvalid
 
 # severity 1..5 magnitude tables, strictly increasing
@@ -21,93 +22,31 @@ ROTATION_DEGREES = {1: 10.0, 2: 20.0, 3: 30.0, 4: 45.0, 5: 60.0}
 # lays out the class-mean directions, so every data seed re-draws the same classes
 GEOMETRY_SEED = 7
 
-SHIFT_KINDS = ("gaussian_noise", "mean_shift", "scaling", "rotation")
+
+def resolved_means(spec: SyntheticSpec) -> np.ndarray:
+    """C x input_dim class means of radius mean_scale, laid out by
+    GEOMETRY_SEED."""
+    rng = np.random.default_rng(GEOMETRY_SEED)
+    raw = rng.normal(size=(spec.n_classes, spec.input_dim))
+    raw -= raw.mean(axis=0)
+    means = spec.mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    if len({tuple(m) for m in means}) != spec.n_classes:
+        raise ConfigInvalid("class means must be distinct")
+    return means
 
 
-@dataclass
-class ShiftTransform:
-    kind: str
-    direction: list[float] | None = None  # mean_shift only
-    plane: tuple[int, int] = (0, 1)  # rotation only
-
-    def validate(self, input_dim: int) -> None:
-        if self.kind not in SHIFT_KINDS:
-            raise ConfigInvalid(f"unknown shift kind {self.kind!r}")
-        if self.kind == "mean_shift":
-            if self.direction is None or len(self.direction) != input_dim:
-                raise ConfigInvalid("mean_shift needs a direction of input_dim length")
-            d = np.asarray(self.direction, dtype=np.float64)
-            if not (np.isfinite(d).all() and (d != 0).any()):
-                raise ConfigInvalid("mean_shift direction must be finite and nonzero")
-        if self.kind == "rotation":
-            i, j = self.plane
-            if not (0 <= i < input_dim and 0 <= j < input_dim and i != j):
-                raise ConfigInvalid(f"invalid rotation plane {self.plane}")
+def resolved_covs(spec: SyntheticSpec) -> np.ndarray:
+    if spec.cov_scales is not None:
+        scales = np.asarray(spec.cov_scales, dtype=np.float64)
+    else:
+        # heteroscedastic classes: a tight, a medium, and a wide cluster
+        scales = np.geomspace(0.2, 1.5, spec.n_classes)
+    eye = np.eye(spec.input_dim)
+    return np.stack([s * s * eye for s in scales])
 
 
-@dataclass
-class ShiftSpec:
-    transforms: list[ShiftTransform] = field(default_factory=list)
-    severity: int = 5
-
-    def validate(self, input_dim: int) -> None:
-        if not 1 <= self.severity <= 5:
-            raise ConfigInvalid(f"severity {self.severity} outside 1..5")
-        for t in self.transforms:
-            t.validate(input_dim)
-
-
-@dataclass
-class SyntheticSpec:
-    n_classes: int = 3
-    input_dim: int = 8
-    mean_scale: float = 2.4  # class-mean radius from the origin
-    n_train_per_class: int = 500
-    n_test_per_class: int = 1280
-    seed: int = 0  # sampling only; geometry is pinned by GEOMETRY_SEED
-    cov_scales: list[float] | None = None  # per-class isotropic stds
-
-    def validate(self) -> None:
-        if self.n_classes < 2:
-            raise ConfigInvalid("classification needs n_classes >= 2")
-        if self.input_dim < 2:
-            raise ConfigInvalid("input_dim must be >= 2")
-        if self.n_train_per_class < 2 or self.n_test_per_class < 2:
-            raise ConfigInvalid("need at least 2 samples per class")
-        if self.seed < 0:
-            raise ConfigInvalid("seed must be >= 0")
-        if self.cov_scales is not None:
-            if len(self.cov_scales) != self.n_classes:
-                raise ConfigInvalid("cov_scales must list one std per class")
-            with np.errstate(over="ignore"):
-                if not np.all(np.isfinite(np.square(self.cov_scales))):
-                    raise ConfigInvalid("cov_scales entries must have finite squares")
-
-    def resolved_means(self) -> np.ndarray:
-        """C x input_dim class means of radius mean_scale, laid out by
-        GEOMETRY_SEED."""
-        rng = np.random.default_rng(GEOMETRY_SEED)
-        raw = rng.normal(size=(self.n_classes, self.input_dim))
-        raw -= raw.mean(axis=0)
-        means = self.mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        if len({tuple(m) for m in means}) != self.n_classes:
-            raise ConfigInvalid("class means must be distinct")
-        return means
-
-    def resolved_covs(self) -> np.ndarray:
-        if self.cov_scales is not None:
-            scales = np.asarray(self.cov_scales, dtype=np.float64)
-        else:
-            # heteroscedastic classes: a tight, a medium, and a wide cluster
-            scales = np.geomspace(0.2, 1.5, self.n_classes)
-        eye = np.eye(self.input_dim)
-        return np.stack([s * s * eye for s in scales])
-
-    def mean_class_std(self) -> float:
-        covs = self.resolved_covs()
-        return float(
-            np.mean([np.sqrt(np.mean(np.diag(c))) for c in covs])
-        )
+def mean_class_std(spec: SyntheticSpec) -> float:
+    return float(np.mean([np.sqrt(np.mean(np.diag(c))) for c in resolved_covs(spec)]))
 
 
 @dataclass
@@ -123,8 +62,8 @@ class Dataset:
 def _sample_mixture(spec: SyntheticSpec, n_per_class: int, rng: np.random.Generator):
     """n_per_class draws of each class, in one random order. Each class's
     draw fills its rows of one matrix; the permutation is the only copy."""
-    means = spec.resolved_means()
-    covs = spec.resolved_covs()
+    means = resolved_means(spec)
+    covs = resolved_covs(spec)
     x = np.empty((spec.n_classes * n_per_class, spec.input_dim))
     for c in range(spec.n_classes):
         rows = slice(c * n_per_class, (c + 1) * n_per_class)
@@ -142,7 +81,7 @@ def apply_shift(
 ) -> np.ndarray:
     """Apply the shift transforms in order; label-preserving by construction."""
     shift.validate(spec.input_dim)
-    std = spec.mean_class_std()
+    std = mean_class_std(spec)
     out = np.array(x, dtype=np.float64)  # the one copy; each transform edits it
     for t in shift.transforms:
         if t.kind == "gaussian_noise":

@@ -148,10 +148,7 @@ def _class_quadratics(x: np.ndarray, stats: SourceStats):
     symmetric (`stats.regularized_precisions` returns 0.5 * (q + q^T) for
     the fit and for `load_stats`).
     """
-    mus = stats.class_mus
-    if x.shape[-1] != mus.shape[1]:
-        raise DimensionMismatch(f"feature dim {x.shape[-1]} vs {mus.shape[1]}")
-    diff = x - mus[:, None, :]
+    diff = x - stats.class_mus[:, None, :]
     pd = diff @ stats.class_precisions
     return np.einsum("cnd,cnd->cn", pd, diff), pd
 
@@ -240,15 +237,19 @@ def loss_tensor(
 
     `pl` is the cross-entropy against `labels`, or against the argmax
     pseudo-labels of the logits when None; `intra` and `cafa` read the same
-    labels. The FEATURE_LOSSES read the features and `stats`; `pl` and
-    `entropy` read the logits (`reads_logits`), and grad is the array of
-    the loss's gradient w.r.t. what it reads, 1/N included. quads is the
-    C x N class kernel an `intra` or `cafa` loss read, else None. Values
-    take a mean as sum * (1/N), the order the recorded `loss` columns were
-    computed in; tests pin every value bit for bit.
+    labels. The FEATURE_LOSSES read the features and `stats`, and refuse
+    features of another dim; `pl` and `entropy` read the logits
+    (`reads_logits`), and grad is the array of the loss's gradient w.r.t.
+    what it reads, 1/N included. quads is the C x N class kernel an
+    `intra` or `cafa` loss read, else None. Values take a mean as
+    sum * (1/N), the order the recorded `loss` columns were computed in;
+    tests pin every value bit for bit.
     """
-    if method in FEATURE_LOSSES and stats is None:
-        raise ConfigInvalid(f"method {method!r} requires source statistics")
+    if method in FEATURE_LOSSES:
+        if stats is None:
+            raise ConfigInvalid(f"method {method!r} requires source statistics")
+        if feats.shape[-1] != stats.feature_dim:
+            raise DimensionMismatch(f"feature dim {feats.shape[-1]} vs {stats.feature_dim}")
     if method in ("pl", "intra", "cafa") and labels is None:
         labels = argmax_rows(logits)
     quads = None

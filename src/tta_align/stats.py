@@ -127,16 +127,18 @@ def _fit(
         raise EmptyInput("need at least one sample")
     y = network.as_labels(labels, n)
     n_classes = int(y.max()) + 1
+    # every class needs 2 rows, so one of the first n // 2 + 1 falls short
+    # when there are more: counting those sizes nothing by the largest label
+    counts = np.bincount(y[y <= n // 2], minlength=min(n_classes, n // 2 + 1))
+    if (counts < 2).any():
+        c = int(np.argmax(counts < 2))
+        raise MissingClass(f"class {c} has {counts[c]} samples, need >= 2")
     warnings: list[str] = []
 
     mus = np.empty((n_classes, d))
     sigmas = np.empty((n_classes, d, d))
-    counts = np.empty(n_classes, dtype=np.int64)
     for c in range(n_classes):
         x_c = feats[y == c]  # a copy, which _moments centres
-        counts[c] = x_c.shape[0]
-        if counts[c] < 2:
-            raise MissingClass(f"class {c} has {counts[c]} samples, need >= 2")
         if counts[c] <= d:
             warnings.append(
                 f"class {c}: {counts[c]} samples <= feature dim {d}; "

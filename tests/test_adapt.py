@@ -419,6 +419,26 @@ class TestOnlineProtocol:
         with pytest.raises(error):
             adapt_stream(small_model(rng), None, [(x, bad(y))], cfg)
 
+    @pytest.mark.parametrize("method", ["bn", "cafa"])
+    @pytest.mark.parametrize("n_classes, feature_dim", [(4, 5), (3, 4)])
+    def test_stats_of_another_model_refused_before_the_first_batch(
+        self, method, n_classes, feature_dim
+    ):
+        # a 3-class model with 4-class stats used to record a cafa loss and
+        # distances; the refusal comes before a batch is drawn
+        rng = np.random.default_rng(13)
+        model = small_model(rng)  # 3 classes, 5 features
+        stats = random_stats(rng, n_classes, feature_dim)
+
+        def untouched():
+            raise AssertionError("a batch was drawn")
+            yield
+
+        steps = 0 if method in NO_LOSS_METHODS else 1
+        cfg = TtaConfig(method=method, steps_per_batch=steps, batch_size=16)
+        with pytest.raises(DimensionMismatch, match="vs model n_classes 3, feature_dim 5"):
+            adapt_stream(model, stats, untouched(), cfg)
+
     def test_non_finite_input_rejected(self):
         # one NaN row poisons the batch statistics: every logit turns NaN,
         # argmax answers class 0 and an all-zero-label batch would score 1.0

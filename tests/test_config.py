@@ -1,7 +1,9 @@
 import dataclasses
+import enum
 import json
 import math
 import re
+import types
 import typing
 from pathlib import Path
 
@@ -326,7 +328,8 @@ class TestValidation:
     def test_bad_param_group(self):
         # a string where the enum belongs would adapt the BN parameters only
         cfg = TtaConfig(method="cafa", param_group="feature_full")
-        with pytest.raises(ConfigInvalid, match="param_group must be one of"):
+        message = "field 'param_group' in section 'methods[]' must be"
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
             cfg.validate()
         TtaConfig(method="cafa", param_group=ParamGroup.FEATURE_FULL).validate()
 
@@ -337,10 +340,15 @@ class TestValidation:
                 lambda doc: doc["shift"].update(
                     transforms=[{"kind": "mean_shift", "direction": [0.0] * 8}]
                 ),
-                "mean_shift direction must be finite and nonzero",
+                "mean_shift direction must be nonzero",
             ),
             (
                 lambda doc: doc["synthetic"].update(cov_scales=[0.2, 1e200, 1.5]),
+                "cov_scales entries must have finite squares",
+            ),
+            (
+                # all integers, once a bare TypeError from NumPy's object arrays
+                lambda doc: doc["synthetic"].update(cov_scales=[1, 2, 10**200]),
                 "cov_scales entries must have finite squares",
             ),
             (
@@ -351,6 +359,7 @@ class TestValidation:
         ids=[
             "zero_shift_direction",
             "cov_scale_square_overflows",
+            "int_cov_scale_square_overflows",
             "name_with_path_separator",
         ],
     )
@@ -423,3 +432,85 @@ def test_readme_schema_names_every_field():
     block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     check_schema_keys(ExperimentConfig, doc, "top-level")
+
+
+def schema_sections(cls=ExperimentConfig, where="top-level", steps=()):
+    """(section path as the walk names it, dataclass, the attribute names
+    and list indices that lead from a config to it) of `cls` and of every
+    section reachable from its annotations; a list of sections stands for
+    its first entry."""
+    yield where, cls, steps
+    for name, tp in typing.get_type_hints(cls).items():
+        for arm in (tp, *typing.get_args(tp)):
+            if dataclasses.is_dataclass(arm):
+                path = name if where == "top-level" else f"{where}.{name}"
+                if typing.get_origin(tp) is list:
+                    yield from schema_sections(arm, f"{path}[]", (*steps, name, 0))
+                else:
+                    yield from schema_sections(arm, path, (*steps, name))
+
+
+def section_of(cfg, steps):
+    for step in steps:
+        cfg = cfg[step] if isinstance(step, int) else getattr(cfg, step)
+    return cfg
+
+
+def wrong_values(tp) -> list:
+    """Values no JSON document reads into a field of annotation `tp`: values
+    of another JSON type, and Python objects that its JSON form would read
+    back as something else (the string of an enum member, a list for a
+    tuple, a tuple for a list)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return [v for arm in args if arm is not type(None) for v in wrong_values(arm)]
+    if origin is list:
+        return [5, "ab", tuple(), [wrong_values(args[0])[0]]]
+    if origin is tuple:
+        return [5, [0] * len(args), tuple(wrong_values(a)[0] for a in args)]
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return [next(iter(tp)).value, 5]
+    if dataclasses.is_dataclass(tp):
+        return ["x", 5]
+    return {int: [2.5, True, "1"], float: [NAN, math.inf, "x", True], str: [5, 1.5]}[tp]
+
+
+SCHEMA_SECTIONS = list(schema_sections())
+WRONG_FIELDS = [
+    pytest.param(where, steps, name, value, id=f"{where}.{name}={value!r}")
+    for where, cls, steps in SCHEMA_SECTIONS
+    for name, tp in typing.get_type_hints(cls).items()
+    for value in wrong_values(tp)
+]
+
+
+def test_every_schema_section_is_defined_in_config():
+    # the whole schema lives in one module, so the walk and every section
+    # that it checks are read together
+    names = {cls.__name__ for _, cls, _ in SCHEMA_SECTIONS}
+    assert {"SyntheticSpec", "ShiftSpec", "ShiftTransform", "TtaConfig"} <= names
+    for where, cls, _ in SCHEMA_SECTIONS:
+        assert cls.__module__ == "tta_align.config", (where, cls)
+
+
+@pytest.mark.parametrize("where, steps, name, value", WRONG_FIELDS)
+def test_python_built_field_of_a_wrong_type_is_refused(where, steps, name, value):
+    # a config built in Python meets the walk's type rules, from the whole
+    # config's validate() and from its own section's, and the error names
+    # the field as it would for a JSON document; a field that holds a
+    # section is named as that section
+    cfg = ExperimentConfig.default()
+    section = section_of(cfg, steps)
+    setattr(section, name, value)
+    path = name if where == "top-level" else f"{where}.{name}"
+    named = "|".join(
+        [
+            re.escape(f"field {name!r} in section {where!r}"),
+            re.escape(f"section '{path}") + r"(\[\])?' must be a JSON object",
+        ]
+    )
+    with pytest.raises(ConfigInvalid, match=named):
+        cfg.validate()
+    input_dim = [cfg.synthetic.input_dim] if where.startswith("shift") else []
+    with pytest.raises(ConfigInvalid, match=named):
+        section.validate(*input_dim)

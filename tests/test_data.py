@@ -16,6 +16,9 @@ from tta_align.data import (
     SyntheticSpec,
     batch_stream,
     generate_dataset,
+    mean_class_std,
+    resolved_covs,
+    resolved_means,
 )
 from tta_align.errors import ConfigInvalid
 from tta_align.losses import mahalanobis
@@ -41,23 +44,23 @@ class TestSyntheticSpec:
 
     def test_means_have_requested_radius(self):
         spec = SyntheticSpec(mean_scale=2.4)
-        radii = np.linalg.norm(spec.resolved_means(), axis=1)
+        radii = np.linalg.norm(resolved_means(spec), axis=1)
         np.testing.assert_allclose(radii, 2.4, rtol=1e-12)
 
     def test_geometry_fixed_across_data_seeds(self):
         a = SyntheticSpec(seed=0)
         b = SyntheticSpec(seed=17)
-        assert np.array_equal(a.resolved_means(), b.resolved_means())
-        assert np.array_equal(a.resolved_covs(), b.resolved_covs())
+        assert np.array_equal(resolved_means(a), resolved_means(b))
+        assert np.array_equal(resolved_covs(a), resolved_covs(b))
 
     def test_duplicate_means_rejected(self):
         spec = SyntheticSpec(n_classes=2, input_dim=2, mean_scale=0.0)
         with pytest.raises(ConfigInvalid):
-            spec.resolved_means()
+            resolved_means(spec)
 
     def test_cov_scales_give_isotropic_covs(self):
         spec = SyntheticSpec(n_classes=3, input_dim=4, cov_scales=[0.2, 0.6, 1.5])
-        covs = spec.resolved_covs()
+        covs = resolved_covs(spec)
         for s, c in zip([0.2, 0.6, 1.5], covs):
             assert np.array_equal(c, s * s * np.eye(4))
 
@@ -120,7 +123,7 @@ class TestGenerateDataset:
         )
         clean = generate_dataset(spec, shift=None)
         shifted = generate_dataset(spec, shift)
-        expected = MEAN_SHIFT_SCALE[severity] * spec.mean_class_std() * direction
+        expected = MEAN_SHIFT_SCALE[severity] * mean_class_std(spec) * direction
         observed = shifted.target_x.mean(axis=0) - clean.target_x.mean(axis=0)
         np.testing.assert_allclose(observed, expected, atol=1e-9)
 
@@ -193,7 +196,7 @@ class TestSeverity:
         spec = SyntheticSpec(n_train_per_class=20, n_test_per_class=60)
         gaussians = [
             (mu, exact_precision(cov))
-            for mu, cov in zip(spec.resolved_means(), spec.resolved_covs())
+            for mu, cov in zip(resolved_means(spec), resolved_covs(spec))
         ]
         per_severity = []
         for severity in range(1, 6):

@@ -548,6 +548,17 @@ class TestDistanceReport:
         with pytest.raises(DimensionMismatch):
             distance_report(rng.normal(size=(5, 4)), np.array([0, 1, 2]), stats)
 
+    @pytest.mark.parametrize("method", losses.FEATURE_LOSSES)
+    @pytest.mark.parametrize("stats_dim", [1, 2])
+    def test_every_feature_loss_refuses_stats_of_another_dim(self, method, stats_dim):
+        # global_fa used to return a value for 1-dim stats on 3-dim features
+        # and a bare broadcast error for 2-dim ones
+        rng = np.random.default_rng(27)
+        feats, logits = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        stats = random_stats(rng, 3, stats_dim)
+        with pytest.raises(DimensionMismatch, match=f"feature dim 3 vs {stats_dim}"):
+            loss_tensor(method, feats, logits, stats)
+
     def test_feature_dim_mismatch(self):
         rng = np.random.default_rng(25)
         stats = random_stats(rng, 3, 4)

@@ -133,8 +133,11 @@ class TestFitSourceStats:
             (np.where(np.arange(30) < 5, -1, np.arange(30) % 3), UnknownClass),
             (np.arange(30) % 3 + 0.6, UnknownClass),  # used to fit the stats of y
             (np.where(np.arange(30) < 5, np.nan, np.arange(30) % 3), UnknownClass),
+            # refused before any array is sized by the label: 10**12 classes
+            # of 2 x 2 covariances would ask for 29 TiB
+            (np.where(np.arange(30) == 29, 10**12, np.arange(30) % 3), MissingClass),
         ],
-        ids=["short", "long", "column", "negative", "fractional", "nan"],
+        ids=["short", "long", "column", "negative", "fractional", "nan", "huge"],
     )
     def test_labels_must_name_a_class_per_row(self, labels, error):
         feats = np.random.default_rng(4).normal(size=(30, 2))
