@@ -56,8 +56,8 @@ def _check_fits(cfg: ExperimentConfig, model, stats=None) -> None:
         fit.eps_scale,
     ):
         raise ConfigInvalid(
-            f"config covariance_mode {fit.covariance_mode.value}, eps_scale {fit.eps_scale} "
-            f"vs stats {stats.covariance_mode.value}, {stats.eps_scale}"
+            f"config covariance_mode {fit.covariance_mode}, eps_scale {fit.eps_scale} "
+            f"vs stats {stats.covariance_mode}, {stats.eps_scale}"
         )
     if stats is not None and (stats.feature_dim, stats.n_classes) != (
         model.feature_dim,

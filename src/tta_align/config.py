@@ -9,37 +9,38 @@ back, and each section's `validate()` runs the walk on its own fields.
 from __future__ import annotations
 
 import dataclasses
-import enum
+import functools
 import json
 import math
-import numbers
 import re
 import reprlib
 import sys
 import types
 import typing
 from dataclasses import dataclass, field
+from typing import Literal
 
 from .errors import ConfigInvalid
-from .network import ParamGroup
-from .stats import DEFAULT_EPS_SCALE, CovarianceMode
+from .network import PARAM_GROUPS
+from .stats import COVARIANCE_MODES, DEFAULT_EPS_SCALE
 
 METHODS = ("source", "bn", "pl", "entropy", "global_fa", "intra", "cafa")
 NO_LOSS_METHODS = ("source", "bn")
 SHIFT_KINDS = ("gaussian_noise", "mean_shift", "scaling", "rotation")
 
-
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-_SCALARS = {  # JSON scalar type -> (what to expect, test)
+_SCALARS = {  # JSON scalar type -> (what to expect, test); a bool is no number
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an integer", lambda v: _real(v) and isinstance(v, numbers.Integral)),
-    # not NaN or +-inf, and no integer past the float range
-    float: ("a finite number", lambda v: _real(v) and abs(v) <= sys.float_info.max),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    # an int or a float, not NaN or +-inf, and no integer past the float range
+    float: (
+        "a finite number",
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
+    ),
     str: ("a string", lambda v: isinstance(v, str)),
 }
+_hints = functools.cache(typing.get_type_hints)
 
 
 class _Mismatch(Exception):
@@ -48,9 +49,9 @@ class _Mismatch(Exception):
 
 def _value(tp, value, section: str):
     """`value` checked against annotation `tp` and built: a nested dataclass
-    section, a list or tuple of entries, an enum member or a scalar (kept
-    as it is). An int is accepted for a float, a bool is not accepted for an
-    int."""
+    section, a list or tuple of entries, or a scalar or `Literal` string
+    (kept as it is). A section already built in Python is kept too: its own
+    `validate()` checks it."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         if value is None and type(None) in args:
@@ -80,11 +81,12 @@ def _value(tp, value, section: str):
         if fits(value):
             return value
         raise _Mismatch(want)
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        values = [m.value for m in tp]
-        if value in values:
-            return tp(value)
-        raise _Mismatch(f"one of {values}")
+    if origin is Literal:
+        if isinstance(value, str) and value in args:
+            return value
+        raise _Mismatch(f"one of {list(args)}")
+    if type(value) is tp:
+        return value
     return _read(tp, value, section)
 
 
@@ -95,7 +97,7 @@ def _read(cls, doc, section: str):
         raise ConfigInvalid(
             f"section {section!r} must be a JSON object, got {type(doc).__name__}"
         )
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     unknown = set(doc) - set(hints)
     if unknown:
         raise ConfigInvalid(
@@ -128,25 +130,26 @@ def _read(cls, doc, section: str):
 
 def _plain(value):
     """JSON-ready copy of a config value: a dataclass becomes an object of
-    its fields, tuples lists, enums their value."""
+    its fields, tuples lists."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, enum.Enum):
-        return value.value
     return value
 
 
 def _check_fields(section, where: str) -> None:
     """The walk's type rules for a section built in Python: each field and
-    list entry must have the type the walk reads from its JSON form."""
-    read = _read(type(section), _plain(section), where)
-    for f in dataclasses.fields(section):
-        value, want = getattr(section, f.name), getattr(read, f.name)
+    list entry must have the type the walk reads from its JSON form. A
+    nested section is left to its own `validate()`."""
+    fields = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
+    doc = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
+    read = _read(type(section), doc, where)
+    for name, value in fields.items():
+        want = getattr(read, name)
         pairs = zip(value, want) if isinstance(want, (list, tuple)) else []
         if type(value) is not type(want) or any(type(v) is not type(w) for v, w in pairs):
-            message = f"field {f.name!r} in section {where!r} must be {want!r}, got {value!r}"
+            message = f"field {name!r} in section {where!r} must be {want!r}, got {value!r}"
             raise ConfigInvalid(message)
 
 
@@ -157,14 +160,12 @@ def valid_run_name(name) -> bool:
 
 @dataclass
 class ShiftTransform:
-    kind: str
+    kind: Literal[SHIFT_KINDS]
     direction: list[float] | None = None  # mean_shift only
     plane: tuple[int, int] = (0, 1)  # rotation only
 
     def validate(self, input_dim: int) -> None:
         _check_fields(self, "shift.transforms[]")
-        if self.kind not in SHIFT_KINDS:
-            raise ConfigInvalid(f"unknown shift kind {self.kind!r}")
         if self.kind == "mean_shift":
             if self.direction is None or len(self.direction) != input_dim:
                 raise ConfigInvalid("mean_shift needs a direction of input_dim length")
@@ -212,15 +213,15 @@ class SyntheticSpec:
         if self.cov_scales is not None:
             if len(self.cov_scales) != self.n_classes:
                 raise ConfigInvalid("cov_scales must list one std per class")
-            if not all(math.isfinite(float(s) * s) for s in self.cov_scales):
+            if not all(math.isfinite(float(s) * float(s)) for s in self.cov_scales):
                 raise ConfigInvalid("cov_scales entries must have finite squares")
 
 
 @dataclass
 class TtaConfig:
-    method: str = "cafa"
+    method: Literal[METHODS] = "cafa"
     name: str = ""  # run label; defaults to the method name
-    param_group: ParamGroup = ParamGroup.BN_ONLY
+    param_group: Literal[PARAM_GROUPS] = "bn_only"
     steps_per_batch: int = 1
     learning_rate: float = 1e-3
     batch_size: int = 64
@@ -233,8 +234,6 @@ class TtaConfig:
 
     def validate(self) -> None:
         _check_fields(self, "methods[]")
-        if self.method not in METHODS:
-            raise ConfigInvalid(f"unknown method {self.method!r}; one of {METHODS}")
         if self.name and not valid_run_name(self.name):
             raise ConfigInvalid(f"name {self.name!r} may hold only ASCII letters, digits and _.+-")
         if self.method in NO_LOSS_METHODS:
@@ -273,7 +272,7 @@ class PretrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     eps_scale: float = DEFAULT_EPS_SCALE
-    covariance_mode: CovarianceMode = CovarianceMode.CLASS_WISE
+    covariance_mode: Literal[COVARIANCE_MODES] = "class_wise"
 
     def validate(self) -> None:
         _check_fields(self, "pretrain")
@@ -303,11 +302,11 @@ class ExperimentConfig:
         self.pretrain.validate()
         if not self.methods:
             raise ConfigInvalid("methods list is empty")
+        for m in self.methods:
+            m.validate()
         names = [m.run_name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigInvalid(f"duplicate run names in experiment: {names}")
-        for m in self.methods:
-            m.validate()
         # a batch larger than its data set leaves pretraining without a step
         # or a method without a batch
         spec = self.synthetic

@@ -22,7 +22,7 @@ from .errors import (
     EmptyInput,
     SingleClass,
 )
-from .network import argmax_rows, as_labels
+from .network import argmax_rows, as_labels, as_matrix
 from .stats import SourceStats
 
 RATIO_FLOOR = 1e-12  # clamp for the log-ratio numerator and denominator
@@ -64,9 +64,7 @@ def distance_report(
     """
     if stats.n_classes < 2:
         raise SingleClass("inter-class distance needs at least 2 classes")
-    feats = np.asarray(batch_feats, dtype=np.float64)
-    if feats.ndim != 2:
-        raise DimensionMismatch(f"expected a feature matrix, got shape {feats.shape}")
+    feats = as_matrix(batch_feats)
     y = as_labels(true_labels, feats.shape[0], stats.n_classes)
     if feats.shape[1] != stats.feature_dim:
         raise DimensionMismatch(f"feature dim {feats.shape[1]} vs {stats.feature_dim}")

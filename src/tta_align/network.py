@@ -37,17 +37,13 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics upda
 BN_VAR_EPS = 1e-5
 CHECKPOINT_VERSION = 1
 EVAL_ROWS = 1024  # rows per block of a running-statistics forward without a cache
+PARAM_GROUPS = ("bn_only", "feature_full")  # each a prefix of the buffer, in order
 
 
 class StatMode(enum.Enum):
     TRAIN_UPDATE = "train_update"  # batch stats, update running stats
     BATCH_ONLY = "batch_only"  # batch stats, running stats untouched
     RUNNING_EVAL = "running_eval"  # stored running stats
-
-
-class ParamGroup(enum.Enum):
-    BN_ONLY = "bn_only"
-    FEATURE_FULL = "feature_full"
 
 
 @dataclass
@@ -98,11 +94,8 @@ class AdaptiveModel:
             start += a.size
         sizes = [a.size for a in arrays]
         n = 2 * len(self.blocks)
-        self._sizes = {
-            ParamGroup.BN_ONLY: sum(sizes[:n]),
-            ParamGroup.FEATURE_FULL: sum(sizes[: 2 * n]),
-            None: self.flat.size,
-        }
+        self._sizes = {g: sum(sizes[: k * n]) for k, g in enumerate(PARAM_GROUPS, 1)}
+        self._sizes[None] = self.flat.size
 
     @property
     def input_dim(self) -> int:
@@ -128,9 +121,9 @@ class AdaptiveModel:
         params["classifier.bias"] = self.classifier.bias
         return params
 
-    def group_size(self, group: ParamGroup | None) -> int:
-        """Length of the prefix of `flat` that holds `group`; None is the
-        whole buffer, classifier included."""
+    def group_size(self, group: str | None) -> int:
+        """Length of the prefix of `flat` that holds `group`, one of
+        PARAM_GROUPS; None is the whole buffer, classifier included."""
         return self._sizes[group]
 
     def copy(self) -> "AdaptiveModel":
@@ -342,8 +335,8 @@ def _backward(
     and no gradient is computed for the input below block 0.
     """
     grad = np.empty(size)
-    bn_end = model.group_size(ParamGroup.BN_ONLY)
-    feature_end = model.group_size(ParamGroup.FEATURE_FULL)
+    bn_end = model.group_size("bn_only")
+    feature_end = model.group_size("feature_full")
     clf = model.classifier
     if size > feature_end:
         if at_logits:
@@ -399,7 +392,7 @@ def loss_and_grad_named(
     model: AdaptiveModel,
     batch,
     mode: StatMode,
-    group: ParamGroup | None,
+    group: str | None,
     method: str,
     stats=None,
     labels=None,

@@ -11,7 +11,6 @@ inputs are bit-identical.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import network
 from .errors import (
+    ConfigInvalid,
     CorruptChecksum,
     EmptyInput,
     FormatVersionMismatch,
@@ -34,11 +34,7 @@ STATS_MAGIC = b"TTASTATS"
 STATS_VERSION = 1
 DEFAULT_EPS_SCALE = 1e-6
 SYMMETRY_RTOL = 1e-10
-
-
-class CovarianceMode(enum.Enum):
-    CLASS_WISE = "class_wise"
-    TIED = "tied"
+COVARIANCE_MODES = ("class_wise", "tied")
 
 
 @dataclass
@@ -53,7 +49,7 @@ class SourceStats:
     class_counts: np.ndarray
     global_mu: np.ndarray
     global_sigma: np.ndarray
-    covariance_mode: CovarianceMode
+    covariance_mode: str  # one of COVARIANCE_MODES
     eps_scale: float
     warnings: list[str] = field(default_factory=list)
 
@@ -105,7 +101,7 @@ def estimate_source_stats(
     model: network.AdaptiveModel,
     inputs: np.ndarray,
     labels: np.ndarray,
-    mode: CovarianceMode = CovarianceMode.CLASS_WISE,
+    mode: str = "class_wise",
     eps_scale: float = DEFAULT_EPS_SCALE,
 ) -> SourceStats:
     """Extract features with stored running statistics, then fit Gaussians."""
@@ -115,12 +111,12 @@ def estimate_source_stats(
     return _fit(feats, labels, mode, eps_scale)
 
 
-def _fit(
-    feats: np.ndarray, labels, mode: CovarianceMode, eps_scale: float
-) -> SourceStats:
+def _fit(feats: np.ndarray, labels, mode: str, eps_scale: float) -> SourceStats:
     """Per-class and global Gaussians of a float64 feature matrix (N x d)
     that the fit owns and its labels (N class indices): the global Gaussian
     comes last and centres `feats` in place."""
+    if mode not in COVARIANCE_MODES:
+        raise ConfigInvalid(f"covariance_mode {mode!r} must be one of {list(COVARIANCE_MODES)}")
     feats = network.as_matrix(feats)
     n, d = feats.shape
     if n == 0:
@@ -146,7 +142,7 @@ def _fit(
             )
         mus[c], sigmas[c] = _moments(x_c)
 
-    if mode is CovarianceMode.TIED:
+    if mode == "tied":
         # pooled within-class covariance, sample-count weighted (LDA convention)
         tied = np.zeros((d, d))
         for n_c, sigma_c in zip(counts, sigmas):
@@ -190,7 +186,7 @@ def save_stats(stats: SourceStats, path) -> None:
     header = {
         "feature_dim": stats.feature_dim,
         "n_classes": stats.n_classes,
-        "covariance_mode": stats.covariance_mode.value,
+        "covariance_mode": stats.covariance_mode,
         "eps_scale": stats.eps_scale,
         "n_samples": stats.class_counts.tolist(),
         "warnings": stats.warnings,
@@ -243,10 +239,12 @@ def load_stats(path) -> SourceStats:
         header = json.loads(body[:header_len].decode())
         d = header["feature_dim"]
         n_classes = header["n_classes"]
-        mode = CovarianceMode(header["covariance_mode"])
+        mode = header["covariance_mode"]
         eps_scale = header["eps_scale"]
         counts = header["n_samples"]
         warnings = header["warnings"]
+        if mode not in COVARIANCE_MODES:
+            raise ValueError(f"covariance_mode {mode!r} must be one of {list(COVARIANCE_MODES)}")
         if not all(type(v) is int for v in (d, n_classes, *counts)):
             raise ValueError("feature_dim, n_classes and n_samples must be integers")
         if d < 1 or n_classes < 1:
@@ -272,7 +270,7 @@ def load_stats(path) -> SourceStats:
     mus = rows[:, :d].astype(np.float64)
     sigmas = rows[:, d:].reshape(-1, d, d).astype(np.float64)
     class_bits = sigmas[:-1].view(np.uint64)
-    if mode is CovarianceMode.TIED and not (class_bits == class_bits[0]).all():
+    if mode == "tied" and not (class_bits == class_bits[0]).all():
         raise StatsIoError(f"tied stats in {path} hold class covariances that differ")
     try:
         precisions = regularized_precisions(sigmas[:-1], eps_scale)

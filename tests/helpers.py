@@ -18,7 +18,6 @@ from tta_align.errors import DimensionMismatch, UnknownClass
 from tta_align.stats import (
     DEFAULT_EPS_SCALE,
     STATS_MAGIC,
-    CovarianceMode,
     SourceStats,
     _fit,
     regularized_precisions,
@@ -88,7 +87,7 @@ def exact_stats(mus, sigmas, global_mu=None, global_sigma=None) -> SourceStats:
         class_counts=np.full(len(mus), 10),
         global_mu=np.asarray(global_mu, dtype=np.float64),
         global_sigma=np.asarray(global_sigma, dtype=np.float64),
-        covariance_mode=CovarianceMode.CLASS_WISE,
+        covariance_mode="class_wise",
         eps_scale=0.0,
     )
 
@@ -96,7 +95,7 @@ def exact_stats(mus, sigmas, global_mu=None, global_sigma=None) -> SourceStats:
 def fit_source_stats(
     features: np.ndarray,
     labels: np.ndarray,
-    mode: CovarianceMode = CovarianceMode.CLASS_WISE,
+    mode: str = "class_wise",
     eps_scale: float = DEFAULT_EPS_SCALE,
 ) -> SourceStats:
     """Per-class and global Gaussians of extracted features (an N x d

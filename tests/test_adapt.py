@@ -17,7 +17,7 @@ from tta_align.errors import (
     NonFiniteLoss,
 )
 from tta_align.experiment import pretrain_source, read_run_record, write_run_records
-from tta_align.network import ParamGroup, StatMode
+from tta_align.network import StatMode
 
 
 def make_batches(rng, n_batches=6, batch_size=16, input_dim=6, n_classes=3, loc=0.0):
@@ -126,7 +126,7 @@ class TestTtaConfig:
         cfg = TtaConfig(
             method="cafa",
             name="cafa_fast",
-            param_group=ParamGroup.FEATURE_FULL,
+            param_group="feature_full",
             steps_per_batch=3,
             learning_rate=5e-4,
         )
@@ -240,7 +240,7 @@ class TestOnlineProtocol:
             model,
             stats,
             make_batches(rng),
-            TtaConfig(method="cafa", param_group=ParamGroup.FEATURE_FULL, batch_size=16),
+            TtaConfig(method="cafa", param_group="feature_full", batch_size=16),
         )
         after = model_state(model)
         assert states_equal(before, after, ["classifier.weight", "classifier.bias"])

@@ -17,7 +17,7 @@ from helpers import (
 from tta_align import losses, network
 from tta_align.autograd import Tensor
 from tta_align.losses import RATIO_FLOOR
-from tta_align.network import ParamGroup, StatMode
+from tta_align.network import StatMode
 
 
 def cube(at_logits):
@@ -79,18 +79,18 @@ class TestForwardValues:
 
         monkeypatch.setattr(Tensor, "__init__", spy)
         value, grad, _ = network.loss_and_grad_named(
-            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy"
+            model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, "bn_only", "entropy"
         )
         assert len(handles) == 1
         assert handles[0].data.shape == () and float(handles[0].data) == value
-        assert grad.shape == (model.group_size(ParamGroup.BN_ONLY),)
+        assert grad.shape == (model.group_size("bn_only"),)
 
 
 class TestGradients:
     def test_matmul(self):
         # dh = g W: the head carries a logits gradient into the blocks, and
         # each block's dh into the block below
-        check_cube_grad(3, True, ParamGroup.FEATURE_FULL)
+        check_cube_grad(3, True, "feature_full")
 
     def test_transpose(self):
         # the weight enters transposed: dW = g^T h
@@ -165,14 +165,14 @@ class TestGradients:
         model = small_model(rng, input_dim=4, hidden_dims=(5, 3))
         x = rng.normal(size=(6, 4))
         for mode in StatMode:
-            _, grad = chain_grad(model.copy(), x, mode, cube(True), ParamGroup.FEATURE_FULL)
+            _, grad = chain_grad(model.copy(), x, mode, cube(True), "feature_full")
             scale = np.max(np.abs(grad))
             db = np.concatenate([named(model, grad)[f"block{i}.dense.bias"] for i in range(2)])
             if mode is StatMode.RUNNING_EVAL:
                 assert np.max(np.abs(db)) > 1e-3 * scale
             else:
                 assert np.max(np.abs(db)) < 1e-12 * scale
-        check_cube_grad(9, True, ParamGroup.FEATURE_FULL, modes=(StatMode.BATCH_ONLY,))
+        check_cube_grad(9, True, "feature_full", modes=(StatMode.BATCH_ONLY,))
 
     def test_step_leaves_batch_and_model_unchanged(self):
         # the batch, the running statistics and the parameters are read by
@@ -184,7 +184,7 @@ class TestGradients:
         x = rng.normal(size=(8, 6))
         x_before, before = x.copy(), model_state(model)
         for mode in (StatMode.BATCH_ONLY, StatMode.RUNNING_EVAL):
-            for group in (ParamGroup.BN_ONLY, ParamGroup.FEATURE_FULL, None):
+            for group in ("bn_only", "feature_full", None):
                 network.loss_and_grad_named(model, x, mode, group, "cafa", stats)
                 network.loss_and_grad_named(model, x, mode, group, "pl")
         assert np.array_equal(x, x_before)
@@ -229,11 +229,11 @@ class TestStepCaches:
         model = small_model(rng)  # widths 8, 5 from 6 inputs, 3 classes
         bn = 2 * (8 + 5)
         feature = bn + (8 * 6 + 8) + (5 * 8 + 5)
-        assert model.group_size(ParamGroup.BN_ONLY) == bn
-        assert model.group_size(ParamGroup.FEATURE_FULL) == feature
+        assert model.group_size("bn_only") == bn
+        assert model.group_size("feature_full") == feature
         assert model.group_size(None) == model.flat.size == feature + 3 * 5 + 3
         x = rng.normal(size=(8, 6))
-        for group in (ParamGroup.BN_ONLY, ParamGroup.FEATURE_FULL, None):
+        for group in ("bn_only", "feature_full", None):
             _, grad, _ = network.loss_and_grad_named(
                 model, x, StatMode.BATCH_ONLY, group, "pl"
             )
@@ -244,5 +244,5 @@ class TestStepCaches:
         # constants, so the backward is gz = gx / std alone; it matches
         # central differences there, and in TRAIN_UPDATE, whose refresh of
         # the running statistics is a side effect and not part of the graph
-        check_cube_grad(13, False, ParamGroup.FEATURE_FULL, modes=(StatMode.RUNNING_EVAL,))
-        check_cube_grad(14, True, ParamGroup.FEATURE_FULL, modes=(StatMode.TRAIN_UPDATE,))
+        check_cube_grad(13, False, "feature_full", modes=(StatMode.RUNNING_EVAL,))
+        check_cube_grad(14, True, "feature_full", modes=(StatMode.TRAIN_UPDATE,))

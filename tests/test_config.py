@@ -7,14 +7,16 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import random_stats, small_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tta_align import cli
-from tta_align.adapt import TtaConfig
+from tta_align.adapt import TtaConfig, adapt_stream
 from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
 from tta_align.errors import ConfigInvalid
-from tta_align.network import ParamGroup
-from tta_align.stats import CovarianceMode
 
 NAN = float("nan")  # json.dumps writes NaN and Infinity, and json.load reads them
 
@@ -247,7 +249,7 @@ class TestStrictParsing:
             "scalar_for_array",
             "bool_for_int",
             "method_field",
-            "enum_value",
+            "param_group_value",
             "tuple_length",
             "array_shape",
             "nan_method_learning_rate",
@@ -318,20 +320,31 @@ class TestValidation:
         with pytest.raises(ConfigInvalid, match="covariance_mode"):
             cfg.validate()
 
-    def test_covariance_mode_is_an_enum(self):
+    def test_covariance_mode_is_a_string(self):
         doc = ExperimentConfig.default().to_dict()
         doc["pretrain"]["covariance_mode"] = "tied"
         cfg = ExperimentConfig.from_dict(doc)
-        assert cfg.pretrain.covariance_mode is CovarianceMode.TIED
+        assert cfg.pretrain.covariance_mode == "tied"
         assert cfg.to_dict()["pretrain"]["covariance_mode"] == "tied"
 
     def test_bad_param_group(self):
-        # a string where the enum belongs would adapt the BN parameters only
-        cfg = TtaConfig(method="cafa", param_group="feature_full")
-        message = "field 'param_group' in section 'methods[]' must be"
-        with pytest.raises(ConfigInvalid, match=re.escape(message)):
-            cfg.validate()
-        TtaConfig(method="cafa", param_group=ParamGroup.FEATURE_FULL).validate()
+        # a group is named by its schema string alone: an unknown group or
+        # another spelling is refused, never read as the BN-only default
+        message = "field 'param_group' in section 'methods[]' must be one of"
+        for group in ("all", "FEATURE_FULL"):
+            with pytest.raises(ConfigInvalid, match=re.escape(message)):
+                TtaConfig(method="cafa", param_group=group).validate()
+        rng = np.random.default_rng(5)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        batches = [(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16)) for _ in range(4)]
+        before = {k: v.copy() for k, v in model.named_parameters().items()}
+        cfg = TtaConfig(method="cafa", param_group="feature_full", batch_size=16)
+        cfg.validate()
+        adapt_stream(model, stats, batches, cfg)
+        for name, value in model.named_parameters().items():
+            moved = not np.array_equal(before[name], value)
+            assert moved == name.startswith("block"), name
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -426,12 +439,18 @@ def check_schema_keys(cls, doc, where: str) -> None:
 
 def test_readme_schema_names_every_field():
     # the README's schema block, with its // comments stripped, names every
-    # field of every section and nothing else
+    # field of every section and nothing else, and its comments name every
+    # value of every closed set
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration schema", 1)[1]
     block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     check_schema_keys(ExperimentConfig, doc, "top-level")
+    comments = " ".join(re.findall(r"//[^\n]*", block))
+    for where, cls, _ in SCHEMA_SECTIONS:
+        for name, tp in typing.get_type_hints(cls).items():
+            for value in typing.get_args(tp) if typing.get_origin(tp) is typing.Literal else ():
+                assert f'"{value}"' in comments, (where, name, value)
 
 
 def schema_sections(cls=ExperimentConfig, where="top-level", steps=()):
@@ -458,21 +477,25 @@ def section_of(cfg, steps):
 
 def wrong_values(tp) -> list:
     """Values no JSON document reads into a field of annotation `tp`: values
-    of another JSON type, and Python objects that its JSON form would read
-    back as something else (the string of an enum member, a list for a
-    tuple, a tuple for a list)."""
+    of another JSON type, a string outside a closed set, and Python objects
+    that its JSON form would read back as something else or that `json`
+    cannot write (a list for a tuple, a tuple for a list, a NumPy scalar
+    other than float64)."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         return [v for arm in args if arm is not type(None) for v in wrong_values(arm)]
     if origin is list:
-        return [5, "ab", tuple(), [wrong_values(args[0])[0]]]
+        entries = wrong_values(args[0])
+        return [5, "ab", tuple(), [entries[0]], [entries[-1]]]
     if origin is tuple:
         return [5, [0] * len(args), tuple(wrong_values(a)[0] for a in args)]
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return [next(iter(tp)).value, 5]
-    if dataclasses.is_dataclass(tp):
+    if origin is typing.Literal or dataclasses.is_dataclass(tp):
         return ["x", 5]
-    return {int: [2.5, True, "1"], float: [NAN, math.inf, "x", True], str: [5, 1.5]}[tp]
+    return {
+        int: [2.5, True, "1", np.int32(1), np.int64(64)],
+        float: [NAN, math.inf, "x", True, np.int64(1), np.float32(0.2)],
+        str: [5, 1.5],
+    }[tp]
 
 
 SCHEMA_SECTIONS = list(schema_sections())
@@ -491,6 +514,20 @@ def test_every_schema_section_is_defined_in_config():
     assert {"SyntheticSpec", "ShiftSpec", "ShiftTransform", "TtaConfig"} <= names
     for where, cls, _ in SCHEMA_SECTIONS:
         assert cls.__module__ == "tta_align.config", (where, cls)
+
+
+def test_no_schema_field_is_an_enum():
+    # a closed set is a Literal of strings, so a config holds what its JSON
+    # form reads back
+    def parts(tp):
+        yield tp
+        for arg in typing.get_args(tp):
+            yield from parts(arg)
+
+    for where, cls, _ in SCHEMA_SECTIONS:
+        for name, tp in typing.get_type_hints(cls).items():
+            for part in parts(tp):
+                assert not (isinstance(part, type) and issubclass(part, enum.Enum)), (where, name)
 
 
 @pytest.mark.parametrize("where, steps, name, value", WRONG_FIELDS)
@@ -514,3 +551,41 @@ def test_python_built_field_of_a_wrong_type_is_refused(where, steps, name, value
     input_dim = [cfg.synthetic.input_dim] if where.startswith("shift") else []
     with pytest.raises(ConfigInvalid, match=named):
         section.validate(*input_dim)
+
+
+LEAF_FIELDS = {  # (steps, name) of each number or closed-set field -> its annotation
+    (steps, name): tp
+    for _, cls, steps in SCHEMA_SECTIONS
+    for name, tp in typing.get_type_hints(cls).items()
+    if tp in (int, float) or typing.get_origin(tp) is typing.Literal
+}
+NUMBERS = st.one_of(
+    st.integers(-1, 4000),
+    st.integers(-1, 4000).map(np.int64),
+    st.floats(-1e300, 1e300),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+)
+CHOICES = st.sampled_from(
+    sorted({v for tp in LEAF_FIELDS.values() for v in typing.get_args(tp)})
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.sampled_from(list(LEAF_FIELDS)), NUMBERS | CHOICES), max_size=4),
+    st.none() | st.lists(NUMBERS, min_size=3, max_size=3),
+)
+def test_accepted_python_built_config_round_trips_through_json(edits, cov_scales):
+    # whatever validate() accepts, NumPy scalars and every named choice
+    # included, json can write and from_dict reads back as an equal config
+    cfg = ExperimentConfig.default()
+    for (steps, name), value in edits:
+        setattr(section_of(cfg, steps), name, value)
+    cfg.synthetic.cov_scales = cov_scales
+    try:
+        cfg.validate()
+    except ConfigInvalid:
+        return
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg

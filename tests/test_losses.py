@@ -24,12 +24,12 @@ from tta_align.errors import (
     BatchTooSmall,
     DimensionMismatch,
     EmptyInput,
+    NonFiniteInput,
     SingleClass,
     UnknownClass,
 )
 from tta_align.losses import RATIO_FLOOR, distance_report, loss_tensor, mahalanobis
-from tta_align.network import ParamGroup, StatMode
-from tta_align.stats import CovarianceMode
+from tta_align.network import PARAM_GROUPS, StatMode
 
 LOSSES = {  # name -> (method, whether the batch labels replace the pseudo-labels)
     "global_fa": ("global_fa", False),
@@ -455,7 +455,7 @@ class TestLossGradients:
             x = rng.normal(size=(12, 6))
             y = rng.integers(0, 3, size=12)
             for mode in StatMode:
-                for group in ParamGroup:
+                for group in PARAM_GROUPS:
                     for method, supervised in LOSSES.values():
                         given = y if supervised else None
                         m = model.copy()
@@ -475,7 +475,7 @@ class TestPrecisionScale:
     @staticmethod
     def _step(model, x, method, stats):
         loss, grad, _ = network.loss_and_grad_named(
-            model.copy(), x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, method, stats
+            model.copy(), x, StatMode.BATCH_ONLY, "bn_only", method, stats
         )
         return loss, grad
 
@@ -610,15 +610,21 @@ class TestDistanceReport:
         assert report.mean_intra == pytest.approx(intra, rel=1e-13)
         assert report.mean_inter == pytest.approx(inter, rel=1e-13)
 
-    def test_empty_batch(self):
+    @pytest.mark.parametrize(
+        "n, entry, error",
+        [(0, 0.0, EmptyInput), (4, np.nan, NonFiniteInput), (4, np.inf, NonFiniteInput)],
+        ids=["empty", "nan", "inf"],
+    )
+    def test_refused_batch(self, n, entry, error):
         # refused on both paths before any arithmetic, so no mean of an
-        # empty slice warns and returns nan
+        # empty slice warns and no non-finite feature returns nan
         stats = random_stats(np.random.default_rng(27), 3, 4)
-        batch, labels = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+        batch, labels = np.zeros((n, 4)), np.arange(n) % 3
+        batch[n // 2 :, 1] = entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for quads in (None, np.zeros((3, 0))):
-                with pytest.raises(EmptyInput):
+            for quads in (None, np.zeros((3, n))):
+                with pytest.raises(error):
                     distance_report(batch, labels, stats, quads)
 
 
@@ -643,7 +649,7 @@ def test_moment_report_matches_per_vector_oracle(seed, c, d, n, present, tied, l
     stats = fit_source_stats(
         centres[labels_fit] + rng.normal(size=(labels_fit.size, d)),
         labels_fit,
-        CovarianceMode.TIED if tied else CovarianceMode.CLASS_WISE,
+        "tied" if tied else "class_wise",
         eps_scale=10.0**log_eps,
     )
     y = rng.choice(rng.permutation(c)[: min(present, c)], size=n)

@@ -30,11 +30,11 @@ from tta_align.errors import (
 from tta_align.network import (
     BN_MOMENTUM,
     BN_VAR_EPS,
+    PARAM_GROUPS,
     AdaptiveModel,
     Block,
     BnLayer,
     DenseLayer,
-    ParamGroup,
     StatMode,
 )
 
@@ -313,9 +313,9 @@ def test_normalization_chain_property(seed, n, d, mode):
 
     caches = []
     feats = network._forward(model, x, mode, caches).feats
-    size = model.group_size(ParamGroup.FEATURE_FULL)
+    size = model.group_size("feature_full")
     analytic = network._backward(model, caches, mode, 3.0 * feats**2, False, size)
-    fd = fd_grad(model, x, mode, cube, ParamGroup.FEATURE_FULL, h=1e-6)
+    fd = fd_grad(model, x, mode, cube, "feature_full", h=1e-6)
     np.testing.assert_allclose(analytic, fd, atol=5e-5)
 
 
@@ -407,7 +407,7 @@ class TestGradients:
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
         _, g_bn, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "cafa", stats
+            model, x, StatMode.BATCH_ONLY, "bn_only", "cafa", stats
         )
         assert set(named(model, g_bn)) == {
             "block0.bn.gamma",
@@ -416,7 +416,7 @@ class TestGradients:
             "block1.bn.beta",
         }
         _, g_full, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, ParamGroup.FEATURE_FULL, "cafa", stats
+            model, x, StatMode.BATCH_ONLY, "feature_full", "cafa", stats
         )
         assert set(named(model, g_bn)) < set(named(model, g_full))
         assert not any(name.startswith("classifier") for name in named(model, g_full))
@@ -432,10 +432,10 @@ class TestGradients:
         for mode in StatMode:
             for method in ("cafa", "global_fa", "pl"):
                 _, g_bn, _ = network.loss_and_grad_named(
-                    model.copy(), x, mode, ParamGroup.BN_ONLY, method, stats
+                    model.copy(), x, mode, "bn_only", method, stats
                 )
                 _, g_full, _ = network.loss_and_grad_named(
-                    model.copy(), x, mode, ParamGroup.FEATURE_FULL, method, stats
+                    model.copy(), x, mode, "feature_full", method, stats
                 )
                 assert g_bn.size == n_bn
                 assert g_bn.tobytes() == g_full[:n_bn].tobytes()
@@ -458,7 +458,7 @@ class TestGradients:
         try:
             x = rng.normal(size=(8, 6))
             network.loss_and_grad_named(
-                model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "cafa", stats
+                model, x, StatMode.BATCH_ONLY, "bn_only", "cafa", stats
             )
             alive = sum(ref() is not None for ref in refs)
         finally:
@@ -484,7 +484,7 @@ class TestGradients:
         network.predict(model, x, StatMode.RUNNING_EVAL)
         assert handed == [None] * 4
         handed.clear()
-        network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy")
+        network.loss_and_grad_named(model, x, StatMode.BATCH_ONLY, "bn_only", "entropy")
         assert len(handed) == 2 and handed[0] is handed[1] and len(handed[0]) == 2
 
     def test_relu_mask_keeps_signed_zeros(self):
@@ -504,7 +504,7 @@ class TestGradients:
         x = rng.normal(size=(8, 6))
         feats = network._forward(model, x, StatMode.RUNNING_EVAL, caches).feats
         g = -0.5 - rng.random(feats.shape)
-        size = model.group_size(ParamGroup.BN_ONLY)
+        size = model.group_size("bn_only")
         grad = network._backward(model, caches, StatMode.RUNNING_EVAL, g, False, size)
         _, x_hat, _, y = caches[0]
         assert (y == 0.0).any() and (y > 0.0).any()
@@ -532,7 +532,7 @@ class TestGradients:
         model = small_model(rng)
         x = rng.normal(size=(8, 6))
         _, _, forward = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy"
+            model, x, StatMode.BATCH_ONLY, "bn_only", "entropy"
         )
         plain = network.forward_features(model, x, StatMode.BATCH_ONLY)
         assert np.array_equal(forward.feats, plain.feats)
@@ -546,7 +546,7 @@ class TestGradients:
         stats = random_stats(rng, 3, 5)
         x = rng.normal(size=(8, 6))
         _, _, forward = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, method, stats
+            model, x, StatMode.BATCH_ONLY, "bn_only", method, stats
         )
         quads, _ = losses._class_quadratics(forward.feats, stats)
         assert np.array_equal(forward.quads, quads)
@@ -560,7 +560,7 @@ class TestGradients:
             model,
             rng.normal(size=(8, 6)),
             StatMode.BATCH_ONLY,
-            ParamGroup.FEATURE_FULL,
+            "feature_full",
             "cafa",
             stats,
         )
@@ -572,7 +572,7 @@ class TestGradients:
         model = small_model(rng, n_classes=1)
         x = rng.normal(size=(6, 6))
         value, grad, _ = network.loss_and_grad_named(
-            model, x, StatMode.BATCH_ONLY, ParamGroup.BN_ONLY, "entropy"
+            model, x, StatMode.BATCH_ONLY, "bn_only", "entropy"
         )
         assert value == 0.0
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
@@ -582,7 +582,7 @@ class TestGradients:
         model = small_model(rng)
         x = rng.normal(size=(12, 6))
         y = rng.integers(0, 3, size=12)
-        group = ParamGroup.FEATURE_FULL
+        group = "feature_full"
         _, analytic, _ = network.loss_and_grad_named(
             model, x, StatMode.BATCH_ONLY, group, "pl", labels=y
         )
@@ -593,7 +593,7 @@ class TestGradients:
         rng = np.random.default_rng(19)
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
-        group = ParamGroup.BN_ONLY
+        group = "bn_only"
         x = rng.normal(size=(10, 6))
         _, analytic, _ = network.loss_and_grad_named(
             model, x, StatMode.BATCH_ONLY, group, "global_fa", stats
@@ -611,7 +611,7 @@ class TestGradients:
                 model,
                 rng.normal(size=(8, 6)),
                 StatMode.BATCH_ONLY,
-                ParamGroup.BN_ONLY,
+                "bn_only",
                 "global_fa",
                 stats,
             )
@@ -745,7 +745,7 @@ class TestFlatBuffer:
         assert self._own_views(loaded, model)
         assert states_equal(model_state(model), model_state(loaded))
 
-    @pytest.mark.parametrize("group", list(ParamGroup))
+    @pytest.mark.parametrize("group", PARAM_GROUPS)
     def test_adapting_a_copy_leaves_the_source(self, group):
         rng = np.random.default_rng(32)
         model = small_model(rng)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import fit_source_stats, rewrite_stats, small_model
 from tta_align import network
 from tta_align.errors import (
+    ConfigInvalid,
     CorruptChecksum,
     DimensionMismatch,
     FormatVersionMismatch,
@@ -20,8 +22,8 @@ from tta_align.errors import (
     UnknownClass,
 )
 from tta_align.stats import (
+    COVARIANCE_MODES,
     STATS_MAGIC,
-    CovarianceMode,
     estimate_source_stats,
     load_stats,
     regularized_precisions,
@@ -89,8 +91,8 @@ class TestFitSourceStats:
         x = rng.normal(size=(50, 3))
         feats = np.concatenate([x, x])
         labels = np.repeat([0, 1], 50)
-        tied = fit_source_stats(feats, labels, mode=CovarianceMode.TIED)
-        class_wise = fit_source_stats(feats, labels, mode=CovarianceMode.CLASS_WISE)
+        tied = fit_source_stats(feats, labels, mode="tied")
+        class_wise = fit_source_stats(feats, labels, mode="class_wise")
         assert np.array_equal(tied.class_sigmas, class_wise.class_sigmas)
         assert np.array_equal(tied.class_precisions, class_wise.class_precisions)
 
@@ -98,7 +100,7 @@ class TestFitSourceStats:
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(90, 4))
         labels = rng.integers(0, 3, size=90)
-        stats = fit_source_stats(feats, labels, mode=CovarianceMode.TIED)
+        stats = fit_source_stats(feats, labels, mode="tied")
         for sigma in stats.class_sigmas[1:]:
             assert np.array_equal(sigma, stats.class_sigmas[0])
         # pooled within-class covariance, sample-count weighted
@@ -113,8 +115,8 @@ class TestFitSourceStats:
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(40, 3))
         labels = np.zeros(40, dtype=int)
-        tied = fit_source_stats(feats, labels, mode=CovarianceMode.TIED)
-        cw = fit_source_stats(feats, labels, mode=CovarianceMode.CLASS_WISE)
+        tied = fit_source_stats(feats, labels, mode="tied")
+        cw = fit_source_stats(feats, labels, mode="class_wise")
         assert np.array_equal(tied.class_sigmas[0], cw.class_sigmas[0])
 
     def test_missing_class(self):
@@ -144,7 +146,13 @@ class TestFitSourceStats:
         with pytest.raises(error):
             fit_source_stats(feats, labels)
 
-    @pytest.mark.parametrize("mode", list(CovarianceMode))
+    def test_unknown_covariance_mode(self):
+        # a misspelt mode is refused, not fitted class-wise
+        feats = np.random.default_rng(4).normal(size=(30, 2))
+        with pytest.raises(ConfigInvalid, match="covariance_mode 'Tied' must be one of"):
+            fit_source_stats(feats, np.arange(30) % 3, mode="Tied")
+
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     def test_features_left_unchanged(self, mode):
         # the global fit centres a matrix in place; it must be the fit's own
         feats = np.random.default_rng(8).normal(loc=3.0, size=(40, 3))
@@ -206,7 +214,7 @@ class TestRegularization:
 
 class TestSerialization:
     @staticmethod
-    def _stats(seed=8, mode=CovarianceMode.CLASS_WISE):
+    def _stats(seed=8, mode="class_wise"):
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(120, 4))
         labels = rng.integers(0, 3, size=120)
@@ -239,7 +247,7 @@ class TestSerialization:
             save_stats(stats, tmp_path / f"{i}.bin")
             assert (tmp_path / f"{i}.bin").read_bytes() == v1
 
-    @pytest.mark.parametrize("mode", list(CovarianceMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     def test_class_stacks_match_classes(self, tmp_path, mode):
         stats = self._stats(mode=mode)
         path = tmp_path / "stats.bin"
@@ -249,10 +257,10 @@ class TestSerialization:
             assert np.array_equal(s.class_precisions, s.class_precisions.mT)
 
     def test_tied_round_trip(self, tmp_path):
-        stats = self._stats(mode=CovarianceMode.TIED)
+        stats = self._stats(mode="tied")
         path = tmp_path / "stats.bin"
         save_stats(stats, path)
-        assert load_stats(path).covariance_mode is CovarianceMode.TIED
+        assert load_stats(path).covariance_mode == "tied"
 
     def test_tied_header_over_differing_covariances(self, tmp_path):
         # a tied fit writes one pooled covariance for every class, so a
@@ -262,11 +270,25 @@ class TestSerialization:
 
         def tied(h):
             header = json.loads(h)
-            header["covariance_mode"] = CovarianceMode.TIED.value
+            header["covariance_mode"] = "tied"
             return json.dumps(header).encode()
 
         rewrite_stats(path, tied)
         with pytest.raises(StatsIoError, match="differ"):
+            load_stats(path)
+
+    @pytest.mark.parametrize(
+        "mode", ["diagonal", "TIED", ["tied"], None], ids=["diagonal", "TIED", "list", "null"]
+    )
+    def test_unknown_covariance_mode(self, tmp_path, mode):
+        path = tmp_path / "stats.bin"
+        path.write_bytes(STATS_V1.read_bytes())
+
+        def unknown(h):
+            return json.dumps({**json.loads(h), "covariance_mode": mode}).encode()
+
+        rewrite_stats(path, unknown)
+        with pytest.raises(StatsIoError, match=re.escape("must be one of ['class_wise', 'tied']")):
             load_stats(path)
 
     def test_truncated_file(self, tmp_path):
@@ -420,7 +442,7 @@ HEADER_VALUES = st.one_of(
     st.integers(),
     st.floats(),
     st.text(max_size=3),
-    st.sampled_from([m.value for m in CovarianceMode]),
+    st.sampled_from(list(COVARIANCE_MODES)),
     st.lists(st.integers(-2, 6) | st.text(max_size=2), max_size=5),
 )
 
