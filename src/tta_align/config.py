@@ -1,9 +1,9 @@
-"""Experiment configuration: nested dataclasses with strict JSON parsing.
+"""The schema of every JSON document the program reads, as dataclasses.
 
-The dataclass annotations are the schema. One walk over them (`_read`)
-checks every value of a config document and builds the dataclasses in the
-same pass; unknown keys anywhere are rejected. `_plain` writes the document
-back, and each section's `validate()` runs the walk on its own fields.
+The annotations are the schema, a number's range included. One walk over
+them (`read`) checks and builds a document in one pass and rejects unknown
+keys anywhere; `plain` writes one back. A config section's `validate()` runs
+the walk on its own fields, then its cross-field checks.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ import sys
 import types
 import typing
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Annotated, Literal, NamedTuple
 
 from .errors import ConfigInvalid
-from .network import PARAM_GROUPS
-from .stats import COVARIANCE_MODES, DEFAULT_EPS_SCALE
 
 METHODS = ("source", "bn", "pl", "entropy", "global_fa", "intra", "cafa")
 NO_LOSS_METHODS = ("source", "bn")
 SHIFT_KINDS = ("gaussian_noise", "mean_shift", "scaling", "rotation")
+PARAM_GROUPS = ("bn_only", "feature_full")  # each a prefix of the model's buffer, in order
+COVARIANCE_MODES = ("class_wise", "tied")
+DEFAULT_EPS_SCALE = 1e-6
 
 _SCALARS = {  # JSON scalar type -> (what to expect, test); a bool is no number
     bool: ("true or false", lambda v: isinstance(v, bool)),
@@ -40,7 +41,20 @@ _SCALARS = {  # JSON scalar type -> (what to expect, test); a bool is no number
     ),
     str: ("a string", lambda v: isinstance(v, str)),
 }
-_hints = functools.cache(typing.get_type_hints)
+_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
+
+
+class Least(NamedTuple):
+    """A number's range, as `Annotated` metadata: at least `low` (above it
+    when `strict`) and at most `high`."""
+
+    low: float
+    strict: bool = False
+    high: float = math.inf
+
+    def __str__(self) -> str:
+        low = f"> {self.low}" if self.strict else f">= {self.low}"
+        return low if self.high == math.inf else f"{low} and <= {self.high}"
 
 
 class _Mismatch(Exception):
@@ -49,11 +63,18 @@ class _Mismatch(Exception):
 
 def _value(tp, value, section: str):
     """`value` checked against annotation `tp` and built: a nested dataclass
-    section, a list or tuple of entries, or a scalar or `Literal` string
-    (kept as it is). A section already built in Python is kept too: its own
-    `validate()` checks it."""
+    section, a list or tuple of entries, or a scalar (within its `Least`
+    range, if any) or `Literal` string (kept as it is). A section already
+    built in Python is kept too: its own `validate()` checks it."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:
+    if origin is Annotated:
+        base, bound = args
+        value = _value(base, value, section)
+        below = value <= bound.low if bound.strict else value < bound.low
+        if below or value > bound.high:
+            raise _Mismatch(f"{_SCALARS[base][0]} {bound}")
+        return value
+    if origin in (types.UnionType, typing.Union):  # `Annotated[...] | None` is a typing.Union
         if value is None and type(None) in args:
             return None
         wants = []
@@ -62,7 +83,8 @@ def _value(tp, value, section: str):
                 return _value(arm, value, section)
             except _Mismatch as exc:
                 wants.append(str(exc))
-        raise _Mismatch(" or ".join(wants))
+        # "a JSON list with each entry a finite number, or null"
+        raise _Mismatch((", or " if any(" each " in w for w in wants) else " or ").join(wants))
     if tp is type(None):
         raise _Mismatch("null")
     if origin in (list, tuple):
@@ -87,10 +109,10 @@ def _value(tp, value, section: str):
         raise _Mismatch(f"one of {list(args)}")
     if type(value) is tp:
         return value
-    return _read(tp, value, section)
+    return read(tp, value, section)
 
 
-def _read(cls, doc, section: str):
+def read(cls, doc, section: str):
     """Dataclass `cls` built from the JSON object `doc`, every key of which
     must name a field; a nested section is named for its field's path."""
     if not isinstance(doc, dict):
@@ -128,25 +150,25 @@ def _read(cls, doc, section: str):
     return cls(**kwargs)
 
 
-def _plain(value):
+def plain(value):
     """JSON-ready copy of a config value: a dataclass becomes an object of
     its fields, tuples lists."""
     if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [plain(v) for v in value]
     return value
 
 
 def _check_fields(section, where: str) -> None:
-    """The walk's type rules for a section built in Python: each field and
-    list entry must have the type the walk reads from its JSON form. A
-    nested section is left to its own `validate()`."""
+    """The walk's type and range rules for a section built in Python: each
+    field and list entry must have the type the walk reads from its JSON
+    form. A nested section is left to its own `validate()`."""
     fields = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
     doc = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
-    read = _read(type(section), doc, where)
+    built = read(type(section), doc, where)
     for name, value in fields.items():
-        want = getattr(read, name)
+        want = getattr(built, name)
         pairs = zip(value, want) if isinstance(want, (list, tuple)) else []
         if type(value) is not type(want) or any(type(v) is not type(w) for v, w in pairs):
             message = f"field {name!r} in section {where!r} must be {want!r}, got {value!r}"
@@ -162,7 +184,7 @@ def valid_run_name(name) -> bool:
 class ShiftTransform:
     kind: Literal[SHIFT_KINDS]
     direction: list[float] | None = None  # mean_shift only
-    plane: tuple[int, int] = (0, 1)  # rotation only
+    plane: tuple[Annotated[int, Least(0)], Annotated[int, Least(0)]] = (0, 1)  # rotation only
 
     def validate(self, input_dim: int) -> None:
         _check_fields(self, "shift.transforms[]")
@@ -173,43 +195,33 @@ class ShiftTransform:
                 raise ConfigInvalid("mean_shift direction must be nonzero")
         if self.kind == "rotation":
             i, j = self.plane
-            if not (0 <= i < input_dim and 0 <= j < input_dim and i != j):
+            if not (i < input_dim and j < input_dim and i != j):
                 raise ConfigInvalid(f"invalid rotation plane {self.plane}")
 
 
 @dataclass
 class ShiftSpec:
     transforms: list[ShiftTransform] = field(default_factory=list)
-    severity: int = 5
+    severity: Annotated[int, Least(1, high=5)] = 5
 
     def validate(self, input_dim: int) -> None:
         _check_fields(self, "shift")
-        if not 1 <= self.severity <= 5:
-            raise ConfigInvalid(f"severity {self.severity} outside 1..5")
         for t in self.transforms:
             t.validate(input_dim)
 
 
 @dataclass
 class SyntheticSpec:
-    n_classes: int = 3
-    input_dim: int = 8
+    n_classes: Annotated[int, Least(2)] = 3
+    input_dim: Annotated[int, Least(2)] = 8
     mean_scale: float = 2.4  # class-mean radius from the origin
-    n_train_per_class: int = 500
-    n_test_per_class: int = 1280
-    seed: int = 0  # sampling only; geometry is pinned by data.GEOMETRY_SEED
+    n_train_per_class: Annotated[int, Least(2)] = 500
+    n_test_per_class: Annotated[int, Least(2)] = 1280
+    seed: Annotated[int, Least(0)] = 0  # sampling only; geometry is pinned by data.GEOMETRY_SEED
     cov_scales: list[float] | None = None  # per-class isotropic stds
 
     def validate(self) -> None:
         _check_fields(self, "synthetic")
-        if self.n_classes < 2:
-            raise ConfigInvalid("classification needs n_classes >= 2")
-        if self.input_dim < 2:
-            raise ConfigInvalid("input_dim must be >= 2")
-        if self.n_train_per_class < 2 or self.n_test_per_class < 2:
-            raise ConfigInvalid("need at least 2 samples per class")
-        if self.seed < 0:
-            raise ConfigInvalid("seed must be >= 0")
         if self.cov_scales is not None:
             if len(self.cov_scales) != self.n_classes:
                 raise ConfigInvalid("cov_scales must list one std per class")
@@ -222,11 +234,11 @@ class TtaConfig:
     method: Literal[METHODS] = "cafa"
     name: str = ""  # run label; defaults to the method name
     param_group: Literal[PARAM_GROUPS] = "bn_only"
-    steps_per_batch: int = 1
-    learning_rate: float = 1e-3
-    batch_size: int = 64
+    steps_per_batch: Annotated[int, Least(0)] = 1
+    learning_rate: Annotated[float, Least(0, strict=True)] = 1e-3
+    batch_size: Annotated[int, Least(2)] = 64
 
-    to_dict = _plain
+    to_dict = plain
 
     @property
     def run_name(self) -> str:
@@ -236,50 +248,31 @@ class TtaConfig:
         _check_fields(self, "methods[]")
         if self.name and not valid_run_name(self.name):
             raise ConfigInvalid(f"name {self.name!r} may hold only ASCII letters, digits and _.+-")
-        if self.method in NO_LOSS_METHODS:
-            if self.steps_per_batch != 0:
-                raise ConfigInvalid(
-                    f"method {self.method!r} performs no optimization; "
-                    "steps_per_batch must be 0"
-                )
-        elif self.steps_per_batch < 1:
-            raise ConfigInvalid("steps_per_batch must be >= 1 for optimizing methods")
-        if self.learning_rate <= 0:
-            raise ConfigInvalid("learning_rate must be > 0")
-        if self.batch_size < 2:
-            raise ConfigInvalid("batch_size must be >= 2")
-
-
-def tta_config_from_dict(d, section: str = "methods[]") -> TtaConfig:
-    """One method's configuration: a `methods[]` entry, or the `config` of
-    a run header."""
-    return _read(TtaConfig, d, section)
+        if (self.method in NO_LOSS_METHODS) != (self.steps_per_batch == 0):
+            need = "0: it performs no optimization" if self.method in NO_LOSS_METHODS else ">= 1"
+            raise ConfigInvalid(f"method {self.method!r} needs steps_per_batch {need}")
 
 
 @dataclass
 class ModelConfig:
-    hidden_dims: list[int] = field(default_factory=lambda: [32, 16])
+    hidden_dims: list[Annotated[int, Least(1)]] = field(default_factory=lambda: [32, 16])
 
     def validate(self) -> None:
         _check_fields(self, "model")
-        if not self.hidden_dims or min(self.hidden_dims) < 1:
-            raise ConfigInvalid(f"hidden_dims must list block widths >= 1, got {self.hidden_dims}")
+        if not self.hidden_dims:
+            raise ConfigInvalid("hidden_dims must list at least one block width")
 
 
 @dataclass
 class PretrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    eps_scale: float = DEFAULT_EPS_SCALE
+    epochs: Annotated[int, Least(1)] = 30
+    batch_size: Annotated[int, Least(2)] = 64
+    learning_rate: Annotated[float, Least(0, strict=True)] = 1e-3
+    eps_scale: Annotated[float, Least(0, strict=True)] = DEFAULT_EPS_SCALE
     covariance_mode: Literal[COVARIANCE_MODES] = "class_wise"
 
     def validate(self) -> None:
         _check_fields(self, "pretrain")
-        if self.epochs < 1 or self.batch_size < 2:
-            raise ConfigInvalid("pretrain needs epochs >= 1 and batch_size >= 2")
-        if self.learning_rate <= 0 or self.eps_scale <= 0:
-            raise ConfigInvalid("learning_rate and eps_scale must be > 0")
 
 
 @dataclass
@@ -291,7 +284,7 @@ class ExperimentConfig:
     methods: list[TtaConfig] = field(default_factory=list)
     output_dir: str = "runs"
 
-    to_dict = _plain
+    to_dict = plain
 
     def validate(self) -> None:
         _check_fields(self, "top-level")
@@ -326,7 +319,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc) -> "ExperimentConfig":
-        cfg = _read(ExperimentConfig, doc, "top-level")
+        cfg = read(ExperimentConfig, doc, "top-level")
         cfg.validate()
         return cfg
 
@@ -368,3 +361,49 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
         return ExperimentConfig.from_dict(doc)
+
+
+# -- the headers of the files a run writes ---------------------------------------
+
+
+@dataclass
+class RunHeader:
+    """`run_<name>.json`: the method's config and its CSV's number of rows."""
+
+    config: TtaConfig
+    n_batches: int
+
+
+@dataclass
+class Manifest:
+    """`manifest.json`: the run names, in order; `report` reads nothing else."""
+
+    methods: list[str]
+    source_holdout_accuracy: Annotated[float, Least(0, high=1)] | None = None
+
+
+@dataclass
+class StatsHeader:
+    """A stats file's JSON header; a fit refuses a class of fewer than 2 rows."""
+
+    feature_dim: Annotated[int, Least(1)]
+    n_classes: Annotated[int, Least(1)]
+    covariance_mode: Literal[COVARIANCE_MODES]
+    eps_scale: Annotated[float, Least(0, strict=True)]
+    n_samples: list[Annotated[int, Least(2)]]
+    warnings: list[str]
+
+
+@dataclass
+class LayoutEntry:
+    name: str
+    shape: list[Annotated[int, Least(0)]]
+
+
+@dataclass
+class CheckpointHeader:
+    """A checkpoint's `__header__`: the layout names each array and its shape."""
+
+    format_version: int
+    n_blocks: Annotated[int, Least(1)]
+    layout: list[LayoutEntry]

@@ -21,8 +21,11 @@ from .adapt import BatchRow, RunRecord, adapt_stream
 from .config import (
     NO_LOSS_METHODS,
     ExperimentConfig,
+    Manifest,
+    RunHeader,
     TtaConfig,
-    tta_config_from_dict,
+    plain,
+    read,
     valid_run_name,
 )
 from .errors import (
@@ -218,8 +221,8 @@ def write_run_records(records: Iterable[RunRecord], out_dir: str) -> None:
             for r in record.rows:
                 writer.writerow([r.batch_index] + [repr(v) for v in astuple(r)[1:]])
         with open(run_path(out_dir, name, ".json"), "w") as fh:
-            header = {"config": record.config.to_dict(), "n_batches": len(record.rows)}
-            json.dump(header, fh, indent=2, sort_keys=True)
+            header = RunHeader(record.config, len(record.rows))
+            json.dump(plain(header), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -244,22 +247,21 @@ def read_run_record(run_dir: str, name: str) -> RunRecord:
     >= 0 in every row or nan in every row."""
     try:
         with open(run_path(run_dir, name, ".json")) as fh:
-            header = json.load(fh)
-        config = tta_config_from_dict(header["config"], f"run_{name}.json config")
+            header = read(RunHeader, json.load(fh), f"run_{name}.json")
+        config = header.config
         config.validate()
-        n_batches = header["n_batches"]
         with open(run_path(run_dir, name, ".csv"), newline="") as fh:
             columns, *cells = csv.reader(fh)
         if tuple(columns) != CSV_FIELDS or any(len(c) != len(CSV_FIELDS) for c in cells):
             raise ValueError(f"run_{name}.csv does not hold exactly the columns {CSV_FIELDS}")
         rows = [BatchRow(_cell(c[0], int), *(_cell(v, float) for v in c[1:])) for c in cells]
-    except (OSError, KeyError, TypeError, ValueError, csv.Error, ConfigInvalid) as exc:
+    except (OSError, ValueError, csv.Error, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
     if config.run_name != name:
         raise StatsIoError(f"run_{name}.json in {run_dir} describes run {config.run_name!r}")
-    if type(n_batches) is not int or n_batches != len(rows):
+    if header.n_batches != len(rows):
         raise StatsIoError(
-            f"run_{name}.json in {run_dir}: n_batches {n_batches!r} is not the "
+            f"run_{name}.json in {run_dir}: n_batches {header.n_batches} is not the "
             f"{len(rows)} rows of run_{name}.csv"
         )
     bs = config.batch_size
@@ -297,15 +299,8 @@ def write_report(result: ExperimentResult, out_dir: str) -> None:
     """The manifest, summary and trajectory files of a run directory whose
     records are written."""
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(
-            {
-                "methods": list(result.records),
-                "source_holdout_accuracy": result.source_holdout_accuracy,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        manifest = Manifest(list(result.records), result.source_holdout_accuracy)
+        json.dump(plain(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_summary_files(result.summaries, out_dir)
     write_trajectory_files(result.records, out_dir)
@@ -352,16 +347,10 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            methods = read(Manifest, json.load(fh), "manifest.json").methods
+    except (OSError, ValueError, ConfigInvalid) as exc:  # missing, not JSON or malformed
         raise StatsIoError(f"cannot read {manifest_path}: {exc}") from exc
-    methods = manifest.get("methods") if isinstance(manifest, dict) else None
-    if (
-        not isinstance(methods, list)
-        or not methods
-        or not all(map(valid_run_name, methods))
-        or len(set(methods)) != len(methods)
-    ):
+    if not methods or not all(map(valid_run_name, methods)) or len(set(methods)) != len(methods):
         raise StatsIoError(
             f"{manifest_path}: \"methods\" must list one or more unique run names, "
             f"got {methods!r}"

@@ -23,8 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .autograd import Tensor
+from .config import PARAM_GROUPS, CheckpointHeader, LayoutEntry, plain, read
 from .errors import (
     BatchTooSmall,
+    ConfigInvalid,
     DimensionMismatch,
     FormatVersionMismatch,
     NonFiniteInput,
@@ -37,7 +39,6 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics upda
 BN_VAR_EPS = 1e-5
 CHECKPOINT_VERSION = 1
 EVAL_ROWS = 1024  # rows per block of a running-statistics forward without a cache
-PARAM_GROUPS = ("bn_only", "feature_full")  # each a prefix of the buffer, in order
 
 
 class StatMode(enum.Enum):
@@ -124,6 +125,8 @@ class AdaptiveModel:
     def group_size(self, group: str | None) -> int:
         """Length of the prefix of `flat` that holds `group`, one of
         PARAM_GROUPS; None is the whole buffer, classifier included."""
+        if group not in self._sizes:
+            raise ConfigInvalid(f"group {group!r} must be one of PARAM_GROUPS {list(PARAM_GROUPS)}")
         return self._sizes[group]
 
     def copy(self) -> "AdaptiveModel":
@@ -426,17 +429,11 @@ def loss_and_grad_named(
 def save_checkpoint(model: AdaptiveModel, path) -> None:
     """Flat key/value serialization; round-trips float64 losslessly."""
     arrays: dict[str, np.ndarray] = dict(model.named_parameters())
-    layout = []
     for i, blk in enumerate(model.blocks):
         arrays[f"block{i}.bn.running_mean"] = blk.bn.running_mean
         arrays[f"block{i}.bn.running_var"] = blk.bn.running_var
-    for name, arr in arrays.items():
-        layout.append({"name": name, "shape": list(np.asarray(arr).shape)})
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "n_blocks": len(model.blocks),
-        "layout": layout,
-    }
+    layout = [LayoutEntry(name, list(a.shape)) for name, a in arrays.items()]
+    header = plain(CheckpointHeader(CHECKPOINT_VERSION, len(model.blocks), layout))
     np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
 
 
@@ -456,18 +453,18 @@ def load_checkpoint(path) -> AdaptiveModel:
         # a RuntimeError
         raise StatsIoError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        header = json.loads(bytes(arrays.pop("__header__")).decode())
-    except (KeyError, ValueError) as exc:
-        raise StatsIoError(f"malformed checkpoint header in {path}") from exc
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise FormatVersionMismatch(
-            f"checkpoint version {header.get('format_version')} != {CHECKPOINT_VERSION}"
-        )
+        doc = json.loads(bytes(arrays.pop("__header__")).decode())
+        # another version is named as such, whatever else its header holds
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version not in (CHECKPOINT_VERSION, None):
+            raise FormatVersionMismatch(f"checkpoint version {version!r} != {CHECKPOINT_VERSION}")
+        header = read(CheckpointHeader, doc, "checkpoint header")
+    except (KeyError, ValueError, ConfigInvalid) as exc:
+        raise StatsIoError(f"malformed checkpoint header in {path}: {exc}") from exc
     try:
-        for entry in header["layout"]:
-            shape = arrays[entry["name"]].shape
-            if shape != tuple(entry["shape"]):
-                raise ValueError(f"{entry['name']}: shape {shape} vs layout {entry['shape']}")
+        layout = sorted((e.name, tuple(e.shape)) for e in header.layout)
+        if layout != sorted((name, a.shape) for name, a in arrays.items()):
+            raise ValueError("the layout does not name exactly the archive's arrays and shapes")
         for name, a in arrays.items():  # save_checkpoint writes float64 only
             if a.dtype != np.float64:
                 raise ValueError(f"{name}: dtype {a.dtype}, not float64")
@@ -479,7 +476,7 @@ def load_checkpoint(path) -> AdaptiveModel:
                 DenseLayer(arrays[f"block{i}.dense.weight"], arrays[f"block{i}.dense.bias"]),
                 BnLayer(*(arrays[f"block{i}.bn.{k}"] for k in bn_keys)),
             )
-            for i in range(header["n_blocks"])
+            for i in range(header.n_blocks)
         ]
         classifier = DenseLayer(arrays["classifier.weight"], arrays["classifier.bias"])
         model = AdaptiveModel(blocks=blocks, classifier=classifier)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network
+from .config import COVARIANCE_MODES, DEFAULT_EPS_SCALE, StatsHeader, plain, read
 from .errors import (
     ConfigInvalid,
     CorruptChecksum,
@@ -32,9 +32,7 @@ from .errors import (
 
 STATS_MAGIC = b"TTASTATS"
 STATS_VERSION = 1
-DEFAULT_EPS_SCALE = 1e-6
 SYMMETRY_RTOL = 1e-10
-COVARIANCE_MODES = ("class_wise", "tied")
 
 
 @dataclass
@@ -183,15 +181,9 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_stats(stats: SourceStats, path) -> None:
-    header = {
-        "feature_dim": stats.feature_dim,
-        "n_classes": stats.n_classes,
-        "covariance_mode": stats.covariance_mode,
-        "eps_scale": stats.eps_scale,
-        "n_samples": stats.class_counts.tolist(),
-        "warnings": stats.warnings,
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
+    fit = (stats.feature_dim, stats.n_classes, stats.covariance_mode, stats.eps_scale)
+    header = StatsHeader(*fit, stats.class_counts.tolist(), stats.warnings)
+    header_bytes = json.dumps(plain(header), sort_keys=True).encode()
     d = stats.feature_dim
     rows = np.concatenate(
         [
@@ -236,31 +228,14 @@ def load_stats(path) -> SourceStats:
         raise CorruptChecksum(f"checksum mismatch in {path}")
     payload = body[header_len:]
     try:
-        header = json.loads(body[:header_len].decode())
-        d = header["feature_dim"]
-        n_classes = header["n_classes"]
-        mode = header["covariance_mode"]
-        eps_scale = header["eps_scale"]
-        counts = header["n_samples"]
-        warnings = header["warnings"]
-        if mode not in COVARIANCE_MODES:
-            raise ValueError(f"covariance_mode {mode!r} must be one of {list(COVARIANCE_MODES)}")
-        if not all(type(v) is int for v in (d, n_classes, *counts)):
-            raise ValueError("feature_dim, n_classes and n_samples must be integers")
-        if d < 1 or n_classes < 1:
-            raise ValueError(f"feature_dim {d} and n_classes {n_classes} must be >= 1")
-        if len(counts) != n_classes:
-            raise ValueError(f"{len(counts)} sample counts for {n_classes} classes")
-        if min(counts) < 2:  # a fit refuses such a class (MissingClass)
-            raise ValueError(f"sample counts {counts} must each be >= 2")
-        if type(eps_scale) not in (int, float) or not 0.0 < float(eps_scale) < math.inf:
-            raise ValueError(f"eps_scale {eps_scale!r} must be a finite number > 0")
-        if type(warnings) is not list or not all(isinstance(w, str) for w in warnings):
-            raise ValueError("warnings must be a list of strings")
-        counts = np.array(counts, dtype=np.int64)
-        expected = (n_classes + 1) * (d + d * d) * 8
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise StatsIoError(f"malformed stats header in {path}: {exc!r}") from exc
+        header = read(StatsHeader, json.loads(body[:header_len].decode()), "stats header")
+        d, n_classes, mode = header.feature_dim, header.n_classes, header.covariance_mode
+        if len(header.n_samples) != n_classes:
+            raise ValueError(f"{len(header.n_samples)} sample counts for {n_classes} classes")
+        counts = np.array(header.n_samples, dtype=np.int64)
+    except (ValueError, OverflowError, ConfigInvalid) as exc:
+        raise StatsIoError(f"malformed stats header in {path}: {exc}") from exc
+    expected = (n_classes + 1) * (d + d * d) * 8
     if len(payload) != expected:
         raise CorruptChecksum(f"payload size {len(payload)} != expected {expected}")
 
@@ -273,7 +248,7 @@ def load_stats(path) -> SourceStats:
     if mode == "tied" and not (class_bits == class_bits[0]).all():
         raise StatsIoError(f"tied stats in {path} hold class covariances that differ")
     try:
-        precisions = regularized_precisions(sigmas[:-1], eps_scale)
+        precisions = regularized_precisions(sigmas[:-1], header.eps_scale)
     except (NotPositiveDefinite, ValueError) as exc:
         raise StatsIoError(f"class covariances in {path} have no precision: {exc}") from exc
     # every loss and distance report reads the class kernel's forms
@@ -293,6 +268,6 @@ def load_stats(path) -> SourceStats:
         global_mu=mus[-1],
         global_sigma=sigmas[-1],
         covariance_mode=mode,
-        eps_scale=eps_scale,
-        warnings=warnings,
+        eps_scale=header.eps_scale,
+        warnings=header.warnings,
     )

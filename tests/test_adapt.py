@@ -8,7 +8,7 @@ from tta_align.config import (
     METHODS,
     NO_LOSS_METHODS,
     ExperimentConfig,
-    tta_config_from_dict,
+    read,
 )
 from tta_align.errors import (
     ConfigInvalid,
@@ -130,16 +130,16 @@ class TestTtaConfig:
             steps_per_batch=3,
             learning_rate=5e-4,
         )
-        again = tta_config_from_dict(cfg.to_dict())
+        again = read(TtaConfig, cfg.to_dict(), "methods[]")
         assert again == cfg
         assert again.run_name == "cafa_fast"
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigInvalid):
-            tta_config_from_dict({"method": "cafa", "momentum": 0.9})
+            read(TtaConfig, {"method": "cafa", "momentum": 0.9}, "methods[]")
         # the loop draws no random numbers, so a seed would select nothing
         with pytest.raises(ConfigInvalid):
-            tta_config_from_dict({"method": "cafa", "seed": 0})
+            read(TtaConfig, {"method": "cafa", "seed": 0}, "methods[]")
 
 
     @pytest.mark.parametrize("method", [*METHODS, "tent"])

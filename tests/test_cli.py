@@ -525,6 +525,9 @@ class TestCompareCommand:
             assert path_a.read_bytes() == path_b.read_bytes()
 
 
+UNIQUE_RUN_NAMES = '"methods" must list one or more unique run names'
+
+
 class TestReportCommand:
     def test_rebuilds_summaries(self, tmp_path, capsys):
         config = tiny_config(tmp_path)
@@ -576,6 +579,9 @@ class TestReportCommand:
             "batch_index_padded",
             "loss_with_underscore",
             "mean_intra_with_underscore",
+            "manifest_unknown_key",
+            "manifest_accuracy_not_a_number",
+            "header_unknown_top_level_key",
         ],
     )
     def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
@@ -671,6 +677,16 @@ class TestReportCommand:
             "batch_index_padded": ("run_cafa.csv", header + " 0 " + rows[1:]),
             "loss_with_underscore": ("run_cafa.csv", run_csv.replace("0.1", "1_0", 1)),
             "mean_intra_with_underscore": ("run_cafa.csv", run_csv.replace("2.0", "2_000.0")),
+            # the manifest and the run header are read by the config walk
+            "manifest_unknown_key": ("manifest.json", json.dumps({"methods": ["cafa"], "x": 1})),
+            "manifest_accuracy_not_a_number": (
+                "manifest.json",
+                json.dumps({"methods": ["cafa"], "source_holdout_accuracy": "lots"}),
+            ),
+            "header_unknown_top_level_key": (
+                "run_cafa.json",
+                json.dumps({"config": config, "n_batches": 2, "note": "x"}),
+            ),
         }
         name, text = damaged[damage]
         if text is None:
@@ -681,13 +697,23 @@ class TestReportCommand:
         assert "i/o error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "methods",
-        [["cafa", "cafa"], "cafa", ["cafa", "../cafa"], ["cafa", 5]],
+        "methods, message",
+        [
+            (["cafa", "cafa"], UNIQUE_RUN_NAMES),
+            ("cafa", "field 'methods' in section 'manifest.json' must be a JSON list, got 'cafa'"),
+            (["cafa", "../cafa"], UNIQUE_RUN_NAMES),
+            (
+                ["cafa", 5],
+                "field 'methods' in section 'manifest.json' must be a JSON list "
+                "with each entry a string, got ['cafa', 5]",
+            ),
+        ],
         ids=["duplicate", "string", "path", "number"],
     )
-    def test_manifest_methods_must_be_unique_run_names(self, tmp_path, capsys, methods):
+    def test_manifest_methods_must_be_unique_run_names(self, tmp_path, capsys, methods, message):
         # a method listed twice would collapse into one summary row, and a
-        # string would be read one character at a time
+        # string would be read one character at a time; the walk refuses a
+        # value that is not a list of strings
         (tmp_path / "run_cafa.csv").write_text(
             "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,0.1,2.0,3.0\n"
         )
@@ -696,7 +722,7 @@ class TestReportCommand:
         )
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": methods}))
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
-        assert '"methods" must list one or more unique run names' in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestErrorExitCodes:

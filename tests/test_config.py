@@ -1,5 +1,6 @@
 import dataclasses
 import enum
+import functools
 import json
 import math
 import re
@@ -15,7 +16,18 @@ from hypothesis import strategies as st
 
 from tta_align import cli
 from tta_align.adapt import TtaConfig, adapt_stream
-from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
+from tta_align.config import (
+    CheckpointHeader,
+    ExperimentConfig,
+    LayoutEntry,
+    Manifest,
+    ModelConfig,
+    PretrainConfig,
+    RunHeader,
+    StatsHeader,
+    plain,
+    read,
+)
 from tta_align.errors import ConfigInvalid
 
 NAN = float("nan")  # json.dumps writes NaN and Infinity, and json.load reads them
@@ -224,14 +236,14 @@ class TestStrictParsing:
             (
                 lambda doc: doc["synthetic"].update(cov_scales=[0.2, NAN, 1.5]),
                 "field 'cov_scales' in section 'synthetic' must be a JSON list "
-                "with each entry a finite number or null",
+                "with each entry a finite number, or null",
             ),
             (
                 lambda doc: doc["shift"].update(
                     transforms=[{"kind": "mean_shift", "direction": [1.0] * 7 + [NAN]}]
                 ),
                 "field 'direction' in section 'shift.transforms[]' must be a JSON list "
-                "with each entry a finite number or null",
+                "with each entry a finite number, or null",
             ),
             (
                 lambda doc: doc["pretrain"].update(covariance_mode="diagonal"),
@@ -440,7 +452,7 @@ def check_schema_keys(cls, doc, where: str) -> None:
 def test_readme_schema_names_every_field():
     # the README's schema block, with its // comments stripped, names every
     # field of every section and nothing else, and its comments name every
-    # value of every closed set
+    # value of every closed set and every field's range ("n_classes >= 2")
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration schema", 1)[1]
     block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
@@ -448,9 +460,11 @@ def test_readme_schema_names_every_field():
     check_schema_keys(ExperimentConfig, doc, "top-level")
     comments = " ".join(re.findall(r"//[^\n]*", block))
     for where, cls, _ in SCHEMA_SECTIONS:
-        for name, tp in typing.get_type_hints(cls).items():
+        for name, tp in hints(cls).items():
             for value in typing.get_args(tp) if typing.get_origin(tp) is typing.Literal else ():
                 assert f'"{value}"' in comments, (where, name, value)
+            for bound in bounds(tp):
+                assert f"{name} {bound}" in comments, (where, name, str(bound))
 
 
 def schema_sections(cls=ExperimentConfig, where="top-level", steps=()):
@@ -471,24 +485,42 @@ def schema_sections(cls=ExperimentConfig, where="top-level", steps=()):
 
 def section_of(cfg, steps):
     for step in steps:
-        cfg = cfg[step] if isinstance(step, int) else getattr(cfg, step)
+        cfg = getattr(cfg, step) if dataclasses.is_dataclass(cfg) else cfg[step]
     return cfg
+
+
+hints = functools.partial(typing.get_type_hints, include_extras=True)
+
+
+def bounds(tp):
+    """Each `Least` range in annotation `tp`, those of its entries included."""
+    if typing.get_origin(tp) is typing.Annotated:
+        yield tp.__metadata__[0]
+    for arg in typing.get_args(tp):
+        yield from bounds(arg)
 
 
 def wrong_values(tp) -> list:
     """Values no JSON document reads into a field of annotation `tp`: values
-    of another JSON type, a string outside a closed set, and Python objects
-    that its JSON form would read back as something else or that `json`
-    cannot write (a list for a tuple, a tuple for a list, a NumPy scalar
-    other than float64)."""
+    of another JSON type, a string outside a closed set, the first number
+    past each end of a `Least` range, and Python objects that its JSON form
+    would read back as something else or that `json` cannot write (a list
+    for a tuple, a tuple for a list, a NumPy scalar other than float64)."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:
+    if origin is typing.Annotated:
+        bound = tp.__metadata__[0]
+        outside = [bound.low if bound.strict else bound.low - 1]
+        if bound.high < math.inf:
+            outside.append(bound.high + 1)
+        return wrong_values(args[0]) + outside
+    if origin in (types.UnionType, typing.Union):
         return [v for arm in args if arm is not type(None) for v in wrong_values(arm)]
     if origin is list:
         entries = wrong_values(args[0])
         return [5, "ab", tuple(), [entries[0]], [entries[-1]]]
     if origin is tuple:
-        return [5, [0] * len(args), tuple(wrong_values(a)[0] for a in args)]
+        firsts, lasts = (tuple(wrong_values(a)[i] for a in args) for i in (0, -1))
+        return [5, [0] * len(args), firsts, lasts]
     if origin is typing.Literal or dataclasses.is_dataclass(tp):
         return ["x", 5]
     return {
@@ -502,18 +534,62 @@ SCHEMA_SECTIONS = list(schema_sections())
 WRONG_FIELDS = [
     pytest.param(where, steps, name, value, id=f"{where}.{name}={value!r}")
     for where, cls, steps in SCHEMA_SECTIONS
-    for name, tp in typing.get_type_hints(cls).items()
+    for name, tp in hints(cls).items()
     for value in wrong_values(tp)
+]
+HEADERS = [  # one of each file header the program writes
+    RunHeader(config=TtaConfig(), n_batches=2),
+    Manifest(methods=["source", "cafa"], source_holdout_accuracy=0.75),
+    StatsHeader(4, 3, "class_wise", 1e-4, [41, 46, 33], ["class 0: rank-deficient"]),
+    CheckpointHeader(1, 1, [LayoutEntry("classifier.bias", [3]), LayoutEntry("n", [])]),
+]
+HEADER_SECTIONS = [
+    (header, where, cls, steps)
+    for header in HEADERS
+    for where, cls, steps in schema_sections(type(header), type(header).__name__)
 ]
 
 
 def test_every_schema_section_is_defined_in_config():
     # the whole schema lives in one module, so the walk and every section
-    # that it checks are read together
+    # that it checks are read together: every config section, and every
+    # header of a file the program writes
     names = {cls.__name__ for _, cls, _ in SCHEMA_SECTIONS}
     assert {"SyntheticSpec", "ShiftSpec", "ShiftTransform", "TtaConfig"} <= names
-    for where, cls, _ in SCHEMA_SECTIONS:
+    names = {cls.__name__ for _, _, cls, _ in HEADER_SECTIONS}
+    assert {"RunHeader", "Manifest", "StatsHeader", "CheckpointHeader", "LayoutEntry"} <= names
+    for where, cls, _ in SCHEMA_SECTIONS + [s[1:] for s in HEADER_SECTIONS]:
         assert cls.__module__ == "tta_align.config", (where, cls)
+
+
+@pytest.mark.parametrize("header", HEADERS, ids=lambda h: type(h).__name__)
+def test_header_round_trips_through_json(header):
+    doc = json.loads(json.dumps(plain(header)))
+    assert read(type(header), doc, type(header).__name__) == header
+
+
+@pytest.mark.parametrize(
+    "header, where, steps, name, value",
+    [
+        pytest.param(header, where, steps, name, value, id=f"{where}.{name}={value!r}")
+        for header, where, cls, steps in HEADER_SECTIONS
+        for name, tp in hints(cls).items()
+        for value in wrong_values(tp)
+    ],
+)
+def test_header_field_of_a_wrong_type_is_refused(header, where, steps, name, value):
+    # every header is read by the walk, so each of its fields meets the
+    # same type and range rules as a config field, named the same way
+    doc = plain(header)
+    section_of(doc, steps)[name] = value
+    named = "|".join(
+        [
+            re.escape(f"field {name!r} in section {where!r}"),
+            re.escape(f"section '{where}.{name}") + r"(\[\])?' must be a JSON object",
+        ]
+    )
+    with pytest.raises(ConfigInvalid, match=named):
+        read(type(header), doc, type(header).__name__)
 
 
 def test_no_schema_field_is_an_enum():

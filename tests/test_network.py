@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -22,6 +23,7 @@ from tta_align import losses, network
 from tta_align.adapt import TtaConfig, adapt_stream
 from tta_align.errors import (
     BatchTooSmall,
+    ConfigInvalid,
     DimensionMismatch,
     FormatVersionMismatch,
     NonFiniteLoss,
@@ -638,6 +640,11 @@ class TestCheckpoint:
         monkeypatch.undo()
         with pytest.raises(FormatVersionMismatch):
             network.load_checkpoint(path)
+        # another version is named as such before the rest of its header is
+        # read, whatever keys that holds
+        self._rewrite_header(path, lambda header, arrays: header.update(note="v99"))
+        with pytest.raises(FormatVersionMismatch):
+            network.load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StatsIoError):
@@ -649,6 +656,18 @@ class TestCheckpoint:
             arrays = {k: data[k] for k in data.files}
         edit(arrays)
         np.savez(path, **arrays)
+
+    @classmethod
+    def _rewrite_header(cls, path, edit):
+        """Rewrite the archive at `path` with `edit(header, arrays)` applied:
+        an edit changes them in place or returns a header to write instead."""
+
+        def damage(arrays):
+            header = json.loads(bytes(arrays["__header__"]).decode())
+            header = edit(header, arrays) or header
+            arrays["__header__"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+
+        cls._rewrite(path, damage)
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "model.npz"
@@ -713,6 +732,36 @@ class TestCheckpoint:
         with pytest.raises(StatsIoError):
             network.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header, arrays: header.update(format_version=True),
+            lambda header, arrays: header.update(format_version=1.0),
+            lambda header, arrays: header.update(note="x"),
+            # an empty layout once skipped every shape check
+            lambda header, arrays: header.update(layout=[]),
+            lambda header, arrays: arrays.update(extra=np.zeros(2)),
+            # once an AttributeError traceback
+            lambda header, arrays: [header],
+        ],
+        ids=[
+            "version_true",
+            "version_float",
+            "unknown_key",
+            "empty_layout",
+            "unnamed_array",
+            "not_an_object",
+        ],
+    )
+    def test_header_that_does_not_describe_the_archive(self, tmp_path, edit):
+        # the header is read by the config walk, and its layout names
+        # exactly the archive's arrays
+        path = tmp_path / "model.npz"
+        network.save_checkpoint(small_model(np.random.default_rng(28)), path)
+        self._rewrite_header(path, edit)
+        with pytest.raises(StatsIoError, match="malformed checkpoint"):
+            network.load_checkpoint(path)
+
     def test_copy_is_independent(self):
         rng = np.random.default_rng(23)
         model = small_model(rng)
@@ -745,7 +794,7 @@ class TestFlatBuffer:
         assert self._own_views(loaded, model)
         assert states_equal(model_state(model), model_state(loaded))
 
-    @pytest.mark.parametrize("group", PARAM_GROUPS)
+    @pytest.mark.parametrize("group", [*PARAM_GROUPS, "all"])
     def test_adapting_a_copy_leaves_the_source(self, group):
         rng = np.random.default_rng(32)
         model = small_model(rng)
@@ -753,6 +802,12 @@ class TestFlatBuffer:
         before = model_state(model)
         flat = model.flat.copy()
         batches = [(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16)) for _ in range(3)]
+        if group not in PARAM_GROUPS:  # a library call names the groups, as a config does
+            with pytest.raises(ConfigInvalid, match=r"must be one of PARAM_GROUPS \['bn_only'"):
+                network.loss_and_grad_named(
+                    model.copy(), batches[0][0], StatMode.BATCH_ONLY, group, "entropy"
+                )
+            return
         cfg = TtaConfig(method="cafa", steps_per_batch=2, batch_size=16, param_group=group)
         adapted, _ = adapt_stream(model.copy(), stats, batches, cfg)
         assert not states_equal(before, model_state(adapted))

@@ -351,6 +351,8 @@ class TestSerialization:
             # counts no fit writes: it refuses a class of fewer than 2 samples
             ("n_samples", [-5, 0, 1]),
             ("n_samples", [40, 1, 40]),
+            # a key no writer writes
+            ("note", "x"),
         ],
     )
     def test_header_field_malformed(self, tmp_path, field, value):
