@@ -184,16 +184,20 @@ def valid_run_name(name) -> bool:
 class ShiftTransform:
     kind: Literal[SHIFT_KINDS]
     direction: list[float] | None = None  # mean_shift only
-    plane: tuple[Annotated[int, Least(0)], Annotated[int, Least(0)]] = (0, 1)  # rotation only
+    # rotation only; a rotation without one turns axes 0 and 1
+    plane: tuple[Annotated[int, Least(0)], Annotated[int, Least(0)]] | None = None
 
     def validate(self, input_dim: int) -> None:
         _check_fields(self, "shift.transforms[]")
+        for name, kind in (("direction", "mean_shift"), ("plane", "rotation")):
+            if getattr(self, name) is not None and self.kind != kind:
+                raise ConfigInvalid(f"a {self.kind} transform reads no {name}: it is {kind} only")
         if self.kind == "mean_shift":
             if self.direction is None or len(self.direction) != input_dim:
                 raise ConfigInvalid("mean_shift needs a direction of input_dim length")
             if not any(self.direction):
                 raise ConfigInvalid("mean_shift direction must be nonzero")
-        if self.kind == "rotation":
+        if self.plane is not None:
             i, j = self.plane
             if not (i < input_dim and j < input_dim and i != j):
                 raise ConfigInvalid(f"invalid rotation plane {self.plane}")

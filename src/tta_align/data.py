@@ -98,7 +98,7 @@ def apply_shift(
             out *= SCALING_FACTOR[shift.severity]
         elif t.kind == "rotation":
             theta = np.deg2rad(ROTATION_DEGREES[shift.severity])
-            i, j = t.plane
+            i, j = t.plane or (0, 1)
             xi = np.cos(theta) * out[:, i] - np.sin(theta) * out[:, j]
             out[:, j] = np.sin(theta) * out[:, i] + np.cos(theta) * out[:, j]
             out[:, i] = xi

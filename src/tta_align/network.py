@@ -18,6 +18,7 @@ import enum
 import json
 import zipfile
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -110,17 +111,20 @@ class AdaptiveModel:
     def n_classes(self) -> int:
         return self.classifier.weight.shape[0]
 
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        """All trainable arrays, keyed by stable names: views into `flat`."""
-        params: dict[str, np.ndarray] = {}
-        for i, blk in enumerate(self.blocks):
-            params[f"block{i}.dense.weight"] = blk.dense.weight
-            params[f"block{i}.dense.bias"] = blk.dense.bias
-            params[f"block{i}.bn.gamma"] = blk.bn.gamma
-            params[f"block{i}.bn.beta"] = blk.bn.beta
-        params["classifier.weight"] = self.classifier.weight
-        params["classifier.bias"] = self.classifier.bias
-        return params
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array of the model by its checkpoint name, in checkpoint
+        order: each block's dense weight and bias and BN gamma and beta, the
+        classifier's weight and bias, then each block's running mean and
+        variance. The trainable arrays are views into `flat`."""
+        blocks = list(enumerate(self.blocks))
+        params = ("dense.weight", "dense.bias", "bn.gamma", "bn.beta")
+        running = ("bn.running_mean", "bn.running_var")
+        return {
+            **{f"block{i}.{k}": attrgetter(k)(b) for i, b in blocks for k in params},
+            "classifier.weight": self.classifier.weight,
+            "classifier.bias": self.classifier.bias,
+            **{f"block{i}.{k}": attrgetter(k)(b) for i, b in blocks for k in running},
+        }
 
     def group_size(self, group: str | None) -> int:
         """Length of the prefix of `flat` that holds `group`, one of
@@ -134,6 +138,20 @@ class AdaptiveModel:
         layers alone would copy each view as a separate array)."""
         return AdaptiveModel(copy.deepcopy(self.blocks), copy.deepcopy(self.classifier))
 
+    @classmethod
+    def _shaped(cls, widths: list[int]) -> "AdaptiveModel":
+        """The model of layer widths [input, *hidden, n_classes]: zero dense
+        weights and biases, identity BN affine and unit running variance."""
+        blocks = [
+            Block(
+                DenseLayer(np.zeros((width, fan_in)), np.zeros(width)),
+                BnLayer(np.ones(width), np.zeros(width), np.zeros(width), np.ones(width)),
+            )
+            for fan_in, width in zip(widths[:-2], widths[1:-1])
+        ]
+        fan_in, n_classes = widths[-2:]
+        return cls(blocks, DenseLayer(np.zeros((n_classes, fan_in)), np.zeros(n_classes)))
+
 
 def init_model(
     input_dim: int,
@@ -143,25 +161,11 @@ def init_model(
 ) -> AdaptiveModel:
     """He-initialized dense weights, identity BN affine and unit running
     variance."""
-    blocks = []
-    fan_in = input_dim
-    for width in hidden_dims:
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(width, fan_in))
-        blocks.append(
-            Block(
-                dense=DenseLayer(weight=w, bias=np.zeros(width)),
-                bn=BnLayer(
-                    gamma=np.ones(width),
-                    beta=np.zeros(width),
-                    running_mean=np.zeros(width),
-                    running_var=np.ones(width),
-                ),
-            )
-        )
-        fan_in = width
-    clf_w = rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(n_classes, fan_in))
-    classifier = DenseLayer(weight=clf_w, bias=np.zeros(n_classes))
-    return AdaptiveModel(blocks=blocks, classifier=classifier)
+    model = AdaptiveModel._shaped([input_dim, *hidden_dims, n_classes])
+    gains = [(b.dense.weight, 2.0) for b in model.blocks] + [(model.classifier.weight, 1.0)]
+    for w, gain in gains:
+        w[...] = rng.normal(0.0, np.sqrt(gain / w.shape[1]), size=w.shape)
+    return model
 
 
 # -- the chain: forward --------------------------------------------------------
@@ -427,25 +431,26 @@ def loss_and_grad_named(
 
 
 def save_checkpoint(model: AdaptiveModel, path) -> None:
-    """Flat key/value serialization; round-trips float64 losslessly."""
-    arrays: dict[str, np.ndarray] = dict(model.named_parameters())
-    for i, blk in enumerate(model.blocks):
-        arrays[f"block{i}.bn.running_mean"] = blk.bn.running_mean
-        arrays[f"block{i}.bn.running_var"] = blk.bn.running_var
+    """Flat key/value serialization of `model.arrays()` to exactly `path`;
+    round-trips float64 losslessly."""
+    arrays = model.arrays()
     layout = [LayoutEntry(name, list(a.shape)) for name, a in arrays.items()]
     header = plain(CheckpointHeader(CHECKPOINT_VERSION, len(model.blocks), layout))
-    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
+    with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it
+        np.savez(fh, __header__=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
 
 
 def load_checkpoint(path) -> AdaptiveModel:
-    """The model a checkpoint holds. The `block{i}.bn.momentum` entries that
-    older checkpoints carry are not read: the momentum is BN_MOMENTUM."""
+    """The model a checkpoint holds: the archive must hold exactly the
+    arrays of the model its weights' widths give. The scalar
+    `block{i}.bn.momentum` entries that older checkpoints carry are not
+    read: the momentum is BN_MOMENTUM."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise StatsIoError(f"{path} is not a checkpoint archive")
         with data:
-            arrays = {k: data[k] for k in data.files}
+            stored = {k: data[k] for k in data.files}
     except (OSError, EOFError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
         # garbage bytes are refused as a pickle, a cut archive as a zip and an
         # empty file as the end of a file; an entry zipfile cannot read (an
@@ -453,7 +458,7 @@ def load_checkpoint(path) -> AdaptiveModel:
         # a RuntimeError
         raise StatsIoError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        doc = json.loads(bytes(arrays.pop("__header__")).decode())
+        doc = json.loads(bytes(stored.pop("__header__")).decode())
         # another version is named as such, whatever else its header holds
         version = doc.get("format_version") if isinstance(doc, dict) else None
         if version not in (CHECKPOINT_VERSION, None):
@@ -462,42 +467,32 @@ def load_checkpoint(path) -> AdaptiveModel:
     except (KeyError, ValueError, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed checkpoint header in {path}: {exc}") from exc
     try:
-        layout = sorted((e.name, tuple(e.shape)) for e in header.layout)
-        if layout != sorted((name, a.shape) for name, a in arrays.items()):
+        shapes = {name: a.shape for name, a in stored.items()}
+        # a list, so that a layout naming one array twice is refused
+        if sorted((e.name, tuple(e.shape)) for e in header.layout) != sorted(shapes.items()):
             raise ValueError("the layout does not name exactly the archive's arrays and shapes")
-        for name, a in arrays.items():  # save_checkpoint writes float64 only
+        for name, a in stored.items():  # save_checkpoint writes float64 only
             if a.dtype != np.float64:
                 raise ValueError(f"{name}: dtype {a.dtype}, not float64")
             if not np.isfinite(a).all():
                 raise ValueError(f"{name}: non-finite entries")
-        bn_keys = ("gamma", "beta", "running_mean", "running_var")
-        blocks = [
-            Block(
-                DenseLayer(arrays[f"block{i}.dense.weight"], arrays[f"block{i}.dense.bias"]),
-                BnLayer(*(arrays[f"block{i}.bn.{k}"] for k in bn_keys)),
-            )
-            for i in range(header.n_blocks)
-        ]
-        classifier = DenseLayer(arrays["classifier.weight"], arrays["classifier.bias"])
-        model = AdaptiveModel(blocks=blocks, classifier=classifier)
-        _check_runnable(model)
+        n = header.n_blocks
+        layers = [f"block{i}.dense" for i in range(n)] + ["classifier"]
+        weights = [shapes[f"{layer}.weight"] for layer in layers]
+        widths = [weights[0][1], *(w[0] for w in weights)]
+        # checked before the model is built, so that it holds no more than the archive
+        if weights != list(zip(widths[1:], widths)) or min(widths) < 1:
+            raise ValueError(f"dense weights {weights} do not chain widths >= 1")
+        model = AdaptiveModel._shaped(widths)
+        want = {name: a.shape for name, a in model.arrays().items()}
+        want |= {k: () for k in (f"block{i}.bn.momentum" for i in range(n)) if shapes.get(k) == ()}
+        if want != shapes:
+            odd = sorted(set(want.items()) ^ set(shapes.items()))
+            raise ValueError(f"the arrays of a model of widths {widths} differ by {odd}")
+        for name, a in model.arrays().items():
+            a[...] = stored[name]
+        if any((b.bn.running_var < 0).any() for b in model.blocks):
+            raise ValueError("running_var < 0")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise StatsIoError(f"malformed checkpoint {path}: {exc!r}") from exc
     return model
-
-
-def _check_runnable(model: AdaptiveModel) -> None:
-    """Raise ValueError unless a forward of `model` can run: widths chain from
-    block to block and into the head, every bias and BN vector has its
-    layer's width and running variances are >= 0."""
-    width = model.input_dim
-    layers = [(b.dense, b.bn) for b in model.blocks] + [(model.classifier, None)]
-    for i, (dense, bn) in enumerate(layers):
-        if dense.weight.ndim != 2 or dense.weight.shape[1] != width:
-            raise ValueError(f"layer {i}: weight {dense.weight.shape} after width {width}")
-        width = dense.weight.shape[0]
-        bn_vectors = [] if bn is None else [bn.gamma, bn.beta, bn.running_mean, bn.running_var]
-        if any(v.shape != (width,) for v in [dense.bias, *bn_vectors]):
-            raise ValueError(f"layer {i}: a bias or BN vector is not of width {width}")
-        if bn is not None and not (bn.running_var >= 0).all():
-            raise ValueError(f"layer {i}: running_var < 0")

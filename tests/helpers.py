@@ -209,11 +209,13 @@ def fd_grad(model, batch, mode, fn, group, h: float = 1e-5) -> np.ndarray:
 
 def named(model, vec) -> dict[str, np.ndarray]:
     """A flat vector in the buffer's layout (a prefix of it, such as a
-    group's gradient), split into one view per parameter it covers."""
+    group's gradient), split into one view per trainable array it covers;
+    `named(model, model.flat)` gives every trainable array of the model."""
+    base = model.flat.__array_interface__["data"][0]
     out = {}
-    for name, p in model.named_parameters().items():
-        start = (p.__array_interface__["data"][0] - model.flat.__array_interface__["data"][0]) // 8
-        if start + p.size <= vec.size:
+    for name, p in model.arrays().items():
+        start = (p.__array_interface__["data"][0] - base) // 8
+        if np.shares_memory(p, model.flat) and start + p.size <= vec.size:
             out[name] = vec[start : start + p.size].reshape(p.shape)
     return out
 
@@ -225,11 +227,7 @@ def max_rel_error(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e
 
 def model_state(model) -> dict[str, np.ndarray]:
     """Every numeric array of the model, copied, for bitwise comparisons."""
-    state = {k: v.copy() for k, v in model.named_parameters().items()}
-    for i, blk in enumerate(model.blocks):
-        state[f"block{i}.bn.running_mean"] = blk.bn.running_mean.copy()
-        state[f"block{i}.bn.running_var"] = blk.bn.running_var.copy()
-    return state
+    return {k: v.copy() for k, v in model.arrays().items()}
 
 
 def states_equal(a: dict, b: dict, keys=None) -> bool:

@@ -82,7 +82,7 @@ class TestAdam:
 
         rng = np.random.default_rng(3)
         model = small_model(rng)
-        params = model.named_parameters()
+        params = named(model, model.flat)
         ref = {k: p.copy() for k, p in params.items()}
         m = {k: np.zeros(p.shape) for k, p in params.items()}
         v = {k: np.zeros(p.shape) for k, p in params.items()}

@@ -87,20 +87,20 @@ class TestForwardValues:
 
 
 class TestGradients:
-    def test_matmul(self):
+    def test_logit_gradient_reaches_the_blocks(self):
         # dh = g W: the head carries a logits gradient into the blocks, and
         # each block's dh into the block below
         check_cube_grad(3, True, "feature_full")
 
-    def test_transpose(self):
+    def test_classifier_weight_gradient(self):
         # the weight enters transposed: dW = g^T h
         check_cube_grad(4, True, None, name="classifier.weight")
 
-    def test_broadcast_row_vector(self):
+    def test_classifier_bias_gradient(self):
         # the bias row is broadcast: db = sum(g)
         check_cube_grad(5, True, None, name="classifier.bias")
 
-    def test_broadcast_keepdims(self):
+    def test_global_fa_rows_sum_to_the_mean_gap_gradient(self):
         # global_fa centers on the broadcast batch mean. Shifting every row
         # moves the mean only, so the gradient's rows sum to the mean gap's
         # gradient 2 (mu_t - mu_s)
@@ -112,7 +112,7 @@ class TestGradients:
             g.sum(axis=0), 2.0 * (x.mean(axis=0) - stats.global_mu), rtol=1e-9, atol=1e-12
         )
 
-    def test_mean_axis(self):
+    def test_every_loss_is_a_batch_mean(self):
         # every loss is a mean over the batch: the batch stacked twice has
         # the same loss, and each row gets half its gradient
         rng = np.random.default_rng(7)
@@ -126,7 +126,7 @@ class TestGradients:
             assert v2 == pytest.approx(v1, rel=1e-12)
             np.testing.assert_allclose(g2, 0.5 * np.concatenate([g1, g1]), rtol=1e-9, atol=1e-14)
 
-    def test_exp_log_sqrt(self):
+    def test_extreme_logits_give_exact_values(self):
         # the log-sum-exp is shifted by the row maximum, so logits far
         # outside exp's range give exact values: a softmax that is one-hot
         # has zero entropy and zero entropy gradient, and the cross-entropy
@@ -139,7 +139,7 @@ class TestGradients:
         assert value == 0.0
         assert np.array_equal(g, np.zeros_like(z))
 
-    def test_clip_min_zero_grad_at_floor(self):
+    def test_intra_form_at_ratio_floor_adds_no_gradient(self):
         # a sample within 1e-8 of its class mean has its intra form clamped
         # at RATIO_FLOOR: that term adds nothing to the gradient (unclamped,
         # it would be about 2 P (x - mu) / intra, some 1e8), so only the

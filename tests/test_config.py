@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_stats, small_model
+from helpers import named, random_stats, small_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -350,11 +350,11 @@ class TestValidation:
         model = small_model(rng)
         stats = random_stats(rng, 3, 5)
         batches = [(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16)) for _ in range(4)]
-        before = {k: v.copy() for k, v in model.named_parameters().items()}
+        before = {k: v.copy() for k, v in named(model, model.flat).items()}
         cfg = TtaConfig(method="cafa", param_group="feature_full", batch_size=16)
         cfg.validate()
         adapt_stream(model, stats, batches, cfg)
-        for name, value in model.named_parameters().items():
+        for name, value in named(model, model.flat).items():
             moved = not np.array_equal(before[name], value)
             assert moved == name.startswith("block"), name
 
@@ -380,12 +380,25 @@ class TestValidation:
                 lambda doc: doc["methods"][2].update(name="../pl"),
                 "may hold only ASCII letters, digits and _.+-",
             ),
+            (
+                # once a (0, 1) rotation that dropped the direction
+                lambda doc: doc["shift"].update(
+                    transforms=[{"kind": "rotation", "direction": [1.0] * 8}]
+                ),
+                "a rotation transform reads no direction: it is mean_shift only",
+            ),
+            (
+                lambda doc: doc["shift"].update(transforms=[{"kind": "scaling", "plane": [3, 4]}]),
+                "a scaling transform reads no plane: it is rotation only",
+            ),
         ],
         ids=[
             "zero_shift_direction",
             "cov_scale_square_overflows",
             "int_cov_scale_square_overflows",
             "name_with_path_separator",
+            "direction_of_a_rotation",
+            "plane_of_a_scaling",
         ],
     )
     def test_value_that_cannot_run(self, tmp_path, capsys, damage, message):

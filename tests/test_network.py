@@ -524,10 +524,10 @@ class TestGradients:
             model, rng.normal(size=(8, 6)), StatMode.BATCH_ONLY, None, "global_fa", stats
         )
         grads = named(model, grad)
-        assert set(grads) == set(model.named_parameters())
+        assert set(grads) == set(named(model, model.flat))
         assert np.any(grads["block1.bn.gamma"] != 0.0)
         for name in ("classifier.weight", "classifier.bias"):
-            assert np.array_equal(grads[name], np.zeros_like(model.named_parameters()[name]))
+            assert np.array_equal(grads[name], np.zeros_like(named(model, model.flat)[name]))
 
     def test_returns_the_features_of_its_forward(self):
         rng = np.random.default_rng(27)
@@ -619,14 +619,28 @@ class TestGradients:
             )
 
 
+def _add_array(name, a):
+    """A checkpoint edit (as `TestCheckpoint._rewrite_header` applies it)
+    that adds `a` to the archive as `name` and names it in the layout."""
+
+    def edit(header, arrays):
+        arrays[name] = a
+        header["layout"].append({"name": name, "shape": list(a.shape)})
+
+    return edit
+
+
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("name", ["model.npz", "model.ckpt"])
+    def test_round_trip_bitwise(self, tmp_path, name):
         rng = np.random.default_rng(21)
         model = small_model(rng)
         model.blocks[0].bn.running_mean[:] = rng.normal(size=8)
-        path = tmp_path / "model.npz"
-        network.save_checkpoint(model, path)
-        loaded = network.load_checkpoint(path)
+        path = tmp_path / name
+        network.save_checkpoint(model, str(path))
+        # written to exactly the path given, whatever its suffix
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        loaded = network.load_checkpoint(str(path))
         assert states_equal(model_state(model), model_state(loaded))
         with np.load(path) as data:  # the momentum is BN_MOMENTUM, not an entry
             assert not [k for k in data.files if k.endswith("momentum")]
@@ -743,6 +757,14 @@ class TestCheckpoint:
             lambda header, arrays: arrays.update(extra=np.zeros(2)),
             # once an AttributeError traceback
             lambda header, arrays: [header],
+            # arrays that no model holds, each named in the layout: once
+            # loaded and never read
+            _add_array("junk", np.zeros(2)),
+            _add_array("block9.dense.weight", np.zeros((6, 6))),
+            _add_array("block0.bn.momentum", np.full((2, 2), BN_MOMENTUM)),
+            # equal widths: once loaded as a one-block model
+            lambda header, arrays: header.update(n_blocks=1),
+            lambda header, arrays: header["layout"].append(header["layout"][0]),
         ],
         ids=[
             "version_true",
@@ -751,13 +773,20 @@ class TestCheckpoint:
             "empty_layout",
             "unnamed_array",
             "not_an_object",
+            "junk_array",
+            "array_of_a_tenth_block",
+            "non_scalar_momentum",
+            "n_blocks_one_short",
+            "repeated_layout_entry",
         ],
     )
     def test_header_that_does_not_describe_the_archive(self, tmp_path, edit):
-        # the header is read by the config walk, and its layout names
-        # exactly the archive's arrays
+        # the header is read by the config walk, its layout names exactly
+        # the archive's arrays, and those are exactly the arrays of the
+        # model the header and the weights' widths give
         path = tmp_path / "model.npz"
-        network.save_checkpoint(small_model(np.random.default_rng(28)), path)
+        model = small_model(np.random.default_rng(28), hidden_dims=(6, 6))
+        network.save_checkpoint(model, path)
         self._rewrite_header(path, edit)
         with pytest.raises(StatsIoError, match="malformed checkpoint"):
             network.load_checkpoint(path)
@@ -779,7 +808,7 @@ class TestFlatBuffer:
     def _own_views(model, other):
         return all(
             np.shares_memory(p, model.flat) and not np.shares_memory(p, other.flat)
-            for p in model.named_parameters().values()
+            for p in named(model, model.flat).values()
         )
 
     def test_copy_and_load_rebuild_the_views(self, tmp_path):

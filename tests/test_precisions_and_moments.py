@@ -24,7 +24,7 @@ def moments(x) -> tuple[np.ndarray, np.ndarray]:
     return _moments(np.array(x, dtype=np.float64))
 
 
-class TestSpdFactor:
+class TestWhichMatricesHaveAPrecision:
     """Which matrices have a precision: those with a Cholesky factor."""
 
     def test_identity(self):
@@ -51,7 +51,7 @@ class TestSpdFactor:
             regularized_precisions(np.stack([np.eye(2), a]), 1e-6)
 
 
-class TestSpdSolve:
+class TestPrecisionSolves:
     """Solving A x = b with the precision, as the Mahalanobis forms do."""
 
     def test_identity(self):
@@ -80,7 +80,7 @@ class TestSpdSolve:
             assert np.max(np.abs(back - x)) < 1e-8 * max(1.0, np.max(np.abs(x)))
 
 
-class TestSpdInverse:
+class TestPrecisionAgainstOracles:
     def test_matches_gauss_jordan(self):
         rng = np.random.default_rng(23)
         a = random_spd(rng, 6)
