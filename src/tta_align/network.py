@@ -476,9 +476,9 @@ def load_checkpoint(path) -> AdaptiveModel:
                 raise ValueError(f"{name}: dtype {a.dtype}, not float64")
             if not np.isfinite(a).all():
                 raise ValueError(f"{name}: non-finite entries")
-        n = header.n_blocks
-        layers = [f"block{i}.dense" for i in range(n)] + ["classifier"]
-        weights = [shapes[f"{layer}.weight"] for layer in layers]
+        n = header.n_blocks  # a huge n stops at the archive's first missing block
+        weights = [shapes[f"block{i}.dense.weight"] for i in range(n)]
+        weights.append(shapes["classifier.weight"])
         widths = [weights[0][1], *(w[0] for w in weights)]
         # checked before the model is built, so that it holds no more than the archive
         if weights != list(zip(widths[1:], widths)) or min(widths) < 1:

@@ -210,12 +210,17 @@ def fd_grad(model, batch, mode, fn, group, h: float = 1e-5) -> np.ndarray:
 def named(model, vec) -> dict[str, np.ndarray]:
     """A flat vector in the buffer's layout (a prefix of it, such as a
     group's gradient), split into one view per trainable array it covers;
-    `named(model, model.flat)` gives every trainable array of the model."""
+    `named(model, model.flat)` gives every trainable array of the model.
+    The trainable arrays are all but the running statistics, and each must
+    be a view into the buffer."""
     base = model.flat.__array_interface__["data"][0]
     out = {}
     for name, p in model.arrays().items():
+        if "running" in name:
+            continue
+        assert np.shares_memory(p, model.flat), f"{name} is not a view into the buffer"
         start = (p.__array_interface__["data"][0] - base) // 8
-        if np.shares_memory(p, model.flat) and start + p.size <= vec.size:
+        if start + p.size <= vec.size:
             out[name] = vec[start : start + p.size].reshape(p.shape)
     return out
 
