@@ -1,13 +1,15 @@
 """The schema of every JSON document the program reads, as dataclasses.
 
-The annotations are the schema, a number's range included. One walk over
-them (`read`) checks and builds a document in one pass and rejects unknown
-keys anywhere; `plain` writes one back. A config section's `validate()` runs
+The annotations are the schema, a number's range included. `parse_json`
+parses every document the program reads, and one walk over the annotations
+(`read`) checks and builds it in one pass and rejects unknown keys
+anywhere; `plain` writes one back. A config section's `validate()` runs
 the walk on its own fields, then its cross-field checks.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -110,6 +112,19 @@ def _value(tp, value, section: str):
     if type(value) is tp:
         return value
     return read(tp, value, section)
+
+
+def _unique_keys(pairs: list) -> dict:
+    twice = [k for k, n in collections.Counter(k for k, _ in pairs).items() if n > 1]
+    if twice:
+        raise ValueError(f"keys named more than once in one object: {twice}")
+    return dict(pairs)
+
+
+def parse_json(text: str | bytes):
+    """The JSON document `text` holds. An object that names a key twice is
+    refused (ValueError), where `json` would keep only its last value."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def read(cls, doc, section: str):
@@ -358,11 +373,11 @@ class ExperimentConfig:
     @staticmethod
     def from_json_file(path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                doc = parse_json(fh.read())
         except OSError as exc:
             raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a repeated key and bytes that are not UTF-8 too
             raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
         return ExperimentConfig.from_dict(doc)
 
@@ -390,6 +405,7 @@ class Manifest:
 class StatsHeader:
     """A stats file's JSON header; a fit refuses a class of fewer than 2 rows."""
 
+    format_version: int
     feature_dim: Annotated[int, Least(1)]
     n_classes: Annotated[int, Least(1)]
     covariance_mode: Literal[COVARIANCE_MODES]

@@ -59,7 +59,3 @@ class StatsIoError(TtaError):
 
 class FormatVersionMismatch(StatsIoError):
     pass
-
-
-class CorruptChecksum(StatsIoError):
-    pass

@@ -24,6 +24,7 @@ from .config import (
     Manifest,
     RunHeader,
     TtaConfig,
+    parse_json,
     plain,
     read,
     valid_run_name,
@@ -247,7 +248,7 @@ def read_run_record(run_dir: str, name: str) -> RunRecord:
     >= 0 in every row or nan in every row."""
     try:
         with open(run_path(run_dir, name, ".json")) as fh:
-            header = read(RunHeader, json.load(fh), f"run_{name}.json")
+            header = read(RunHeader, parse_json(fh.read()), f"run_{name}.json")
         config = header.config
         config.validate()
         with open(run_path(run_dir, name, ".csv"), newline="") as fh:
@@ -347,7 +348,7 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
-            methods = read(Manifest, json.load(fh), "manifest.json").methods
+            methods = read(Manifest, parse_json(fh.read()), "manifest.json").methods
     except (OSError, ValueError, ConfigInvalid) as exc:  # missing, not JSON or malformed
         raise StatsIoError(f"cannot read {manifest_path}: {exc}") from exc
     if not methods or not all(map(valid_run_name, methods)) or len(set(methods)) != len(methods):

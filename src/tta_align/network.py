@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autograd import Tensor
-from .config import PARAM_GROUPS, CheckpointHeader, LayoutEntry, plain, read
+from .config import PARAM_GROUPS, CheckpointHeader, LayoutEntry, parse_json, plain, read
 from .errors import (
     BatchTooSmall,
     ConfigInvalid,
@@ -427,17 +427,60 @@ def loss_and_grad_named(
     return float(loss.data), loss.backward(), forward._replace(quads=quads)
 
 
-# -- checkpoint i/o -----------------------------------------------------------
+# -- archives: the checkpoint and the stats file -----------------------------
+
+
+def save_archive(path, header, arrays: dict[str, np.ndarray]) -> None:
+    """An `.npz` archive at exactly `path`: the JSON of `header` (a schema
+    dataclass of `config`) as the uint8 `__header__` entry, then `arrays`
+    under their names. The zip container keeps a CRC-32 of every entry."""
+    text = json.dumps(plain(header)).encode()
+    with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it
+        np.savez(fh, __header__=np.frombuffer(text, np.uint8), **arrays)
+
+
+def load_archive(path, header_cls, version: int, what: str):
+    """The header (a `header_cls`) and the arrays, by name, of an archive of
+    `save_archive`; StatsIoError unless each entry matches its CRC-32, the
+    config walk reads the header at `format_version` `version` (another
+    version: FormatVersionMismatch) and each array is finite float64."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise StatsIoError(f"{path} is not a {what} archive")
+        with data:
+            arrays = {k: data[k] for k in data.files}
+    except (OSError, EOFError, RuntimeError, ValueError, MemoryError, zipfile.BadZipFile) as exc:
+        # garbage bytes are refused as a pickle, a cut archive as a zip and an
+        # empty file as the end of a file; a damaged entry fails its CRC-32,
+        # an entry zipfile cannot read (an encryption flag, an unknown
+        # compression method or zip version) is a RuntimeError, and one whose
+        # header declares more than memory holds is allocated before it is
+        # read
+        raise StatsIoError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = parse_json(arrays.pop("__header__").tobytes())
+        # another version is named as such, whatever else its header holds;
+        # a version that is no integer is the walk's to refuse
+        found = doc.get("format_version") if isinstance(doc, dict) else None
+        if type(found) is int and found != version:
+            raise FormatVersionMismatch(f"{what} version {found!r} != {version}")
+        header = read(header_cls, doc, f"{what} header")
+    except (KeyError, ValueError, ConfigInvalid) as exc:
+        raise StatsIoError(f"malformed {what} header in {path}: {exc}") from exc
+    for name, a in arrays.items():  # save_archive is handed float64 only
+        if a.dtype != np.float64 or not np.isfinite(a).all():
+            raise StatsIoError(f"malformed {what} {path}: {name} is not finite float64")
+    return header, arrays
 
 
 def save_checkpoint(model: AdaptiveModel, path) -> None:
-    """Flat key/value serialization of `model.arrays()` to exactly `path`;
-    round-trips float64 losslessly."""
+    """`model.arrays()` as an archive at exactly `path`; round-trips float64
+    losslessly."""
     arrays = model.arrays()
     layout = [LayoutEntry(name, list(a.shape)) for name, a in arrays.items()]
-    header = plain(CheckpointHeader(CHECKPOINT_VERSION, len(model.blocks), layout))
-    with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it
-        np.savez(fh, __header__=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
+    header = CheckpointHeader(CHECKPOINT_VERSION, len(model.blocks), layout)
+    save_archive(path, header, arrays)
 
 
 def load_checkpoint(path) -> AdaptiveModel:
@@ -445,37 +488,12 @@ def load_checkpoint(path) -> AdaptiveModel:
     arrays of the model its weights' widths give. The scalar
     `block{i}.bn.momentum` entries that older checkpoints carry are not
     read: the momentum is BN_MOMENTUM."""
-    try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise StatsIoError(f"{path} is not a checkpoint archive")
-        with data:
-            stored = {k: data[k] for k in data.files}
-    except (OSError, EOFError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
-        # garbage bytes are refused as a pickle, a cut archive as a zip and an
-        # empty file as the end of a file; an entry zipfile cannot read (an
-        # encryption flag, an unknown compression method or zip version) is
-        # a RuntimeError
-        raise StatsIoError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        doc = json.loads(bytes(stored.pop("__header__")).decode())
-        # another version is named as such, whatever else its header holds
-        version = doc.get("format_version") if isinstance(doc, dict) else None
-        if version not in (CHECKPOINT_VERSION, None):
-            raise FormatVersionMismatch(f"checkpoint version {version!r} != {CHECKPOINT_VERSION}")
-        header = read(CheckpointHeader, doc, "checkpoint header")
-    except (KeyError, ValueError, ConfigInvalid) as exc:
-        raise StatsIoError(f"malformed checkpoint header in {path}: {exc}") from exc
+    header, stored = load_archive(path, CheckpointHeader, CHECKPOINT_VERSION, "checkpoint")
     try:
         shapes = {name: a.shape for name, a in stored.items()}
         # a list, so that a layout naming one array twice is refused
         if sorted((e.name, tuple(e.shape)) for e in header.layout) != sorted(shapes.items()):
             raise ValueError("the layout does not name exactly the archive's arrays and shapes")
-        for name, a in stored.items():  # save_checkpoint writes float64 only
-            if a.dtype != np.float64:
-                raise ValueError(f"{name}: dtype {a.dtype}, not float64")
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name}: non-finite entries")
         n = header.n_blocks  # a huge n stops at the archive's first missing block
         weights = [shapes[f"block{i}.dense.weight"] for i in range(n)]
         weights.append(shapes["classifier.weight"])

@@ -11,18 +11,14 @@ inputs are bit-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network
-from .config import COVARIANCE_MODES, DEFAULT_EPS_SCALE, StatsHeader, plain, read
+from .config import COVARIANCE_MODES, DEFAULT_EPS_SCALE, StatsHeader
 from .errors import (
     ConfigInvalid,
-    CorruptChecksum,
     EmptyInput,
     FormatVersionMismatch,
     MissingClass,
@@ -30,8 +26,7 @@ from .errors import (
     StatsIoError,
 )
 
-STATS_MAGIC = b"TTASTATS"
-STATS_VERSION = 1
+STATS_VERSION = 2
 SYMMETRY_RTOL = 1e-10
 
 
@@ -173,100 +168,67 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- serialization ------------------------------------------------------------
-#
-# Layout: magic(8) | version(1) | header_len(u32 LE) | header JSON |
-#         payload: raw little-endian float64 rows [mu | vec sigma], one per
-#         class, then the global pair |
-#         sha256(header JSON + payload)
+
+STATS_ARRAYS = ("class_mus", "class_sigmas", "global_mu", "global_sigma")
 
 
 def save_stats(stats: SourceStats, path) -> None:
+    """A StatsHeader and the arrays of STATS_ARRAYS as an archive at exactly
+    `path`; round-trips float64 losslessly."""
     fit = (stats.feature_dim, stats.n_classes, stats.covariance_mode, stats.eps_scale)
-    header = StatsHeader(*fit, stats.class_counts.tolist(), stats.warnings)
-    header_bytes = json.dumps(plain(header), sort_keys=True).encode()
-    d = stats.feature_dim
-    rows = np.concatenate(
-        [
-            np.vstack([stats.class_mus, stats.global_mu]),
-            np.vstack([stats.class_sigmas, stats.global_sigma[None]]).reshape(-1, d * d),
-        ],
-        axis=1,
-    )
-    payload = rows.astype("<f8").tobytes()
-    digest = hashlib.sha256(header_bytes + payload).digest()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(STATS_MAGIC)
-            fh.write(struct.pack("<B", STATS_VERSION))
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(payload)
-            fh.write(digest)
-    except OSError as exc:
-        raise StatsIoError(f"cannot write stats file {path}: {exc}") from exc
+    header = StatsHeader(STATS_VERSION, *fit, stats.class_counts.tolist(), stats.warnings)
+    network.save_archive(path, header, {name: getattr(stats, name) for name in STATS_ARRAYS})
 
 
 def load_stats(path) -> SourceStats:
+    """The statistics of `save_stats`. Beyond `network.load_archive`'s
+    checks, StatsIoError unless the arrays are those of STATS_ARRAYS in the
+    header's shapes, "tied" covariances are bitwise equal and each class
+    kernel is finite. A version-1 file is FormatVersionMismatch."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        with open(path, "rb") as fh:  # version 1 was a binary frame, not an archive
+            framed = fh.read(9) == b"TTASTATS\x01"
     except OSError as exc:
-        raise StatsIoError(f"cannot read stats file {path}: {exc}") from exc
-    if len(blob) < len(STATS_MAGIC) + 5 or blob[: len(STATS_MAGIC)] != STATS_MAGIC:
-        raise StatsIoError(f"{path} is not a stats file")
-    version = blob[len(STATS_MAGIC)]
-    if version != STATS_VERSION:
-        raise FormatVersionMismatch(f"stats version {version} != {STATS_VERSION}")
-    off = len(STATS_MAGIC) + 1
-    (header_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    body = blob[off : len(blob) - 32]
-    digest = blob[len(blob) - 32 :]
-    if len(body) < header_len or len(digest) != 32:
-        raise CorruptChecksum(f"{path} is truncated")
-    if hashlib.sha256(body).digest() != digest:
-        raise CorruptChecksum(f"checksum mismatch in {path}")
-    payload = body[header_len:]
+        raise StatsIoError(f"cannot read stats {path}: {exc}") from exc
+    if framed:
+        raise FormatVersionMismatch(
+            f"{path} is a version-1 stats file: rewrite it with `tta-align stats`"
+        )
+    header, arrays = network.load_archive(path, StatsHeader, STATS_VERSION, "stats")
+    d, n_classes, mode = header.feature_dim, header.n_classes, header.covariance_mode
+    shapes = dict(zip(STATS_ARRAYS, [(n_classes, d), (n_classes, d, d), (d,), (d, d)]))
+    if {name: a.shape for name, a in arrays.items()} != shapes:
+        raise StatsIoError(f"malformed stats {path}: the arrays are not those of {shapes}")
     try:
-        header = read(StatsHeader, json.loads(body[:header_len].decode()), "stats header")
-        d, n_classes, mode = header.feature_dim, header.n_classes, header.covariance_mode
         if len(header.n_samples) != n_classes:
             raise ValueError(f"{len(header.n_samples)} sample counts for {n_classes} classes")
         counts = np.array(header.n_samples, dtype=np.int64)
-    except (ValueError, OverflowError, ConfigInvalid) as exc:
+    except (ValueError, OverflowError) as exc:
         raise StatsIoError(f"malformed stats header in {path}: {exc}") from exc
-    expected = (n_classes + 1) * (d + d * d) * 8
-    if len(payload) != expected:
-        raise CorruptChecksum(f"payload size {len(payload)} != expected {expected}")
-
-    rows = np.frombuffer(payload, dtype="<f8").reshape(n_classes + 1, d + d * d)
-    if not np.all(np.isfinite(rows)):
-        raise StatsIoError(f"non-finite statistics in {path}")
-    mus = rows[:, :d].astype(np.float64)
-    sigmas = rows[:, d:].reshape(-1, d, d).astype(np.float64)
-    class_bits = sigmas[:-1].view(np.uint64)
+    mus, sigmas = arrays["class_mus"], arrays["class_sigmas"]
+    class_bits = sigmas.view(np.uint64)
     if mode == "tied" and not (class_bits == class_bits[0]).all():
         raise StatsIoError(f"tied stats in {path} hold class covariances that differ")
     try:
-        precisions = regularized_precisions(sigmas[:-1], header.eps_scale)
+        precisions = regularized_precisions(sigmas, header.eps_scale)
     except (NotPositiveDefinite, ValueError) as exc:
         raise StatsIoError(f"class covariances in {path} have no precision: {exc}") from exc
     # every loss and distance report reads the class kernel's forms
     # (x - mu_c)^T P_c (x - mu_c): those of the class means and of the origin
     # must be finite, or a finite but absurd mean overflows them all
-    points = np.vstack([mus[:-1], np.zeros(d)])
-    diff = points - mus[:-1, None, :]
+    points = np.vstack([mus, np.zeros(d)])
+    diff = points - mus[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         forms = np.einsum("cnd,cnd->cn", diff @ precisions, diff)
     if not np.all(np.isfinite(forms)):
         raise StatsIoError(f"class means in {path} give non-finite Mahalanobis forms")
     return SourceStats(
-        class_mus=mus[:-1],
-        class_sigmas=sigmas[:-1],
+        class_mus=mus,
+        class_sigmas=sigmas,
         class_precisions=precisions,
         class_counts=counts,
-        global_mu=mus[-1],
-        global_sigma=sigmas[-1],
+        global_mu=arrays["global_mu"],
+        global_sigma=arrays["global_sigma"],
         covariance_mode=mode,
         eps_scale=header.eps_scale,
         warnings=header.warnings,

@@ -7,8 +7,7 @@ the library accumulators, and explicit finite differences for gradients.
 
 from __future__ import annotations
 
-import hashlib
-import struct
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,6 @@ from tta_align import losses, network
 from tta_align.errors import DimensionMismatch, UnknownClass
 from tta_align.stats import (
     DEFAULT_EPS_SCALE,
-    STATS_MAGIC,
     SourceStats,
     _fit,
     regularized_precisions,
@@ -110,22 +108,30 @@ def random_stats(rng: np.random.Generator, n_classes: int, d: int) -> SourceStat
     return exact_stats(mus, sigmas, global_sigma=random_spd(rng, d))
 
 
-def rewrite_stats(path, edit_header, edit_payload=lambda payload, header: payload) -> None:
-    """Rewrite a saved stats file's JSON header bytes with `edit_header` and
-    its payload with `edit_payload` (which also gets the edited header),
-    under a checksum that matches, so only what the edits changed is wrong."""
-    blob = path.read_bytes()
-    off = len(STATS_MAGIC) + 1
-    (header_len,) = struct.unpack_from("<I", blob, off)
-    header = edit_header(blob[off + 4 : off + 4 + header_len])
-    payload = edit_payload(blob[off + 4 + header_len : -32], header)
-    path.write_bytes(
-        blob[:off]
-        + struct.pack("<I", len(header))
-        + header
-        + payload
-        + hashlib.sha256(header + payload).digest()
-    )
+def rewrite_archive(path, edit_header=None, edit_arrays=None) -> None:
+    """Rewrite a saved archive (a checkpoint or stats file) with its JSON
+    header edited by `edit_header(header)`, in place or by returning a
+    header to write instead (a str is written as the header's text), and
+    its arrays, a dict by name, edited in place by `edit_arrays(arrays,
+    header)`, which gets the edited header. The archive stays a valid one,
+    so only what the edits changed is wrong."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(arrays.pop("__header__").tobytes())
+    if edit_header is not None:
+        returned = edit_header(header)
+        header = header if returned is None else returned
+    if edit_arrays is not None:
+        edit_arrays(arrays, header)
+    text = header if isinstance(header, str) else json.dumps(header)
+    with open(path, "wb") as fh:
+        np.savez(fh, __header__=np.frombuffer(text.encode(), np.uint8), **arrays)
+
+
+def key_twice(doc: dict, key: str) -> str:
+    """The JSON text of the object `doc` with `key` and its value written
+    once more at its end."""
+    return json.dumps(doc)[:-1] + f', "{key}": {json.dumps(doc[key])}}}'
 
 
 def traced_peak_mb(fn) -> float:

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -14,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tta_align
-from helpers import rewrite_stats
+from helpers import key_twice, rewrite_archive
 from tta_align import cli
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig
 from tta_align.experiment import read_run_record
-from tta_align.stats import STATS_MAGIC, load_stats
+from tta_align.stats import load_stats
 
 
 def tiny_config(tmp_path, **overrides):
@@ -75,6 +74,19 @@ def config_with(config, tmp_path, **sections):
     path = tmp_path / "other.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+STATS_V1 = os.path.join(os.path.dirname(__file__), "data", "stats_v1.bin")
+
+
+def first_class_mean(value):
+    """A stats edit of `rewrite_archive`: the first entry of the first class
+    mean set to `value`."""
+
+    def edit(arrays, header):
+        arrays["class_mus"][0, 0] = value
+
+    return edit
 
 
 ALL_METHODS = [
@@ -154,10 +166,9 @@ class TestStatsCommand:
             ]
         )
         assert code == 0
-        a = load_stats(out / "stats.bin")
-        b = load_stats(target)
-        assert np.array_equal(a.class_mus, b.class_mus)
-        assert np.array_equal(a.class_sigmas, b.class_sigmas)
+        # refitted bit for bit, so a stats file of another version is refused
+        # rather than read
+        assert target.read_bytes() == (out / "stats.bin").read_bytes()
 
 
 class TestAdaptCommand:
@@ -234,12 +245,12 @@ class TestAdaptCommand:
         doc["methods"].append({"method": "bn", "steps_per_batch": 0, "batch_size": 16})
         config.write_text(json.dumps(doc))
         path = out / "stats.bin"
-        if damage == "checksum_byte":
+        if damage == "checksum_byte":  # a byte of a class mean: the entry fails its CRC-32
             blob = bytearray(path.read_bytes())
-            blob[-1] ^= 0xFF
+            blob[blob.find(load_stats(path).class_mus.tobytes()) + 3] ^= 0xFF
             path.write_bytes(bytes(blob))
-        else:  # under a matching checksum
-            rewrite_stats(path, lambda h: h, lambda p, h: np.float64(np.nan).tobytes() + p[8:])
+        else:  # inside a valid archive
+            rewrite_archive(path, edit_arrays=first_class_mean(np.nan))
         code = cli.main(
             [
                 "adapt",
@@ -263,18 +274,15 @@ class TestAdaptCommand:
     def test_stats_without_finite_precision_are_io_error(
         self, pretrained, tmp_path, capsys, method
     ):
-        # a finite but subnormal class covariance under a matching checksum:
+        # a finite but subnormal class covariance inside a valid archive:
         # its Cholesky factor exists, its precision overflows
         config, out = pretrained
         path = out / "stats.bin"
 
-        def subnormal_sigma(payload, header):
-            d = json.loads(header)["feature_dim"]
-            rows = np.frombuffer(payload, dtype="<f8").reshape(-1, d + d * d).copy()
-            rows[0, d:] = (1e-310 * np.eye(d)).ravel()
-            return rows.tobytes()
+        def subnormal_sigma(arrays, header):
+            arrays["class_sigmas"][0] = 1e-310 * np.eye(header["feature_dim"])
 
-        rewrite_stats(path, lambda h: h, subnormal_sigma)
+        rewrite_archive(path, edit_arrays=subnormal_sigma)
         args = ["adapt", "--config", str(config), "--checkpoint", str(out / "checkpoint.npz")]
         args += ["--stats", str(path), "--method", method, "--out-dir", str(tmp_path / "adapt")]
         assert cli.main(args) == 3
@@ -284,17 +292,28 @@ class TestAdaptCommand:
 
     @pytest.mark.parametrize("method", ["source", "cafa"])
     def test_stats_with_absurd_class_mean_are_io_error(self, pretrained, tmp_path, method):
-        # a finite first mean entry of 1e200 under a matching checksum: every
+        # a finite first mean entry of 1e200 inside a valid archive: every
         # Mahalanobis form of that class overflows (source wrote inf and nan
         # distances with exit 0, cafa a nan loss with exit 2)
         config, out = pretrained
         path = out / "stats.bin"
-        rewrite_stats(path, lambda h: h, lambda p, h: np.float64(1e200).tobytes() + p[8:])
+        rewrite_archive(path, edit_arrays=first_class_mean(1e200))
         args = ["adapt", "--config", str(config), "--checkpoint", str(out / "checkpoint.npz")]
         args += ["--stats", str(path), "--method", method, "--out-dir", str(tmp_path / "adapt")]
         code, err = run_quietly(args)
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("i/o error"), err
+        assert not (tmp_path / "adapt").exists()
+
+    def test_stats_of_format_v1_are_io_error(self, pretrained, tmp_path):
+        # the binary frame of version 1 is refused as such, not read
+        config, out = pretrained
+        args = ["adapt", "--config", str(config), "--checkpoint", str(out / "checkpoint.npz")]
+        args += ["--stats", STATS_V1, "--method", "cafa", "--out-dir", str(tmp_path / "adapt")]
+        code, err = run_quietly(args)
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("i/o error"), err
+        assert "version-1 stats file" in err and "tta-align stats" in err
         assert not (tmp_path / "adapt").exists()
 
     def test_batch_larger_than_target_stream_is_config_error(self, pretrained, tmp_path, capsys):
@@ -328,26 +347,29 @@ class TestAdaptCommand:
     def test_malformed_checkpoint_is_io_error(self, pretrained, capsys, damage):
         config, out = pretrained
         path = out / "checkpoint.npz"
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        if damage == "missing_key":
-            del arrays["classifier.bias"]
-        elif damage == "wrong_shape":
-            arrays["classifier.weight"] = arrays["classifier.weight"][:, :-1]
-        elif damage == "nan_weight":  # loads with a consistent layout
-            arrays["block0.dense.weight"][0, 0] = np.nan
-        # entries of a dtype no writer produces; loaded, a complex running
-        # mean breaks the forward with a traceback, a complex gamma loses its
-        # imaginary part, a bool running mean reads as 0/1 and float32 widens
-        elif damage == "complex_running_mean":
-            arrays["block0.bn.running_mean"] = arrays["block0.bn.running_mean"].astype(complex)
-        elif damage == "complex_gamma":
-            arrays["block0.bn.gamma"] = arrays["block0.bn.gamma"] + 1j
-        elif damage == "bool_running_mean":
-            arrays["block0.bn.running_mean"] = arrays["block0.bn.running_mean"] > 0
-        elif damage == "float32_weight":
-            arrays["block0.dense.weight"] = arrays["block0.dense.weight"].astype(np.float32)
-        np.savez(path, **arrays)
+
+        def edit(arrays, header):
+            if damage == "missing_key":
+                del arrays["classifier.bias"]
+            elif damage == "wrong_shape":
+                arrays["classifier.weight"] = arrays["classifier.weight"][:, :-1]
+            elif damage == "nan_weight":  # loads with a consistent layout
+                arrays["block0.dense.weight"][0, 0] = np.nan
+            # entries of a dtype no writer produces; loaded, a complex running
+            # mean breaks the forward with a traceback, a complex gamma loses
+            # its imaginary part, a bool running mean reads as 0/1 and float32
+            # widens
+            elif damage == "complex_running_mean":
+                mean = arrays["block0.bn.running_mean"]
+                arrays["block0.bn.running_mean"] = mean.astype(complex)
+            elif damage == "complex_gamma":
+                arrays["block0.bn.gamma"] = arrays["block0.bn.gamma"] + 1j
+            elif damage == "bool_running_mean":
+                arrays["block0.bn.running_mean"] = arrays["block0.bn.running_mean"] > 0
+            elif damage == "float32_weight":
+                arrays["block0.dense.weight"] = arrays["block0.dense.weight"].astype(np.float32)
+
+        rewrite_archive(path, edit_arrays=edit)
         if damage == "garbage_bytes":  # not an archive at all
             path.write_bytes(b"\x00garbage" * 16)
         code = cli.main(
@@ -582,6 +604,8 @@ class TestReportCommand:
             "manifest_unknown_key",
             "manifest_accuracy_not_a_number",
             "header_unknown_top_level_key",
+            "manifest_repeated_key",
+            "header_repeated_key",
         ],
     )
     def test_malformed_run_dir_is_io_error(self, tmp_path, capsys, damage):
@@ -687,6 +711,12 @@ class TestReportCommand:
                 "run_cafa.json",
                 json.dumps({"config": config, "n_batches": 2, "note": "x"}),
             ),
+            # json would keep the last of the two
+            "manifest_repeated_key": (
+                "manifest.json",
+                key_twice({"methods": ["cafa"]}, "methods"),
+            ),
+            "header_repeated_key": ("run_cafa.json", key_twice(run_header, "n_batches")),
         }
         name, text = damaged[damage]
         if text is None:
@@ -777,28 +807,6 @@ def fuzz_artifacts(tmp_path_factory):
     return config, (tmp / "checkpoint.npz").read_bytes(), tmp / "stats.bin"
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    cut=st.integers(0, 1 << 16),
-    flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=3),
-)
-def test_damaged_checkpoint_fails_closed(fuzz_artifacts, tmp_path_factory, cut, flips):
-    # a checkpoint cut short or with flipped bits: `adapt` runs (the damage
-    # missed everything it reads), or exits 1 or 3 with one error line
-    config, good, stats = fuzz_artifacts
-    blob = bytearray(good)
-    for i, mask in flips:
-        blob[i % len(blob)] ^= mask
-    del blob[cut % (len(blob) + 1) :]
-    tmp = tmp_path_factory.mktemp("ckpt")
-    (tmp / "checkpoint.npz").write_bytes(bytes(blob))
-    args = ["adapt", "--config", str(config), "--checkpoint", str(tmp / "checkpoint.npz")]
-    args += ["--stats", str(stats), "--method", "source", "--out-dir", str(tmp / "adapt")]
-    code, err = run_quietly(args)
-    assert code in (0, 1, 3), err
-    assert code == 0 or err.count("\n") == 1
-
-
 @pytest.mark.parametrize(
     "offset, value",
     [(8, 0x01), (10, 99), (6, 99)],
@@ -827,27 +835,44 @@ def test_checkpoint_entry_zipfile_cannot_read_is_io_error(fuzz_artifacts, tmp_pa
     assert code == 3
 
 
+@pytest.mark.parametrize("name", ["checkpoint.npz", "stats.bin"])
 @settings(max_examples=40, deadline=None)
 @given(
-    cut=st.integers(0, 1 << 16),
+    cut=st.none() | st.integers(0, 1 << 16),
     flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=3),
-    reseal=st.booleans(),
+    rewrite=st.booleans(),
 )
-def test_damaged_stats_fail_closed(fuzz_artifacts, tmp_path_factory, cut, flips, reseal):
-    # a stats file cut short or with flipped bits, under its old checksum or,
-    # with `reseal`, under one that matches the damaged bytes
-    config, _, stats = fuzz_artifacts
-    blob = bytearray(stats.read_bytes())
-    for i, mask in flips:
-        blob[i % len(blob)] ^= mask
-    del blob[cut % (len(blob) + 1) :]
-    header_at = len(STATS_MAGIC) + 5  # after the magic, version and header length
-    if reseal and len(blob) >= header_at + 32:
-        blob[-32:] = hashlib.sha256(blob[header_at:-32]).digest()
-    tmp = tmp_path_factory.mktemp("stats")
-    (tmp / "stats.bin").write_bytes(bytes(blob))
-    args = ["adapt", "--config", str(config), "--checkpoint", str(stats.with_name("checkpoint.npz"))]
-    args += ["--stats", str(tmp / "stats.bin"), "--method", "cafa", "--out-dir", str(tmp / "adapt")]
+def test_damaged_archive_fails_closed(
+    fuzz_artifacts, tmp_path_factory, name, cut, flips, rewrite
+):
+    # a checkpoint or stats file with flipped bits, cut short or not, or, with
+    # `rewrite`, with the bits flipped in its array values inside a valid
+    # archive: `adapt` runs (the damage missed everything it reads), or
+    # fails closed
+    config, checkpoint, stats = fuzz_artifacts
+    tmp = tmp_path_factory.mktemp("archive")
+    paths = {"checkpoint.npz": tmp / "checkpoint.npz", "stats.bin": tmp / "stats.bin"}
+    paths["checkpoint.npz"].write_bytes(checkpoint)
+    paths["stats.bin"].write_bytes(stats.read_bytes())
+    path = paths[name]
+    if rewrite:
+
+        def flip_values(arrays, header):
+            for i, mask in flips:  # a byte of one array's values
+                values = list(arrays.values())[i % len(arrays)].reshape(-1).view(np.uint8)
+                values[i // len(arrays) % values.size] ^= mask
+
+        rewrite_archive(path, edit_arrays=flip_values)
+    else:
+        blob = bytearray(path.read_bytes())
+        for i, mask in flips:
+            blob[i % len(blob)] ^= mask
+        if cut is not None:
+            del blob[cut % (len(blob) + 1) :]
+        path.write_bytes(bytes(blob))
+    args = ["adapt", "--config", str(config), "--checkpoint", str(paths["checkpoint.npz"])]
+    args += ["--stats", str(paths["stats.bin"]), "--method", "cafa"]
+    args += ["--out-dir", str(tmp / "adapt")]
     with np.errstate(over="ignore", invalid="ignore"):
         assert_fails_closed(*run_quietly(args))
 

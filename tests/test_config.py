@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import named, random_stats, small_model
+from helpers import key_twice, named, random_stats, small_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,11 +296,22 @@ class TestStrictParsing:
         with pytest.raises(ConfigInvalid, match="cannot read"):
             ExperimentConfig.from_json_file(tmp_path / "absent.json")
 
-    def test_invalid_json(self, tmp_path):
+    def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigInvalid, match="not valid JSON"):
+        for text in (b"{not json", b'{"methods": [\xff]}'):  # the second is not UTF-8
+            path.write_bytes(text)
+            with pytest.raises(ConfigInvalid, match="not valid JSON"):
+                ExperimentConfig.from_json_file(path)
+        # a key named twice: json would keep its last value, and `compare`
+        # would run only the last list of methods
+        doc = ExperimentConfig.default().to_dict()
+        path.write_text(key_twice({**doc, "methods": doc["methods"][:1]}, "methods"))
+        message = "keys named more than once in one object: ['methods']"
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
             ExperimentConfig.from_json_file(path)
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", str(path), "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err and not out.exists()
 
 
 class TestValidation:
@@ -553,7 +564,7 @@ WRONG_FIELDS = [
 HEADERS = [  # one of each file header the program writes
     RunHeader(config=TtaConfig(), n_batches=2),
     Manifest(methods=["source", "cafa"], source_holdout_accuracy=0.75),
-    StatsHeader(4, 3, "class_wise", 1e-4, [41, 46, 33], ["class 0: rank-deficient"]),
+    StatsHeader(2, 4, 3, "class_wise", 1e-4, [41, 46, 33], ["class 0: rank-deficient"]),
     CheckpointHeader(1, 1, [LayoutEntry("classifier.bias", [3]), LayoutEntry("n", [])]),
 ]
 HEADER_SECTIONS = [

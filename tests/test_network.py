@@ -1,7 +1,7 @@
 import gc
-import json
 import tracemalloc
 import weakref
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     fd_grad,
+    key_twice,
     loss_fn,
     max_rel_error,
     model_state,
     named,
     random_stats,
+    rewrite_archive,
     small_model,
     states_equal,
 )
@@ -620,10 +622,10 @@ class TestGradients:
 
 
 def _add_array(name, a):
-    """A checkpoint edit (as `TestCheckpoint._rewrite_header` applies it)
-    that adds `a` to the archive as `name` and names it in the layout."""
+    """An arrays edit of `rewrite_archive` that adds `a` to the archive as
+    `name` and names it in the layout."""
 
-    def edit(header, arrays):
+    def edit(arrays, header):
         arrays[name] = a
         header["layout"].append({"name": name, "shape": list(a.shape)})
 
@@ -656,7 +658,7 @@ class TestCheckpoint:
             network.load_checkpoint(path)
         # another version is named as such before the rest of its header is
         # read, whatever keys that holds
-        self._rewrite_header(path, lambda header, arrays: header.update(note="v99"))
+        rewrite_archive(path, lambda header: header.update(note="v99"))
         with pytest.raises(FormatVersionMismatch):
             network.load_checkpoint(path)
 
@@ -664,33 +666,14 @@ class TestCheckpoint:
         with pytest.raises(StatsIoError):
             network.load_checkpoint(tmp_path / "absent.npz")
 
-    @staticmethod
-    def _rewrite(path, edit):
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        edit(arrays)
-        np.savez(path, **arrays)
-
-    @classmethod
-    def _rewrite_header(cls, path, edit):
-        """Rewrite the archive at `path` with `edit(header, arrays)` applied:
-        an edit changes them in place or returns a header to write instead."""
-
-        def damage(arrays):
-            header = json.loads(bytes(arrays["__header__"]).decode())
-            header = edit(header, arrays) or header
-            arrays["__header__"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-
-        cls._rewrite(path, damage)
-
     def test_missing_key(self, tmp_path):
         path = tmp_path / "model.npz"
         network.save_checkpoint(small_model(np.random.default_rng(24)), path)
-        self._rewrite(path, lambda arrays: arrays.pop("block1.bn.gamma"))
+        rewrite_archive(path, edit_arrays=lambda arrays, header: arrays.pop("block1.bn.gamma"))
         with pytest.raises(StatsIoError):
             network.load_checkpoint(path)
 
-    @pytest.mark.parametrize("damage", ["garbage_bytes", "truncated", "bare_npy"])
+    @pytest.mark.parametrize("damage", ["garbage_bytes", "truncated", "bare_npy", "huge_entry"])
     def test_not_an_archive(self, tmp_path, damage):
         path = tmp_path / "model.npz"
         network.save_checkpoint(small_model(np.random.default_rng(26)), path)
@@ -698,6 +681,18 @@ class TestCheckpoint:
             path.write_bytes(b"\x00garbage" * 16)
         elif damage == "truncated":
             path.write_bytes(path.read_bytes()[:-100])
+        elif damage == "huge_entry":
+            # an entry whose .npy header declares 8 TB, under a matching
+            # CRC-32: it is allocated before a byte of it is read
+            with zipfile.ZipFile(path) as archive:
+                entries = {name: archive.read(name) for name in archive.namelist()}
+            old, new = b"(3,), }", b"(1000000000000,), }"
+            npy = entries["classifier.bias.npy"]
+            entries["classifier.bias.npy"] = npy.replace(old + b" " * (len(new) - len(old)), new)
+            assert entries["classifier.bias.npy"] != npy
+            with zipfile.ZipFile(path, "w") as archive:
+                for name, data in entries.items():
+                    archive.writestr(name, data)
         else:
             np.save(path, np.zeros(3))  # an .npy file under a checkpoint name
             (tmp_path / "model.npz.npy").rename(path)
@@ -739,34 +734,36 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         network.save_checkpoint(small_model(np.random.default_rng(25)), path)
 
-        def grow(arrays):
+        def grow(arrays, header):
             arrays["block0.bn.beta"] = np.append(arrays["block0.bn.beta"], 0.0)
 
-        self._rewrite(path, grow)
+        rewrite_archive(path, edit_arrays=grow)
         with pytest.raises(StatsIoError):
             network.load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit_header, edit_arrays",
         [
-            lambda header, arrays: header.update(format_version=True),
-            lambda header, arrays: header.update(format_version=1.0),
-            lambda header, arrays: header.update(note="x"),
+            (lambda header: header.update(format_version=True), None),
+            (lambda header: header.update(format_version=1.0), None),
+            (lambda header: header.update(note="x"), None),
             # an empty layout once skipped every shape check
-            lambda header, arrays: header.update(layout=[]),
-            lambda header, arrays: arrays.update(extra=np.zeros(2)),
+            (lambda header: header.update(layout=[]), None),
+            (None, lambda arrays, header: arrays.update(extra=np.zeros(2))),
             # once an AttributeError traceback
-            lambda header, arrays: [header],
+            (lambda header: [header], None),
             # arrays that no model holds, each named in the layout: once
             # loaded and never read
-            _add_array("junk", np.zeros(2)),
-            _add_array("block9.dense.weight", np.zeros((6, 6))),
-            _add_array("block0.bn.momentum", np.full((2, 2), BN_MOMENTUM)),
+            (None, _add_array("junk", np.zeros(2))),
+            (None, _add_array("block9.dense.weight", np.zeros((6, 6)))),
+            (None, _add_array("block0.bn.momentum", np.full((2, 2), BN_MOMENTUM))),
             # equal widths: once loaded as a one-block model
-            lambda header, arrays: header.update(n_blocks=1),
+            (lambda header: header.update(n_blocks=1), None),
             # refused at the first missing block, before anything of that size is built
-            lambda header, arrays: header.update(n_blocks=10**12),
-            lambda header, arrays: header["layout"].append(header["layout"][0]),
+            (lambda header: header.update(n_blocks=10**12), None),
+            (lambda header: header["layout"].append(header["layout"][0]), None),
+            # json would keep the last of the two
+            (lambda header: key_twice(header, "n_blocks"), None),
         ],
         ids=[
             "version_true",
@@ -781,16 +778,17 @@ class TestCheckpoint:
             "n_blocks_one_short",
             "n_blocks_huge",
             "repeated_layout_entry",
+            "repeated_key",
         ],
     )
-    def test_header_that_does_not_describe_the_archive(self, tmp_path, edit):
+    def test_header_that_does_not_describe_the_archive(self, tmp_path, edit_header, edit_arrays):
         # the header is read by the config walk, its layout names exactly
         # the archive's arrays, and those are exactly the arrays of the
         # model the header and the weights' widths give
         path = tmp_path / "model.npz"
         model = small_model(np.random.default_rng(28), hidden_dims=(6, 6))
         network.save_checkpoint(model, path)
-        self._rewrite_header(path, edit)
+        rewrite_archive(path, edit_header, edit_arrays)
         with pytest.raises(StatsIoError, match="malformed checkpoint"):
             network.load_checkpoint(path)
 

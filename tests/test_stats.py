@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -8,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fit_source_stats, rewrite_stats, small_model
+from helpers import fit_source_stats, key_twice, rewrite_archive, small_model
 from tta_align import network
 from tta_align.errors import (
     ConfigInvalid,
-    CorruptChecksum,
     DimensionMismatch,
     FormatVersionMismatch,
     MissingClass,
@@ -23,7 +23,7 @@ from tta_align.errors import (
 )
 from tta_align.stats import (
     COVARIANCE_MODES,
-    STATS_MAGIC,
+    STATS_ARRAYS,
     estimate_source_stats,
     load_stats,
     regularized_precisions,
@@ -32,6 +32,7 @@ from tta_align.stats import (
 
 
 STATS_V1 = Path(__file__).parent / "data" / "stats_v1.bin"
+TWICE = "<twice>"  # a header edit that names the field twice, with one value
 
 
 def two_pass_class_stats(feats, labels, c):
@@ -212,68 +213,53 @@ class TestRegularization:
         assert np.all(np.linalg.eigvalsh(precision) > 0)
 
 
+def saved_stats(path, seed=8, mode="class_wise"):
+    """Stats fitted on random features, saved to `path` and returned."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(120, 4))
+    labels = rng.integers(0, 3, size=120)
+    stats = fit_source_stats(feats, labels, mode=mode, eps_scale=1e-4)
+    save_stats(stats, path)
+    return stats
+
+
+def assert_same_stats(loaded, stats):
+    """Every field of `loaded` equals that of `stats`, each array bit for bit."""
+    for name in ("covariance_mode", "eps_scale", "warnings", "feature_dim", "n_classes"):
+        assert getattr(loaded, name) == getattr(stats, name), name
+    for name in ("class_counts", "class_precisions", *STATS_ARRAYS):
+        a, b = getattr(loaded, name), getattr(stats, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestSerialization:
-    @staticmethod
-    def _stats(seed=8, mode="class_wise"):
-        rng = np.random.default_rng(seed)
-        feats = rng.normal(size=(120, 4))
-        labels = rng.integers(0, 3, size=120)
-        return fit_source_stats(feats, labels, mode=mode, eps_scale=1e-4)
-
     def test_round_trip_bitwise(self, tmp_path):
-        stats = self._stats()
-        path = tmp_path / "stats.bin"
-        save_stats(stats, path)
-        loaded = load_stats(path)
-        assert loaded.covariance_mode == stats.covariance_mode
-        assert loaded.eps_scale == stats.eps_scale
-        assert loaded.feature_dim == stats.feature_dim
-        assert loaded.n_classes == stats.n_classes
-        assert np.array_equal(loaded.global_mu, stats.global_mu)
-        assert np.array_equal(loaded.global_sigma, stats.global_sigma)
-        assert np.array_equal(loaded.class_counts, stats.class_counts)
-        assert np.array_equal(loaded.class_mus, stats.class_mus)
-        assert np.array_equal(loaded.class_sigmas, stats.class_sigmas)
-        assert np.array_equal(loaded.class_precisions, stats.class_precisions)
+        stats = saved_stats(tmp_path / "stats.bin")
+        assert_same_stats(load_stats(tmp_path / "stats.bin"), stats)
 
-    def test_reads_and_rewrites_format_v1(self, tmp_path):
-        # written from the `_stats()` data by the code before the class
-        # stacks: the loader reads it, and both the loaded and the freshly
-        # fitted stats save it back byte for byte
-        v1 = STATS_V1.read_bytes()
-        fitted, loaded = self._stats(), load_stats(STATS_V1)
-        assert np.array_equal(loaded.class_precisions, fitted.class_precisions)
-        for i, stats in enumerate((loaded, fitted)):
-            save_stats(stats, tmp_path / f"{i}.bin")
-            assert (tmp_path / f"{i}.bin").read_bytes() == v1
+    def test_refuses_format_v1(self):
+        # written from the `saved_stats()` data by the binary frame of
+        # version 1; stats refit from their checkpoint, deterministically
+        with pytest.raises(FormatVersionMismatch, match="rewrite it with `tta-align stats`"):
+            load_stats(STATS_V1)
 
     @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     def test_class_stacks_match_classes(self, tmp_path, mode):
-        stats = self._stats(mode=mode)
-        path = tmp_path / "stats.bin"
-        save_stats(stats, path)
-        for s in (stats, load_stats(path)):
+        stats = saved_stats(tmp_path / "stats.bin", mode=mode)
+        for s in (stats, load_stats(tmp_path / "stats.bin")):
             # the class kernel's analytic gradient assumes exact symmetry
             assert np.array_equal(s.class_precisions, s.class_precisions.mT)
 
     def test_tied_round_trip(self, tmp_path):
-        stats = self._stats(mode="tied")
-        path = tmp_path / "stats.bin"
-        save_stats(stats, path)
-        assert load_stats(path).covariance_mode == "tied"
+        stats = saved_stats(tmp_path / "stats.bin", mode="tied")
+        assert_same_stats(load_stats(tmp_path / "stats.bin"), stats)
 
     def test_tied_header_over_differing_covariances(self, tmp_path):
         # a tied fit writes one pooled covariance for every class, so a
         # "tied" header over distinct class covariances was never fitted
         path = tmp_path / "stats.bin"
-        path.write_bytes(STATS_V1.read_bytes())
-
-        def tied(h):
-            header = json.loads(h)
-            header["covariance_mode"] = "tied"
-            return json.dumps(header).encode()
-
-        rewrite_stats(path, tied)
+        saved_stats(path)
+        rewrite_archive(path, lambda header: header.update(covariance_mode="tied"))
         with pytest.raises(StatsIoError, match="differ"):
             load_stats(path)
 
@@ -282,38 +268,34 @@ class TestSerialization:
     )
     def test_unknown_covariance_mode(self, tmp_path, mode):
         path = tmp_path / "stats.bin"
-        path.write_bytes(STATS_V1.read_bytes())
-
-        def unknown(h):
-            return json.dumps({**json.loads(h), "covariance_mode": mode}).encode()
-
-        rewrite_stats(path, unknown)
+        saved_stats(path)
+        rewrite_archive(path, lambda header: header.update(covariance_mode=mode))
         with pytest.raises(StatsIoError, match=re.escape("must be one of ['class_wise', 'tied']")):
             load_stats(path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "stats.bin"
-        save_stats(self._stats(), path)
+        saved_stats(path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 40])
-        with pytest.raises(CorruptChecksum):
+        with pytest.raises(StatsIoError):
             load_stats(path)
 
     def test_flipped_payload_byte(self, tmp_path):
+        # a byte of a class mean flipped: the entry fails its CRC-32
         path = tmp_path / "stats.bin"
-        save_stats(self._stats(), path)
+        stats = saved_stats(path)
         blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
+        blob[blob.find(stats.class_mus.tobytes()) + 3] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptChecksum):
+        with pytest.raises(StatsIoError, match="CRC-32"):
             load_stats(path)
 
     def test_version_bump(self, tmp_path):
         path = tmp_path / "stats.bin"
-        save_stats(self._stats(), path)
-        blob = bytearray(path.read_bytes())
-        blob[len(STATS_MAGIC)] = 99
-        path.write_bytes(bytes(blob))
+        saved_stats(path)
+        # named as another version whatever else the header holds
+        rewrite_archive(path, lambda header: header.update(format_version=99, note="v99"))
         with pytest.raises(FormatVersionMismatch):
             load_stats(path)
 
@@ -325,8 +307,8 @@ class TestSerialization:
 
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "stats.bin"
-        save_stats(self._stats(), path)
-        rewrite_stats(path, lambda h: b"{not json" + h)
+        saved_stats(path)
+        rewrite_archive(path, lambda header: "{not json" + json.dumps(header))
         with pytest.raises(StatsIoError):
             load_stats(path)
 
@@ -339,8 +321,8 @@ class TestSerialization:
             ("feature_dim", 4.0),
             ("eps_scale", "x"),
             ("warnings", 5),
-            # the payload is cut to the size these declare (no feature
-            # columns, or no class rows), and the sample counts to the classes
+            # the arrays take the shapes these declare (no feature columns,
+            # or no classes), and the sample counts the classes
             ("feature_dim", 0),
             ("n_classes", 0),
             ("eps_scale", 0.0),
@@ -353,39 +335,62 @@ class TestSerialization:
             ("n_samples", [40, 1, 40]),
             # a key no writer writes
             ("note", "x"),
+            ("format_version", None),
+            ("format_version", True),
+            ("n_samples", TWICE),
         ],
     )
     def test_header_field_malformed(self, tmp_path, field, value):
-        def edit(h):
-            header = json.loads(h)
+        def edit(header):
             if value is None:
                 del header[field]
+            elif value == TWICE:
+                return key_twice(header, field)
             else:
                 header[field] = value
             if field == "n_classes":
                 header["n_samples"] = header["n_samples"][:value]
-            return json.dumps(header).encode()
 
         path = tmp_path / "stats.bin"
-        save_stats(self._stats(), path)
-        rewrite_stats(path, edit, sized_to_header)
+        saved_stats(path)
+        rewrite_archive(path, edit, sized_to_header)
         with pytest.raises(StatsIoError):
             load_stats(path)
 
     @pytest.mark.parametrize(
-        "offset, value",
-        [(0, np.nan), (8 * 5, np.inf), (-8, -np.inf)],
+        "name, index, value",
+        [
+            ("class_mus", (0, 0), np.nan),
+            ("class_sigmas", (0, 0, 1), np.inf),
+            ("global_sigma", (-1, -1), -np.inf),
+        ],
         ids=["class_mean", "class_sigma", "global_sigma"],
     )
-    def test_non_finite_payload(self, tmp_path, offset, value):
-        # a checksum-valid file whose statistics hold a NaN or an infinity
-        def poke(payload, header):
-            return payload[:offset] + np.float64(value).tobytes() + payload[offset:][8:]
-
+    def test_non_finite_payload(self, tmp_path, name, index, value):
+        # a valid archive whose statistics hold a NaN or an infinity
         path = tmp_path / "stats.bin"
-        save_stats(self._stats(), path)
-        rewrite_stats(path, lambda h: h, poke)
-        with pytest.raises(StatsIoError):
+        saved_stats(path)
+
+        def poke(arrays, header):
+            arrays[name][index] = value
+
+        rewrite_archive(path, edit_arrays=poke)
+        with pytest.raises(StatsIoError, match=f"{name} is not finite float64"):
+            load_stats(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays: arrays.pop("global_mu"),
+            lambda arrays: arrays.update(class_precisions=np.eye(4)[None].repeat(3, 0)),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_arrays_not_those_of_the_header(self, tmp_path, edit):
+        path = tmp_path / "stats.bin"
+        saved_stats(path)
+        rewrite_archive(path, edit_arrays=lambda arrays, header: edit(arrays))
+        with pytest.raises(StatsIoError, match="the arrays are not those of"):
             load_stats(path)
 
     def test_missing_file(self, tmp_path):
@@ -410,24 +415,25 @@ def test_pooling_identity_property(seed, n_classes, per_class, d):
     assert np.max(np.abs(stats.global_mu - pooled)) < 1e-10
 
 
-def sized_to_header(payload: bytes, header: bytes) -> bytes:
-    """`payload` repeated or cut to the size `header` declares, so that a
-    header edit reaches the checks past the payload size; unchanged when the
-    header declares no size, or one above 64 KiB."""
+def sized_to_header(arrays: dict, header) -> None:
+    """`arrays` repeated or cut in place to the shapes `header` declares, so
+    that a header edit reaches the checks past the shapes; unchanged when
+    the header declares no shapes, or ones of more than 8192 entries."""
     try:
-        fields = json.loads(header)
-        d, n_classes = fields["feature_dim"], fields["n_classes"]
-    except (ValueError, KeyError, TypeError):
-        return payload
-    if type(d) is not int or type(n_classes) is not int:
-        return payload
-    size = (n_classes + 1) * (d + d * d) * 8
-    if not 0 <= size <= 1 << 16:
-        return payload
-    return (payload * (size // len(payload) + 1))[:size]
+        d, n_classes = header["feature_dim"], header["n_classes"]
+    except (KeyError, TypeError):
+        return
+    if type(d) is not int or type(n_classes) is not int or min(d, n_classes) < 0:
+        return
+    shapes = dict(zip(STATS_ARRAYS, [(n_classes, d), (n_classes, d, d), (d,), (d, d)]))
+    if sum(math.prod(shape) for shape in shapes.values()) > 1 << 13:
+        return
+    for name, shape in shapes.items():
+        arrays[name] = np.resize(arrays[name], shape)
 
 
 HEADER_FIELDS = [
+    "format_version",
     "feature_dim",
     "n_classes",
     "covariance_mode",
@@ -449,31 +455,37 @@ HEADER_VALUES = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """The bytes of a saved stats file and the statistics it holds."""
+    path = tmp_path_factory.mktemp("saved") / "stats.bin"
+    stats = saved_stats(path)
+    return path.read_bytes(), stats
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     edits=st.dictionaries(
         st.sampled_from(HEADER_FIELDS), HEADER_VALUES, min_size=1, max_size=3
     ),
-    fit_payload=st.booleans(),
+    fit_arrays=st.booleans(),
 )
-@example(edits={"feature_dim": 0}, fit_payload=True)
-@example(edits={"eps_scale": 0.0}, fit_payload=False)
-def test_rewritten_header_loads_or_fails_closed(tmp_path_factory, edits, fit_payload):
-    # header values rewritten under a matching checksum; with `fit_payload`
-    # the payload also takes the size the new header declares, and its
-    # repeated rows need not be covariances at all
-    def edit(h):
-        header = json.loads(h)
+@example(edits={"feature_dim": 0}, fit_arrays=True)
+@example(edits={"eps_scale": 0.0}, fit_arrays=False)
+def test_rewritten_header_loads_or_fails_closed(saved, tmp_path_factory, edits, fit_arrays):
+    # header values rewritten inside a valid archive; with `fit_arrays` the
+    # arrays also take the shapes the new header declares, and their
+    # repeated entries need not be covariances at all
+    def edit(header):
         for field, value in edits.items():
             if value == DROP:
                 header.pop(field)
             else:
                 header[field] = value
-        return json.dumps(header).encode()
 
     path = tmp_path_factory.mktemp("fuzz") / "stats.bin"
-    path.write_bytes(STATS_V1.read_bytes())
-    rewrite_stats(path, edit, sized_to_header if fit_payload else lambda p, h: p)
+    path.write_bytes(saved[0])
+    rewrite_archive(path, edit, sized_to_header if fit_arrays else None)
     try:
         load_stats(path)
     except StatsIoError:
@@ -482,22 +494,22 @@ def test_rewritten_header_loads_or_fails_closed(tmp_path_factory, edits, fit_pay
 
 @settings(max_examples=50, deadline=None)
 @given(
-    cut=st.integers(0, STATS_V1.stat().st_size),
-    flips=st.lists(
-        st.tuples(st.integers(0, STATS_V1.stat().st_size - 1), st.integers(1, 255)),
-        max_size=3,
-    ),
+    cut=st.none() | st.integers(0, 1 << 13),
+    flips=st.lists(st.tuples(st.integers(0, 1 << 13), st.integers(1, 255)), max_size=3),
 )
-def test_damaged_bytes_fail_closed(tmp_path_factory, cut, flips):
-    # a file cut short or with flipped bits never loads
-    blob = bytearray(STATS_V1.read_bytes())
+def test_damaged_bytes_fail_closed(saved, tmp_path_factory, cut, flips):
+    # a file with flipped bits, cut short or not, loads the statistics it
+    # held (the damage missed every byte that is read) or is refused
+    good, stats = saved
+    blob = bytearray(good)
     for i, mask in flips:
-        blob[i] ^= mask
-    del blob[cut:]
+        blob[i % len(blob)] ^= mask
+    if cut is not None:
+        del blob[cut % (len(blob) + 1) :]
     path = tmp_path_factory.mktemp("fuzz") / "stats.bin"
     path.write_bytes(bytes(blob))
-    if bytes(blob) == STATS_V1.read_bytes():
-        load_stats(path)
-    else:
-        with pytest.raises(StatsIoError):
-            load_stats(path)
+    try:
+        loaded = load_stats(path)
+    except StatsIoError:
+        return
+    assert_same_stats(loaded, stats)
