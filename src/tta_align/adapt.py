@@ -94,7 +94,8 @@ def _observe(forward: network.Forward, y, stats):
     accuracy = float(np.mean(network.argmax_rows(forward.logits) == y))
     if stats is None or stats.n_classes < 2:
         return accuracy, float("nan"), float("nan")
-    report = losses.distance_report(forward.feats, y, stats, forward.quads)
+    with network.overflow_guard("the distance report"):
+        report = losses.distance_report(forward.feats, y, stats, forward.quads)
     return accuracy, report.mean_intra, report.mean_inter
 
 
@@ -113,12 +114,10 @@ def adapt_stream(
     method of `losses.FEATURE_LOSSES` without `stats` is refused
     (ConfigInvalid) by its first step, and `stats` of another class count
     or feature dim than the model's (DimensionMismatch) before the first.
+    A NonFiniteLoss carries the record of the batches that finished.
     """
     config.validate()
-    if stats is not None and (stats.n_classes, stats.feature_dim) != (
-        model.n_classes,
-        model.feature_dim,
-    ):
+    if stats is not None and (stats.feature_dim, stats.n_classes) != model.widths[-2:]:
         raise DimensionMismatch(
             f"stats n_classes {stats.n_classes}, feature_dim {stats.feature_dim} vs model "
             f"n_classes {model.n_classes}, feature_dim {model.feature_dim}"
@@ -130,27 +129,27 @@ def adapt_stream(
     adam = AdamState()
     params = model.flat[: model.group_size(config.param_group)]
 
-    for batch_index, (x, y) in enumerate(batches):
-        loss_value = float("nan")
-        if config.method in NO_LOSS_METHODS:
-            observed = _observe(network.forward_features(model, x, mode), y, stats)
-        for step in range(config.steps_per_batch):  # none for loss-free methods
-            # recomputed forward: pseudo-labels track current parameters
-            try:
+    try:
+        for batch_index, (x, y) in enumerate(batches):
+            loss_value = float("nan")
+            if config.method in NO_LOSS_METHODS:
+                observed = _observe(network.forward_features(model, x, mode), y, stats)
+            for step in range(config.steps_per_batch):  # none for loss-free methods
+                # recomputed forward: pseudo-labels track current parameters
                 step_loss, grad, forward = network.loss_and_grad_named(
                     model, x, mode, config.param_group, config.method, stats
                 )
-            except NonFiniteLoss as exc:
-                exc.record = record
-                raise
-            if step == 0:
-                # step 1 runs on this batch's pre-update parameters in the
-                # stat mode a prediction uses: its forward is the prediction's
-                loss_value = step_loss
-                observed = _observe(forward, y, stats)
-            adam_step(params, grad, adam, config.learning_rate)
-        accuracy, mean_intra, mean_inter = observed
-        record.rows.append(
-            BatchRow(batch_index, accuracy, loss_value, mean_intra, mean_inter)
-        )
+                if step == 0:
+                    # step 1 runs on this batch's pre-update parameters in the
+                    # stat mode a prediction uses: its forward is the prediction's
+                    loss_value = step_loss
+                    observed = _observe(forward, y, stats)
+                adam_step(params, grad, adam, config.learning_rate)
+            accuracy, mean_intra, mean_inter = observed
+            record.rows.append(
+                BatchRow(batch_index, accuracy, loss_value, mean_intra, mean_inter)
+            )
+    except NonFiniteLoss as exc:  # the batches that finished
+        exc.record = record
+        raise
     return model, record

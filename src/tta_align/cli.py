@@ -33,36 +33,25 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-def _checkpoint_and_stats_paths(out_dir: str) -> tuple[str, str]:
-    return os.path.join(out_dir, "checkpoint.npz"), os.path.join(out_dir, "stats.bin")
-
-
 def _check_fits(cfg: ExperimentConfig, model, stats=None) -> None:
     """Refuse, before any data is generated, a checkpoint or stats that the
     config does not describe (ConfigInvalid) and stats not fitted on the
     checkpoint's features (StatsIoError)."""
-    spec = cfg.synthetic
-    if (spec.input_dim, spec.n_classes) != (model.input_dim, model.n_classes):
+    widths = (cfg.synthetic.input_dim, *cfg.model.hidden_dims, cfg.synthetic.n_classes)
+    if widths != model.widths:
         raise ConfigInvalid(
-            f"config input_dim {spec.input_dim}, n_classes {spec.n_classes} vs checkpoint "
-            f"input_dim {model.input_dim}, n_classes {model.n_classes}"
+            f"config widths {list(widths)} (input_dim, *hidden_dims, n_classes) vs checkpoint "
+            f"{list(model.widths)}"
         )
-    widths = [b.dense.weight.shape[0] for b in model.blocks]
-    if widths != cfg.model.hidden_dims:
-        raise ConfigInvalid(f"config hidden_dims {cfg.model.hidden_dims} vs checkpoint {widths}")
+    if stats is None:
+        return
     fit = cfg.pretrain
-    if stats is not None and (stats.covariance_mode, stats.eps_scale) != (
-        fit.covariance_mode,
-        fit.eps_scale,
-    ):
+    if (stats.covariance_mode, stats.eps_scale) != (fit.covariance_mode, fit.eps_scale):
         raise ConfigInvalid(
             f"config covariance_mode {fit.covariance_mode}, eps_scale {fit.eps_scale} "
             f"vs stats {stats.covariance_mode}, {stats.eps_scale}"
         )
-    if stats is not None and (stats.feature_dim, stats.n_classes) != (
-        model.feature_dim,
-        model.n_classes,
-    ):
+    if (stats.feature_dim, stats.n_classes) != model.widths[-2:]:
         raise StatsIoError(
             f"stats feature_dim {stats.feature_dim}, n_classes {stats.n_classes} vs checkpoint "
             f"feature_dim {model.feature_dim}, n_classes {model.n_classes}"
@@ -74,7 +63,8 @@ def cmd_pretrain(args) -> int:
     out_dir = args.out_dir or cfg.output_dir
     result = experiment.pretrain_source(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    ckpt_path, stats_path = _checkpoint_and_stats_paths(out_dir)
+    ckpt_path = os.path.join(out_dir, "checkpoint.npz")
+    stats_path = os.path.join(out_dir, "stats.bin")
     network.save_checkpoint(result.model, ckpt_path)
     stats_mod.save_stats(result.stats, stats_path)
     print(f"checkpoint: {ckpt_path}")

@@ -22,7 +22,7 @@ class BatchTooSmall(TtaError):
 
 
 class NonFiniteLoss(TtaError):
-    """Loss evaluated to NaN/Inf. May carry a partial run record."""
+    """A loss, forward or distance report went NaN/Inf. May carry a partial run record."""
 
     def __init__(self, msg, record=None):
         super().__init__(msg)

@@ -176,7 +176,6 @@ def _class_kernel_loss(method: str, quads: np.ndarray, pd: np.ndarray, labels: n
     """`intra`: the mean intra form. `cafa`: the mean log-ratio of the intra
     form over the summed forms, each clamped at RATIO_FLOOR. Reads the
     kernel `_class_quadratics` returned."""
-    labels = as_labels(labels, quads.shape[1], quads.shape[0])
     inv_n = 1.0 / quads.shape[1]
     cols = np.arange(quads.shape[1])
     intra = quads[labels, cols]
@@ -214,7 +213,6 @@ def _entropy(z: np.ndarray):
 
 
 def _cross_entropy(z: np.ndarray, labels: np.ndarray):
-    labels = as_labels(labels, *z.shape)
     lse, e, total = _log_sum_exp(z)
     rows = np.arange(z.shape[0])
     inv_n = 1.0 / z.shape[0]
@@ -248,8 +246,12 @@ def loss_tensor(
             raise ConfigInvalid(f"method {method!r} requires source statistics")
         if feats.shape[-1] != stats.feature_dim:
             raise DimensionMismatch(f"feature dim {feats.shape[-1]} vs {stats.feature_dim}")
-    if method in ("pl", "intra", "cafa") and labels is None:
-        labels = argmax_rows(logits)
+    if method in ("pl", "intra", "cafa"):
+        if labels is None:
+            labels = argmax_rows(logits)
+        else:  # checked against the classes they index: the logits' or the stats'
+            shape = logits.shape if method == "pl" else (feats.shape[0], stats.n_classes)
+            labels = as_labels(labels, *shape)
     quads = None
     if method == "global_fa":
         value, grad = _global_fa(feats, stats)

@@ -13,11 +13,13 @@ group; pretraining uses the whole buffer.
 
 from __future__ import annotations
 
-import copy
+import contextlib
 import enum
 import json
+import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -48,13 +50,13 @@ class StatMode(enum.Enum):
     RUNNING_EVAL = "running_eval"  # stored running stats
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray  # out x in
     bias: np.ndarray  # out
 
 
-@dataclass
+@dataclass(frozen=True)
 class BnLayer:
     gamma: np.ndarray
     beta: np.ndarray
@@ -62,54 +64,62 @@ class BnLayer:
     running_var: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
     dense: DenseLayer
     bn: BnLayer
 
 
-@dataclass
+@dataclass(frozen=True, init=False, eq=False)
 class AdaptiveModel:
-    """The blocks and the classifier. Constructing a model copies every
-    trainable array into `flat` and rebinds the layer's attribute to a view of
-    it, so update a parameter in place: an attribute bound to a new array no
-    longer belongs to the buffer that gradients and Adam address."""
+    """The blocks and the classifier of layer widths [input, *hidden,
+    n_classes]. Every trainable array is a view into `flat`, and no model or
+    layer attribute can be rebound: a parameter is updated in place, in the
+    buffer that gradients and Adam address."""
 
-    blocks: list[Block]
+    widths: tuple[int, ...]
+    blocks: tuple[Block, ...]
     classifier: DenseLayer
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    _sizes: dict = field(init=False, repr=False, compare=False)
+    flat: np.ndarray
+    _sizes: dict
 
-    def __post_init__(self) -> None:
-        # the buffer layout: each block's BN gamma and beta, each block's
-        # dense weight and bias, the classifier's weight and bias
-        slots = (
-            [(b.bn, k) for b in self.blocks for k in ("gamma", "beta")]
-            + [(b.dense, k) for b in self.blocks for k in ("weight", "bias")]
-            + [(self.classifier, k) for k in ("weight", "bias")]
+    def __init__(self, widths) -> None:
+        """The model of `widths`: zero dense weights and biases, identity BN
+        affine and unit running variance."""
+        widths = tuple(widths)
+        # the buffer layout: each block's BN gamma and beta, then each dense
+        # layer's weight and bias, the classifier's last
+        shapes = [(width,) for width in widths[1:-1] for _ in ("gamma", "beta")]
+        n = len(shapes)
+        for fan_in, width in zip(widths, widths[1:]):
+            shapes += [(width, fan_in), (width,)]
+        ends = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
+        flat = np.zeros(ends[-1])
+        views = [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+        gammas, betas = views[:n:2], views[1:n:2]
+        weights, biases = views[n::2], views[n + 1 :: 2]
+        blocks = tuple(
+            Block(DenseLayer(w, b), BnLayer(gamma, beta, np.zeros(b.size), np.ones(b.size)))
+            for w, b, gamma, beta in zip(weights, biases, gammas, betas)
         )
-        arrays = [np.asarray(getattr(layer, k), dtype=np.float64) for layer, k in slots]
-        self.flat = np.concatenate([a.ravel() for a in arrays])
-        start = 0
-        for (layer, k), a in zip(slots, arrays):
-            setattr(layer, k, self.flat[start : start + a.size].reshape(a.shape))
-            start += a.size
-        sizes = [a.size for a in arrays]
-        n = 2 * len(self.blocks)
-        self._sizes = {g: sum(sizes[: k * n]) for k, g in enumerate(PARAM_GROUPS, 1)}
-        self._sizes[None] = self.flat.size
+        for gamma in gammas:
+            gamma[...] = 1.0
+        classifier = DenseLayer(weights[-1], biases[-1])
+        sizes = {**{g: ends[k * n] for k, g in enumerate(PARAM_GROUPS, 1)}, None: ends[-1]}
+        # the one assignment of the frozen fields
+        vars(self).update(widths=widths, blocks=blocks, classifier=classifier, flat=flat, _sizes=sizes)
 
     @property
     def input_dim(self) -> int:
-        return self.blocks[0].dense.weight.shape[1]
+        return self.widths[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.blocks[-1].dense.weight.shape[0]
+        return self.widths[-2]
 
     @property
     def n_classes(self) -> int:
-        return self.classifier.weight.shape[0]
+        return self.widths[-1]
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Every array of the model by its checkpoint name, in checkpoint
@@ -134,23 +144,11 @@ class AdaptiveModel:
         return self._sizes[group]
 
     def copy(self) -> "AdaptiveModel":
-        """An independent model over a buffer of its own (a deep copy of the
-        layers alone would copy each view as a separate array)."""
-        return AdaptiveModel(copy.deepcopy(self.blocks), copy.deepcopy(self.classifier))
-
-    @classmethod
-    def _shaped(cls, widths: list[int]) -> "AdaptiveModel":
-        """The model of layer widths [input, *hidden, n_classes]: zero dense
-        weights and biases, identity BN affine and unit running variance."""
-        blocks = [
-            Block(
-                DenseLayer(np.zeros((width, fan_in)), np.zeros(width)),
-                BnLayer(np.ones(width), np.zeros(width), np.zeros(width), np.ones(width)),
-            )
-            for fan_in, width in zip(widths[:-2], widths[1:-1])
-        ]
-        fan_in, n_classes = widths[-2:]
-        return cls(blocks, DenseLayer(np.zeros((n_classes, fan_in)), np.zeros(n_classes)))
+        """An independent model over a buffer of its own."""
+        clone, arrays = AdaptiveModel(self.widths), self.arrays()
+        for name, a in clone.arrays().items():
+            a[...] = arrays[name]
+        return clone
 
 
 def init_model(
@@ -161,7 +159,7 @@ def init_model(
 ) -> AdaptiveModel:
     """He-initialized dense weights, identity BN affine and unit running
     variance."""
-    model = AdaptiveModel._shaped([input_dim, *hidden_dims, n_classes])
+    model = AdaptiveModel([input_dim, *hidden_dims, n_classes])
     gains = [(b.dense.weight, 2.0) for b in model.blocks] + [(model.classifier.weight, 1.0)]
     for w, gain in gains:
         w[...] = rng.normal(0.0, np.sqrt(gain / w.shape[1]), size=w.shape)
@@ -187,12 +185,10 @@ def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np
         mu = np.add.reduce(z, axis=0) * inv_n
         z -= mu
         var = np.add.reduce(z**2, axis=0) * inv_n
-        if mode is StatMode.TRAIN_UPDATE:
-            m = BN_MOMENTUM
-            bn.running_mean *= 1 - m
-            bn.running_mean += m * mu
-            bn.running_var *= 1 - m
-            bn.running_var += m * var
+        if mode is StatMode.TRAIN_UPDATE:  # in place, through a local name
+            for running, batch in ((bn.running_mean, mu), (bn.running_var, var)):
+                running *= 1 - BN_MOMENTUM
+                running += BN_MOMENTUM * batch
     else:
         z -= bn.running_mean
         var = bn.running_var
@@ -268,13 +264,25 @@ def _forward(
     output) in block order, for `_backward`.
 
     In batch-statistic modes the normalization uses the batch mean/variance.
-    TRAIN_UPDATE additionally refreshes the running stats in place.
+    TRAIN_UPDATE additionally refreshes the running stats in place. Weights
+    too large for the batch, finite as they are, overflow: NonFiniteLoss.
     """
     h = x
-    for blk in model.blocks:
-        h = _block(h, blk, mode, caches)
-    clf = model.classifier
-    return Forward(h, _head(h, clf.weight, clf.bias))
+    with overflow_guard("the forward"):
+        for blk in model.blocks:
+            h = _block(h, blk, mode, caches)
+        clf = model.classifier
+        return Forward(h, _head(h, clf.weight, clf.bias))
+
+
+@contextlib.contextmanager
+def overflow_guard(what: str):
+    """NonFiniteLoss for a float operation in the block that overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteLoss(f"{what} overflowed: {exc}") from None
 
 
 def _row_blocks(model: AdaptiveModel, batch, mode: StatMode) -> tuple[np.ndarray, list[slice]]:
@@ -501,7 +509,7 @@ def load_checkpoint(path) -> AdaptiveModel:
         # checked before the model is built, so that it holds no more than the archive
         if weights != list(zip(widths[1:], widths)) or min(widths) < 1:
             raise ValueError(f"dense weights {weights} do not chain widths >= 1")
-        model = AdaptiveModel._shaped(widths)
+        model = AdaptiveModel(widths)
         want = {name: a.shape for name, a in model.arrays().items()}
         want |= {k: () for k in (f"block{i}.bn.momentum" for i in range(n)) if shapes.get(k) == ()}
         if want != shapes:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,35 @@ class TestAdaptCommand:
         err = capsys.readouterr().err
         assert "i/o error" in err and "have no precision" in err
         assert not (tmp_path / "adapt").exists()
+
+    @pytest.mark.parametrize("method", ["source", "bn", "cafa"])
+    def test_checkpoint_with_absurd_weights_is_numerical_failure(
+        self, pretrained, tmp_path, method
+    ):
+        # finite block-0 dense weights 1e300 times the trained ones inside a
+        # valid archive: the distance report (source) or the forward (bn,
+        # cafa) overflows; each exited 0, source with nan distances, bn and
+        # cafa with a RuntimeWarning and recorded accuracies
+        config, out = pretrained
+        doc = json.loads(config.read_text())
+        doc["methods"].append({"method": "bn", "steps_per_batch": 0, "batch_size": 16})
+        config.write_text(json.dumps(doc))
+        path = out / "checkpoint.npz"
+
+        def absurd(arrays, header):
+            arrays["block0.dense.weight"] *= 1e300
+
+        rewrite_archive(path, edit_arrays=absurd)
+        args = ["adapt", "--config", str(config), "--checkpoint", str(path)]
+        args += ["--stats", str(out / "stats.bin"), "--method", method]
+        args += ["--out-dir", str(tmp_path / "adapt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, err = run_quietly(args)
+        assert code == 2
+        failures = [line for line in err.splitlines() if line.startswith("numerical failure: ")]
+        assert len(failures) == 1 and "overflowed" in failures[0], err
+        assert "Traceback" not in err and "Warning" not in err, err
 
     @pytest.mark.parametrize("method", ["source", "cafa"])
     def test_stats_with_absurd_class_mean_are_io_error(self, pretrained, tmp_path, method):
@@ -790,9 +820,10 @@ def run_quietly(argv) -> tuple[int, str]:
 
 def assert_fails_closed(code: int, err: str) -> None:
     """Exit 0, or 1 or 3 with one error line; exit 2 only for a loss that
-    went non-finite."""
+    went non-finite or a forward or distance report that overflowed."""
     if code == 2:
-        assert "numerical failure" in err and "loss evaluated to" in err, err
+        assert "numerical failure" in err, err
+        assert "loss evaluated to" in err or "overflowed" in err, err
     else:
         assert code in (0, 1, 3), err
         assert code == 0 or err.count("\n") == 1, err

@@ -1,7 +1,6 @@
 """One class-label rule: `network.as_labels` accepts one whole class index
 per row, and every path that reads labels refuses the rest with its error."""
 
-import copy
 import math
 
 import numpy as np
@@ -32,7 +31,7 @@ def _loss(method):
 
 READERS = {  # every path that takes a caller's labels, as a function of them
     "adapt_stream": lambda y: adapt_stream(
-        copy.deepcopy(MODEL), STATS, [(X, y)], TtaConfig(method="cafa", batch_size=N_ROWS)
+        MODEL.copy(), STATS, [(X, y)], TtaConfig(method="cafa", batch_size=N_ROWS)
     ),
     "distance_report": lambda y: losses.distance_report(FORWARD.feats, y, STATS),
     "loss_tensor-pl": _loss("pl"),

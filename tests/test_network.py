@@ -36,8 +36,6 @@ from tta_align.network import (
     BN_VAR_EPS,
     PARAM_GROUPS,
     AdaptiveModel,
-    Block,
-    BnLayer,
     DenseLayer,
     StatMode,
 )
@@ -45,20 +43,13 @@ from tta_align.network import (
 
 def scalar_block(gamma=1.0, beta=0.0):
     """A d=1 single-block model with identity dense layer."""
-    return AdaptiveModel(
-        blocks=[
-            Block(
-                dense=DenseLayer(weight=np.array([[1.0]]), bias=np.zeros(1)),
-                bn=BnLayer(
-                    gamma=np.array([gamma]),
-                    beta=np.array([beta]),
-                    running_mean=np.zeros(1),
-                    running_var=np.ones(1),
-                ),
-            )
-        ],
-        classifier=DenseLayer(weight=np.eye(1), bias=np.zeros(1)),
-    )
+    model = AdaptiveModel([1, 1, 1])
+    bn = model.blocks[0].bn
+    model.blocks[0].dense.weight[...] = 1.0
+    bn.gamma[...] = gamma
+    bn.beta[...] = beta
+    model.classifier.weight[...] = 1.0
+    return model
 
 
 def loop_forward(model, x, mode):
@@ -296,20 +287,14 @@ def test_normalization_chain_property(seed, n, d, mode):
     # one block's backward in the chain checked by differences w.r.t. its
     # W, b, gamma and beta; relu(y)**3 is smooth across the kink
     rng = np.random.default_rng(seed)
-    model = AdaptiveModel(
-        blocks=[
-            Block(
-                DenseLayer(rng.normal(size=(d, 3)), rng.normal(size=d)),
-                BnLayer(
-                    1.0 + 0.5 * rng.normal(size=d),
-                    0.5 * rng.normal(size=d),
-                    rng.normal(size=d),
-                    0.5 + rng.random(d),
-                ),
-            )
-        ],
-        classifier=DenseLayer(np.zeros((1, d)), np.zeros(1)),
-    )
+    model = AdaptiveModel([3, d, 1])
+    dense, bn = model.blocks[0].dense, model.blocks[0].bn
+    dense.weight[...] = rng.normal(size=(d, 3))
+    dense.bias[...] = rng.normal(size=d)
+    bn.gamma[...] = 1.0 + 0.5 * rng.normal(size=d)
+    bn.beta[...] = 0.5 * rng.normal(size=d)
+    bn.running_mean[...] = rng.normal(size=d)
+    bn.running_var[...] = 0.5 + rng.random(d)
     x = rng.normal(size=(n, 3))
 
     def cube(forward):
@@ -327,7 +312,8 @@ class TestLogitsAndPredict:
     def test_identity_classifier(self):
         rng = np.random.default_rng(9)
         model = small_model(rng, hidden_dims=(4,), n_classes=4)
-        model.classifier = DenseLayer(weight=np.eye(4), bias=np.zeros(4))
+        model.classifier.weight[...] = np.eye(4)
+        model.classifier.bias[...] = 0.0
         out = network.forward_features(model, rng.normal(size=(5, 6)), StatMode.BATCH_ONLY)
         assert np.array_equal(out.logits, out.feats)
 
@@ -399,7 +385,7 @@ class TestLogitsAndPredict:
         base = network.predict(model, x, StatMode.BATCH_ONLY)
         scaled = model.copy()
         # strictly increasing transform of every logit: 2*z + 1
-        scaled.classifier.weight *= 2.0
+        scaled.classifier.weight[...] *= 2.0
         scaled.classifier.bias[:] = 2.0 * model.classifier.bias + 1.0
         assert np.array_equal(base, network.predict(scaled, x, StatMode.BATCH_ONLY))
 
@@ -621,13 +607,15 @@ class TestGradients:
             )
 
 
-def _add_array(name, a):
-    """An arrays edit of `rewrite_archive` that adds `a` to the archive as
-    `name` and names it in the layout."""
+def _put_array(name, a):
+    """An arrays edit of `rewrite_archive` that puts `a` in the archive as
+    `name`, in place of any array of that name, and names it in the layout
+    at its shape."""
 
     def edit(arrays, header):
         arrays[name] = a
-        header["layout"].append({"name": name, "shape": list(a.shape)})
+        layout = [entry for entry in header["layout"] if entry["name"] != name]
+        header["layout"] = [*layout, {"name": name, "shape": list(a.shape)}]
 
     return edit
 
@@ -710,23 +698,25 @@ class TestCheckpoint:
         ],
     )
     def test_model_that_cannot_run(self, tmp_path, damage):
-        # each model saves with a layout that matches its arrays
+        # each archive holds a layout that matches its arrays
         model = small_model(np.random.default_rng(27))
-        blk0, blk1 = model.blocks[0], model.blocks[1]
+        blk0, blk1 = model.blocks
+        edit = None
         if damage == "widths_do_not_chain":
             w = blk1.dense.weight
-            blk1.dense.weight = np.zeros((w.shape[0], w.shape[1] + 1))
+            edit = _put_array("block1.dense.weight", np.zeros((w.shape[0], w.shape[1] + 1)))
         elif damage == "head_width":
             w = model.classifier.weight
-            model.classifier.weight = np.zeros((w.shape[0], w.shape[1] - 1))
+            edit = _put_array("classifier.weight", np.zeros((w.shape[0], w.shape[1] - 1)))
         elif damage == "bn_vector_length":
-            blk0.bn.gamma = np.append(blk0.bn.gamma, 1.0)
+            edit = _put_array("block0.bn.gamma", np.append(blk0.bn.gamma, 1.0))
         elif damage == "nan_weight":
             blk0.dense.weight[0, 0] = np.nan
         else:
             blk1.bn.running_var[0] = -1.0
         path = tmp_path / "model.npz"
         network.save_checkpoint(model, path)
+        rewrite_archive(path, edit_arrays=edit)
         with pytest.raises(StatsIoError, match="malformed checkpoint"):
             network.load_checkpoint(path)
 
@@ -754,9 +744,9 @@ class TestCheckpoint:
             (lambda header: [header], None),
             # arrays that no model holds, each named in the layout: once
             # loaded and never read
-            (None, _add_array("junk", np.zeros(2))),
-            (None, _add_array("block9.dense.weight", np.zeros((6, 6)))),
-            (None, _add_array("block0.bn.momentum", np.full((2, 2), BN_MOMENTUM))),
+            (None, _put_array("junk", np.zeros(2))),
+            (None, _put_array("block9.dense.weight", np.zeros((6, 6)))),
+            (None, _put_array("block0.bn.momentum", np.full((2, 2), BN_MOMENTUM))),
             # equal widths: once loaded as a one-block model
             (lambda header: header.update(n_blocks=1), None),
             # refused at the first missing block, before anything of that size is built
@@ -796,15 +786,46 @@ class TestCheckpoint:
         rng = np.random.default_rng(23)
         model = small_model(rng)
         clone = model.copy()
-        clone.blocks[0].bn.gamma += 1.0
-        clone.classifier.weight += 1.0
+        clone.blocks[0].bn.gamma[...] += 1.0
+        clone.classifier.weight[...] += 1.0
         assert not np.array_equal(
             clone.blocks[0].bn.gamma, model.blocks[0].bn.gamma
         )
         assert not np.array_equal(clone.classifier.weight, model.classifier.weight)
 
 
+def _add_to_gamma(model):
+    model.blocks[0].bn.gamma += 1.0  # adds in place, then binds the attribute to the sum
+
+
+REBINDS = {
+    "bn.gamma": lambda model: setattr(model.blocks[0].bn, "gamma", np.ones(8)),
+    "dense.weight": lambda model: setattr(model.blocks[1].dense, "weight", np.ones((5, 8))),
+    "running_var": lambda model: setattr(model.blocks[0].bn, "running_var", np.ones(8)),
+    "block.bn": lambda model: setattr(model.blocks[0], "bn", model.blocks[1].bn),
+    "classifier": lambda model: setattr(
+        model, "classifier", DenseLayer(np.zeros((3, 5)), np.zeros(3))
+    ),
+    "classifier.weight": lambda model: setattr(model.classifier, "weight", np.zeros((3, 5))),
+    "a_block": lambda model: model.blocks.__setitem__(0, model.blocks[1]),
+    "flat": lambda model: setattr(model, "flat", model.flat.copy()),
+    "augmented": _add_to_gamma,
+}
+
+
 class TestFlatBuffer:
+    @pytest.mark.parametrize("rebind", REBINDS)
+    def test_arrays_cannot_be_rebound(self, rebind):
+        # a rebound array would no longer be the view into the buffer that
+        # gradients and Adam update
+        model = small_model(np.random.default_rng(30))
+        flat, arrays = model.flat, model.arrays()
+        with pytest.raises((AttributeError, TypeError)):
+            REBINDS[rebind](model)
+        assert model.flat is flat
+        assert all(a is b for a, b in zip(arrays.values(), model.arrays().values()))
+        assert self._own_views(model, small_model(np.random.default_rng(0)))
+
     @staticmethod
     def _own_views(model, other):
         trainable = [p for name, p in model.arrays().items() if "running" not in name]
@@ -814,7 +835,7 @@ class TestFlatBuffer:
         )
 
     def test_copy_and_load_rebuild_the_views(self, tmp_path):
-        # a deep copy alone would copy every view as an array of its own, so
+        # a deep copy would copy every view as an array of its own, so
         # gradients and Adam, which address the buffer, would miss them
         model = small_model(np.random.default_rng(31))
         clone = model.copy()
