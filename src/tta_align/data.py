@@ -35,18 +35,16 @@ def resolved_means(spec: SyntheticSpec) -> np.ndarray:
     return means
 
 
-def resolved_covs(spec: SyntheticSpec) -> np.ndarray:
+def resolved_stds(spec: SyntheticSpec) -> np.ndarray:
+    """Per-class isotropic stds: |cov_scales| (a class's covariance is its
+    scale squared times I), or geomspace(0.2, 1.5, C), tight to wide."""
     if spec.cov_scales is not None:
-        scales = np.asarray(spec.cov_scales, dtype=np.float64)
-    else:
-        # heteroscedastic classes: a tight, a medium, and a wide cluster
-        scales = np.geomspace(0.2, 1.5, spec.n_classes)
-    eye = np.eye(spec.input_dim)
-    return np.stack([s * s * eye for s in scales])
+        return np.abs(np.asarray(spec.cov_scales, dtype=np.float64))
+    return np.geomspace(0.2, 1.5, spec.n_classes)
 
 
 def mean_class_std(spec: SyntheticSpec) -> float:
-    return float(np.mean([np.sqrt(np.mean(np.diag(c))) for c in resolved_covs(spec)]))
+    return float(np.mean(resolved_stds(spec)))
 
 
 @dataclass
@@ -61,13 +59,14 @@ class Dataset:
 
 def _sample_mixture(spec: SyntheticSpec, n_per_class: int, rng: np.random.Generator):
     """n_per_class draws of each class, in one random order. Each class's
-    draw fills its rows of one matrix; the permutation is the only copy."""
-    means = resolved_means(spec)
-    covs = resolved_covs(spec)
+    draw, mean + std * z, is made in its rows of one matrix; the permutation
+    is the only copy."""
+    means, stds = resolved_means(spec), resolved_stds(spec)
     x = np.empty((spec.n_classes * n_per_class, spec.input_dim))
     for c in range(spec.n_classes):
-        rows = slice(c * n_per_class, (c + 1) * n_per_class)
-        x[rows] = rng.multivariate_normal(means[c], covs[c], size=n_per_class)
+        rows = rng.standard_normal(out=x[c * n_per_class : (c + 1) * n_per_class])
+        rows *= stds[c]
+        rows += means[c]
     y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), n_per_class)
     order = rng.permutation(x.shape[0])
     return x[order], y[order]
@@ -78,31 +77,30 @@ def apply_shift(
     shift: ShiftSpec,
     spec: SyntheticSpec,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Apply the shift transforms in order; label-preserving by construction."""
+) -> None:
+    """Apply the shift transforms in order to the float64 matrix `x`, in
+    place; label-preserving by construction."""
     shift.validate(spec.input_dim)
     std = mean_class_std(spec)
-    out = np.array(x, dtype=np.float64)  # the one copy; each transform edits it
     for t in shift.transforms:
         if t.kind == "gaussian_noise":
             sigma = NOISE_SIGMA_SCALE[shift.severity] * std
-            out += rng.normal(0.0, sigma, size=out.shape)
+            x += rng.normal(0.0, sigma, size=x.shape)
         elif t.kind == "mean_shift":
             direction = np.asarray(t.direction, dtype=np.float64)
             # scaled to a largest entry of 1 first, so its norm neither over-
             # nor underflows
             direction = direction / np.abs(direction).max()
             direction = direction / np.linalg.norm(direction)
-            out += MEAN_SHIFT_SCALE[shift.severity] * std * direction
+            x += MEAN_SHIFT_SCALE[shift.severity] * std * direction
         elif t.kind == "scaling":
-            out *= SCALING_FACTOR[shift.severity]
+            x *= SCALING_FACTOR[shift.severity]
         elif t.kind == "rotation":
             theta = np.deg2rad(ROTATION_DEGREES[shift.severity])
             i, j = t.plane or (0, 1)
-            xi = np.cos(theta) * out[:, i] - np.sin(theta) * out[:, j]
-            out[:, j] = np.sin(theta) * out[:, i] + np.cos(theta) * out[:, j]
-            out[:, i] = xi
-    return out
+            xi = np.cos(theta) * x[:, i] - np.sin(theta) * x[:, j]
+            x[:, j] = np.sin(theta) * x[:, i] + np.cos(theta) * x[:, j]
+            x[:, i] = xi
 
 
 def generate_dataset(spec: SyntheticSpec, shift: ShiftSpec | None = None) -> Dataset:
@@ -117,7 +115,7 @@ def generate_dataset(spec: SyntheticSpec, shift: ShiftSpec | None = None) -> Dat
     test_x, test_y = _sample_mixture(spec, spec.n_test_per_class, rng)
     target_x, target_y = _sample_mixture(spec, spec.n_test_per_class, rng)
     if shift is not None:
-        target_x = apply_shift(target_x, shift, spec, rng)
+        apply_shift(target_x, shift, spec, rng)
     if not all(np.all(np.isfinite(x)) for x in (train_x, test_x, target_x)):
         raise ConfigInvalid("the configured mixture and shift draw non-finite samples")
     return Dataset(train_x, train_y, test_x, test_y, target_x, target_y)

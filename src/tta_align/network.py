@@ -143,12 +143,23 @@ class AdaptiveModel:
             raise ConfigInvalid(f"group {group!r} must be one of PARAM_GROUPS {list(PARAM_GROUPS)}")
         return self._sizes[group]
 
+    @classmethod
+    def of_arrays(cls, widths, arrays: dict[str, np.ndarray]) -> "AdaptiveModel":
+        """The model of `widths` with every array of `arrays()` filled from
+        `arrays`, by name, into a buffer of its own."""
+        model = cls(widths)
+        for name, a in model.arrays().items():
+            a[...] = arrays[name]
+        return model
+
     def copy(self) -> "AdaptiveModel":
         """An independent model over a buffer of its own."""
-        clone, arrays = AdaptiveModel(self.widths), self.arrays()
-        for name, a in clone.arrays().items():
-            a[...] = arrays[name]
-        return clone
+        return AdaptiveModel.of_arrays(self.widths, self.arrays())
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild the views into the new buffer; a
+        # generic copy would give each view an array of its own
+        return AdaptiveModel.of_arrays, (self.widths, self.arrays())
 
 
 def init_model(
@@ -418,21 +429,22 @@ def loss_and_grad_named(
     the class kernel, if the loss read one).
 
     A parameter of the group that the loss does not reach gets a zero
-    gradient.
+    gradient. A loss or backward that overflows is NonFiniteLoss.
     """
     # imported here to keep network <-> losses import acyclic
     from . import losses
 
     caches: list = []
     forward = _forward(model, _checked(model, batch, mode), mode, caches)
-    value, grad, at_logits, quads = losses.loss_tensor(
-        method, forward.feats, forward.logits, stats, labels
-    )
-    size = model.group_size(group)
-    loss = Tensor(value, lambda: _backward(model, caches, mode, grad, at_logits, size))
-    if not np.isfinite(loss.data):
-        raise NonFiniteLoss(f"loss evaluated to {float(loss.data)}")
-    return float(loss.data), loss.backward(), forward._replace(quads=quads)
+    with overflow_guard("the loss"):
+        value, grad, at_logits, quads = losses.loss_tensor(
+            method, forward.feats, forward.logits, stats, labels
+        )
+        size = model.group_size(group)
+        loss = Tensor(value, lambda: _backward(model, caches, mode, grad, at_logits, size))
+        if not np.isfinite(loss.data):
+            raise NonFiniteLoss(f"loss evaluated to {float(loss.data)}")
+        return float(loss.data), loss.backward(), forward._replace(quads=quads)
 
 
 # -- archives: the checkpoint and the stats file -----------------------------

@@ -97,11 +97,13 @@ def estimate_source_stats(
     mode: str = "class_wise",
     eps_scale: float = DEFAULT_EPS_SCALE,
 ) -> SourceStats:
-    """Extract features with stored running statistics, then fit Gaussians."""
+    """Extract features with stored running statistics, then fit Gaussians.
+    Features too large to fit, finite as they are, overflow: NonFiniteLoss."""
     # the forward's features are a fresh array (every model has a block), so
     # the fit may centre them in place
     feats = network.forward_features(model, inputs, network.StatMode.RUNNING_EVAL).feats
-    return _fit(feats, labels, mode, eps_scale)
+    with network.overflow_guard("the source statistics"):
+        return _fit(feats, labels, mode, eps_scale)
 
 
 def _fit(feats: np.ndarray, labels, mode: str, eps_scale: float) -> SourceStats:

@@ -291,34 +291,48 @@ class TestAdaptCommand:
         assert "i/o error" in err and "have no precision" in err
         assert not (tmp_path / "adapt").exists()
 
-    @pytest.mark.parametrize("method", ["source", "bn", "cafa"])
+    @pytest.mark.parametrize(
+        "method, array",
+        [
+            pytest.param("source", "block0.dense.weight", id="source"),
+            pytest.param("bn", "block0.dense.weight", id="bn"),
+            pytest.param("cafa", "block0.dense.weight", id="cafa"),
+            pytest.param("cafa", "block0.bn.gamma", id="cafa-gamma"),
+        ],
+    )
     def test_checkpoint_with_absurd_weights_is_numerical_failure(
-        self, pretrained, tmp_path, method
+        self, pretrained, tmp_path, method, array
     ):
-        # finite block-0 dense weights 1e300 times the trained ones inside a
-        # valid archive: the distance report (source) or the forward (bn,
-        # cafa) overflows; each exited 0, source with nan distances, bn and
-        # cafa with a RuntimeWarning and recorded accuracies
+        # a finite block-0 array 1e300 times the trained one inside a valid
+        # archive. Dense weights: the distance report (source) or the
+        # forward (bn, cafa) overflows; each exited 0, source with nan
+        # distances, bn and cafa with a RuntimeWarning and recorded
+        # accuracies. BN gamma: the forward stays finite and the cafa loss
+        # overflows; it printed a RuntimeWarning before its exit 2
         config, out = pretrained
         doc = json.loads(config.read_text())
         doc["methods"].append({"method": "bn", "steps_per_batch": 0, "batch_size": 16})
         config.write_text(json.dumps(doc))
         path = out / "checkpoint.npz"
-
-        def absurd(arrays, header):
-            arrays["block0.dense.weight"] *= 1e300
-
-        rewrite_archive(path, edit_arrays=absurd)
+        rewrite_archive(path, edit_arrays=scaled(array, 1e300))
         args = ["adapt", "--config", str(config), "--checkpoint", str(path)]
         args += ["--stats", str(out / "stats.bin"), "--method", method]
         args += ["--out-dir", str(tmp_path / "adapt")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, err = run_quietly(args)
-        assert code == 2
-        failures = [line for line in err.splitlines() if line.startswith("numerical failure: ")]
-        assert len(failures) == 1 and "overflowed" in failures[0], err
-        assert "Traceback" not in err and "Warning" not in err, err
+        assert_one_overflow_line(args)
+
+    def test_stats_of_checkpoint_with_absurd_weights_is_numerical_failure(
+        self, pretrained, tmp_path
+    ):
+        # the dense case above: the features stay finite and the fit of the
+        # source statistics overflows; it printed a RuntimeWarning, then a
+        # bare `error: matrix contains non-finite entries` line
+        config, out = pretrained
+        path = out / "checkpoint.npz"
+        rewrite_archive(path, edit_arrays=scaled("block0.dense.weight", 1e300))
+        args = ["stats", "--config", str(config), "--checkpoint", str(path)]
+        args += ["--out", str(tmp_path / "stats.bin")]
+        assert_one_overflow_line(args)
+        assert not (tmp_path / "stats.bin").exists()
 
     @pytest.mark.parametrize("method", ["source", "cafa"])
     def test_stats_with_absurd_class_mean_are_io_error(self, pretrained, tmp_path, method):
@@ -808,6 +822,27 @@ class TestErrorExitCodes:
             code = cli.main(["pretrain", "--config", str(config)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+def scaled(name: str, factor: float):
+    """A `rewrite_archive` edit that multiplies the array `name` by `factor`."""
+
+    def edit(arrays, header):
+        arrays[name] *= factor
+
+    return edit
+
+
+def assert_one_overflow_line(argv) -> None:
+    """`cli.main(argv)` exits 2 with one `numerical failure: ... overflowed`
+    line, no traceback and no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run_quietly(argv)
+    assert code == 2
+    failures = [line for line in err.splitlines() if line.startswith("numerical failure: ")]
+    assert len(failures) == 1 and "overflowed" in failures[0], err
+    assert "Traceback" not in err and "Warning" not in err, err
 
 
 def run_quietly(argv) -> tuple[int, str]:

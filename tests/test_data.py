@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_precision, traced_peak_mb
+from tta_align import data
 from tta_align.config import ExperimentConfig
 from tta_align.data import (
     MEAN_SHIFT_SCALE,
@@ -17,8 +18,8 @@ from tta_align.data import (
     batch_stream,
     generate_dataset,
     mean_class_std,
-    resolved_covs,
     resolved_means,
+    resolved_stds,
 )
 from tta_align.errors import ConfigInvalid
 from tta_align.losses import mahalanobis
@@ -51,7 +52,7 @@ class TestSyntheticSpec:
         a = SyntheticSpec(seed=0)
         b = SyntheticSpec(seed=17)
         assert np.array_equal(resolved_means(a), resolved_means(b))
-        assert np.array_equal(resolved_covs(a), resolved_covs(b))
+        assert np.array_equal(resolved_stds(a), resolved_stds(b))
 
     def test_duplicate_means_rejected(self):
         spec = SyntheticSpec(n_classes=2, input_dim=2, mean_scale=0.0)
@@ -59,10 +60,12 @@ class TestSyntheticSpec:
             resolved_means(spec)
 
     def test_cov_scales_give_isotropic_covs(self):
-        spec = SyntheticSpec(n_classes=3, input_dim=4, cov_scales=[0.2, 0.6, 1.5])
-        covs = resolved_covs(spec)
-        for s, c in zip([0.2, 0.6, 1.5], covs):
-            assert np.array_equal(c, s * s * np.eye(4))
+        # a scale's covariance is its square times I, so a negative scale
+        # is the std of its magnitude
+        spec = SyntheticSpec(n_classes=3, input_dim=4, cov_scales=[0.2, -0.6, 1.5])
+        assert np.array_equal(resolved_stds(spec), [0.2, 0.6, 1.5])
+        default = SyntheticSpec(n_classes=4)
+        assert np.array_equal(resolved_stds(default), np.geomspace(0.2, 1.5, 4))
 
 
 class TestGenerateDataset:
@@ -88,6 +91,32 @@ class TestGenerateDataset:
         generate_dataset(SyntheticSpec(n_train_per_class=2, n_test_per_class=2))
         spec = SyntheticSpec(n_classes=10, input_dim=16)
         assert traced_peak_mb(lambda: generate_dataset(spec, shift=None)) < 6.5
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_draw_is_that_of_the_covariance_matrix(self, monkeypatch, seed):
+        # the benchmark's specs, default and wide, give bit for bit the
+        # datasets of one multivariate_normal draw over std^2 I per class:
+        # its SVD factor of std^2 I is exactly diag(std) for these stds
+        def reference(spec, n_per_class, rng):
+            means, stds = resolved_means(spec), resolved_stds(spec)
+            covs = [s * s * np.eye(spec.input_dim) for s in stds]
+            x = np.concatenate(
+                [rng.multivariate_normal(m, c, size=n_per_class) for m, c in zip(means, covs)]
+            )
+            y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), n_per_class)
+            order = rng.permutation(x.shape[0])
+            return x[order], y[order]
+
+        cfg = ExperimentConfig.default(seed)
+        wide = SyntheticSpec(n_classes=10, input_dim=16, seed=seed)
+        for spec in (cfg.synthetic, wide):
+            for shift in (None, cfg.shift):
+                drawn = generate_dataset(spec, shift)
+                with monkeypatch.context() as m:
+                    m.setattr(data, "_sample_mixture", reference)
+                    expected = generate_dataset(spec, shift)
+                for name in ("train_x", "train_y", "test_x", "test_y", "target_x", "target_y"):
+                    assert np.array_equal(getattr(drawn, name), getattr(expected, name)), name
 
     def test_labels_preserved_by_shift(self):
         spec = SyntheticSpec(n_train_per_class=20, n_test_per_class=20, seed=2)
@@ -195,8 +224,8 @@ class TestSeverity:
         # severity, averaged over 5 data seeds
         spec = SyntheticSpec(n_train_per_class=20, n_test_per_class=60)
         gaussians = [
-            (mu, exact_precision(cov))
-            for mu, cov in zip(resolved_means(spec), resolved_covs(spec))
+            (mu, exact_precision(std * std * np.eye(spec.input_dim)))
+            for mu, std in zip(resolved_means(spec), resolved_stds(spec))
         ]
         per_severity = []
         for severity in range(1, 6):

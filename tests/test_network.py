@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import tracemalloc
 import weakref
 import zipfile
@@ -845,6 +847,23 @@ class TestFlatBuffer:
         loaded = network.load_checkpoint(path)
         assert self._own_views(loaded, model)
         assert states_equal(model_state(model), model_state(loaded))
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_deepcopy_and_pickle_rebuild_the_views(self, how):
+        # a generic deep copy gave each view an array of its own: adapting
+        # the copy moved its buffer and left the arrays the forward reads
+        rng = np.random.default_rng(33)
+        model = small_model(rng)
+        stats = random_stats(rng, 3, 5)
+        clone = copy.deepcopy(model) if how == "deepcopy" else pickle.loads(pickle.dumps(model))
+        assert np.shares_memory(clone.blocks[0].bn.gamma, clone.flat)
+        assert self._own_views(clone, model)
+        assert states_equal(model_state(model), model_state(clone))
+        before = model.blocks[0].bn.gamma.copy()
+        batches = [(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16)) for _ in range(3)]
+        adapt_stream(clone, stats, batches, TtaConfig(method="cafa", batch_size=16))
+        assert not np.array_equal(clone.blocks[0].bn.gamma, before)
+        assert np.array_equal(model.blocks[0].bn.gamma, before)
 
     @pytest.mark.parametrize("group", [*PARAM_GROUPS, "all"])
     def test_adapting_a_copy_leaves_the_source(self, group):
