@@ -6,7 +6,7 @@ the configured shift transforms; labels are untouched by every shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 
 import numpy as np
 
@@ -29,7 +29,11 @@ def resolved_means(spec: SyntheticSpec) -> np.ndarray:
     rng = np.random.default_rng(GEOMETRY_SEED)
     raw = rng.normal(size=(spec.n_classes, spec.input_dim))
     raw -= raw.mean(axis=0)
-    means = spec.mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    # an overflow is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = spec.mean_scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    if not np.all(np.isfinite(means)):
+        raise ConfigInvalid(f"mean_scale {spec.mean_scale!r} gives non-finite class means")
     if len({tuple(m) for m in means}) != spec.n_classes:
         raise ConfigInvalid("class means must be distinct")
     return means
@@ -45,16 +49,6 @@ def resolved_stds(spec: SyntheticSpec) -> np.ndarray:
 
 def mean_class_std(spec: SyntheticSpec) -> float:
     return float(np.mean(resolved_stds(spec)))
-
-
-@dataclass
-class Dataset:
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray  # held-out unshifted source test data
-    test_y: np.ndarray
-    target_x: np.ndarray  # shifted target stream, in stream order
-    target_y: np.ndarray
 
 
 def _sample_mixture(spec: SyntheticSpec, n_per_class: int, rng: np.random.Generator):
@@ -78,9 +72,8 @@ def apply_shift(
     spec: SyntheticSpec,
     rng: np.random.Generator,
 ) -> None:
-    """Apply the shift transforms in order to the float64 matrix `x`, in
-    place; label-preserving by construction."""
-    shift.validate(spec.input_dim)
+    """Apply the checked shift's transforms in order to the float64 matrix
+    `x`, in place; label-preserving by construction."""
     std = mean_class_std(spec)
     for t in shift.transforms:
         if t.kind == "gaussian_noise":
@@ -103,22 +96,80 @@ def apply_shift(
             x[:, i] = xi
 
 
+# a dataset's (x, y) parts, in the order the generator draws them
+TRAIN, TEST, TARGET = range(3)
+
+
+def _array(part: int, index: int, doc: str) -> property:
+    return property(lambda self: self._read(part)[index], doc=doc)
+
+
+class Dataset:
+    """Source train/test draws plus a (possibly shifted) target stream, made
+    by `generate_dataset`.
+
+    Each (x, y) part is drawn on its first read, from the generator state
+    that drawing the parts before it leaves, so every array holds the bits
+    of one draw of the parts in order, whatever order they are read in. A
+    part read before the parts ahead of it draws them only to learn its
+    start state, and keeps none of them. A part that draws a non-finite
+    sample is refused (ConfigInvalid) at each read.
+    """
+
+    train_x = _array(TRAIN, 0, "source training samples")
+    train_y = _array(TRAIN, 1, "source training labels")
+    test_x = _array(TEST, 0, "held-out unshifted source test samples")
+    test_y = _array(TEST, 1, "held-out source test labels")
+    target_x = _array(TARGET, 0, "shifted target stream, in stream order")
+    target_y = _array(TARGET, 1, "target stream labels")
+
+    def __init__(self, spec: SyntheticSpec, shift: ShiftSpec | None):
+        # copies, so a caller's later edit cannot change a part not yet drawn
+        self._spec, self._shift = copy.deepcopy(spec), copy.deepcopy(shift)
+        # the generator state after drawing parts 0..k-1, for each k learned
+        self._starts = [np.random.default_rng(spec.seed).bit_generator.state]
+        self._held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _read(self, part: int) -> tuple[np.ndarray, np.ndarray]:
+        if part not in self._held:
+            first = min(part, len(self._starts) - 1)
+            rng = np.random.default_rng(self._spec.seed)
+            rng.bit_generator.state = self._starts[first]
+            for k in range(first, part):
+                self._draw(k, rng)  # only to learn where part k + 1 starts
+                self._starts.append(rng.bit_generator.state)
+            x, y = self._draw(part, rng)
+            if len(self._starts) == part + 1:
+                self._starts.append(rng.bit_generator.state)
+            if not np.all(np.isfinite(x)):
+                raise ConfigInvalid("the configured mixture and shift draw non-finite samples")
+            self._held[part] = x, y
+        return self._held[part]
+
+    def _draw(self, part: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        spec = self._spec
+        n_per_class = spec.n_train_per_class if part == TRAIN else spec.n_test_per_class
+        # an overflow is refused at the read, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y = _sample_mixture(spec, n_per_class, rng)
+            if part == TARGET and self._shift is not None:
+                apply_shift(x, self._shift, spec, rng)
+        return x, y
+
+
 def generate_dataset(spec: SyntheticSpec, shift: ShiftSpec | None = None) -> Dataset:
     """Source train/test draws plus a (possibly shifted) target stream.
 
     Deterministic given spec.seed; the target stream is an independent
-    source-like draw pushed through the shift transforms.
+    source-like draw pushed through the shift transforms. The spec, the
+    shift and the class means are checked here; each part is drawn on its
+    first read.
     """
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    train_x, train_y = _sample_mixture(spec, spec.n_train_per_class, rng)
-    test_x, test_y = _sample_mixture(spec, spec.n_test_per_class, rng)
-    target_x, target_y = _sample_mixture(spec, spec.n_test_per_class, rng)
     if shift is not None:
-        apply_shift(target_x, shift, spec, rng)
-    if not all(np.all(np.isfinite(x)) for x in (train_x, test_x, target_x)):
-        raise ConfigInvalid("the configured mixture and shift draw non-finite samples")
-    return Dataset(train_x, train_y, test_x, test_y, target_x, target_y)
+        shift.validate(spec.input_dim)
+    resolved_means(spec)
+    return Dataset(spec, shift)
 
 
 def batch_stream(x: np.ndarray, y: np.ndarray, batch_size: int):

@@ -78,14 +78,15 @@ def pretrain_source(cfg: ExperimentConfig, dataset: data.Dataset | None = None) 
     adam = adapt.AdamState()
     shuffle_rng = np.random.default_rng(SHUFFLE_SEED)
 
-    n = dataset.train_x.shape[0]
+    train_x, train_y = dataset.train_x, dataset.train_y
+    n = train_x.shape[0]
     bs = cfg.pretrain.batch_size
     for _ in range(cfg.pretrain.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n - bs + 1, bs):
             idx = order[start : start + bs]
-            xb = dataset.train_x[idx]
-            yb = dataset.train_y[idx]
+            xb = train_x[idx]
+            yb = train_y[idx]
             try:
                 _, grad, _ = network.loss_and_grad_named(
                     model, xb, StatMode.TRAIN_UPDATE, None, "pl", labels=yb
@@ -187,6 +188,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     of the data."""
     cfg.validate()
     dataset = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
+    # the target is drawn first, so one that draws non-finite samples is
+    # refused before any training
+    _ = dataset.target_x
     pretrained = pretrain_source(cfg, dataset)
     records = run_methods(cfg.methods, pretrained.model, pretrained.stats, dataset, out_dir)
     result = ExperimentResult(

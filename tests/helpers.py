@@ -144,6 +144,17 @@ def traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def traced_held_mb(fn) -> float:
+    """The memory traced as held when `fn` returns, while its result is
+    alive, in MiB."""
+    tracemalloc.start()
+    try:
+        kept = fn()  # noqa: F841  (alive until measured)
+        return tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def small_model(
     rng: np.random.Generator,
     input_dim: int = 6,

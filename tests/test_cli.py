@@ -823,6 +823,37 @@ class TestErrorExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, sections, message",
+        [
+            pytest.param(
+                "pretrain",
+                {"synthetic": {"mean_scale": 1.7e308}},
+                "mean_scale 1.7e+308 gives non-finite class means",
+                id="pretrain-means",
+            ),
+            pytest.param(
+                "compare",
+                {"synthetic": {"mean_scale": 1e307}, "shift": {"transforms": [{"kind": "scaling"}] * 4}},
+                "the configured mixture and shift draw non-finite samples",
+                id="compare-shift",
+            ),
+        ],
+    )
+    def test_overflowing_draw_is_one_config_error_line(self, tmp_path, command, sections, message):
+        # each printed a RuntimeWarning, at the class means' or the shift's
+        # multiply, before its config error. compare draws the target before
+        # it pretrains: the finite training set, near 1e307, would diverge
+        config = config_with(tiny_config(tmp_path), tmp_path, **sections)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, err = run_quietly(
+                [command, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+            )
+        assert code == 1
+        assert err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 def scaled(name: str, factor: float):
     """A `rewrite_archive` edit that multiplies the array `name` by `factor`."""

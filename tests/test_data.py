@@ -1,9 +1,10 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import exact_precision, traced_peak_mb
+from helpers import exact_precision, traced_held_mb, traced_peak_mb
 from tta_align import data
 from tta_align.config import ExperimentConfig
 from tta_align.data import (
@@ -68,13 +69,123 @@ class TestSyntheticSpec:
         assert np.array_equal(resolved_stds(default), np.geomspace(0.2, 1.5, 4))
 
 
+ARRAYS = ("train_x", "train_y", "test_x", "test_y", "target_x", "target_y")
+PARTS = {"train": ARRAYS[:2], "test": ARRAYS[2:4], "target": ARRAYS[4:]}
+
+
+def read_all(ds: Dataset) -> dict[str, np.ndarray]:
+    """Every array of `ds`, read in order."""
+    return {name: getattr(ds, name) for name in ARRAYS}
+
+
+def eager_draw(spec: SyntheticSpec, shift: ShiftSpec | None) -> dict[str, np.ndarray]:
+    """The six arrays of one generator drawing the parts in order."""
+    rng = np.random.default_rng(spec.seed)
+    sizes = (spec.n_train_per_class, spec.n_test_per_class, spec.n_test_per_class)
+    parts = [data._sample_mixture(spec, n, rng) for n in sizes]
+    if shift is not None:
+        data.apply_shift(parts[2][0], shift, spec, rng)
+    return dict(zip(ARRAYS, [a for part in parts for a in part]))
+
+
+SHIFTS = {
+    "gaussian_noise": ShiftTransform(kind="gaussian_noise"),
+    "mean_shift": ShiftTransform(kind="mean_shift", direction=[1.0, -2.0, 0.5, 0.0]),
+    "scaling": ShiftTransform(kind="scaling"),
+    "rotation": ShiftTransform(kind="rotation", plane=(1, 3)),
+}
+
+
+class TestLazyDraw:
+    @pytest.mark.parametrize("kind", SHIFTS)
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_any_read_order_gives_the_eager_arrays(self, kind, seed):
+        # a part read first draws the parts ahead of it only to learn its
+        # start; every array equals the one of an in-order draw
+        spec = SyntheticSpec(
+            n_classes=3, input_dim=4, n_train_per_class=7, n_test_per_class=5, seed=seed
+        )
+        shift = ShiftSpec(transforms=[SHIFTS[kind]], severity=3)
+        expected = eager_draw(spec, shift)
+        for order in itertools.permutations(PARTS):
+            ds = generate_dataset(spec, shift)
+            for part in order:
+                for name in PARTS[part]:
+                    assert getattr(ds, name).tobytes() == expected[name].tobytes(), (order, name)
+
+    def test_a_part_is_drawn_once_and_kept(self):
+        ds = generate_dataset(SyntheticSpec(n_train_per_class=4, n_test_per_class=4))
+        assert ds.target_x is ds.target_x and ds.train_y is ds.train_y
+        with pytest.raises(AttributeError):
+            ds.train_x = np.zeros((12, 8))
+
+    def test_a_later_edit_of_the_spec_draws_nothing_else(self):
+        spec = SyntheticSpec(n_train_per_class=4, n_test_per_class=4, seed=2)
+        shift = ShiftSpec(transforms=[ShiftTransform(kind="scaling")])
+        expected = eager_draw(spec, shift)
+        ds = generate_dataset(spec, shift)
+        spec.seed, spec.n_test_per_class, shift.severity = 9, 6, 1
+        assert ds.target_x.tobytes() == expected["target_x"].tobytes()
+
+    def test_wide_target_alone_holds_only_the_target(self):
+        # the wide benchmark spec: the target's arrays are 1.66 MiB of the
+        # 3.97 MiB that the eager draw held
+        spec = SyntheticSpec(n_classes=10, input_dim=16)
+        read_all(generate_dataset(SyntheticSpec(n_train_per_class=2, n_test_per_class=2)))
+
+        def target_only():
+            ds = generate_dataset(spec, shift=None)
+            ds.target_x, ds.target_y
+            return ds
+
+        assert traced_held_mb(target_only) < 1.8
+
+    def test_source_reads_never_draw_or_shift_the_target(self, monkeypatch):
+        drawn, shifted = [], []
+        real_sample, real_shift = data._sample_mixture, data.apply_shift
+
+        def sample(spec, n_per_class, rng):
+            drawn.append(n_per_class)
+            return real_sample(spec, n_per_class, rng)
+
+        def shift_in_place(*args):
+            shifted.append(args)
+            real_shift(*args)
+
+        monkeypatch.setattr(data, "_sample_mixture", sample)
+        monkeypatch.setattr(data, "apply_shift", shift_in_place)
+        spec = SyntheticSpec(n_train_per_class=6, n_test_per_class=4)
+        ds = generate_dataset(spec, ShiftSpec(transforms=[ShiftTransform(kind="scaling")]))
+        ds.train_x, ds.train_y, ds.test_x, ds.test_y
+        assert drawn == [6, 4] and shifted == []
+
+    def test_non_finite_part_is_refused_at_each_read(self):
+        # class means near 1e307 are finite, four scalings by 3 are not: the
+        # target is refused at every read, whether it is read first or after
+        # the source, and the source parts still read
+        spec = SyntheticSpec(n_train_per_class=4, n_test_per_class=4, mean_scale=1e307)
+        shift = ShiftSpec(transforms=[ShiftTransform(kind="scaling")] * 4)
+        target_first = generate_dataset(spec, shift)
+        source_first = generate_dataset(spec, shift)
+        assert np.all(np.isfinite(source_first.train_x))
+        for ds in (target_first, source_first):
+            for _ in range(2):
+                with pytest.raises(ConfigInvalid, match="mixture and shift draw non-finite samples"):
+                    ds.target_x
+            assert np.all(np.isfinite(ds.train_x)) and np.all(np.isfinite(ds.test_x))
+
+    def test_non_finite_class_means_are_refused_up_front(self):
+        with pytest.raises(ConfigInvalid, match="gives non-finite class means"):
+            generate_dataset(SyntheticSpec(mean_scale=1.7e308))
+
+
 class TestGenerateDataset:
     def test_deterministic_given_seed(self):
         spec = SyntheticSpec(n_train_per_class=20, n_test_per_class=20, seed=5)
         shift = ShiftSpec(transforms=[ShiftTransform(kind="gaussian_noise")])
         a = generate_dataset(spec, shift)
         b = generate_dataset(spec, shift)
-        for name in ("train_x", "train_y", "test_x", "test_y", "target_x", "target_y"):
+        for name in ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_shapes_and_label_balance(self):
@@ -88,9 +199,9 @@ class TestGenerateDataset:
         # the wide benchmark spec: its six arrays are 3.97 MiB; per-class
         # draws plus a concatenated copy of them peaked at 7.41 MiB. A first
         # draw warms the imports and caches, which a later one does not pay
-        generate_dataset(SyntheticSpec(n_train_per_class=2, n_test_per_class=2))
+        read_all(generate_dataset(SyntheticSpec(n_train_per_class=2, n_test_per_class=2)))
         spec = SyntheticSpec(n_classes=10, input_dim=16)
-        assert traced_peak_mb(lambda: generate_dataset(spec, shift=None)) < 6.5
+        assert traced_peak_mb(lambda: read_all(generate_dataset(spec, shift=None))) < 6.5
 
     @pytest.mark.parametrize("seed", range(16))
     def test_draw_is_that_of_the_covariance_matrix(self, monkeypatch, seed):
@@ -111,12 +222,12 @@ class TestGenerateDataset:
         wide = SyntheticSpec(n_classes=10, input_dim=16, seed=seed)
         for spec in (cfg.synthetic, wide):
             for shift in (None, cfg.shift):
-                drawn = generate_dataset(spec, shift)
+                drawn = read_all(generate_dataset(spec, shift))
                 with monkeypatch.context() as m:
                     m.setattr(data, "_sample_mixture", reference)
-                    expected = generate_dataset(spec, shift)
-                for name in ("train_x", "train_y", "test_x", "test_y", "target_x", "target_y"):
-                    assert np.array_equal(getattr(drawn, name), getattr(expected, name)), name
+                    expected = read_all(generate_dataset(spec, shift))
+                for name in ARRAYS:
+                    assert np.array_equal(drawn[name], expected[name]), name
 
     def test_labels_preserved_by_shift(self):
         spec = SyntheticSpec(n_train_per_class=20, n_test_per_class=20, seed=2)
