@@ -23,11 +23,13 @@ from .stats import SourceStats
 
 @dataclass
 class AdamState:
-    """The moments of one flat parameter slice."""
+    """The moments of one flat parameter slice, and the two scratch arrays
+    of its shape that each step overwrites."""
 
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     t: int = 0
+    scratch: tuple = field(default=(), repr=False, compare=False)
 
 
 # pretraining and every adapting method share these
@@ -46,16 +48,19 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
         state.v = np.zeros_like(grad)
     elif state.m.shape != grad.shape:
         raise DimensionMismatch(f"Adam state holds {state.m.shape}, the step {grad.shape}")
+    if state.t == 0 or not state.scratch:  # the pair of this slice's shape
+        state.scratch = (np.empty_like(grad), np.empty_like(grad))
     state.t += 1
     t, m, v = state.t, state.m, state.v
+    update, denom = state.scratch
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * grad
+    m += np.multiply(grad, 1 - ADAM_BETA1, out=update)
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * grad * grad
-    # lr * m_hat / (sqrt(v_hat) + eps), on two temporaries
-    update = m / (1 - ADAM_BETA1**t)
+    v += np.multiply(np.multiply(grad, 1 - ADAM_BETA2, out=update), grad, out=update)
+    # lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1 - ADAM_BETA1**t, out=update)
     update *= lr
-    denom = v / (1 - ADAM_BETA2**t)
+    np.divide(v, 1 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update /= denom
@@ -91,7 +96,8 @@ def _observe(forward: network.Forward, y, stats):
     report reads the forward's class kernel when its loss built one. Labels
     are refused unless they are one class index of the model per row."""
     y = network.as_labels(y, *forward.logits.shape)
-    accuracy = float(np.mean(network.argmax_rows(forward.logits) == y))
+    # the mean as np.mean takes it, without its wrapper: count / n
+    accuracy = float(np.count_nonzero(network.argmax_rows(forward.logits) == y) / y.size)
     if stats is None or stats.n_classes < 2:
         return accuracy, float("nan"), float("nan")
     with network.overflow_guard("the distance report"):

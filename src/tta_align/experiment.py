@@ -188,9 +188,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     of the data."""
     cfg.validate()
     dataset = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
-    # the target is drawn first, so one that draws non-finite samples is
-    # refused before any training
-    _ = dataset.target_x
+    # every part is read in draw order, so each is drawn once, and before any
+    # training, so a target that draws non-finite samples is refused first
+    _ = dataset.train_x, dataset.test_x, dataset.target_x
     pretrained = pretrain_source(cfg, dataset)
     records = run_methods(cfg.methods, pretrained.model, pretrained.stats, dataset, out_dir)
     result = ExperimentResult(

@@ -87,8 +87,9 @@ def distance_report(
     off_label = quads.copy()
     off_label[labelled] = 0.0
     inter = off_label.sum(axis=0) / (stats.n_classes - 1)
+    # each mean as np.mean takes it, without its wrapper: sum / n
     return DistanceReport(
-        mean_intra=float(np.mean(intra)), mean_inter=float(np.mean(inter))
+        mean_intra=float(intra.sum() / y.size), mean_inter=float(inter.sum() / y.size)
     )
 
 
@@ -190,9 +191,11 @@ def _class_kernel_loss(method: str, quads: np.ndarray, pd: np.ndarray, labels: n
         value = (np.log(num_c) - np.log(den_c)).sum() * inv_n
         # 1/intra at the labelled class minus 1/denom at every class, each
         # zero wherever its clamp is active
-        w = np.tile(-((denom > RATIO_FLOOR) / den_c), (quads.shape[0], 1))
+        w = np.empty_like(quads)
+        w[...] = -((denom > RATIO_FLOOR) / den_c)
         w[labels, cols] += (intra > RATIO_FLOOR) / num_c
-    return value, 2.0 * np.einsum("cn,cnd->nd", w * inv_n, pd)
+    w *= inv_n
+    return value, 2.0 * np.einsum("cn,cnd->nd", w, pd)
 
 
 def _log_sum_exp(z: np.ndarray):

@@ -13,7 +13,6 @@ group; pretraining uses the whole buffer.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import json
 import math
@@ -184,18 +183,20 @@ def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np
     """One dense -> BN -> relu block.
 
     The forward runs in place: z = h W^T + b becomes x_hat = (z - mu) / std.
-    With `caches`, y = x_hat * gamma + beta is a second buffer, rectified in
-    place, and the block appends (h, x_hat, std, y) for the backward;
-    without, y overwrites x_hat in the one buffer.
+    With `caches`, y = x_hat * gamma + beta is a second buffer, which first
+    holds the squares of the batch variance; y is rectified in place, and
+    the block appends (h, x_hat, std, y) for the backward. Without, the
+    squares are a temporary and y overwrites x_hat in the one buffer.
     """
     bn = blk.bn
     z = h @ blk.dense.weight.T
     z += blk.dense.bias
+    out = None if caches is None else np.empty_like(z)
     if mode is not StatMode.RUNNING_EVAL:
         inv_n = 1.0 / z.shape[0]
         mu = np.add.reduce(z, axis=0) * inv_n
         z -= mu
-        var = np.add.reduce(z**2, axis=0) * inv_n
+        var = np.add.reduce(np.square(z, out=out), axis=0) * inv_n
         if mode is StatMode.TRAIN_UPDATE:  # in place, through a local name
             for running, batch in ((bn.running_mean, mu), (bn.running_var, var)):
                 running *= 1 - BN_MOMENTUM
@@ -203,9 +204,10 @@ def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np
     else:
         z -= bn.running_mean
         var = bn.running_var
-    std = np.sqrt(var + BN_VAR_EPS)
+    std = var + BN_VAR_EPS
+    np.sqrt(std, out=std)
     z /= std  # z now holds x_hat
-    y = np.multiply(z, bn.gamma, out=z if caches is None else None)
+    y = np.multiply(z, bn.gamma, out=z if out is None else out)
     y += bn.beta
     np.maximum(y, 0.0, out=y)
     if caches is not None:
@@ -215,7 +217,9 @@ def _block(h: np.ndarray, blk: Block, mode: StatMode, caches: list | None) -> np
 
 def _head(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The linear classifier: logits = h W^T + b."""
-    return h @ w.T + b
+    logits = h @ w.T
+    logits += b
+    return logits
 
 
 class Forward(NamedTuple):
@@ -233,7 +237,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteInput("matrix contains non-finite entries")
     return m
 
@@ -275,25 +279,32 @@ def _forward(
     output) in block order, for `_backward`.
 
     In batch-statistic modes the normalization uses the batch mean/variance.
-    TRAIN_UPDATE additionally refreshes the running stats in place. Weights
-    too large for the batch, finite as they are, overflow: NonFiniteLoss.
+    TRAIN_UPDATE additionally refreshes the running stats in place. The
+    caller enters the `overflow_guard`: weights too large for the batch,
+    finite as they are, overflow.
     """
     h = x
-    with overflow_guard("the forward"):
-        for blk in model.blocks:
-            h = _block(h, blk, mode, caches)
-        clf = model.classifier
-        return Forward(h, _head(h, clf.weight, clf.bias))
+    for blk in model.blocks:
+        h = _block(h, blk, mode, caches)
+    clf = model.classifier
+    return Forward(h, _head(h, clf.weight, clf.bias))
 
 
-@contextlib.contextmanager
-def overflow_guard(what: str):
-    """NonFiniteLoss for a float operation in the block that overflows."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NonFiniteLoss(f"{what} overflowed: {exc}") from None
+class overflow_guard(np.errstate):
+    """NonFiniteLoss for a float operation in the block that overflows.
+    An `np.errstate` of its own, with no generator behind it: a step
+    enters one for its whole forward, loss and backward."""
+
+    __slots__ = ("_what",)
+
+    def __init__(self, what: str) -> None:
+        super().__init__(over="raise", invalid="raise")
+        self._what = what
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        super().__exit__(exc_type, exc, tb)
+        if exc_type is not None and issubclass(exc_type, FloatingPointError):
+            raise NonFiniteLoss(f"{self._what} overflowed: {exc}") from None
 
 
 def _row_blocks(model: AdaptiveModel, batch, mode: StatMode) -> tuple[np.ndarray, list[slice]]:
@@ -311,14 +322,15 @@ def forward_features(model: AdaptiveModel, batch, mode: StatMode) -> Forward:
     """A forward that keeps no cache: the features and their logits, bit
     for bit those of one `_forward` over the whole batch."""
     x, blocks = _row_blocks(model, batch, mode)
-    if len(blocks) == 1:  # the batch's own forward: a copy would add a buffer
-        return _forward(model, x, mode)
-    n = x.shape[0]
-    out = Forward(np.empty((n, model.feature_dim)), np.empty((n, model.n_classes)))
-    for rows in blocks:
-        feats, logits, _ = _forward(model, x[rows], mode)
-        out.feats[rows] = feats
-        out.logits[rows] = logits
+    with overflow_guard("the forward"):
+        if len(blocks) == 1:  # the batch's own forward: a copy would add a buffer
+            return _forward(model, x, mode)
+        n = x.shape[0]
+        out = Forward(np.empty((n, model.feature_dim)), np.empty((n, model.n_classes)))
+        for rows in blocks:
+            feats, logits, _ = _forward(model, x[rows], mode)
+            out.feats[rows] = feats
+            out.logits[rows] = logits
     return out
 
 
@@ -327,14 +339,15 @@ def predict(model: AdaptiveModel, batch, mode: StatMode) -> np.ndarray:
     features are alive at a time."""
     x, blocks = _row_blocks(model, batch, mode)
     labels = np.empty(x.shape[0], dtype=np.intp)
-    for rows in blocks:
-        labels[rows] = argmax_rows(_forward(model, x[rows], mode).logits)
+    with overflow_guard("the forward"):
+        for rows in blocks:
+            labels[rows] = argmax_rows(_forward(model, x[rows], mode).logits)
     return labels
 
 
 def argmax_rows(logits: np.ndarray) -> np.ndarray:
     """Per-row argmax; ties resolve to the lowest class index."""
-    return np.argmax(logits, axis=1)
+    return logits.argmax(axis=1)
 
 
 # -- the chain: backward -------------------------------------------------------
@@ -383,7 +396,8 @@ def _backward(
         d = std.shape[0]
         bn_at -= 2 * d
         gy = _relu_grad(g, y)
-        np.add.reduce(gy * x_hat, axis=0, out=grad[bn_at : bn_at + d])
+        scratch = np.empty_like(gy)  # each product with x_hat in turn
+        np.add.reduce(np.multiply(gy, x_hat, out=scratch), axis=0, out=grad[bn_at : bn_at + d])
         np.add.reduce(gy, axis=0, out=grad[bn_at + d : bn_at + 2 * d])
         if i == 0 and not full:
             break
@@ -391,9 +405,9 @@ def _backward(
         g *= blk.bn.gamma  # d/dx_hat, turned into d/dz in place
         if batch_stats:  # the means as numpy's mean takes them: sum / n
             mean_g = np.add.reduce(g, axis=0) / n
-            mean_g_xhat = np.add.reduce(g * x_hat, axis=0) / n
+            mean_g_xhat = np.add.reduce(np.multiply(g, x_hat, out=scratch), axis=0) / n
             g -= mean_g
-            g -= x_hat * mean_g_xhat
+            g -= np.multiply(x_hat, mean_g_xhat, out=scratch)
         g /= std
         w = blk.dense.weight
         if full:
@@ -408,8 +422,9 @@ def _backward(
 
 def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """g * (y > 0) bit for bit, the -0.0 of a negative g where y == 0
-    included, through a float mask: a float64 x bool product costs more."""
-    gy = (y > 0.0).astype(np.float64)
+    included, through a float mask that the comparison writes: a float64 x
+    bool product costs more."""
+    gy = np.greater(y, 0.0, out=np.empty_like(y))
     gy *= g
     return gy
 
@@ -429,14 +444,15 @@ def loss_and_grad_named(
     the class kernel, if the loss read one).
 
     A parameter of the group that the loss does not reach gets a zero
-    gradient. A loss or backward that overflows is NonFiniteLoss.
+    gradient. A forward, loss or backward that overflows is NonFiniteLoss.
     """
     # imported here to keep network <-> losses import acyclic
     from . import losses
 
     caches: list = []
-    forward = _forward(model, _checked(model, batch, mode), mode, caches)
-    with overflow_guard("the loss"):
+    x = _checked(model, batch, mode)
+    with overflow_guard("the step"):
+        forward = _forward(model, x, mode, caches)
         value, grad, at_logits, quads = losses.loss_tensor(
             method, forward.feats, forward.logits, stats, labels
         )

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from tta_align import losses, network
+from tta_align import adapt, losses, network
 from tta_align.errors import DimensionMismatch, UnknownClass
 from tta_align.stats import (
     DEFAULT_EPS_SCALE,
@@ -255,3 +255,135 @@ def model_state(model) -> dict[str, np.ndarray]:
 def states_equal(a: dict, b: dict, keys=None) -> bool:
     keys = set(a) if keys is None else set(keys)
     return all(np.array_equal(a[k], b[k]) for k in keys)
+
+
+# -- one optimizing step as plain NumPy expressions --------------------------------
+#
+# The forward, each loss's value and gradient, the chain's backward and the
+# Adam update, written out as expressions in the package's order of
+# operations, with no buffer reused. A step of the package must give the
+# same bits.
+
+
+def oracle_forward(model, x, mode):
+    """The features, logits and per-block caches (h, x_hat, std, y) of one
+    forward of `model`, and the running (mean, var) of each block it leaves.
+    The model is not changed."""
+    caches, running = [], []
+    h = x
+    for blk in model.blocks:
+        bn = blk.bn
+        z = h @ blk.dense.weight.T + blk.dense.bias
+        mean, var = bn.running_mean, bn.running_var
+        if mode is network.StatMode.RUNNING_EVAL:
+            centred = z - mean
+            std = np.sqrt(var + network.BN_VAR_EPS)
+        else:
+            inv_n = 1.0 / z.shape[0]
+            mu = z.sum(axis=0) * inv_n
+            centred = z - mu
+            batch_var = (centred**2).sum(axis=0) * inv_n
+            std = np.sqrt(batch_var + network.BN_VAR_EPS)
+            if mode is network.StatMode.TRAIN_UPDATE:
+                keep = 1 - network.BN_MOMENTUM
+                mean = mean * keep + network.BN_MOMENTUM * mu
+                var = var * keep + network.BN_MOMENTUM * batch_var
+        x_hat = centred / std
+        y = np.maximum(x_hat * bn.gamma + bn.beta, 0.0)
+        caches.append((h, x_hat, std, y))
+        running.append((mean, var))
+        h = y
+    logits = h @ model.classifier.weight.T + model.classifier.bias
+    return h, logits, caches, running
+
+
+def oracle_loss(method, feats, logits, stats):
+    """(value, gradient w.r.t. what the loss reads, reads_logits) of an
+    adaptation loss on argmax pseudo-labels."""
+    n = feats.shape[0]
+    inv_n = 1.0 / n
+    rows = np.arange(n)
+    labels = np.argmax(logits, axis=1)
+    if method in ("pl", "entropy"):
+        shift = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - shift)
+        total = e.sum(axis=1, keepdims=True)
+        lse = np.log(total) + shift
+        if method == "pl":
+            value = (lse - logits[rows, labels][:, None]).sum() * inv_n
+            g = e * (inv_n / total)
+            g[rows, labels] -= inv_n
+            return value, g, True
+        neg_logp = lse - logits
+        p = np.exp(-neg_logp)
+        ent = (p * neg_logp).sum(axis=1)
+        return ent.sum() * inv_n, p * (neg_logp - ent[:, None]) * inv_n, True
+    if method == "global_fa":
+        mu_t = feats.sum(axis=0) * inv_n
+        centred = feats - mu_t
+        sigma_t = (centred.T @ centred) * inv_n
+        mean_gap = stats.global_mu - mu_t
+        cov_gap = stats.global_sigma - sigma_t
+        value = (mean_gap**2).sum() + (cov_gap**2).sum()
+        g = centred @ (cov_gap + cov_gap.T) * (-2.0 * inv_n)
+        return value, g + (mean_gap * (-2.0 * inv_n) - g.sum(axis=0) * inv_n), False
+    diff = feats - stats.class_mus[:, None, :]
+    pd = diff @ stats.class_precisions
+    quads = np.einsum("cnd,cnd->cn", pd, diff)
+    intra = quads[labels, rows]
+    if method == "intra":
+        value = intra.sum() * inv_n
+        w = np.zeros_like(quads)
+        w[labels, rows] = 1.0
+    else:
+        floor = losses.RATIO_FLOOR
+        denom = quads.sum(axis=0)
+        num_c = np.maximum(intra, floor)
+        den_c = np.maximum(denom, floor)
+        value = (np.log(num_c) - np.log(den_c)).sum() * inv_n
+        w = np.tile(-((denom > floor) / den_c), (quads.shape[0], 1))
+        w[labels, rows] += (intra > floor) / num_c
+    return value, 2.0 * np.einsum("cn,cnd->nd", w * inv_n, pd), False
+
+
+def oracle_backward(model, caches, mode, g, at_logits, size):
+    """The gradient over the first `size` entries of the buffer, in its
+    layout: each block's gamma and beta, each block's W and b, then the
+    classifier's W and b. What `size` does not cover is not computed."""
+    blocks = model.blocks
+    clf = model.classifier
+    n = g.shape[0]
+    bn_grads, dense_grads = [None] * len(blocks), [None] * len(blocks)
+    if at_logits:
+        clf_grads = [(g.T @ caches[-1][3]).ravel(), g.sum(axis=0)]
+        g = g @ clf.weight
+    else:
+        clf_grads = [np.zeros(clf.weight.size), np.zeros(clf.bias.size)]
+    full = size > model.group_size("bn_only")
+    for i in reversed(range(len(blocks))):
+        h, x_hat, std, y = caches[i]
+        gy = g * (y > 0.0)
+        bn_grads[i] = [(gy * x_hat).sum(axis=0), gy.sum(axis=0)]
+        if i == 0 and not full:
+            break
+        gx = gy * blocks[i].bn.gamma
+        if mode is not network.StatMode.RUNNING_EVAL:
+            mean_g = gx.sum(axis=0) / n
+            mean_g_xhat = (gx * x_hat).sum(axis=0) / n
+            gx = gx - mean_g - x_hat * mean_g_xhat
+        gz = gx / std
+        dense_grads[i] = [(gz.T @ h).ravel(), gz.sum(axis=0)]
+        if i > 0:
+            g = gz @ blocks[i].dense.weight
+    parts = [p for pair in bn_grads + dense_grads + [clf_grads] if pair for p in pair]
+    return np.concatenate(parts)[:size]
+
+
+def oracle_adam(params, grad, m, v, t, lr):
+    """One Adam step at step count `t` (from 1): the new params, m and v."""
+    b1, b2 = adapt.ADAM_BETA1, adapt.ADAM_BETA2
+    m = m * b1 + (1 - b1) * grad
+    v = v * b2 + (1 - b2) * grad * grad
+    update = m / (1 - b1**t) * lr
+    denom = np.sqrt(v / (1 - b2**t)) + adapt.ADAM_EPS
+    return params - update / denom, m, v

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import traced_peak_mb
-from tta_align import network, stats
+from tta_align import data, network, stats
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig, ModelConfig, PretrainConfig
 from tta_align.data import SyntheticSpec
@@ -99,6 +99,22 @@ class TestFinalQuarterMean:
 
 
 class TestRunExperiment:
+    def test_draws_each_part_once_in_order(self, monkeypatch):
+        # the training set, holdout and target are each drawn once: a part
+        # read before those ahead of it would draw them a second time
+        draw = data.Dataset._draw
+        parts = []
+
+        def counted(self, part, rng):
+            parts.append(part)
+            return draw(self, part, rng)
+
+        monkeypatch.setattr(data.Dataset, "_draw", counted)
+        cfg = ExperimentConfig.default(seed=0)
+        cfg.pretrain.epochs = 1
+        run_experiment(cfg)
+        assert parts == [data.TRAIN, data.TEST, data.TARGET]
+
     def test_zero_shift_methods_agree(self):
         # nothing to fix: adaptation may not move accuracy more than 2 points
         cfg = ExperimentConfig.default(seed=0)

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import tracemalloc
+import warnings
 import weakref
 import zipfile
 from pathlib import Path
@@ -41,6 +42,7 @@ from tta_align.network import (
     DenseLayer,
     StatMode,
 )
+from tta_align.stats import estimate_source_stats
 
 
 def scalar_block(gamma=1.0, beta=0.0):
@@ -220,6 +222,47 @@ class TestBlockForward:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * (12_800 * 128 * 8) + 2**20
+
+
+class TestOverflowGuard:
+    """`_forward` enters no error scope of its own: each public entry that
+    runs it enters one, so weights too large for the batch, finite as they
+    are, are NonFiniteLoss with no RuntimeWarning, and the error state is
+    restored."""
+
+    @staticmethod
+    def overflowing(n: int):
+        rng = np.random.default_rng(50)
+        model = small_model(rng)
+        model.blocks[0].dense.weight[...] *= 1e300
+        return model, 1e10 * rng.normal(size=(n, 6)), rng.integers(0, 3, size=n)
+
+    @staticmethod
+    def assert_refused(call) -> None:
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteLoss, match="overflowed"):
+                call()
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("mode", [StatMode.RUNNING_EVAL, StatMode.BATCH_ONLY])
+    @pytest.mark.parametrize("n", [8, network.EVAL_ROWS + 3])
+    def test_forward_features_and_predict(self, mode, n):
+        model, x, _ = self.overflowing(n)
+        self.assert_refused(lambda: network.forward_features(model, x, mode))
+        self.assert_refused(lambda: network.predict(model, x, mode))
+
+    @pytest.mark.parametrize("mode", list(StatMode))
+    def test_loss_and_grad_named(self, mode):
+        model, x, _ = self.overflowing(8)
+        self.assert_refused(
+            lambda: network.loss_and_grad_named(model, x, mode, "bn_only", "entropy")
+        )
+
+    def test_estimate_source_stats(self):
+        model, x, y = self.overflowing(12)
+        self.assert_refused(lambda: estimate_source_stats(model, x, y))
 
 
 class TestRowBlocks:
