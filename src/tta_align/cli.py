@@ -180,6 +180,9 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # an archive too large to read is StatsIoError first
+        print(f"config error: the configured sizes do not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NonFiniteLoss, NotPositiveDefinite, TrainingDiverged) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

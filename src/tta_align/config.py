@@ -178,7 +178,9 @@ def plain(value):
 def _check_fields(section, where: str) -> None:
     """The walk's type and range rules for a section built in Python: each
     field and list entry must have the type the walk reads from its JSON
-    form. A nested section is left to its own `validate()`."""
+    form, so a value `json` cannot write (`np.int64(64)`) is refused here,
+    not when a run header is written. A nested section is left to its own
+    `validate()`."""
     fields = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
     doc = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
     built = read(type(section), doc, where)

@@ -329,7 +329,9 @@ def write_summary_files(summaries: list[MethodSummary], out_dir: str) -> None:
 def write_trajectory_files(records: dict[str, RunRecord], out_dir: str) -> None:
     """Plot-data CSVs, one per batch-row value: batch index on x, one column
     per method (`accuracy_trajectories.csv`, `intra_distance_trajectories.csv`
-    for `mean_intra`, and so on)."""
+    for `mean_intra`, and so on). Each holds the rows of the shortest record
+    only: runs of different `batch_size` keep their longer tails in their
+    run CSVs alone."""
     names = list(records)
     n_batches = min(len(r.rows) for r in records.values())
     for field in CSV_FIELDS[1:]:

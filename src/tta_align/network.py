@@ -9,6 +9,11 @@ out as [each block's gamma, beta][each block's W, b][classifier W, b], so a
 parameter group is a prefix of it: the BN affine parameters, then the whole
 feature extractor. The classifier is never part of any adaptation parameter
 group; pretraining uses the whole buffer.
+
+A step reuses its temporaries within one call, with the operations and
+their order of the plain expressions, so every array keeps its bits
+(`tests/test_step_oracle.py`). No array a call returns shares memory with a
+buffer that a later call writes.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ class AdaptiveModel:
     """The blocks and the classifier of layer widths [input, *hidden,
     n_classes]. Every trainable array is a view into `flat`, and no model or
     layer attribute can be rebound: a parameter is updated in place, in the
-    buffer that gradients and Adam address."""
+    buffer that gradients and Adam address (`blk.bn.gamma[...] += 1`; the
+    augmented `blk.bn.gamma += 1` adds in place, then raises on the
+    rebind)."""
 
     widths: tuple[int, ...]
     blocks: tuple[Block, ...]

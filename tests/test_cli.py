@@ -854,6 +854,19 @@ class TestErrorExitCodes:
         assert err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "compare"])
+    def test_sizes_past_the_address_space_are_one_config_error_line(self, tmp_path, command):
+        # 3 x 10^15 rows of 4 float64 ask for ~2^56 bytes, past any address
+        # space, so the allocation is refused at once
+        sizes = {"n_train_per_class": 10**15}
+        config = config_with(tiny_config(tmp_path), tmp_path, synthetic=sizes)
+        out = tmp_path / "out"
+        code, err = run_quietly([command, "--config", str(config), "--out-dir", str(out)])
+        assert code == 1
+        assert err.startswith("config error: the configured sizes do not fit in memory: ")
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
 
 def scaled(name: str, factor: float):
     """A `rewrite_archive` edit that multiplies the array `name` by `factor`."""

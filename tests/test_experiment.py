@@ -201,6 +201,24 @@ class TestReportFiles:
         assert [line.split()[0] for line in lines] == ["method", *names]
         assert all(len(line.split()) == len(SUMMARY_FIELDS) for line in lines)
 
+    def test_trajectories_hold_the_shortest_run(self, tmp_path):
+        # the 3840-row default stream is 60 batches of 64 and 30 of 128; the
+        # run CSVs keep every row, the trajectory files the first 30
+        cfg = ExperimentConfig.default()
+        cfg.pretrain.epochs = 1
+        cfg.methods = [
+            TtaConfig(method="bn", name=f"bn{size}", steps_per_batch=0, batch_size=size)
+            for size in (64, 128)
+        ]
+        run_experiment(cfg, out_dir=str(tmp_path))
+
+        def rows(name):
+            return (tmp_path / name).read_text().splitlines()[1:]
+
+        assert [len(rows(f"run_bn{size}.csv")) for size in (64, 128)] == [60, 30]
+        for stem in ("accuracy", "intra_distance", "inter_distance", "loss"):
+            assert len(rows(f"{stem}_trajectories.csv")) == 30
+
     def test_rebuild_missing_manifest(self, tmp_path):
         # a run directory without its manifest is malformed (exit 3); a
         # run directory that does not exist is a usage error (exit 1)

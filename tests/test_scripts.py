@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import json
 import os
 import re
@@ -91,3 +93,29 @@ def test_readme_layout_names_every_module():
     listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
     modules = {p.name for p in (REPO / "src" / "tta_align").glob("*.py")} - {"__init__.py"}
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_names_stay_real():
+    # outside its fenced blocks, every backticked `module.name` of the package
+    # (`tta_align.` optional) is an attribute of that module, and every
+    # `tests/<file>::Name[::name]` a test or class of that file
+    prose = re.sub(r"^```.*?^```", "", (REPO / "README.md").read_text(), flags=re.M | re.S)
+    modules = {p.stem for p in (REPO / "src" / "tta_align").glob("*.py")} - {"__init__"}
+    stale, resolved = [], 0
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        ref = re.match(r"(?:tta_align\.)?([a-z_]+)((?:\.\w+)+)", span)
+        # `config.py` and `stats.bin` are file names
+        if not ref or ref[1] not in modules or re.fullmatch(r"\.(py|bin)", ref[2]):
+            continue
+        obj = importlib.import_module(f"tta_align.{ref[1]}")
+        for name in ref[2][1:].split("."):
+            obj = getattr(obj, name, None)
+        resolved += obj is not None
+        stale += [span] if obj is None else []
+    for ref in re.findall(r"`(tests/\w+\.py)((?:::\w+)+)`", prose):
+        resolved += 1
+        scope = ast.parse((REPO / ref[0]).read_text()).body
+        for name in ref[1][2:].split("::"):
+            scope = next((n.body for n in scope or () if getattr(n, "name", None) == name), None)
+        stale += [ref[0] + ref[1]] if scope is None else []
+    assert resolved and not stale, stale
