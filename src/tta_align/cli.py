@@ -4,8 +4,8 @@ Subcommands:
   pretrain  train the source model, emit checkpoint + stats files
   stats     recompute source statistics from a checkpoint
   adapt     run a single adaptation method over the shifted stream
-  compare   run every configured method and write the comparison report
-  report    regenerate summary/plot-data files from RunRecord CSVs
+  compare   pretrain, then run every configured method over one stream
+  report    rebuild the summary files from the run records a manifest lists
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 I/O error.
 """
@@ -102,24 +102,22 @@ def cmd_adapt(args) -> int:
     _check_fits(cfg, model, stats)
     shifted = data.generate_dataset(cfg.synthetic, shift=cfg.shift)
     out_dir = args.out_dir or cfg.output_dir
-    csv_path = experiment.run_path(out_dir, mcfg.run_name, ".csv")
-    try:
-        records = experiment.run_methods([mcfg], model, stats, shifted, out_dir)
-    except NonFiniteLoss:
-        print(f"partial run record: {csv_path}", file=sys.stderr)
-        raise
-    summary = experiment.summarize_record(mcfg.run_name, records[mcfg.run_name])
-    print(f"run record: {csv_path}")
-    print(f"mean accuracy: {summary.mean_accuracy:.4f}")
-    print(f"final-quarter accuracy: {summary.final_quarter_accuracy:.4f}")
-    return EXIT_OK
+    return _run_and_print(
+        out_dir, lambda: experiment.run_methods([mcfg], model, stats, shifted, out_dir)
+    )
 
 
 def cmd_compare(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     out_dir = args.out_dir or cfg.output_dir
+    return _run_and_print(out_dir, lambda: experiment.run_experiment(cfg, out_dir))
+
+
+def _run_and_print(out_dir: str, run) -> int:
+    """Call `run`, which writes the run directory `out_dir`, then print the
+    directory and its summary table."""
     try:
-        experiment.run_experiment(cfg, out_dir=out_dir)
+        run()
     except NonFiniteLoss:
         print(f"partial run records: {out_dir}", file=sys.stderr)
         raise
@@ -167,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("report", help="rebuild summary files from run records")
+    p = sub.add_parser("report", help="rebuild the summaries of the runs the manifest lists")
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_report)
     return parser

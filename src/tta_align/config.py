@@ -309,6 +309,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_fields(self, "top-level")
+        if not self.output_dir:
+            raise ConfigInvalid("output_dir must name a directory, got ''")
         self.synthetic.validate()
         if self.shift is not None:
             self.shift.validate(self.synthetic.input_dim)

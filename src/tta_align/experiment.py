@@ -7,6 +7,7 @@ code that writes or reads a run directory.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -163,11 +164,18 @@ def run_methods(
     stats: SourceStats,
     dataset: data.Dataset,
     out_dir: str | None = None,
+    holdout_accuracy: float | None = None,
 ) -> dict[str, RunRecord]:
     """Run each method on its own copy of `model` over `dataset`'s target
-    stream, and write each record to `out_dir` when one is given. A loss that
+    stream. Given `out_dir`, this is the one writer of a run directory: it
+    removes the directory's manifest and summaries, then writes each record,
+    then the manifest and summaries of these runs and no others. A loss that
     goes non-finite writes the finished records and the failing method's
-    partial one, then raises."""
+    partial one, then raises, leaving no manifest for `report` to read."""
+    if out_dir is not None:
+        for name in ("manifest.json", "summary.csv", "summary.txt"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
     records: dict[str, RunRecord] = {}
     for mcfg in methods:
         batches = data.batch_stream(dataset.target_x, dataset.target_y, mcfg.batch_size)
@@ -180,6 +188,11 @@ def run_methods(
             raise
     if out_dir is not None:
         write_run_records(records.values(), out_dir)
+        manifest = Manifest(list(records), holdout_accuracy)
+        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+            json.dump(plain(manifest), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        write_summary_files([summarize_record(n, r) for n, r in records.items()], out_dir)
     return records
 
 
@@ -191,16 +204,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     # every part is read in draw order, so each is drawn once, and before any
     # training, so a target that draws non-finite samples is refused first
     _ = dataset.train_x, dataset.test_x, dataset.target_x
-    pretrained = pretrain_source(cfg, dataset)
-    records = run_methods(cfg.methods, pretrained.model, pretrained.stats, dataset, out_dir)
-    result = ExperimentResult(
+    pre = pretrain_source(cfg, dataset)
+    records = run_methods(cfg.methods, pre.model, pre.stats, dataset, out_dir, pre.holdout_accuracy)
+    return ExperimentResult(
         records=records,
         summaries=[summarize_record(n, r) for n, r in records.items()],
-        source_holdout_accuracy=pretrained.holdout_accuracy,
+        source_holdout_accuracy=pre.holdout_accuracy,
     )
-    if out_dir is not None:
-        write_report(result, out_dir)
-    return result
 
 
 # -- the run directory -----------------------------------------------------------
@@ -300,17 +310,6 @@ def read_run_record(run_dir: str, name: str) -> RunRecord:
     return RunRecord(config=config, rows=rows)
 
 
-def write_report(result: ExperimentResult, out_dir: str) -> None:
-    """The manifest, summary and trajectory files of a run directory whose
-    records are written."""
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        manifest = Manifest(list(result.records), result.source_holdout_accuracy)
-        json.dump(plain(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_summary_files(result.summaries, out_dir)
-    write_trajectory_files(result.records, out_dir)
-
-
 def write_summary_files(summaries: list[MethodSummary], out_dir: str) -> None:
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -326,25 +325,8 @@ def write_summary_files(summaries: list[MethodSummary], out_dir: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_trajectory_files(records: dict[str, RunRecord], out_dir: str) -> None:
-    """Plot-data CSVs, one per batch-row value: batch index on x, one column
-    per method (`accuracy_trajectories.csv`, `intra_distance_trajectories.csv`
-    for `mean_intra`, and so on). Each holds the rows of the shortest record
-    only: runs of different `batch_size` keep their longer tails in their
-    run CSVs alone."""
-    names = list(records)
-    n_batches = min(len(r.rows) for r in records.values())
-    for field in CSV_FIELDS[1:]:
-        stem = f"{field.removeprefix('mean_')}_distance" if field.startswith("mean_") else field
-        with open(os.path.join(out_dir, f"{stem}_trajectories.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["batch_index"] + names)
-            for i in range(n_batches):
-                writer.writerow([i] + [repr(getattr(records[n].rows[i], field)) for n in names])
-
-
 def rebuild_report(run_dir: str) -> list[MethodSummary]:
-    """Regenerate summary files from the RunRecord CSVs in a run directory.
+    """Rewrite the summaries of the runs that a run directory's manifest lists.
 
     A `run_dir` that is not a directory is a usage error (ConfigInvalid); a
     run directory with a missing or malformed file is an I/O error.
@@ -369,5 +351,4 @@ def rebuild_report(run_dir: str) -> list[MethodSummary]:
             raise StatsIoError(f"run_{name}.csv in {run_dir} holds no batch rows")
     summaries = [summarize_record(n, r) for n, r in records.items()]
     write_summary_files(summaries, run_dir)
-    write_trajectory_files(records, run_dir)
     return summaries

@@ -276,7 +276,7 @@ def test_criterion_6_online_protocol(capsys, pretrained_seed0):
 
 
 def test_criterion_7_determinism(capsys, tmp_path):
-    """`compare` run twice with one config gives bitwise-identical CSVs."""
+    """`compare` run twice with one config gives bitwise-identical files."""
     import json
 
     cfg = ExperimentConfig.default(seed=0)
@@ -289,15 +289,15 @@ def test_criterion_7_determinism(capsys, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     code_a = cli.main(["compare", "--config", str(config_path), "--out-dir", str(out_a)])
     code_b = cli.main(["compare", "--config", str(config_path), "--out-dir", str(out_b)])
-    csvs = sorted(p.name for p in out_a.glob("*.csv"))
-    identical = all(
-        (out_a / name).read_bytes() == (out_b / name).read_bytes() for name in csvs
+    files = sorted(p.name for p in out_a.iterdir())
+    identical = files == sorted(p.name for p in out_b.iterdir()) and all(
+        (out_a / name).read_bytes() == (out_b / name).read_bytes() for name in files
     )
     report(
         capsys,
         "criterion 7",
-        code_a == 0 and code_b == 0 and len(csvs) >= 7 and identical,
-        f"{len(csvs)} CSV files bitwise identical across runs={identical}",
+        code_a == 0 and code_b == 0 and len(files) >= 7 and identical,
+        f"{len(files)} files bitwise identical across runs={identical}",
     )
 
 

@@ -120,6 +120,24 @@ def pretrained(tmp_path):
     return config, out
 
 
+def adapt_args(config, pretrained_dir, method, out_dir) -> list[str]:
+    """The `adapt` command line of `method` on the checkpoint and stats in
+    `pretrained_dir`."""
+    return [
+        "adapt",
+        "--config",
+        str(config),
+        "--checkpoint",
+        str(pretrained_dir / "checkpoint.npz"),
+        "--stats",
+        str(pretrained_dir / "stats.bin"),
+        "--method",
+        method,
+        "--out-dir",
+        str(out_dir),
+    ]
+
+
 class TestPretrainCommand:
     def test_emits_checkpoint_and_stats(self, pretrained, capsys):
         _, out = pretrained
@@ -173,49 +191,20 @@ class TestStatsCommand:
 
 
 class TestAdaptCommand:
-    def test_runs_one_method(self, pretrained, capsys):
+    def test_runs_one_method(self, pretrained):
+        # a manifest of the one run, with no pretraining to report on
         config, out = pretrained
-        code = cli.main(
-            [
-                "adapt",
-                "--config",
-                str(config),
-                "--checkpoint",
-                str(out / "checkpoint.npz"),
-                "--stats",
-                str(out / "stats.bin"),
-                "--method",
-                "cafa",
-                "--out-dir",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert (out / "run_cafa.csv").exists()
-        assert (out / "run_cafa.json").exists()
-        assert "final-quarter accuracy" in capsys.readouterr().out
+        assert cli.main(adapt_args(config, out, "cafa", out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest == {"methods": ["cafa"], "source_holdout_accuracy": None}
+        assert (out / "summary.csv").read_text().splitlines()[1].startswith("cafa,")
 
     @pytest.mark.parametrize("method", [m["method"] for m in ALL_METHODS])
     def test_record_equals_compare_record(self, compared, tmp_path, method):
         # one runner behind both commands: the same checkpoint, stats and
         # stream give the same bytes
         config, out = compared
-        code = cli.main(
-            [
-                "adapt",
-                "--config",
-                str(config),
-                "--checkpoint",
-                str(out / "checkpoint.npz"),
-                "--stats",
-                str(out / "stats.bin"),
-                "--method",
-                method,
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+        assert cli.main(adapt_args(config, out, method, tmp_path)) == 0
         for suffix in (".csv", ".json"):
             name = f"run_{method}{suffix}"
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
@@ -494,21 +483,7 @@ class TestAdaptCommand:
         doc["methods"][1]["learning_rate"] = 1e150  # global_fa
         config.write_text(json.dumps(doc))
         with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(
-                [
-                    "adapt",
-                    "--config",
-                    str(config),
-                    "--checkpoint",
-                    str(out / "checkpoint.npz"),
-                    "--stats",
-                    str(out / "stats.bin"),
-                    "--method",
-                    "global_fa",
-                    "--out-dir",
-                    str(out),
-                ]
-            )
+            code = cli.main(adapt_args(config, out, "global_fa", out))
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
         rows = read_run_record(str(out), "global_fa").rows
@@ -518,21 +493,25 @@ class TestAdaptCommand:
 
 
 class TestCompareCommand:
-    def test_writes_full_report(self, tmp_path, capsys):
-        config = tiny_config(tmp_path)
-        out = tmp_path / "cmp"
-        assert cli.main(["compare", "--config", str(config), "--out-dir", str(out)]) == 0
-        for name in (
-            "manifest.json",
-            "summary.csv",
-            "summary.txt",
-            "run_source.csv",
-            "run_global_fa.csv",
-            "run_cafa.csv",
-            "accuracy_trajectories.csv",
-        ):
-            assert (out / name).exists()
-        assert "cafa" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "command, runs", [("compare", ["source", "global_fa", "cafa"]), ("adapt", ["cafa"])]
+    )
+    def test_writes_full_report(self, pretrained, capsys, command, runs):
+        # the same files from both commands, for the runs each made, and the
+        # same lines printed
+        config, out = pretrained
+        run_dir = out / command
+        if command == "compare":
+            argv = ["compare", "--config", str(config), "--out-dir", str(run_dir)]
+        else:
+            argv = adapt_args(config, out, "cafa", run_dir)
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        records = [f"run_{name}{suffix}" for name in runs for suffix in (".csv", ".json")]
+        listing = ["manifest.json", "summary.csv", "summary.txt", *records]
+        assert sorted(os.listdir(run_dir)) == sorted(listing)
+        summary = (run_dir / "summary.txt").read_text()
+        assert capsys.readouterr().out == f"outputs: {run_dir}\n{summary}"
 
     def test_batch_larger_than_target_stream_is_config_error(self, tmp_path, capsys):
         doc = json.loads(tiny_config(tmp_path).read_text())
@@ -604,6 +583,39 @@ class TestReportCommand:
         (out / "summary.txt").unlink()
         assert cli.main(["report", "--run-dir", str(out)]) == 0
         assert (out / "summary.csv").read_bytes() == before
+
+    def test_reads_a_directory_adapt_wrote(self, pretrained):
+        config, out = pretrained
+        assert cli.main(adapt_args(config, out, "cafa", out / "adapt")) == 0
+        assert cli.main(["report", "--run-dir", str(out / "adapt")]) == 0
+
+    def test_summarizes_only_an_adapt_into_a_compare_directory(self, compared, tmp_path):
+        config, out = compared
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        assert cli.main(adapt_args(config, run_dir, "cafa", run_dir)) == 0
+        assert cli.main(["report", "--run-dir", str(run_dir)]) == 0
+        with open(run_dir / "summary.csv", newline="") as fh:
+            assert [row["method"] for row in csv.DictReader(fh)] == ["cafa"]
+
+    def test_refuses_a_failed_compare_over_a_complete_one(self, compared, tmp_path):
+        # a seed-1 compare that diverges at global_fa replaces the records
+        # before it and leaves the seed-0 ones after it: nothing may
+        # summarize the mix
+        config, out = compared
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        doc = json.loads(config.read_text())
+        doc["synthetic"]["seed"] = 1
+        doc["methods"][4]["learning_rate"] = 1e150  # global_fa
+        seed1 = tmp_path / "seed1.json"
+        seed1.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["compare", "--config", str(seed1), "--out-dir", str(run_dir)])
+        assert code == 2
+        assert (run_dir / "run_cafa.csv").exists()  # the earlier compare's
+        assert cli.main(["report", "--run-dir", str(run_dir)]) == 3
+        assert not (run_dir / "summary.csv").exists()
 
     def test_missing_run_dir(self, tmp_path, capsys):
         code = cli.main(["report", "--run-dir", str(tmp_path / "nowhere")])
@@ -853,6 +865,15 @@ class TestErrorExitCodes:
         assert code == 1
         assert err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "compare"])
+    def test_empty_output_dir_is_one_config_error_line(self, tmp_path, monkeypatch, command):
+        # refused before any data is drawn, so compare does not train first
+        draws = []
+        monkeypatch.setattr(tta_align.data, "generate_dataset", lambda *a, **k: draws.append(1))
+        code, err = run_quietly([command, "--config", str(tiny_config(tmp_path, output_dir=""))])
+        assert code == 1 and not draws
+        assert err == "config error: output_dir must name a directory, got ''\n"
 
     @pytest.mark.parametrize("command", ["pretrain", "compare"])
     def test_sizes_past_the_address_space_are_one_config_error_line(self, tmp_path, command):

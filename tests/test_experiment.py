@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,6 @@ from tta_align.experiment import (
     pretrain_source,
     rebuild_report,
     run_experiment,
-    write_report,
-    write_run_records,
     write_summary_files,
 )
 
@@ -165,26 +165,24 @@ class TestRunExperiment:
 
 
 class TestReportFiles:
-    def test_outputs_and_rebuild_bit_identical(self, tmp_path, default_result):
-        _, result = default_result
+    def test_outputs_and_rebuild_bit_identical(self, tmp_path):
+        # the records, then the manifest and summaries of these runs; a
+        # rebuild writes the summaries again byte for byte
+        cfg = ExperimentConfig.default()
+        cfg.pretrain.epochs = 1
+        cfg.methods = [TtaConfig(method="source", steps_per_batch=0), TtaConfig(method="cafa")]
         out = tmp_path / "runs"
-        write_run_records(result.records.values(), str(out))
-        write_report(result, str(out))
-        expected = [
-            "manifest.json",
-            "summary.csv",
-            "summary.txt",
-            "accuracy_trajectories.csv",
-            "intra_distance_trajectories.csv",
-            "inter_distance_trajectories.csv",
-            "loss_trajectories.csv",
-        ]
-        for name in expected:
-            assert (out / name).exists()
+        result = run_experiment(cfg, out_dir=str(out))
+        records = [f"run_{n}{suffix}" for n in ("source", "cafa") for suffix in (".csv", ".json")]
+        expected = ["manifest.json", "summary.csv", "summary.txt", *records]
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["methods"] == ["source", "cafa"]
+        assert manifest["source_holdout_accuracy"] == result.source_holdout_accuracy
         before = {n: (out / n).read_bytes() for n in expected}
         (out / "summary.csv").unlink()
         (out / "summary.txt").unlink()
-        rebuild_report(str(out))
+        assert rebuild_report(str(out)) == result.summaries
         for name in expected:
             assert (out / name).read_bytes() == before[name]
 
@@ -200,24 +198,6 @@ class TestReportFiles:
         lines = (tmp_path / "summary.txt").read_text().splitlines()
         assert [line.split()[0] for line in lines] == ["method", *names]
         assert all(len(line.split()) == len(SUMMARY_FIELDS) for line in lines)
-
-    def test_trajectories_hold_the_shortest_run(self, tmp_path):
-        # the 3840-row default stream is 60 batches of 64 and 30 of 128; the
-        # run CSVs keep every row, the trajectory files the first 30
-        cfg = ExperimentConfig.default()
-        cfg.pretrain.epochs = 1
-        cfg.methods = [
-            TtaConfig(method="bn", name=f"bn{size}", steps_per_batch=0, batch_size=size)
-            for size in (64, 128)
-        ]
-        run_experiment(cfg, out_dir=str(tmp_path))
-
-        def rows(name):
-            return (tmp_path / name).read_text().splitlines()[1:]
-
-        assert [len(rows(f"run_bn{size}.csv")) for size in (64, 128)] == [60, 30]
-        for stem in ("accuracy", "intra_distance", "inter_distance", "loss"):
-            assert len(rows(f"{stem}_trajectories.csv")) == 30
 
     def test_rebuild_missing_manifest(self, tmp_path):
         # a run directory without its manifest is malformed (exit 3); a

@@ -73,7 +73,7 @@ def test_default_compare_output_is_pinned(tmp_path):
     )
     made = json.loads(out.read_text())
     pinned = json.loads((REPO / "tests" / "data" / "default_compare_sha256.json").read_text())
-    assert len(pinned["sha256"]) == 23  # 21 compare files, the checkpoint and the stats
+    assert len(pinned["sha256"]) == 19  # 17 compare files, the checkpoint and the stats
     moved = sorted(
         name
         for name in pinned["sha256"].keys() | made["sha256"].keys()
@@ -83,6 +83,20 @@ def test_default_compare_output_is_pinned(tmp_path):
         f"moved: {moved}; pinned on NumPy {pinned['numpy']} ({pinned['blas']}), "
         f"run on NumPy {made['numpy']} ({made['blas']})"
     )
+
+
+def test_readme_output_files_are_the_pinned_files():
+    # the backticked file names under README "Output files", with `<name>`
+    # expanded to each default run name, are the files that the default
+    # `pretrain` and `compare` write: the pinned ones, which the test above
+    # checks a fresh run against
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Output files", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([\w<>]+\.\w+)`", section)) - {"config.py"}  # a module
+    runs = [m.run_name for m in ExperimentConfig.default().methods]
+    listed = {name.replace("<name>", run) for name in names for run in runs}
+    pinned = json.loads((REPO / "tests" / "data" / "default_compare_sha256.json").read_text())
+    assert sorted(listed) == sorted(pinned["sha256"])
 
 
 def test_readme_layout_names_every_module():
