@@ -2,18 +2,25 @@
 """Sweep steps_per_batch for the class-aware method on the default benchmark.
 
 Usage: python3 scripts/sweep_steps.py [--seed N] [--steps 1 2 3] [--out-dir DIR]
+
+Runs `tta-align compare` on the default config with `source` and one `cafa`
+run per step count, and exits with its code: a config it refuses (say
+`--steps 0` or an empty `--out-dir`) is one `config error:` line, exit 1.
 """
 
 import argparse
+import json
 import os
+import sys
+import tempfile
 
+from tta_align import cli
 from tta_align.adapt import TtaConfig
 from tta_align.config import ExperimentConfig
-from tta_align.experiment import run_experiment
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="data sampling seed")
     parser.add_argument("--steps", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--out-dir", default="runs/steps_sweep")
@@ -24,11 +31,13 @@ def main() -> None:
         TtaConfig(method="cafa", name=f"cafa_steps_{k}", steps_per_batch=k)
         for k in args.steps
     ]
-    run_experiment(cfg, out_dir=args.out_dir)
-    print(f"outputs: {args.out_dir}")
-    with open(os.path.join(args.out_dir, "summary.txt")) as fh:
-        print(fh.read(), end="")
+    cfg.output_dir = args.out_dir
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(cfg.to_dict(), fh)
+        return cli.main(["compare", "--config", config])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

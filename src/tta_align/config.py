@@ -135,11 +135,7 @@ def read(cls, doc, section: str):
             f"section {section!r} must be a JSON object, got {type(doc).__name__}"
         )
     hints = _hints(cls)
-    unknown = set(doc) - set(hints)
-    if unknown:
-        raise ConfigInvalid(
-            f"unknown keys in section {section!r} ({cls.__name__}): {sorted(unknown)}"
-        )
+    # a missing key first: an old file format names the key it lacks
     no_default = dataclasses.MISSING
     missing = [
         f.name
@@ -151,6 +147,11 @@ def read(cls, doc, section: str):
     if missing:
         raise ConfigInvalid(
             f"section {section!r} ({cls.__name__}) lacks required keys {missing}"
+        )
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown keys in section {section!r} ({cls.__name__}): {sorted(unknown)}"
         )
     kwargs = {}
     for name, value in doc.items():
@@ -391,10 +392,12 @@ class ExperimentConfig:
 
 @dataclass
 class RunHeader:
-    """`run_<name>.json`: the method's config and its CSV's number of rows."""
+    """`run_<name>.json`: the method's config and the sha256 of the bytes of
+    `run_<name>.csv`, which `experiment.read_run_record` checks before it
+    parses a row."""
 
     config: TtaConfig
-    n_batches: int
+    csv_sha256: str
 
 
 @dataclass

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
+import io
 import json
-import math
 import os
 from collections.abc import Iterable
 from dataclasses import astuple, dataclass, fields
@@ -20,7 +21,6 @@ import numpy as np
 from . import adapt, data, network, stats as stats_mod
 from .adapt import BatchRow, RunRecord, adapt_stream
 from .config import (
-    NO_LOSS_METHODS,
     ExperimentConfig,
     Manifest,
     RunHeader,
@@ -171,7 +171,10 @@ def run_methods(
     removes the directory's manifest and summaries, then writes each record,
     then the manifest and summaries of these runs and no others. A loss that
     goes non-finite writes the finished records and the failing method's
-    partial one, then raises, leaving no manifest for `report` to read."""
+    partial one, then raises, leaving no manifest for `report` to read. An
+    empty `out_dir` is refused: it would name files in the working directory."""
+    if out_dir == "":
+        raise ConfigInvalid("out_dir must name a directory, got ''")
     if out_dir is not None:
         for name in ("manifest.json", "summary.csv", "summary.txt"):
             with contextlib.suppress(FileNotFoundError):
@@ -226,87 +229,49 @@ def run_path(run_dir: str, name: str, suffix: str) -> str:
 
 def write_run_records(records: Iterable[RunRecord], out_dir: str) -> None:
     """`run_<name>.csv` and `run_<name>.json` for every record, each named
-    by its config's run name."""
+    by its config's run name. The CSV's bytes are built once, written as they
+    are, and their sha256 recorded in the header."""
     os.makedirs(out_dir, exist_ok=True)
     for record in records:
         name = record.config.run_name
-        with open(run_path(out_dir, name, ".csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_FIELDS)
-            for r in record.rows:
-                writer.writerow([r.batch_index] + [repr(v) for v in astuple(r)[1:]])
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(CSV_FIELDS)
+        for r in record.rows:
+            writer.writerow([r.batch_index] + [repr(v) for v in astuple(r)[1:]])
+        raw = text.getvalue().encode()
+        with open(run_path(out_dir, name, ".csv"), "wb") as fh:
+            fh.write(raw)
         with open(run_path(out_dir, name, ".json"), "w") as fh:
-            header = RunHeader(record.config, len(record.rows))
+            header = RunHeader(record.config, hashlib.sha256(raw).hexdigest())
             json.dump(plain(header), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _cell(text: str, kind: type):
-    """The number a run-CSV cell holds, refused (ValueError) unless the cell
-    is its `repr`, as the writer writes it: no padding, `_` or `+`."""
-    value = kind(text)
-    if repr(value) != text:
-        raise ValueError(f"cell {text!r} is not the writer's form of {value!r}")
-    return value
-
-
 def read_run_record(run_dir: str, name: str) -> RunRecord:
-    """The record of run `name`, refused (StatsIoError) where no run could
-    have written it: a header that is not a valid config of that run or
-    whose `n_batches` is not the number of rows, a CSV whose header row is
-    not CSV_FIELDS or whose rows hold another number of fields, a cell that
-    is not the writer's form of the number it parses to, or rows whose
-    batch indices do not count 0..n-1, whose accuracy is not a whole number
-    of hits out of the header's batch size, whose loss is not finite (nan for
-    a loss-free method), or whose distance columns are not each finite and
-    >= 0 in every row or nan in every row."""
+    """The record of run `name`, refused (StatsIoError) unless its header is
+    a valid config of that run and `run_<name>.csv` holds exactly the bytes
+    whose sha256 the header records; the digest is checked before any row is
+    parsed. A CSV whose digest matches but whose header row is not CSV_FIELDS,
+    or whose rows hold another number of fields or a cell that is not a
+    number, was not written by `write_run_records` and is refused too."""
     try:
         with open(run_path(run_dir, name, ".json")) as fh:
             header = read(RunHeader, parse_json(fh.read()), f"run_{name}.json")
         config = header.config
         config.validate()
-        with open(run_path(run_dir, name, ".csv"), newline="") as fh:
-            columns, *cells = csv.reader(fh)
+        if config.run_name != name:
+            raise ValueError(f"run_{name}.json describes run {config.run_name!r}")
+        with open(run_path(run_dir, name, ".csv"), "rb") as fh:
+            raw = fh.read()
+        if hashlib.sha256(raw).hexdigest() != header.csv_sha256:
+            raise ValueError(f"run_{name}.csv is not the file whose sha256 run_{name}.json records")
+        columns, *cells = (line.split(",") for line in raw.decode().splitlines())
         if tuple(columns) != CSV_FIELDS or any(len(c) != len(CSV_FIELDS) for c in cells):
             raise ValueError(f"run_{name}.csv does not hold exactly the columns {CSV_FIELDS}")
-        rows = [BatchRow(_cell(c[0], int), *(_cell(v, float) for v in c[1:])) for c in cells]
-    except (OSError, ValueError, csv.Error, ConfigInvalid) as exc:
+        rows = [BatchRow(int(c[0]), *map(float, c[1:])) for c in cells]
+    except (OSError, ValueError, ConfigInvalid) as exc:
         raise StatsIoError(f"malformed run directory {run_dir}: {exc!r}") from exc
-    if config.run_name != name:
-        raise StatsIoError(f"run_{name}.json in {run_dir} describes run {config.run_name!r}")
-    if header.n_batches != len(rows):
-        raise StatsIoError(
-            f"run_{name}.json in {run_dir}: n_batches {header.n_batches} is not the "
-            f"{len(rows)} rows of run_{name}.csv"
-        )
-    bs = config.batch_size
-    for i, r in enumerate(rows):
-        if r.batch_index != i:
-            raise StatsIoError(
-                f"run_{name}.csv in {run_dir}: row {i} has batch_index {r.batch_index}"
-            )
-        # batch_stream yields full batches: accuracy is hits / batch_size, rounded once
-        hits = round(r.accuracy * bs) if math.isfinite(r.accuracy) else -1
-        if not (0 <= hits <= bs and r.accuracy == hits / bs):
-            raise StatsIoError(
-                f"run_{name}.csv in {run_dir}: batch {i} accuracy {r.accuracy!r} is not "
-                f"a whole number of hits out of {bs}"
-            )
-    loss = np.array([r.loss for r in rows])
-    loss_free = config.method in NO_LOSS_METHODS
-    if not (np.isnan(loss) if loss_free else np.isfinite(loss)).all():
-        raise StatsIoError(
-            f"run_{name}.csv in {run_dir}: a loss of method {config.method!r} is not "
-            + ("nan" if loss_free else "finite")
-        )
-    for field in ("mean_intra", "mean_inter"):
-        # nan throughout when the run had no source statistics
-        v = np.array([getattr(r, field) for r in rows])
-        if not (np.isnan(v).all() or (np.isfinite(v) & (v >= 0)).all()):
-            raise StatsIoError(
-                f"run_{name}.csv in {run_dir}: {field} is neither finite and >= 0 "
-                "in every row nor nan in every row"
-            )
     return RunRecord(config=config, rows=rows)
 
 

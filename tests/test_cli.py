@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -617,6 +618,37 @@ class TestReportCommand:
         assert cli.main(["report", "--run-dir", str(run_dir)]) == 3
         assert not (run_dir / "summary.csv").exists()
 
+    def test_refuses_swapped_run_records(self, compared, tmp_path, capsys):
+        # each swapped CSV holds plausible rows of another run: only the
+        # digest in its header tells them apart
+        _, out = compared
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        pl, entropy = run_dir / "run_pl.csv", run_dir / "run_entropy.csv"
+        pl_bytes = pl.read_bytes()
+        pl.write_bytes(entropy.read_bytes())
+        entropy.write_bytes(pl_bytes)
+        (run_dir / "summary.csv").unlink()
+        (run_dir / "summary.txt").unlink()
+        capsys.readouterr()
+        assert cli.main(["report", "--run-dir", str(run_dir)]) == 3
+        assert "run_pl.csv is not the file whose sha256" in capsys.readouterr().err
+        assert not (run_dir / "summary.csv").exists()
+
+    def test_old_format_header_names_the_missing_key(self, compared, tmp_path, capsys):
+        # a header that counts its rows (`n_batches`) and records no digest
+        # was written before the digest existed: the run must be made again
+        _, out = compared
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        header = json.loads((run_dir / "run_cafa.json").read_text())
+        del header["csv_sha256"]
+        header["n_batches"] = len((run_dir / "run_cafa.csv").read_text().splitlines()) - 1
+        (run_dir / "run_cafa.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        assert cli.main(["report", "--run-dir", str(run_dir)]) == 3
+        assert "lacks required keys ['csv_sha256']" in capsys.readouterr().err
+
     def test_missing_run_dir(self, tmp_path, capsys):
         code = cli.main(["report", "--run-dir", str(tmp_path / "nowhere")])
         assert code == 1
@@ -641,13 +673,12 @@ class TestReportCommand:
             "batch_index_out_of_order",
             "no_manifest",
             "loss_nan",
-            "loss_of_loss_free_run",
             "mean_intra_inf",
             "mean_inter_negative",
             "distance_nan_in_one_row",
             "header_removed_key",
-            "n_batches_missing",
-            "n_batches_not_integer",
+            "csv_sha256_missing",
+            "csv_sha256_not_a_string",
             "last_row_cut",
             "repeated_column",
             "extra_field",
@@ -669,7 +700,13 @@ class TestReportCommand:
         rows = "0,0.5,0.1,2.0,3.0\n1,0.5,0.1,2.0,3.0\n"
         run_csv = header + rows
         config = TtaConfig(method="cafa").to_dict()
-        run_header = {"config": config, "n_batches": 2}
+        digest = hashlib.sha256(run_csv.encode()).hexdigest()
+        run_header = {"config": config, "csv_sha256": digest}
+
+        def signed(doc):
+            """A run header `doc` that records the CSV's digest."""
+            return json.dumps({**doc, "csv_sha256": digest})
+
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
         (tmp_path / "run_cafa.csv").write_text(run_csv)
         (tmp_path / "run_cafa.json").write_text(json.dumps(run_header))
@@ -682,27 +719,27 @@ class TestReportCommand:
             "no_rows": ("run_cafa.csv", header),
             "no_header": ("run_cafa.json", None),
             "header_not_json": ("run_cafa.json", "{broken"),
-            "header_without_config": ("run_cafa.json", json.dumps({"cfg": {}})),
+            "header_without_config": ("run_cafa.json", signed({"cfg": {}})),
             "header_unknown_key": (
                 "run_cafa.json",
-                json.dumps({"config": {"method": "cafa", "speed": 2}}),
+                signed({"config": {"method": "cafa", "speed": 2}}),
             ),
             "header_mistyped": (
                 "run_cafa.json",
-                json.dumps(
+                signed(
                     {"config": {"method": "cafa", "steps_per_batch": "2", "learning_rate": "fast"}}
                 ),
             ),
             "header_invalid": (
                 "run_cafa.json",
-                json.dumps({"config": {"method": "tent", "learning_rate": -1.0}}),
+                signed({"config": {"method": "tent", "learning_rate": -1.0}}),
             ),
             "header_of_other_run": (
                 "run_cafa.json",
-                json.dumps({"config": TtaConfig(method="bn", steps_per_batch=0).to_dict()}),
+                signed({"config": TtaConfig(method="bn", steps_per_batch=0).to_dict()}),
             ),
-            # batches of 64 (the header's batch_size) score a whole number of
-            # hits out of 64, and count up from 0
+            # every change to the CSV's bytes, plausible numbers or not, is
+            # refused by the header's digest before a row is parsed
             "accuracy_nan": ("run_cafa.csv", run_csv.replace("0.5", "nan")),
             "accuracy_above_one": ("run_cafa.csv", run_csv.replace("0.5", "7.5")),
             "batch_index_out_of_order": (
@@ -710,33 +747,21 @@ class TestReportCommand:
                 header + "1,0.5,0.1,2.0,3.0\n0,0.5,0.1,2.0,3.0\n",
             ),
             "no_manifest": ("manifest.json", None),
-            # an optimizing run's loss is finite, a loss-free run's nan; each
-            # distance column is finite and >= 0, or nan throughout
             "loss_nan": ("run_cafa.csv", run_csv.replace("0.1", "nan", 1)),
-            "loss_of_loss_free_run": (
-                "run_cafa.json",
-                json.dumps(
-                    {
-                        "config": TtaConfig(method="bn", name="cafa", steps_per_batch=0).to_dict(),
-                        "n_batches": 2,
-                    }
-                ),
-            ),
             "mean_intra_inf": ("run_cafa.csv", run_csv.replace("2.0", "inf")),
             "mean_inter_negative": ("run_cafa.csv", run_csv.replace("3.0", "-3.0")),
             "distance_nan_in_one_row": ("run_cafa.csv", run_csv.replace("2.0", "nan", 1)),
             "header_removed_key": (
                 "run_cafa.json",
-                json.dumps({"config": {**config, "adam_beta1": 0.9}, "n_batches": 2}),
+                signed({"config": {**config, "adam_beta1": 0.9}}),
             ),
-            # the header counts the rows, so a cut CSV is detectable
-            "n_batches_missing": ("run_cafa.json", json.dumps({"config": config})),
-            "n_batches_not_integer": (
+            # a header without the CSV's digest vouches for no row
+            "csv_sha256_missing": ("run_cafa.json", json.dumps({"config": config})),
+            "csv_sha256_not_a_string": (
                 "run_cafa.json",
-                json.dumps({"config": config, "n_batches": 2.0}),
+                json.dumps({"config": config, "csv_sha256": int(digest, 16)}),
             ),
             "last_row_cut": ("run_cafa.csv", header + "0,0.5,0.1,2.0,3.0\n"),
-            # the columns are the writer's, in its order, in every row
             "repeated_column": (
                 "run_cafa.csv",
                 header.replace("\n", ",accuracy\n") + rows.replace("\n", ",0.0\n"),
@@ -750,10 +775,7 @@ class TestReportCommand:
                 "run_cafa.csv",
                 run_csv.replace("mean_intra,mean_inter", "mean_inter,mean_intra"),
             ),
-            # past the csv module's field size limit
             "oversized_cell": ("run_cafa.csv", run_csv.replace("0.1", "0" * 200_000, 1)),
-            # every cell is the writer's form of its number: the repr of a
-            # float, the str of the batch index
             "batch_index_padded": ("run_cafa.csv", header + " 0 " + rows[1:]),
             "loss_with_underscore": ("run_cafa.csv", run_csv.replace("0.1", "1_0", 1)),
             "mean_intra_with_underscore": ("run_cafa.csv", run_csv.replace("2.0", "2_000.0")),
@@ -765,14 +787,14 @@ class TestReportCommand:
             ),
             "header_unknown_top_level_key": (
                 "run_cafa.json",
-                json.dumps({"config": config, "n_batches": 2, "note": "x"}),
+                signed({"config": config, "note": "x"}),
             ),
             # json would keep the last of the two
             "manifest_repeated_key": (
                 "manifest.json",
                 key_twice({"methods": ["cafa"]}, "methods"),
             ),
-            "header_repeated_key": ("run_cafa.json", key_twice(run_header, "n_batches")),
+            "header_repeated_key": ("run_cafa.json", key_twice(run_header, "csv_sha256")),
         }
         name, text = damaged[damage]
         if text is None:
@@ -780,7 +802,33 @@ class TestReportCommand:
         else:
             (tmp_path / name).write_text(text)
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
-        assert "i/o error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "i/o error" in err
+        if name == "run_cafa.csv" and text is not None:
+            assert "is not the file whose sha256 run_cafa.json records" in err
+
+    @pytest.mark.parametrize(
+        "run_csv",
+        [
+            "",
+            "batch_index,accuracy,loss,mean_intra\n0,0.5,0.1,2.0\n",
+            "batch_index,accuracy,loss,mean_inter,mean_intra\n0,0.5,0.1,2.0,3.0\n",
+            "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,0.1,2.0,3.0,9\n",
+            "batch_index,accuracy,loss,mean_intra,mean_inter\n0,high,0.1,2.0,3.0\n",
+        ],
+        ids=["empty", "missing_column", "reordered_columns", "extra_field", "text_cell"],
+    )
+    def test_hand_built_csv_with_its_digest_is_io_error(self, tmp_path, capsys, run_csv):
+        # a CSV that its header's digest matches but that the writer could
+        # not have written is still refused
+        digest = hashlib.sha256(run_csv.encode()).hexdigest()
+        (tmp_path / "manifest.json").write_text(json.dumps({"methods": ["cafa"]}))
+        (tmp_path / "run_cafa.csv").write_text(run_csv)
+        config = TtaConfig(method="cafa").to_dict()
+        (tmp_path / "run_cafa.json").write_text(json.dumps({"config": config, "csv_sha256": digest}))
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "sha256" not in err
 
     @pytest.mark.parametrize(
         "methods, message",
@@ -800,11 +848,11 @@ class TestReportCommand:
         # a method listed twice would collapse into one summary row, and a
         # string would be read one character at a time; the walk refuses a
         # value that is not a list of strings
-        (tmp_path / "run_cafa.csv").write_text(
-            "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,0.1,2.0,3.0\n"
-        )
+        run_csv = "batch_index,accuracy,loss,mean_intra,mean_inter\n0,0.5,0.1,2.0,3.0\n"
+        digest = hashlib.sha256(run_csv.encode()).hexdigest()
+        (tmp_path / "run_cafa.csv").write_text(run_csv)
         (tmp_path / "run_cafa.json").write_text(
-            json.dumps({"config": TtaConfig(method="cafa").to_dict(), "n_batches": 1})
+            json.dumps({"config": TtaConfig(method="cafa").to_dict(), "csv_sha256": digest})
         )
         (tmp_path / "manifest.json").write_text(json.dumps({"methods": methods}))
         assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3

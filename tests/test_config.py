@@ -562,7 +562,7 @@ WRONG_FIELDS = [
     for value in wrong_values(tp)
 ]
 HEADERS = [  # one of each file header the program writes
-    RunHeader(config=TtaConfig(), n_batches=2),
+    RunHeader(config=TtaConfig(), csv_sha256="0" * 64),
     Manifest(methods=["source", "cafa"], source_holdout_accuracy=0.75),
     StatsHeader(2, 4, 3, "class_wise", 1e-4, [41, 46, 33], ["class 0: rank-deficient"]),
     CheckpointHeader(1, 1, [LayoutEntry("classifier.bias", [3]), LayoutEntry("n", [])]),

@@ -186,6 +186,19 @@ class TestReportFiles:
         for name in expected:
             assert (out / name).read_bytes() == before[name]
 
+    def test_empty_out_dir_is_refused_before_any_file_is_removed(self, tmp_path, monkeypatch):
+        # "" joins with a file name to the bare name, a file of the working
+        # directory, which the writer would remove and replace
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "manifest.json").write_text("{}")
+        cfg = ExperimentConfig.default()
+        cfg.pretrain.epochs = 1
+        cfg.methods = [TtaConfig(method="source", steps_per_batch=0)]
+        with pytest.raises(ConfigInvalid, match="out_dir must name a directory"):
+            run_experiment(cfg, out_dir="")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+        assert (tmp_path / "manifest.json").read_text() == "{}"
+
     def test_summary_header_splits_into_fields(self, tmp_path):
         write_summary_files([MethodSummary("cafa", 0.5, 0.5, 1.0, 2.0)], str(tmp_path))
         header = (tmp_path / "summary.txt").read_text().splitlines()[0]

@@ -10,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tta_align.config import ExperimentConfig
 from tta_align.data import SyntheticSpec
@@ -57,6 +58,31 @@ def test_sweep_steps_writes_one_summary_row_per_run(tmp_path):
         assert len(accuracies) == 60  # the default stream
         assert float(row["mean_accuracy"]) == float(np.mean(accuracies))
         assert 0.0 < float(row["final_quarter_accuracy"]) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--steps", "0"], "method 'cafa' needs steps_per_batch >= 1"),
+        (["--out-dir", ""], "output_dir must name a directory, got ''"),
+    ],
+    ids=["steps_0", "empty_out_dir"],
+)
+def test_sweep_steps_refuses_a_bad_config_in_one_line(tmp_path, args, message):
+    # the sweep runs `tta-align compare`: one config error line, exit 1, no
+    # traceback, and nothing written, in the working directory either
+    (tmp_path / "manifest.json").write_text("{}")
+    script = REPO / "scripts" / "sweep_steps.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path / "out"), *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"config error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
 def test_default_compare_output_is_pinned(tmp_path):
